@@ -12,7 +12,6 @@ compactified model used for the projection constructions.
 
 from __future__ import annotations
 
-import bisect
 import enum
 import math
 import re
@@ -27,22 +26,15 @@ from .scalars import (RationalComplex, conj_scalar, exact_magnitude,
                       is_exact_scalar, parse_rational)
 
 
-class Flavor(enum.Enum):
-    RATIONAL = "rational"
-    INDICATOR = "indicator"
-    SAMPLED = "sampled"
-    CLOSURE = "closure"
-
-
 class Classification(enum.Enum):
     FULL = "full"
     VANISHING = "vanishing"
 
 
 class CoefficientFunction:
-    """Radial coefficient; concrete flavors decide exact evaluability."""
+    """Radial coefficient; the concrete classes decide exact evaluability."""
 
-    flavor: Flavor
+    exact = False
 
     @property
     def value_at_zero(self):
@@ -52,19 +44,15 @@ class CoefficientFunction:
     def vanishes_at_infinity(self) -> bool:
         raise NotImplementedError
 
-    @property
-    def exact(self) -> bool:
-        return False
-
     def __call__(self, t: float) -> complex:
         raise NotImplementedError
 
     def eval_exact(self, t: Fraction) -> RationalComplex:
-        raise EvaluationError(f"{self.flavor.value} coefficient has no exact evaluation")
+        raise EvaluationError(f"{type(self).__name__} has no exact evaluation")
 
 
 class RationalCoefficient(CoefficientFunction):
-    flavor = Flavor.RATIONAL
+    exact = True
 
     def __init__(self, rf: RationalFunction):
         rf.denominator_spotcheck(DEFAULT_SPOTCHECK_POINTS)
@@ -77,10 +65,6 @@ class RationalCoefficient(CoefficientFunction):
     @property
     def vanishes_at_infinity(self) -> bool:
         return self.rf.vanishes_at_infinity
-
-    @property
-    def exact(self) -> bool:
-        return True
 
     @property
     def is_zero(self) -> bool:
@@ -96,7 +80,7 @@ class RationalCoefficient(CoefficientFunction):
 class IndicatorCoefficient(CoefficientFunction):
     """Characteristic function of an interval; exact at rational points."""
 
-    flavor = Flavor.INDICATOR
+    exact = True
 
     def __init__(self, interval: Interval):
         self.interval = interval
@@ -109,10 +93,6 @@ class IndicatorCoefficient(CoefficientFunction):
     def vanishes_at_infinity(self) -> bool:
         return self.interval.upper is not None
 
-    @property
-    def exact(self) -> bool:
-        return True
-
     def __call__(self, t: float) -> complex:
         frac = Fraction(t).limit_denominator(10 ** 12)
         return 1.0 + 0j if self.interval.contains(frac) else 0j
@@ -121,52 +101,8 @@ class IndicatorCoefficient(CoefficientFunction):
         return RationalComplex(Fraction(1 if self.interval.contains(Fraction(t)) else 0))
 
 
-class SampledCoefficient(CoefficientFunction):
-    """Values tabulated on a grid, linear interpolation between, clamped ends."""
-
-    flavor = Flavor.SAMPLED
-
-    def __init__(self, knots, values, value_at_zero=0.0, vanishes_at_infinity=True):
-        knots = tuple(float(t) for t in knots)
-        if list(knots) != sorted(knots) or len(knots) < 2:
-            raise DomainError("sample knots must be increasing, at least two")
-        if any(t <= 0 for t in knots):
-            raise DomainError("sample knots must be positive; t=0 is declared separately")
-        if len(knots) != len(values):
-            raise DomainError("knots and values must have equal length")
-        self.knots = knots
-        self.values = tuple(complex(v) for v in values)
-        self._zero = value_at_zero
-        self._vanishes = bool(vanishes_at_infinity)
-
-    @property
-    def value_at_zero(self):
-        return self._zero
-
-    @property
-    def vanishes_at_infinity(self) -> bool:
-        return self._vanishes
-
-    def __call__(self, t: float) -> complex:
-        if t <= self.knots[0]:
-            return self.values[0]
-        if t >= self.knots[-1]:
-            return self.values[-1]
-        i = bisect.bisect_right(self.knots, t)
-        t0, t1 = self.knots[i - 1], self.knots[i]
-        w = (t - t0) / (t1 - t0)
-        return self.values[i - 1] * (1 - w) + self.values[i] * w
-
-    def rescaled_argument(self, factor: float) -> "SampledCoefficient":
-        """Tabulation of t -> f(c * t): knots divide by c."""
-        return SampledCoefficient(tuple(t / factor for t in self.knots), self.values,
-                                  self._zero, self._vanishes)
-
-
 class ClosureCoefficient(CoefficientFunction):
     """Arbitrary callable with declared behaviour at 0 and infinity."""
-
-    flavor = Flavor.CLOSURE
 
     def __init__(self, fn: Callable[[float], complex], value_at_zero,
                  vanishes_at_infinity: bool, label: str = ""):
@@ -190,50 +126,11 @@ class ClosureCoefficient(CoefficientFunction):
             raise EvaluationError(f"coefficient undefined at t={t}") from exc
 
 
-class RestrictedCoefficient(CoefficientFunction):
-    """Coefficient with exact evaluation confined to a spectral set plus 0."""
-
-    def __init__(self, base: CoefficientFunction, domain: SpectralSet):
-        self.base = base
-        self.domain = domain
-        self.flavor = base.flavor
-
-    @property
-    def value_at_zero(self):
-        return self.base.value_at_zero
-
-    @property
-    def vanishes_at_infinity(self) -> bool:
-        return self.base.vanishes_at_infinity
-
-    @property
-    def exact(self) -> bool:
-        return self.base.exact
-
-    def __call__(self, t: float) -> complex:
-        return self.base(t)
-
-    def eval_exact(self, t) -> RationalComplex:
-        from .qspace import contains
-        t = Fraction(t)
-        if t != 0 and not contains(self.domain, t):
-            raise EvaluationError(f"t={t} outside the restricted domain")
-        return self.base.eval_exact(t)
-
-
 ZERO_COEFFICIENT = RationalCoefficient(RationalFunction.constant(0))
-ONE_COEFFICIENT = RationalCoefficient(RationalFunction.constant(1))
-
-
-def rational_coefficient(rf) -> RationalCoefficient:
-    if isinstance(rf, RationalFunction):
-        return RationalCoefficient(rf)
-    return RationalCoefficient(RationalFunction.constant(rf))
 
 
 def _is_syntactic_zero(f: CoefficientFunction) -> bool:
-    base = f.base if isinstance(f, RestrictedCoefficient) else f
-    return isinstance(base, RationalCoefficient) and base.is_zero
+    return isinstance(f, RationalCoefficient) and f.is_zero
 
 
 def _v0_combine(x, y, op):
@@ -247,64 +144,44 @@ def cf_alpha(f: CoefficientFunction, n: int, q: Fraction) -> CoefficientFunction
     if n == 0:
         return f
     qn = Fraction(q) ** n
-    if isinstance(f, RestrictedCoefficient):
-        return RestrictedCoefficient(cf_alpha(f.base, n, q), f.domain)
     if isinstance(f, RationalCoefficient):
         return RationalCoefficient(f.rf.substitute_scale(qn))
     if isinstance(f, IndicatorCoefficient):
         # chi_M(q**n t) = chi_{q**-n M}(t)
         return IndicatorCoefficient(f.interval.scaled(1 / qn))
-    if isinstance(f, SampledCoefficient):
-        return f.rescaled_argument(float(qn))
     factor = float(qn)
     return ClosureCoefficient(lambda t, f=f, c=factor: f(c * t),
                               f.value_at_zero, f.vanishes_at_infinity)
 
 
 def cf_conj(f: CoefficientFunction) -> CoefficientFunction:
-    if isinstance(f, RestrictedCoefficient):
-        return RestrictedCoefficient(cf_conj(f.base), f.domain)
     if isinstance(f, RationalCoefficient):
         return RationalCoefficient(f.rf.conjugate())
     if isinstance(f, IndicatorCoefficient):
         return f
-    if isinstance(f, SampledCoefficient):
-        return SampledCoefficient(f.knots, tuple(v.conjugate() for v in f.values),
-                                  conj_scalar(f.value_at_zero), f.vanishes_at_infinity)
     return ClosureCoefficient(lambda t, f=f: complex(f(t)).conjugate(),
                               conj_scalar(f.value_at_zero), f.vanishes_at_infinity)
 
 
-def _both_rational(f, g):
-    fb = f.base if isinstance(f, RestrictedCoefficient) else f
-    gb = g.base if isinstance(g, RestrictedCoefficient) else g
-    if isinstance(fb, RationalCoefficient) and isinstance(gb, RationalCoefficient):
-        return fb, gb
-    return None
-
-
 def cf_mul(f: CoefficientFunction, g: CoefficientFunction) -> CoefficientFunction:
-    pair = _both_rational(f, g)
-    if pair is not None:
-        return RationalCoefficient(pair[0].rf * pair[1].rf)
+    if isinstance(f, RationalCoefficient) and isinstance(g, RationalCoefficient):
+        return RationalCoefficient(f.rf * g.rf)
     return ClosureCoefficient(lambda t, f=f, g=g: f(t) * g(t),
                               _v0_combine(f.value_at_zero, g.value_at_zero, lambda a, b: a * b),
                               f.vanishes_at_infinity or g.vanishes_at_infinity)
 
 
 def cf_add(f: CoefficientFunction, g: CoefficientFunction) -> CoefficientFunction:
-    pair = _both_rational(f, g)
-    if pair is not None:
-        return RationalCoefficient(pair[0].rf + pair[1].rf)
+    if isinstance(f, RationalCoefficient) and isinstance(g, RationalCoefficient):
+        return RationalCoefficient(f.rf + g.rf)
     return ClosureCoefficient(lambda t, f=f, g=g: f(t) + g(t),
                               _v0_combine(f.value_at_zero, g.value_at_zero, lambda a, b: a + b),
                               f.vanishes_at_infinity and g.vanishes_at_infinity)
 
 
 def cf_scale(f: CoefficientFunction, s) -> CoefficientFunction:
-    base = f.base if isinstance(f, RestrictedCoefficient) else f
-    if is_exact_scalar(s) and isinstance(base, RationalCoefficient):
-        return RationalCoefficient(base.rf * RationalComplex.coerce(s))
+    if is_exact_scalar(s) and isinstance(f, RationalCoefficient):
+        return RationalCoefficient(f.rf * RationalComplex.coerce(s))
     sc = complex(s)
     zero = _v0_combine(f.value_at_zero, s, lambda a, b: a * b)
     return ClosureCoefficient(lambda t, f=f, sc=sc: sc * f(t), zero, f.vanishes_at_infinity)
@@ -328,10 +205,6 @@ class AlgebraElement:
             seen.add(k)
         object.__setattr__(self, "terms",
                            tuple(sorted(self.terms, key=lambda kv: kv[0])))
-
-    @property
-    def coeffs(self) -> Mapping[int, CoefficientFunction]:
-        return dict(self.terms)
 
     @property
     def modes(self) -> tuple[int, ...]:
@@ -379,11 +252,6 @@ def element(q, coeffs: Mapping[int, CoefficientFunction]) -> AlgebraElement:
 
 def zero_element(q) -> AlgebraElement:
     return AlgebraElement(Fraction(q), ())
-
-
-def alpha(a: AlgebraElement, n: int = 1) -> AlgebraElement:
-    """Apply the scaling automorphism to every coefficient."""
-    return element(a.q, {k: cf_alpha(f, n, a.q) for k, f in a.terms})
 
 
 def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
@@ -484,13 +352,6 @@ def classical_eval(a: AlgebraElement, r: float, theta: float) -> complex:
         val = complex(f.value_at_zero) if r == 0 else complex(f(r))
         total += val * complex(math.cos(k * theta), math.sin(k * theta))
     return total
-
-
-def restrict(a: AlgebraElement, X: SpectralSet) -> AlgebraElement:
-    """Confine exact evaluation of every coefficient to X plus the origin."""
-    if X.q != a.q:
-        raise DomainError("spectral set ratio differs from the element ratio")
-    return element(a.q, {k: RestrictedCoefficient(f, X) for k, f in a.terms})
 
 
 def grid_sample_points(X: SpectralSet, n_min: int, n_max: int,

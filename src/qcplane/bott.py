@@ -188,8 +188,7 @@ def verify_projection_exact(P: ProjectionCandidate, sample_points) -> ExactProje
 
 
 def represent_unitized(x: UnitizedElement, T: TruncatedQNormal) -> np.ndarray:
-    body = represent(x.body, T)
-    return body + mo.scale(mo.eye(T.dim, T.exact), x.unit)
+    return represent(x.body, T) + mo.Band.identity(T.dim, T.exact).scale(x.unit).dense()
 
 
 def _block_matrix(A: Entries, T: TruncatedQNormal) -> np.ndarray:

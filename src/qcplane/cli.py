@@ -20,7 +20,12 @@ from .errors import ConfigurationError, DomainError, EvaluationError, QcplaneErr
 from .qnormal import TruncationWindow
 from .scalars import format_rational, parse_rational
 
-KNOWN_COMMANDS = ("simulate", "norm", "bott", "limit")
+CONFIG_KEYS = frozenset({"q", "generators", "zero_mass", "window", "windows_sweep",
+                         "tolerance", "exact_mode", "elements", "seed", "bott_n",
+                         "bott_signs", "sample_exponent_range", "limit_pairs",
+                         "limit_grid"})
+
+BOTT_SIGNS = {"+": 1, "-": -1, "1": 1, "-1": -1}
 
 COVARIANCE_FAMILY = ("t", "t^2", "indicator", "lorentzian")
 
@@ -37,7 +42,6 @@ class RunConfig:
     tolerance: float
     exact_mode: bool
     elements: tuple[str, ...]
-    commands: tuple[str, ...]
     seed: int
     bott_n: tuple[int, ...]
     bott_signs: tuple[int, ...]
@@ -70,30 +74,33 @@ def load_config(path: str | None, overrides: argparse.Namespace) -> RunConfig:
         if not isinstance(data, dict):
             raise ConfigurationError("config root must be a JSON object")
 
-    def pick(key, default):
-        return data.get(key, default)
+        unknown = sorted(set(data) - CONFIG_KEYS)
+        if unknown:
+            raise ConfigurationError(f"unknown config keys {unknown}")
 
-    q = parse_rational(pick("q", "1/2"))
-    generators = tuple(parse_rational(g) for g in pick("generators", ["1"]))
-    zero_mass = parse_rational(pick("zero_mass", "0"))
-    window = _as_window(pick("window", [-6, 6]))
-    sweep_raw = pick("windows_sweep", None)
-    sweep = tuple(_as_window(w) for w in sweep_raw) if sweep_raw is not None else None
-    tolerance = float(pick("tolerance", 1e-12))
-    exact_mode = bool(pick("exact_mode", False))
-    elements = tuple(str(e) for e in pick("elements", []))
-    commands = tuple(str(c) for c in pick("commands", []))
-    seed = int(pick("seed", 7))
-    bott_n = tuple(int(n) for n in pick("bott_n", [1, 2, 3]))
-    signs_raw = pick("bott_signs", ["+", "-"])
-    bott_signs = tuple(1 if s in ("+", 1) else -1 for s in signs_raw)
-    sample_range = int(pick("sample_exponent_range", 25))
-    limit_pairs = int(pick("limit_pairs", 20))
-    limit_grid = int(pick("limit_grid", 10))
+    def pick(key, default, convert):
+        try:
+            return convert(data.get(key, default))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigurationError(f"config {key!r} has a bad value: {exc}") from exc
 
-    for c in commands:
-        if c not in KNOWN_COMMANDS:
-            raise ConfigurationError(f"unknown command {c!r} in config")
+    def each(convert):
+        return lambda raw: tuple(convert(x) for x in raw)
+
+    q = pick("q", "1/2", parse_rational)
+    generators = pick("generators", ["1"], each(parse_rational))
+    zero_mass = pick("zero_mass", "0", parse_rational)
+    window = pick("window", [-6, 6], _as_window)
+    sweep = pick("windows_sweep", None, lambda raw: None if raw is None else each(_as_window)(raw))
+    tolerance = pick("tolerance", 1e-12, float)
+    exact_mode = pick("exact_mode", False, bool)
+    elements = pick("elements", [], each(str))
+    seed = pick("seed", 7, int)
+    bott_n = pick("bott_n", [1, 2, 3], each(int))
+    bott_signs = pick("bott_signs", ["+", "-"], each(lambda s: BOTT_SIGNS[str(s)]))
+    sample_range = pick("sample_exponent_range", 25, int)
+    limit_pairs = pick("limit_pairs", 20, int)
+    limit_grid = pick("limit_grid", 10, int)
 
     if getattr(overrides, "q", None) is not None:
         q = parse_rational(overrides.q)
@@ -110,18 +117,21 @@ def load_config(path: str | None, overrides: argparse.Namespace) -> RunConfig:
 
     if not 0 < q <= 1:
         raise ConfigurationError(f"q must lie in (0, 1], got {q}")
-    if tolerance <= 0:
-        raise ConfigurationError("tolerance must be positive")
+    if not 0 < tolerance < math.inf:
+        raise ConfigurationError(f"tolerance must be positive and finite, got {tolerance}")
+    if sample_range < 1:
+        raise ConfigurationError("sample_exponent_range must be at least 1")
+    if limit_pairs < 1 or limit_grid < 2:
+        raise ConfigurationError("limit needs limit_pairs >= 1 and limit_grid >= 2")
+    low = q if q < 1 else 0
     for g in generators:
-        if q < 1 and not q < g <= 1:
-            raise ConfigurationError(f"generator {g} outside ({q}, 1]")
-        if q == 1 and not 0 < g <= 1:
-            raise ConfigurationError(f"generator {g} outside (0, 1]")
+        if not low < g <= 1:
+            raise ConfigurationError(f"generator {g} outside ({low}, 1]")
     if zero_mass < 0:
         raise ConfigurationError("zero_mass must be nonnegative")
 
     return RunConfig(q, generators, zero_mass, window, sweep, tolerance, exact_mode,
-                     elements, commands, seed, bott_n, bott_signs, sample_range,
+                     elements, seed, bott_n, bott_signs, sample_range,
                      bool(getattr(overrides, "perturb", False)), limit_pairs,
                      limit_grid, getattr(overrides, "out", None),
                      getattr(overrides, "spectra_out", None))
@@ -145,10 +155,6 @@ def _provenance(cfg: RunConfig, identity: str, window: TruncationWindow,
 def _defect_json(value):
     if isinstance(value, Fraction):
         return format_rational(value)
-    return float(value)
-
-
-def _defect_size(value) -> float:
     return float(value)
 
 
@@ -190,7 +196,7 @@ def cmd_simulate(cfg: RunConfig) -> tuple[dict, int]:
         interiors = {"relation": rel.interior_defect, **cov,
                      "polar": pol.reconstruction_defect, "kernel": pol.kernel_defect}
         for name, d in interiors.items():
-            size = _defect_size(d)
+            size = float(d)
             if size > worst:
                 worst = size
             if size > cfg.tolerance and failing is None:
@@ -413,25 +419,12 @@ def _emit(report: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def run_commands(cfg: RunConfig, commands) -> tuple[dict, int]:
-    """Run one or more commands on one config; reports merge in order."""
-    reports = []
-    code = 0
-    for name in commands:
-        report, c = DISPATCH[name](cfg)
-        reports.append(report)
-        code = max(code, c)
-    merged = reports[0] if len(reports) == 1 else {"reports": reports}
-    return merged, code
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         cfg = load_config(getattr(args, "config", None), args)
-        commands = (args.command,)
-        report, code = run_commands(cfg, commands)
+        report, code = DISPATCH[args.command](cfg)
         _emit(report, cfg.out)
         return code
     except ConfigurationError as exc:

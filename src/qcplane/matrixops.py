@@ -1,8 +1,12 @@
-"""Small matrix helpers shared by the operator modules.
+"""Window operators as diagonals times shift powers, plus a few dense helpers.
 
-Two scalar regimes run through the same numpy containers: complex128 arrays
-for floating work and dtype=object arrays over Fraction/RationalComplex for
-exact-rational work.  Helpers here dispatch on the dtype.
+Every operator of a truncated model is a finite sum sum_d diag(v_d) S**d, the
+shape of the crossed product C0(X) x| Z it represents; :class:`Band` stores
+one diagonal per offset d.  Exact bands hold dtype=object diagonals over
+Fraction/RationalComplex, float bands complex128 ones, and the same numpy
+elementwise code serves both.  Dense matrices are made only at the public
+dense returns, before :func:`defect_norm`, and for LAPACK; the helpers below
+act on those and keep exact values exact.
 """
 
 from __future__ import annotations
@@ -11,69 +15,94 @@ from fractions import Fraction
 
 import numpy as np
 
-from .scalars import conj_scalar, exact_magnitude
+from .scalars import exact_magnitude
 
 
-def is_exact_matrix(M: np.ndarray) -> bool:
-    return M.dtype == object
+class Band:
+    """Square operator sum_d diag(v_d) S**d; matrix entry (i, i + d) is v_d[i].
 
+    Diagonals have length dim and are indexed by row; entries whose column
+    falls outside the matrix are zero, and offsets with |d| >= dim are dropped.
+    """
 
-def zeros(dim: int, exact: bool) -> np.ndarray:
-    if exact:
-        out = np.empty((dim, dim), dtype=object)
-        out[:] = Fraction(0)
+    def __init__(self, dim: int, exact: bool, diags: dict | None = None):
+        self.dim = dim
+        self.exact = exact
+        self.diags = {d: v for d, v in (diags or {}).items() if abs(d) < dim}
+
+    @classmethod
+    def identity(cls, dim: int, exact: bool) -> "Band":
+        one = Fraction(1) if exact else 1.0 + 0j
+        return cls(dim, exact, {0: np.full(dim, one, dtype=object if exact else complex)})
+
+    def _zeros(self, *shape: int) -> np.ndarray:
+        if self.exact:
+            return np.full(shape, Fraction(0), dtype=object)
+        return np.zeros(shape, dtype=complex)
+
+    def _shifted(self, v: np.ndarray, d: int) -> np.ndarray:
+        """w[i] = v[i + d], zero where i + d leaves the matrix."""
+        out = self._zeros(self.dim)
+        if d >= 0:
+            out[:self.dim - d] = v[d:]
+        else:
+            out[-d:] = v[:self.dim + d]
         return out
-    return np.zeros((dim, dim), dtype=complex)
 
+    def _check(self, other: "Band") -> None:
+        if (self.dim, self.exact) != (other.dim, other.exact):
+            raise ValueError("bands differ in dimension or scalar regime")
 
-def eye(dim: int, exact: bool) -> np.ndarray:
-    out = zeros(dim, exact)
-    for i in range(dim):
-        out[i, i] = Fraction(1) if exact else 1.0 + 0j
-    return out
+    def _combine(self, other: "Band", op) -> "Band":
+        self._check(other)
+        out = dict(self.diags)
+        for d, v in other.diags.items():
+            out[d] = op(out[d] if d in out else self._zeros(self.dim), v)
+        return Band(self.dim, self.exact, out)
 
+    def __add__(self, other: "Band") -> "Band":
+        return self._combine(other, np.add)
 
-def diagonal(values, exact: bool) -> np.ndarray:
-    values = list(values)
-    out = zeros(len(values), exact)
-    for i, v in enumerate(values):
-        out[i, i] = v if exact else complex(v)
-    return out
+    def __sub__(self, other: "Band") -> "Band":
+        return self._combine(other, np.subtract)
+
+    def __matmul__(self, other: "Band") -> "Band":
+        # (A B)[i, i + d + e] = a_d[i] * b_e[i + d]
+        self._check(other)
+        out: dict[int, np.ndarray] = {}
+        for d, a in self.diags.items():
+            for e, b in other.diags.items():
+                if abs(d + e) >= self.dim:
+                    continue
+                term = a * self._shifted(b, d)
+                out[d + e] = out[d + e] + term if d + e in out else term
+        return Band(self.dim, self.exact, out)
+
+    def scale(self, s) -> "Band":
+        s = s if self.exact else complex(s)
+        return Band(self.dim, self.exact, {d: s * v for d, v in self.diags.items()})
+
+    def adjoint(self) -> "Band":
+        # (A*)[i, i - d] = conj(a_d[i - d])
+        return Band(self.dim, self.exact,
+                    {-d: np.conj(self._shifted(v, -d)) for d, v in self.diags.items()})
+
+    def as_float(self) -> "Band":
+        if not self.exact:
+            return self
+        return Band(self.dim, False, {d: v.astype(complex) for d, v in self.diags.items()})
+
+    def dense(self) -> np.ndarray:
+        out = self._zeros(self.dim, self.dim)
+        for d, v in self.diags.items():
+            rows = np.arange(max(0, -d), min(self.dim, self.dim - d))
+            out[rows, rows + d] = v[rows]
+        return out
 
 
 def adjoint(M: np.ndarray) -> np.ndarray:
-    if is_exact_matrix(M):
-        out = np.empty((M.shape[1], M.shape[0]), dtype=object)
-        for i in range(M.shape[0]):
-            for j in range(M.shape[1]):
-                out[j, i] = conj_scalar(M[i, j])
-        return out
-    return M.conj().T
-
-
-def scale(M: np.ndarray, s) -> np.ndarray:
-    if is_exact_matrix(M):
-        out = np.empty(M.shape, dtype=object)
-        for i in range(M.shape[0]):
-            for j in range(M.shape[1]):
-                out[i, j] = s * M[i, j]
-        return out
-    return complex(s) * M
-
-
-def matpow(M: np.ndarray, k: int) -> np.ndarray:
-    """Nonnegative matrix power; use shift_power for signed shift powers."""
-    if k < 0:
-        raise ValueError("negative power not defined here")
-    out = eye(M.shape[0], is_exact_matrix(M))
-    for _ in range(k):
-        out = out @ M
-    return out
-
-
-def shift_power(u: np.ndarray, k: int) -> np.ndarray:
-    """u**k for k >= 0, (u*)**|k| for k < 0."""
-    return matpow(u, k) if k >= 0 else matpow(adjoint(u), -k)
+    """Conjugate transpose; exact entries stay exact."""
+    return np.conj(M).T
 
 
 def compress(M: np.ndarray, indices) -> np.ndarray:
@@ -85,26 +114,21 @@ def compress(M: np.ndarray, indices) -> np.ndarray:
 
 def defect_norm(M: np.ndarray):
     """Exact matrices: max entry magnitude (a Fraction); floats: 2-norm."""
+    exact = M.dtype == object
     if M.size == 0:
-        return Fraction(0) if is_exact_matrix(M) else 0.0
-    if is_exact_matrix(M):
+        return Fraction(0) if exact else 0.0
+    if exact:
         return max(exact_magnitude(v) for v in M.flat)
     return float(np.linalg.norm(M, 2))
 
 
 def to_float(M: np.ndarray) -> np.ndarray:
-    if is_exact_matrix(M):
-        out = np.zeros(M.shape, dtype=complex)
-        for i in range(M.shape[0]):
-            for j in range(M.shape[1]):
-                out[i, j] = complex(M[i, j])
-        return out
     return np.array(M, dtype=complex)
 
 
 def max_entry_gap(A: np.ndarray, B: np.ndarray):
     """Entrywise max |A - B|, exact when both operands are exact."""
     D = A - B
-    if is_exact_matrix(D):
+    if D.dtype == object:
         return max((exact_magnitude(v) for v in D.flat), default=Fraction(0))
     return float(np.max(np.abs(D))) if D.size else 0.0

@@ -1,19 +1,20 @@
-"""Finite matrix truncations of q-normal operators built from invariant measures.
+"""Finite truncations of q-normal operators built from invariant measures.
 
 The L2 space of a q-invariant atomic measure has an orthonormal basis of
 normalized atom indicators e_{j,n}, one per generator j and scaling level n
 (value t_{j,n} = q**n * x_j), plus one kernel vector when the origin carries
 mass.  On a finite window of levels the deformed coordinate acts as
 zeta = u * modulus with modulus diagonal and u the downward level shift,
-truncated to a partial isometry.  All defining identities then hold exactly
-away from the window boundary, and the verification ops below compress to
-that interior before measuring defects.
+truncated to a partial isometry.  All three are stored as bands
+(``matrixops.Band``): modulus on offset 0, u and zeta on offset n_gens.  The
+defining identities hold exactly away from the window boundary, and the
+verification ops below compress to that interior before measuring defects.
 """
 
 from __future__ import annotations
 
 import csv
-import io
+import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -78,16 +79,31 @@ class PolarReport:
 
 @dataclass(frozen=True, eq=False)
 class TruncatedQNormal:
-    """Matrix model of zeta = u * modulus on a level window, kernel slot last."""
+    """Band model of zeta = u * modulus on a level window, kernel slot last.
+
+    ``zeta``, ``u`` and ``modulus`` are dense views of the stored bands.
+    """
 
     q: Fraction
     window: TruncationWindow
     grid: tuple[GridPoint, ...]
     kernel_dim: int
     exact: bool
-    zeta: np.ndarray
-    u: np.ndarray
-    modulus: np.ndarray
+    zeta_band: mo.Band
+    u_band: mo.Band
+    modulus_band: mo.Band
+
+    @property
+    def zeta(self) -> np.ndarray:
+        return self.zeta_band.dense()
+
+    @property
+    def u(self) -> np.ndarray:
+        return self.u_band.dense()
+
+    @property
+    def modulus(self) -> np.ndarray:
+        return self.modulus_band.dense()
 
     @property
     def dim(self) -> int:
@@ -97,9 +113,6 @@ class TruncatedQNormal:
     def kernel_index(self) -> int | None:
         return len(self.grid) if self.kernel_dim else None
 
-    def grid_indices(self) -> range:
-        return range(len(self.grid))
-
     def interior_indices(self, pad: int = 1) -> list[int]:
         keep = set(self.window.interior_levels(pad))
         return [i for i, gp in enumerate(self.grid) if gp.level in keep]
@@ -107,9 +120,10 @@ class TruncatedQNormal:
     def as_float(self) -> "TruncatedQNormal":
         if not self.exact:
             return self
-        return TruncatedQNormal(self.q, self.window, self.grid, self.kernel_dim, False,
-                                mo.to_float(self.zeta), mo.to_float(self.u),
-                                mo.to_float(self.modulus))
+        return dataclasses.replace(self, exact=False,
+                                   zeta_band=self.zeta_band.as_float(),
+                                   u_band=self.u_band.as_float(),
+                                   modulus_band=self.modulus_band.as_float())
 
 
 def _validate_generators(q: Fraction, generators: Sequence[Fraction]) -> tuple[Fraction, ...]:
@@ -154,17 +168,20 @@ def build_from_generators(q, generators, window: TruncationWindow, weights=None,
     n_gens = len(gens)
     dim = len(grid) + kernel_dim
 
-    u = mo.zeros(dim, exact)
-    modulus = mo.zeros(dim, exact)
-    zeta = mo.zeros(dim, exact)
-    one = Fraction(1) if exact else 1.0 + 0j
+    zero, one = (Fraction(0), Fraction(1)) if exact else (0j, 1.0 + 0j)
+    u, modulus, zeta = (np.full(dim, zero, dtype=object if exact else complex)
+                        for _ in range(3))
     for i, gp in enumerate(grid):
-        modulus[i, i] = gp.value if exact else complex(gp.value)
+        value = gp.value if exact else complex(gp.value)
+        modulus[i] = value
         if gp.level > window.n_min:
             # e_{j,n} -> e_{j,n-1}; levels are enumerated in ascending blocks
-            u[i - n_gens, i] = one
-            zeta[i - n_gens, i] = gp.value if exact else complex(gp.value)
-    return TruncatedQNormal(q, window, grid, kernel_dim, exact, zeta, u, modulus)
+            u[i - n_gens] = one
+            zeta[i - n_gens] = value
+    return TruncatedQNormal(q, window, grid, kernel_dim, exact,
+                            mo.Band(dim, exact, {n_gens: zeta}),
+                            mo.Band(dim, exact, {n_gens: u}),
+                            mo.Band(dim, exact, {0: modulus}))
 
 
 def build(mu: QInvariantMeasure, X: SpectralSet | None, window: TruncationWindow,
@@ -187,71 +204,55 @@ def build(mu: QInvariantMeasure, X: SpectralSet | None, window: TruncationWindow
 
 def verify_relation(T: TruncatedQNormal, pad: int = 1) -> RelationReport:
     """Defect of zeta zeta* = q**2 zeta* zeta, interior and full-window."""
-    zs = mo.adjoint(T.zeta)
+    zs = T.zeta_band.adjoint()
     q2 = T.q * T.q if T.exact else float(T.q) ** 2
-    D = T.zeta @ zs - mo.scale(zs @ T.zeta, q2)
+    D = (T.zeta_band @ zs - (zs @ T.zeta_band).scale(q2)).dense()
     interior = mo.defect_norm(mo.compress(D, T.interior_indices(pad)))
     boundary = mo.defect_norm(D)
     return RelationReport(interior, boundary)
 
 
-def spectral_function(T: TruncatedQNormal, f: CoefficientFunction) -> np.ndarray:
-    """Diagonal matrix f(modulus): f(t_{j,n}) on the grid, f(0) on the kernel."""
-    out = mo.zeros(T.dim, T.exact)
+def spectral_band(T: TruncatedQNormal, f: CoefficientFunction, factor=1) -> mo.Band:
+    """Diagonal band f(factor * modulus): f(factor * t_{j,n}) on the grid, f(0) on the kernel."""
+    values = []
     try:
-        for i, gp in enumerate(T.grid):
-            out[i, i] = f.eval_exact(gp.value) if T.exact else complex(f(float(gp.value)))
+        for gp in T.grid:
+            t = factor * gp.value
+            values.append(f.eval_exact(t) if T.exact else complex(f(float(t))))
         if T.kernel_dim:
-            k = T.kernel_index
-            out[k, k] = f.value_at_zero if T.exact else complex(f.value_at_zero)
+            values.append(f.value_at_zero if T.exact else complex(f.value_at_zero))
     except (ArithmeticError, OverflowError) as exc:
         raise EvaluationError(f"coefficient undefined on the grid: {exc}") from exc
-    return out
+    return mo.Band(T.dim, T.exact, {0: np.array(values, dtype=object if T.exact else complex)})
 
 
-def _scaled_spectral_function(T: TruncatedQNormal, f: CoefficientFunction) -> np.ndarray:
-    """Diagonal matrix f(q * modulus)."""
-    out = mo.zeros(T.dim, T.exact)
-    for i, gp in enumerate(T.grid):
-        tq = T.q * gp.value
-        out[i, i] = f.eval_exact(tq) if T.exact else complex(f(float(tq)))
-    if T.kernel_dim:
-        k = T.kernel_index
-        out[k, k] = f.value_at_zero if T.exact else complex(f.value_at_zero)
+def spectral_function(T: TruncatedQNormal, f: CoefficientFunction) -> np.ndarray:
+    """Diagonal matrix f(modulus): f(t_{j,n}) on the grid, f(0) on the kernel."""
+    return spectral_band(T, f).dense()
+
+
+def shift(T: TruncatedQNormal, k: int) -> mo.Band:
+    """u**k for k >= 0, (u*)**|k| for k < 0."""
+    step = T.u_band if k >= 0 else T.u_band.adjoint()
+    out = mo.Band.identity(T.dim, T.exact)
+    for _ in range(abs(k)):
+        out = out @ step
     return out
 
 
 def verify_covariance(T: TruncatedQNormal, f: CoefficientFunction, pad: int = 1):
     """Interior defect of u f(modulus) u* = f(q modulus)."""
-    lhs = T.u @ spectral_function(T, f) @ mo.adjoint(T.u)
-    rhs = _scaled_spectral_function(T, f)
-    return mo.defect_norm(mo.compress(lhs - rhs, T.interior_indices(pad)))
+    lhs = T.u_band @ spectral_band(T, f) @ T.u_band.adjoint()
+    rhs = spectral_band(T, f, T.q)
+    return mo.defect_norm(mo.compress((lhs - rhs).dense(), T.interior_indices(pad)))
 
 
 def polar_check(T: TruncatedQNormal) -> PolarReport:
-    """zeta = u modulus holds by construction; u must kill the kernel slot."""
-    rec = mo.defect_norm(T.zeta - T.u @ T.modulus)
-    if T.kernel_dim:
-        kd = mo.defect_norm(T.u[:, [T.kernel_index]])
-    else:
-        kd = Fraction(0) if T.exact else 0.0
+    """zeta = u modulus, with zeta and u built apart; u must kill the kernel slot."""
+    rec = mo.defect_norm((T.zeta_band - T.u_band @ T.modulus_band).dense())
+    # the kernel column is the last one, if there is one
+    kd = mo.defect_norm(T.u[:, T.dim - T.kernel_dim:])
     return PolarReport(rec, kd)
-
-
-def matrix_to_csv(M: np.ndarray, stream) -> None:
-    """Dump a matrix as rows of (row, col, re, im)."""
-    writer = csv.writer(stream)
-    writer.writerow(["row", "col", "re", "im"])
-    for i in range(M.shape[0]):
-        for j in range(M.shape[1]):
-            v = complex(M[i, j])
-            writer.writerow([i, j, repr(v.real), repr(v.imag)])
-
-
-def matrix_csv_text(M: np.ndarray) -> str:
-    buf = io.StringIO()
-    matrix_to_csv(M, buf)
-    return buf.getvalue()
 
 
 def spectra_to_csv(T: TruncatedQNormal, stream) -> None:
@@ -262,38 +263,3 @@ def spectra_to_csv(T: TruncatedQNormal, stream) -> None:
         writer.writerow([gp.level, gp.gen, format_rational(gp.value)])
     if T.kernel_dim:
         writer.writerow(["kernel", "-", "0/1"])
-
-
-def spectral_summary(T: TruncatedQNormal, defects: dict | None = None) -> dict:
-    data = {
-        "q": format_rational(T.q),
-        "window": [T.window.n_min, T.window.n_max],
-        "dimension": T.dim,
-        "kernel_dim": T.kernel_dim,
-        "mode": "exact" if T.exact else "float",
-        "grid": [{"level": gp.level, "generator": gp.gen,
-                  "value": format_rational(gp.value), "float": float(gp.value)}
-                 for gp in T.grid],
-    }
-    if defects is not None:
-        data["defects"] = defects
-    return data
-
-
-def quadrature_atoms(density, q, nodes: int) -> tuple[tuple[Fraction, Fraction], ...]:
-    """Midpoint discretization of a density on (q, 1] into measure atoms."""
-    q = parse_rational(q)
-    if not 0 < q < 1:
-        raise DomainError("quadrature needs q in (0, 1)")
-    if nodes < 1:
-        raise DomainError("need at least one quadrature node")
-    width = (1 - q) / nodes
-    atoms = []
-    for i in range(nodes):
-        mid = q + width * Fraction(2 * i + 1, 2)
-        dens = density(float(mid))
-        if dens < 0:
-            raise DomainError("density must be nonnegative")
-        if dens > 0:
-            atoms.append((mid, Fraction(dens) * width))
-    return tuple(atoms)

@@ -53,10 +53,6 @@ def _p_mul(a: Coeffs, b: Coeffs) -> Coeffs:
     return _trim(tuple(out))
 
 
-def _p_scale(a: Coeffs, s: RationalComplex) -> Coeffs:
-    return _trim(tuple(c * s for c in a))
-
-
 def _p_conj(a: Coeffs) -> Coeffs:
     return tuple(c.conjugate() for c in a)
 

@@ -1,10 +1,11 @@
 """Covariant matrix representation, norm estimation, and bounded transforms.
 
-An algebra element sum f_k U**k acts on a truncated operator model as
-sum spectral_function(f_k) * u**k.  The norm estimator sweeps a family of
-growing windows of one fixed faithful model and reports the largest singular
-value per window; this stands in for the universal norm (the acting group Z
-is amenable, an assumption recorded in the report, never verified here).
+An algebra element sum f_k U**k acts on a truncated operator model as the
+band sum spectral_band(f_k) @ shift(k).  The norm estimator sweeps a family
+of growing windows of one fixed faithful model and reports the largest
+singular value per window; this stands in for the universal norm (the acting
+group Z is amenable, an assumption recorded in the report, never verified
+here).
 
 The bounded transform z(T) = T(1 + T*T)^(-1/2) and its inverse live here too,
 together with the factorization identity that moves shift powers u**k into
@@ -23,10 +24,8 @@ from . import matrixops as mo
 from .algebra import (AlgebraElement, Classification, ClosureCoefficient,
                       CoefficientFunction, classify)
 from .errors import ConfigurationError, DomainError, SingularityError
-from .qnormal import (TruncatedQNormal, TruncationWindow, build,
-                      spectral_function)
+from .qnormal import TruncatedQNormal, build, shift, spectral_band
 from .qspace import QInvariantMeasure, SpectralSet
-from .scalars import format_rational
 
 REL_CONVERGENCE_TOL = 1e-8
 NONDECREASING_SLACK = 1e-12
@@ -68,10 +67,10 @@ def represent(a: AlgebraElement, T: TruncatedQNormal) -> np.ndarray:
     """Matrix of sum_k f_k(modulus) u**k; exact when T and all f_k are."""
     if a.q != T.q:
         raise DomainError("element and model have different ratios")
-    out = mo.zeros(T.dim, T.exact)
+    out = mo.Band(T.dim, T.exact)
     for k, f in a.terms:
-        out = out + spectral_function(T, f) @ mo.shift_power(T.u, k)
-    return out
+        out = out + spectral_band(T, f) @ shift(T, k)
+    return out.dense()
 
 
 def represent_with_kernel(a: AlgebraElement, T: TruncatedQNormal) -> np.ndarray:
@@ -91,10 +90,7 @@ def psi_check(a: AlgebraElement, T: TruncatedQNormal) -> float:
     grows upward.
     """
     M = represent_with_kernel(a, T.as_float())
-    grid_idx = list(range(len(T.grid)))
-    full = float(np.linalg.norm(M, 2)) if M.size else 0.0
-    part = mo.defect_norm(mo.compress(M, grid_idx))
-    return abs(full - part)
+    return abs(mo.defect_norm(M) - mo.defect_norm(mo.compress(M, range(len(T.grid)))))
 
 
 def norm_estimate(a: AlgebraElement, windows, mu: QInvariantMeasure,
@@ -183,43 +179,20 @@ def verify_z_factorization(T: TruncatedQNormal, f: CoefficientFunction,
         raise DomainError("factorization is about nonzero shift powers")
     if f.value_at_zero != 0:
         raise DomainError("coefficient must vanish at the origin")
-    Tf = T.as_float()
-    q = float(T.q)
-    phi = spectral_function(Tf, rapid_decay_family(n, T.q))
-    F = spectral_function(Tf, f)
-    Z = z_transform(Tf.zeta).z
-
-    def z_inverse_diag(exponents) -> np.ndarray:
-        out = np.zeros((Tf.dim, Tf.dim), dtype=complex)
-        for i, gp in enumerate(Tf.grid):
-            prod = 1.0
-            for j in exponents:
-                prod *= scalar_z((q ** j) * float(gp.value))
-            out[i, i] = 1.0 / prod
-        # kernel slot: phi vanishes at 0, so the factor there is irrelevant
-        return out
-
-    if k > 0:
-        lhs = phi @ F @ mo.shift_power(Tf.u, k)
-        rhs = phi @ z_inverse_diag(range(1, k + 1)) @ F @ np.linalg.matrix_power(Z, k)
-    else:
-        m = -k
-        lhs = phi @ F @ mo.shift_power(Tf.u, k)
-        rhs = (phi @ z_inverse_diag(range(0, -m, -1)) @ F
-               @ np.linalg.matrix_power(Z.conj().T, m))
     pad = max(abs(k), 1)
     if not T.window.interior_levels(pad):
         raise ConfigurationError("window too small for the requested shift power")
+    Tf = T.as_float()
+    q = float(T.q)
+    phi_f = spectral_band(Tf, rapid_decay_family(n, T.q)) @ spectral_band(Tf, f)
+    Z = z_transform(Tf.zeta).z
+
+    exponents = range(1, k + 1) if k > 0 else range(0, k, -1)
+    # kernel slot stays 0: phi vanishes at 0, so the factor there is irrelevant
+    z_inverse = np.zeros(Tf.dim, dtype=complex)
+    for i, gp in enumerate(Tf.grid):
+        z_inverse[i] = 1.0 / math.prod(scalar_z((q ** j) * float(gp.value)) for j in exponents)
+    Zk = np.linalg.matrix_power(Z if k > 0 else Z.conj().T, abs(k))
+    lhs = (phi_f @ shift(Tf, k)).dense()
+    rhs = (phi_f @ mo.Band(Tf.dim, False, {0: z_inverse})).dense() @ Zk
     return mo.defect_norm(mo.compress(lhs - rhs, Tf.interior_indices(pad)))
-
-
-def norm_report_label(literals) -> str:
-    return " + ".join(literals)
-
-
-def window_span_label(w: TruncationWindow) -> str:
-    return f"[{w.n_min}, {w.n_max}]"
-
-
-def format_ratio(q: Fraction) -> str:
-    return format_rational(q)

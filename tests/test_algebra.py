@@ -218,25 +218,6 @@ def test_q1_commutators_vanish_exactly():
         assert comm == 0
 
 
-def test_restrict_guards_exact_evaluation():
-    X = qspace.make_spectral_set("1/2", ["1"])
-    a = algebra.restrict(parse_element("1/2", ["t@1"]), X)
-    assert a.coefficient(1).eval_exact(Fraction(1, 4)) == Fraction(1, 4)
-    assert a.coefficient(1).eval_exact(Fraction(0)) == 0
-    with pytest.raises(EvaluationError):
-        a.coefficient(1).eval_exact(Fraction(3, 8))
-
-
-def test_restrict_commutes_with_multiply_on_grid():
-    X = qspace.make_spectral_set("1/2", ["1"])
-    pts = grid_sample_points(X, -4, 4)
-    a = parse_element("1/2", ["t@1", "1@0"])
-    b = parse_element("1/2", ["t^2@-1"])
-    lhs = algebra.multiply(algebra.restrict(a, X), algebra.restrict(b, X))
-    rhs = algebra.restrict(algebra.multiply(a, b), X)
-    assert element_residual(lhs, rhs, pts) == 0
-
-
 def test_grid_sample_points():
     X = qspace.make_spectral_set("1/2", ["1"])
     pts = grid_sample_points(X, -2, 2)
@@ -292,16 +273,6 @@ def test_vanishes_at_infinity_flags():
     assert not poly.vanishes_at_infinity
     ind = IndicatorCoefficient(Interval.open_closed(HALF, 1))
     assert ind.vanishes_at_infinity
-
-
-def test_sampled_coefficient_interpolates():
-    f = algebra.SampledCoefficient([1.0, 2.0, 4.0], [1.0, 3.0, 3.0])
-    assert f(1.5) == pytest.approx(2.0)
-    assert f(0.5) == 1.0
-    assert f(8.0) == 3.0
-    g = algebra.cf_alpha(f, 1, HALF)
-    # g(t) = f(t/2): knot grid doubles
-    assert g(3.0) == pytest.approx(2.0)
 
 
 def test_mismatched_ratios_rejected():

@@ -188,6 +188,22 @@ def test_config_validation_errors(tmp_path, capsys):
     code, _ = run(capsys, "simulate", "--config", str(bad))
     assert code == 2
 
+    # a misspelt key must not fall back to the default gate
+    bad.write_text(json.dumps({"tolerence": 1e-3}))
+    code, _ = run(capsys, "simulate", "--config", str(bad))
+    assert code == 2
+
+    # values that crash or certify nothing
+    for tol in ("nan", "inf"):
+        code, _ = run(capsys, "simulate", "--q", "3/7", "--window", "-30", "30", "--tol", tol)
+        assert code == 2
+    for argv, cfg in ((["limit", "--q", "1/1"], {"limit_grid": 1}),
+                      (["bott"], {"bott_signs": ["+", "plus"]}),
+                      (["bott", "--exact"], {"sample_exponent_range": -1})):
+        bad.write_text(json.dumps(cfg))
+        code, _ = run(capsys, *argv, "--config", str(bad))
+        assert code == 2
+
     bad.write_text("not json")
     code, _ = run(capsys, "simulate", "--config", str(bad))
     assert code == 2
@@ -203,14 +219,6 @@ def test_out_file(tmp_path, capsys):
     assert out == ""
     report = json.loads(dest.read_text())
     assert report["command"] == "norm"
-
-
-def test_run_commands_merges_reports(tmp_path):
-    ns = cli._build_parser().parse_args(["simulate", "--window", "-4", "4"])
-    cfg = cli.load_config(None, ns)
-    merged, code = cli.run_commands(cfg, ["simulate", "norm"])
-    assert code == 0
-    assert [r["command"] for r in merged["reports"]] == ["simulate", "norm"]
 
 
 def test_missing_subcommand_exits_with_usage_error(capsys):
