@@ -21,7 +21,7 @@ from typing import Callable, Mapping
 
 from .errors import DomainError, EvaluationError
 from .qspace import Interval, SpectralSet
-from .ratfunc import DEFAULT_SPOTCHECK_POINTS, RationalFunction
+from .ratfunc import RationalFunction
 from .scalars import (RationalComplex, conj_scalar, exact_magnitude,
                       is_exact_scalar, parse_rational)
 
@@ -55,8 +55,20 @@ class RationalCoefficient(CoefficientFunction):
     exact = True
 
     def __init__(self, rf: RationalFunction):
-        rf.denominator_spotcheck(DEFAULT_SPOTCHECK_POINTS)
+        rf.check_denominator()
         self.rf = rf
+
+    @classmethod
+    def _from_checked(cls, rf: RationalFunction) -> "RationalCoefficient":
+        """Wrap rf without the denominator test.
+
+        Only for functions built from checked coefficients by products, sums,
+        conjugation, scalar multiples and rescaling t -> c t with c > 0: their
+        denominators have no root on [0, inf) either.
+        """
+        out = cls.__new__(cls)
+        out.rf = rf
+        return out
 
     @property
     def value_at_zero(self) -> RationalComplex:
@@ -145,7 +157,7 @@ def cf_alpha(f: CoefficientFunction, n: int, q: Fraction) -> CoefficientFunction
         return f
     qn = Fraction(q) ** n
     if isinstance(f, RationalCoefficient):
-        return RationalCoefficient(f.rf.substitute_scale(qn))
+        return RationalCoefficient._from_checked(f.rf.substitute_scale(qn))
     if isinstance(f, IndicatorCoefficient):
         # chi_M(q**n t) = chi_{q**-n M}(t)
         return IndicatorCoefficient(f.interval.scaled(1 / qn))
@@ -156,7 +168,7 @@ def cf_alpha(f: CoefficientFunction, n: int, q: Fraction) -> CoefficientFunction
 
 def cf_conj(f: CoefficientFunction) -> CoefficientFunction:
     if isinstance(f, RationalCoefficient):
-        return RationalCoefficient(f.rf.conjugate())
+        return RationalCoefficient._from_checked(f.rf.conjugate())
     if isinstance(f, IndicatorCoefficient):
         return f
     return ClosureCoefficient(lambda t, f=f: complex(f(t)).conjugate(),
@@ -165,7 +177,7 @@ def cf_conj(f: CoefficientFunction) -> CoefficientFunction:
 
 def cf_mul(f: CoefficientFunction, g: CoefficientFunction) -> CoefficientFunction:
     if isinstance(f, RationalCoefficient) and isinstance(g, RationalCoefficient):
-        return RationalCoefficient(f.rf * g.rf)
+        return RationalCoefficient._from_checked(f.rf * g.rf)
     return ClosureCoefficient(lambda t, f=f, g=g: f(t) * g(t),
                               _v0_combine(f.value_at_zero, g.value_at_zero, lambda a, b: a * b),
                               f.vanishes_at_infinity or g.vanishes_at_infinity)
@@ -173,7 +185,7 @@ def cf_mul(f: CoefficientFunction, g: CoefficientFunction) -> CoefficientFunctio
 
 def cf_add(f: CoefficientFunction, g: CoefficientFunction) -> CoefficientFunction:
     if isinstance(f, RationalCoefficient) and isinstance(g, RationalCoefficient):
-        return RationalCoefficient(f.rf + g.rf)
+        return RationalCoefficient._from_checked(f.rf + g.rf)
     return ClosureCoefficient(lambda t, f=f, g=g: f(t) + g(t),
                               _v0_combine(f.value_at_zero, g.value_at_zero, lambda a, b: a + b),
                               f.vanishes_at_infinity and g.vanishes_at_infinity)
@@ -181,7 +193,7 @@ def cf_add(f: CoefficientFunction, g: CoefficientFunction) -> CoefficientFunctio
 
 def cf_scale(f: CoefficientFunction, s) -> CoefficientFunction:
     if is_exact_scalar(s) and isinstance(f, RationalCoefficient):
-        return RationalCoefficient(f.rf * RationalComplex.coerce(s))
+        return RationalCoefficient._from_checked(f.rf * RationalComplex.coerce(s))
     sc = complex(s)
     zero = _v0_combine(f.value_at_zero, s, lambda a, b: a * b)
     return ClosureCoefficient(lambda t, f=f, sc=sc: sc * f(t), zero, f.vanishes_at_infinity)
@@ -367,7 +379,8 @@ def element_residual(a: AlgebraElement, b: AlgebraElement, points) -> Fraction |
     """Max coefficient deviation |a_k - b_k| over modes and sample points.
 
     Exact (a Fraction) when every involved coefficient evaluates exactly,
-    otherwise a float.
+    otherwise a float.  In the exact case a mode whose two coefficients are
+    the same rational function contributes exactly 0 without evaluation.
     """
     if a.q != b.q:
         raise DomainError("cannot compare elements over different ratios")
@@ -376,6 +389,9 @@ def element_residual(a: AlgebraElement, b: AlgebraElement, points) -> Fraction |
     worst: Fraction | float = Fraction(0) if all_exact else 0.0
     for k in modes:
         fa, fb = a.coefficient(k), b.coefficient(k)
+        if (all_exact and isinstance(fa, RationalCoefficient)
+                and isinstance(fb, RationalCoefficient) and fa.rf.equals(fb.rf)):
+            continue
         for p in points:
             if all_exact:
                 diff = fa.eval_exact(p) - fb.eval_exact(p)

@@ -78,7 +78,7 @@ def _split_at_infinity(a: AlgebraElement) -> UnitizedElement:
             if lim.im != 0:
                 raise DomainError("unit scalar must be real here")
             lam = lim.re
-            body[k] = RationalCoefficient(f.rf - RationalFunction.constant(lim))
+            body[k] = RationalCoefficient._from_checked(f.rf - RationalFunction.constant(lim))
         else:
             if not f.rf.vanishes_at_infinity:
                 raise DomainError("off-zero modes must vanish at infinity")

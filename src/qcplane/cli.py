@@ -61,6 +61,12 @@ def _as_window(raw) -> TruncationWindow:
     return TruncationWindow(lo, hi)
 
 
+def _as_bool(raw) -> bool:
+    if not isinstance(raw, bool):
+        raise TypeError(f"expected true or false, got {raw!r}")
+    return raw
+
+
 def load_config(path: str | None, overrides: argparse.Namespace) -> RunConfig:
     data: dict = {}
     if path is not None:
@@ -93,7 +99,7 @@ def load_config(path: str | None, overrides: argparse.Namespace) -> RunConfig:
     window = pick("window", [-6, 6], _as_window)
     sweep = pick("windows_sweep", None, lambda raw: None if raw is None else each(_as_window)(raw))
     tolerance = pick("tolerance", 1e-12, float)
-    exact_mode = pick("exact_mode", False, bool)
+    exact_mode = pick("exact_mode", False, _as_bool)
     elements = pick("elements", [], each(str))
     seed = pick("seed", 7, int)
     bott_n = pick("bott_n", [1, 2, 3], each(int))
@@ -123,6 +129,9 @@ def load_config(path: str | None, overrides: argparse.Namespace) -> RunConfig:
         raise ConfigurationError("sample_exponent_range must be at least 1")
     if limit_pairs < 1 or limit_grid < 2:
         raise ConfigurationError("limit needs limit_pairs >= 1 and limit_grid >= 2")
+    if not bott_n or not bott_signs or min(bott_n) < 1:
+        raise ConfigurationError("bott needs nonempty bott_n and bott_signs, "
+                                 "and every bott_n entry at least 1")
     low = q if q < 1 else 0
     for g in generators:
         if not low < g <= 1:
@@ -297,7 +306,7 @@ def cmd_bott(cfg: RunConfig) -> tuple[dict, int]:
     report = {
         "command": "bott",
         "provenance": _provenance(cfg, "P P = P = P*", cfg.window,
-                                  2 * max(cfg.bott_n) if cfg.bott_n else 0),
+                                  2 * max(cfg.bott_n)),
         "q": format_rational(cfg.q),
         "tolerance": cfg.tolerance,
         "perturbed_control": cfg.perturb,

@@ -2,13 +2,18 @@
 
 A rational function is stored as a pair of coefficient tuples (ascending
 powers) over :class:`~qcplane.scalars.RationalComplex`.  No gcd normalization
-is performed; equality of functions is decided by evaluation at sample points.
+is performed; :meth:`RationalFunction.equals` decides equality of functions
+exactly, by comparing the cross products num_a den_b and num_b den_a as
+polynomials.  :meth:`RationalFunction.check_denominator` decides exactly
+whether the denominator has a root on [0, inf).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import DomainError, EvaluationError
 from .scalars import RationalComplex
@@ -43,14 +48,47 @@ def _p_neg(a: Coeffs) -> Coeffs:
     return tuple(-c for c in a)
 
 
+def _cleared(parts) -> tuple[list[int], int]:
+    """Integers n_i and one common denominator d with parts[i] == n_i / d."""
+    parts = list(parts)
+    d = math.lcm(*(f.denominator for f in parts))
+    return [f.numerator * (d // f.denominator) for f in parts], d
+
+
+def _convolve(x: list[int], y: list[int]) -> list[int]:
+    out = [0] * (len(x) + len(y) - 1)
+    for i, xi in enumerate(x):
+        if xi:
+            for j, yj in enumerate(y):
+                out[i + j] += xi * yj
+    return out
+
+
 def _p_mul(a: Coeffs, b: Coeffs) -> Coeffs:
+    """Polynomial product, convolved over the integers.
+
+    The real and the imaginary parts of each factor are cleared to integers
+    over one common denominator each, so the inner loop multiplies Python ints
+    and each product coefficient becomes a Fraction once.  Trimmed factors
+    give a trimmed product: Q(i) has no zero divisors.
+    """
     if not a or not b:
         return ()
-    out = [_ZERO] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        for j, cb in enumerate(b):
-            out[i + j] = out[i + j] + ca * cb
-    return _trim(tuple(out))
+    ar, dar = _cleared(c.re for c in a)
+    br, dbr = _cleared(c.re for c in b)
+    if not any(c.im for c in a) and not any(c.im for c in b):
+        d = dar * dbr
+        return tuple(RationalComplex(Fraction(n, d)) for n in _convolve(ar, br))
+    ai, dai = _cleared(c.im for c in a)
+    bi, dbi = _cleared(c.im for c in b)
+    # (ar/dar + i ai/dai)(br/dbr + i bi/dbi), one denominator per part
+    d_rr, d_ii, d_ri, d_ir = dar * dbr, dai * dbi, dar * dbi, dai * dbr
+    out = []
+    for rr, ii, ri, ir in zip(_convolve(ar, br), _convolve(ai, bi),
+                              _convolve(ar, bi), _convolve(ai, br)):
+        out.append(RationalComplex(Fraction(rr * d_ii - ii * d_rr, d_rr * d_ii),
+                                   Fraction(ri * d_ir + ir * d_ri, d_ri * d_ir)))
+    return tuple(out)
 
 
 def _p_conj(a: Coeffs) -> Coeffs:
@@ -69,11 +107,56 @@ def _p_eval(a: Coeffs, x) -> RationalComplex:
     return acc
 
 
-def _p_eval_float(a: Coeffs, t: float) -> complex:
+def _p_eval_float(a: tuple[complex, ...], t: float) -> complex:
     acc = 0j
     for c in reversed(a):
-        acc = acc * t + complex(c)
+        acc = acc * t + c
     return acc
+
+
+# Polynomials over Q as ascending lists of Fraction, for the denominator test.
+
+def _q_trim(a: list[Fraction]) -> list[Fraction]:
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _q_rem(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    """Remainder of a on division by the nonzero b."""
+    a = list(a)
+    while len(a) >= len(b):
+        c = a[-1] / b[-1]
+        s = len(a) - len(b)
+        for i, bc in enumerate(b[:-1]):
+            a[s + i] -= c * bc
+        a.pop()
+        _q_trim(a)
+    return a
+
+
+def _q_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    while b:
+        a, b = b, _q_rem(a, b)
+    return a
+
+
+def _sign_changes(values) -> int:
+    signs = [v > 0 for v in values if v != 0]
+    return sum(x != y for x, y in zip(signs, signs[1:]))
+
+
+def _positive_root_count(g: list[Fraction]) -> int:
+    """Distinct roots of g in (0, inf) by Sturm's theorem; needs g(0) != 0."""
+    if len(g) < 2:
+        return 0
+    seq = [g, [k * c for k, c in enumerate(g)][1:]]
+    while True:
+        r = _q_rem(seq[-2], seq[-1])
+        if not r:
+            break
+        seq.append([-c for c in r])
+    return _sign_changes(p[0] for p in seq) - _sign_changes(p[-1] for p in seq)
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,11 +268,20 @@ class RationalFunction:
             raise EvaluationError(f"denominator vanishes at t={x}")
         return _p_eval(self.num, xx) / d
 
+    @cached_property
+    def _float_coeffs(self) -> tuple[tuple[complex, ...], tuple[complex, ...]]:
+        return tuple(complex(c) for c in self.num), tuple(complex(c) for c in self.den)
+
     def evaluate_float(self, t: float) -> complex:
-        d = _p_eval_float(self.den, t)
+        num, den = self._float_coeffs
+        d = _p_eval_float(den, t)
         if d == 0:
             raise EvaluationError(f"denominator vanishes at t={t}")
-        return _p_eval_float(self.num, t) / d
+        return _p_eval_float(num, t) / d
+
+    def equals(self, other: "RationalFunction") -> bool:
+        """Exact equality as functions: num_a den_b == num_b den_a."""
+        return _p_mul(self.num, other.den) == _p_mul(other.num, self.den)
 
     @property
     def degree_num(self) -> int:
@@ -210,15 +302,20 @@ class RationalFunction:
             return self.num[-1] / self.den[-1]
         raise DomainError("function unbounded at infinity")
 
-    def denominator_spotcheck(self, points) -> None:
-        """Heuristic guard: denominator must not vanish at the given t >= 0.
+    def check_denominator(self) -> None:
+        """Raise EvaluationError unless the denominator has no root on [0, inf).
 
-        Full nonvanishing on [0, inf) is not decidable from samples; every
-        exact evaluation still checks its own point.
+        A real t is a root of the denominator exactly when it is a common root
+        of its real and imaginary parts, that is a root of their gcd g over Q.
+        A root at t = 0 shows in g's constant term; Sturm's theorem counts the
+        distinct roots in (0, inf).  The answer is decided, not sampled.
         """
-        for p in points:
-            if _p_eval(self.den, RationalComplex.coerce(p)).is_zero:
-                raise EvaluationError(f"denominator vanishes at sample t={p}")
+        g = _q_gcd(_q_trim([c.re for c in self.den]), _q_trim([c.im for c in self.den]))
+        if g[0] == 0:
+            raise EvaluationError("denominator vanishes at t=0")
+        roots = _positive_root_count(g)
+        if roots:
+            raise EvaluationError(f"denominator has {roots} distinct root(s) in (0, inf)")
 
 
 def _as_rf(value) -> RationalFunction | None:
@@ -227,7 +324,3 @@ def _as_rf(value) -> RationalFunction | None:
     if isinstance(value, (int, Fraction, RationalComplex)):
         return RationalFunction.constant(value)
     return None
-
-
-DEFAULT_SPOTCHECK_POINTS = (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1),
-                            Fraction(2), Fraction(7), Fraction(2 ** 16))

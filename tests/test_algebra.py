@@ -89,6 +89,26 @@ def test_involution_reverses_products():
         assert element_residual(lhs, rhs, pts) == 0
 
 
+def test_residual_matches_pointwise_evaluation():
+    # unequal pairs that share some modes exactly: the shared modes are
+    # decided as polynomials, the others still sampled point by point
+    rng = random.Random(13)
+    pts = helpers.sample_fractions()
+    for trial in range(20):
+        a = helpers.random_element(rng, HALF, max_modes=4)
+        b = helpers.random_element(rng, HALF, max_modes=3)
+        if trial % 2:
+            b = algebra.add(a, b)
+        expected = Fraction(0)
+        for k in set(a.modes) | set(b.modes):
+            for p in pts:
+                gap = a.coefficient(k).eval_exact(p) - b.coefficient(k).eval_exact(p)
+                expected = max(expected, gap.magnitude())
+        assert expected > 0
+        assert element_residual(a, b, pts) == expected
+        assert element_residual(b, a, pts) == expected
+
+
 def test_adjoint_antilinear():
     a = helpers.random_element(random.Random(5), HALF)
     i = RationalComplex(Fraction(0), Fraction(1))
@@ -261,7 +281,7 @@ def test_division_by_zero_function_rejected():
 
 
 def test_denominator_vanishing_on_half_line_rejected():
-    # 1/(1-t) blows up at t=1, caught by the constructor spot check
+    # 1/(1-t) blows up at t=1, caught by the constructor's exact root test
     with pytest.raises(EvaluationError):
         parse_element("1/2", ["1/(1-t)@0"])
 

@@ -199,10 +199,19 @@ def test_config_validation_errors(tmp_path, capsys):
         assert code == 2
     for argv, cfg in ((["limit", "--q", "1/1"], {"limit_grid": 1}),
                       (["bott"], {"bott_signs": ["+", "plus"]}),
-                      (["bott", "--exact"], {"sample_exponent_range": -1})):
+                      (["bott", "--exact"], {"sample_exponent_range": -1}),
+                      (["simulate"], {"exact_mode": "false"}),
+                      (["simulate"], {"exact_mode": 0}),
+                      (["bott"], {"bott_n": []}),
+                      (["bott", "--exact"], {"bott_n": [0, 1]}),
+                      (["bott"], {"bott_signs": []})):
         bad.write_text(json.dumps(cfg))
         code, _ = run(capsys, *argv, "--config", str(bad))
-        assert code == 2
+        assert code == 2, cfg
+    bad.write_text(json.dumps({"exact_mode": True}))
+    code, out = run(capsys, "simulate", "--window", "-3", "3", "--config", str(bad))
+    assert code == 0
+    assert json.loads(out)["provenance"]["mode"] == "exact"
 
     bad.write_text("not json")
     code, _ = run(capsys, "simulate", "--config", str(bad))
@@ -210,6 +219,15 @@ def test_config_validation_errors(tmp_path, capsys):
 
     code, _ = run(capsys, "simulate", "--config", str(tmp_path / "missing.json"))
     assert code == 2
+
+
+def test_poles_on_half_line_rejected(capsys):
+    # 1048576 = 2**20 is a point of X at q = 1/2, far outside every window;
+    # sqrt(2) is irrational, so no rational sample can ever hit it
+    for lit in ("1/(t-1048576)@0", "1/(t^2-2)@0"):
+        code, out = run(capsys, "norm", "--element", lit)
+        assert code == 2
+        assert out == ""
 
 
 def test_out_file(tmp_path, capsys):
