@@ -22,7 +22,7 @@ from .algebra import (AlgebraElement, RationalCoefficient, UnitizedElement,
 from .errors import ConfigurationError, DomainError
 from .qnormal import TruncatedQNormal
 from .ratfunc import RationalFunction
-from .represent import represent
+from .represent import represent_band
 from .scalars import parse_rational
 
 Entries = tuple[tuple[UnitizedElement, UnitizedElement],
@@ -187,13 +187,14 @@ def verify_projection_exact(P: ProjectionCandidate, sample_points) -> ExactProje
     return ExactProjectionReport(worst, len(points))
 
 
-def represent_unitized(x: UnitizedElement, T: TruncatedQNormal) -> np.ndarray:
-    return represent(x.body, T) + mo.Band.identity(T.dim, T.exact).scale(x.unit).dense()
+def represent_unitized(x: UnitizedElement, T: TruncatedQNormal) -> mo.Band:
+    return represent_band(x.body, T) + mo.Band.identity(T.dim, T.exact).scale(x.unit)
 
 
-def _block_matrix(A: Entries, T: TruncatedQNormal) -> np.ndarray:
-    blocks = [[represent_unitized(A[i][j], T) for j in range(2)] for i in range(2)]
-    return np.block(blocks)
+def _block_band(A: Entries, T: TruncatedQNormal) -> mo.Band:
+    """The 2x2 block operator [[A_00, A_01], [A_10, A_11]] as one band of size 2 dim."""
+    return mo.Band.from_blocks([[represent_unitized(A[i][j], T) for j in range(2)]
+                                for i in range(2)])
 
 
 def _block_interior(T: TruncatedQNormal, pad: int) -> list[int]:
@@ -202,15 +203,15 @@ def _block_interior(T: TruncatedQNormal, pad: int) -> list[int]:
 
 
 def verify_projection_numeric(P: ProjectionCandidate, T: TruncatedQNormal) -> NumericProjectionReport:
-    """Defects of B**2 = B = B* for the represented 2x2 block matrix."""
+    """Defects of B**2 = B = B* for the represented 2x2 block operator."""
     pad = 2 * P.n
     if not T.window.interior_levels(pad):
         raise ConfigurationError(f"window too small: padding {pad} leaves no interior")
     Tf = T.as_float()
-    B = _block_matrix(P.entries, Tf)
+    B = _block_band(P.entries, Tf)
     idx = _block_interior(Tf, pad)
-    idem = mo.defect_norm(mo.compress(B @ B - B, idx))
-    sadj = mo.defect_norm(mo.compress(B.conj().T - B, idx))
+    idem = (B @ B - B).norm(idx)
+    sadj = (B.adjoint() - B).norm(idx)
     return NumericProjectionReport(float(idem), float(sadj))
 
 
@@ -222,9 +223,9 @@ def winding_diagnostic(P: ProjectionCandidate, T: TruncatedQNormal) -> float:
     explicit unverified marker.
     """
     Tf = T.as_float()
-    B = _block_matrix(P.entries, Tf)
-    flat = _block_matrix(unitized_diag(P.q, 1, 0), Tf)
-    return float((np.trace(B) - np.trace(flat)).real)
+    B = _block_band(P.entries, Tf)
+    flat = _block_band(unitized_diag(P.q, 1, 0), Tf)
+    return float((B.trace() - flat.trace()).real)
 
 
 def projection_report(P: ProjectionCandidate, mode: str, max_residue,

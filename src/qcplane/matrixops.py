@@ -4,9 +4,9 @@ Every operator of a truncated model is a finite sum sum_d diag(v_d) S**d, the
 shape of the crossed product C0(X) x| Z it represents; :class:`Band` stores
 one diagonal per offset d.  Exact bands hold dtype=object diagonals over
 Fraction/RationalComplex, float bands complex128 ones, and the same numpy
-elementwise code serves both.  Dense matrices are made only at the public
-dense returns, before :func:`defect_norm`, and for LAPACK; the helpers below
-act on those and keep exact values exact.
+elementwise code serves both.  :meth:`Band.norm` measures a band without
+making it dense.  Dense matrices are made only at the public dense returns and
+for LAPACK; the helpers below act on those and keep exact values exact.
 """
 
 from __future__ import annotations
@@ -34,6 +34,27 @@ class Band:
     def identity(cls, dim: int, exact: bool) -> "Band":
         one = Fraction(1) if exact else 1.0 + 0j
         return cls(dim, exact, {0: np.full(dim, one, dtype=object if exact else complex)})
+
+    @classmethod
+    def from_blocks(cls, blocks: list[list["Band"]]) -> "Band":
+        """The block operator with blocks[i][j] in block row i, block column j.
+
+        Entry (r, r + d) of block (i, j) is entry (i n + r, j n + r + d) of the
+        whole, so its diagonal moves to offset d + (j - i) n, rows i n onwards.
+        """
+        first = blocks[0][0]
+        n, m = first.dim, len(blocks)
+        out = cls(m * n, first.exact)
+        for i, row in enumerate(blocks):
+            for j, block in enumerate(row):
+                first._check(block)
+                for d, v in block.diags.items():
+                    rows = block._rows(d)
+                    D = d + (j - i) * n
+                    if D not in out.diags:
+                        out.diags[D] = out._zeros(m * n)
+                    out.diags[D][i * n + rows] = v[rows]
+        return out
 
     def _zeros(self, *shape: int) -> np.ndarray:
         if self.exact:
@@ -92,12 +113,94 @@ class Band:
             return self
         return Band(self.dim, False, {d: v.astype(complex) for d, v in self.diags.items()})
 
+    def _rows(self, d: int) -> np.ndarray:
+        """Rows i whose entry (i, i + d) lies inside the matrix."""
+        return np.arange(max(0, -d), min(self.dim, self.dim - d))
+
     def dense(self) -> np.ndarray:
         out = self._zeros(self.dim, self.dim)
         for d, v in self.diags.items():
-            rows = np.arange(max(0, -d), min(self.dim, self.dim - d))
+            rows = self._rows(d)
             out[rows, rows + d] = v[rows]
         return out
+
+    def trace(self):
+        if 0 not in self.diags:
+            return Fraction(0) if self.exact else 0j
+        return self.diags[0].sum()
+
+    def norm(self, keep=None):
+        """defect_norm of the operator compressed to the rows and columns in keep.
+
+        Exact bands give the largest entry magnitude.  Float bands give the
+        2-norm: the kept nonzero entries split into blocks that share no row
+        and no column, the matrix is (up to permutations) their direct sum, and
+        its 2-norm is the largest block norm, so only blocks of two or more
+        entries need an SVD.  A non-finite kept entry gives inf.
+        """
+        kept = np.ones(self.dim, dtype=bool)
+        if keep is not None:
+            kept[:] = False
+            kept[np.asarray(list(keep), dtype=int)] = True
+        rows, cols, vals = [], [], []
+        for d, v in self.diags.items():
+            r = self._rows(d)
+            r = r[kept[r] & kept[r + d]]
+            rows.append(r)
+            cols.append(r + d)
+            vals.append(v[r])
+        if self.exact:
+            return max((exact_magnitude(x) for part in vals for x in part),
+                       default=Fraction(0))
+        vals = np.concatenate(vals) if vals else np.zeros(0, dtype=complex)
+        if not np.isfinite(vals).all():
+            # an overflowed entry: report an unbounded norm, never a small one
+            return float("inf")
+        nonzero = vals != 0
+        if not nonzero.any():
+            return 0.0
+        return _block_norm(np.concatenate(rows)[nonzero], np.concatenate(cols)[nonzero],
+                           vals[nonzero], self.dim)
+
+
+def _block_norm(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, dim: int) -> float:
+    """2-norm of the dim x dim matrix with the given distinct nonzero entries."""
+    # row i is node i, column j node dim + j; an entry links its row and column.
+    # Min-label propagation with pointer jumping labels the connected blocks.
+    a, b = rows, cols + dim
+    label = np.arange(2 * dim)
+    while True:
+        low = np.minimum(label[a], label[b])
+        new = label.copy()
+        np.minimum.at(new, a, low)
+        np.minimum.at(new, b, low)
+        new = new[new]
+        if np.array_equal(new, label):
+            break
+        label = new
+    # number the nodes of each block in order, its rows before its columns
+    seen = np.zeros(2 * dim, dtype=bool)
+    seen[a] = seen[b] = True
+    nodes = np.flatnonzero(seen)
+    order = np.argsort(label[nodes], kind="stable")
+    ranked = label[nodes][order]
+    pos = np.empty(2 * dim, dtype=int)
+    pos[nodes[order]] = np.arange(len(nodes)) - np.searchsorted(ranked, ranked)
+    n_rows = np.bincount(label[nodes[nodes < dim]], minlength=2 * dim)
+    n_nodes = np.bincount(label[nodes], minlength=2 * dim)
+    block = label[a]
+    height, width = n_rows[block], n_nodes[block] - n_rows[block]
+    best = 0.0
+    for h, w in set(zip(height.tolist(), width.tolist())):
+        sel = (height == h) & (width == w)
+        if h == w == 1:
+            best = max(best, float(np.max(np.abs(vals[sel]))))
+            continue
+        members, slot = np.unique(block[sel], return_inverse=True)
+        stack = np.zeros((len(members), h, w), dtype=complex)
+        stack[slot, pos[a[sel]], pos[b[sel]] - h] = vals[sel]
+        best = max(best, float(np.max(np.linalg.norm(stack, 2, axis=(1, 2)))))
+    return best
 
 
 def adjoint(M: np.ndarray) -> np.ndarray:

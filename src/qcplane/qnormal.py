@@ -22,10 +22,10 @@ from typing import Sequence
 import numpy as np
 
 from . import matrixops as mo
-from .algebra import CoefficientFunction
+from .algebra import CoefficientFunction, IndicatorCoefficient
 from .errors import ConfigurationError, DomainError, EvaluationError
 from .qspace import QInvariantMeasure, SpectralSet
-from .scalars import format_rational, parse_rational
+from .scalars import exact_magnitude, format_rational, parse_rational
 
 
 @dataclass(frozen=True)
@@ -206,19 +206,27 @@ def verify_relation(T: TruncatedQNormal, pad: int = 1) -> RelationReport:
     """Defect of zeta zeta* = q**2 zeta* zeta, interior and full-window."""
     zs = T.zeta_band.adjoint()
     q2 = T.q * T.q if T.exact else float(T.q) ** 2
-    D = (T.zeta_band @ zs - (zs @ T.zeta_band).scale(q2)).dense()
-    interior = mo.defect_norm(mo.compress(D, T.interior_indices(pad)))
-    boundary = mo.defect_norm(D)
-    return RelationReport(interior, boundary)
+    D = T.zeta_band @ zs - (zs @ T.zeta_band).scale(q2)
+    return RelationReport(D.norm(T.interior_indices(pad)), D.norm())
 
 
 def spectral_band(T: TruncatedQNormal, f: CoefficientFunction, factor=1) -> mo.Band:
-    """Diagonal band f(factor * modulus): f(factor * t_{j,n}) on the grid, f(0) on the kernel."""
-    values = []
+    """Diagonal band f(factor * modulus): f(factor * t_{j,n}) on the grid, f(0) on the kernel.
+
+    Float models evaluate f at the floats of the exact points: read off the
+    modulus diagonal at factor 1, rounded from factor * t_{j,n} otherwise, so
+    both sides of a covariance identity see the same floats.  Indicators are
+    decided by exact membership of the exact point.
+    """
     try:
-        for gp in T.grid:
-            t = factor * gp.value
-            values.append(f.eval_exact(t) if T.exact else complex(f(float(t))))
+        if T.exact:
+            values = [f.eval_exact(factor * gp.value) for gp in T.grid]
+        elif isinstance(f, IndicatorCoefficient):
+            values = [complex(f.eval_exact(factor * gp.value)) for gp in T.grid]
+        elif factor == 1:
+            values = [complex(f(t)) for t in T.modulus_band.diags[0].real[:len(T.grid)].tolist()]
+        else:
+            values = [complex(f(float(factor * gp.value))) for gp in T.grid]
         if T.kernel_dim:
             values.append(f.value_at_zero if T.exact else complex(f.value_at_zero))
     except (ArithmeticError, OverflowError) as exc:
@@ -244,14 +252,19 @@ def verify_covariance(T: TruncatedQNormal, f: CoefficientFunction, pad: int = 1)
     """Interior defect of u f(modulus) u* = f(q modulus)."""
     lhs = T.u_band @ spectral_band(T, f) @ T.u_band.adjoint()
     rhs = spectral_band(T, f, T.q)
-    return mo.defect_norm(mo.compress((lhs - rhs).dense(), T.interior_indices(pad)))
+    return (lhs - rhs).norm(T.interior_indices(pad))
 
 
 def polar_check(T: TruncatedQNormal) -> PolarReport:
     """zeta = u modulus, with zeta and u built apart; u must kill the kernel slot."""
-    rec = mo.defect_norm((T.zeta_band - T.u_band @ T.modulus_band).dense())
-    # the kernel column is the last one, if there is one
-    kd = mo.defect_norm(T.u[:, T.dim - T.kernel_dim:])
+    rec = (T.zeta_band - T.u_band @ T.modulus_band).norm()
+    kd = Fraction(0) if T.exact else 0.0
+    if T.kernel_dim:
+        # entries (k - d, k) of the kernel column k, one per offset d
+        k = T.kernel_index
+        col = [v[k - d] for d, v in T.u_band.diags.items() if 0 <= k - d < T.dim]
+        kd = (max((exact_magnitude(x) for x in col), default=kd) if T.exact
+              else float(np.linalg.norm(np.array(col, dtype=complex))))
     return PolarReport(rec, kd)
 
 

@@ -63,14 +63,19 @@ class ZTransformPair:
     z: np.ndarray
 
 
-def represent(a: AlgebraElement, T: TruncatedQNormal) -> np.ndarray:
-    """Matrix of sum_k f_k(modulus) u**k; exact when T and all f_k are."""
+def represent_band(a: AlgebraElement, T: TruncatedQNormal) -> mo.Band:
+    """Band of sum_k f_k(modulus) u**k; exact when T and all f_k are."""
     if a.q != T.q:
         raise DomainError("element and model have different ratios")
     out = mo.Band(T.dim, T.exact)
     for k, f in a.terms:
         out = out + spectral_band(T, f) @ shift(T, k)
-    return out.dense()
+    return out
+
+
+def represent(a: AlgebraElement, T: TruncatedQNormal) -> np.ndarray:
+    """Matrix of sum_k f_k(modulus) u**k; exact when T and all f_k are."""
+    return represent_band(a, T).dense()
 
 
 def represent_with_kernel(a: AlgebraElement, T: TruncatedQNormal) -> np.ndarray:
@@ -104,11 +109,9 @@ def norm_estimate(a: AlgebraElement, windows, mu: QInvariantMeasure,
         raise DomainError("windows must be increasing")
     estimates = []
     for w in windows:
-        T = build(mu, X, w, exact=False)
-        M = represent(a, T)
-        estimates.append(float(np.linalg.norm(M, 2)) if M.size else 0.0)
+        estimates.append(represent_band(a, build(mu, X, w, exact=False)).norm())
     converged = (len(estimates) >= 2 and
-                 abs(estimates[-1] - estimates[-2]) <= REL_CONVERGENCE_TOL * max(1.0, estimates[-1]))
+                 abs(estimates[-1] - estimates[-2]) <= REL_CONVERGENCE_TOL * estimates[-1])
     return NormReport(tuple(sizes), tuple(estimates), converged, estimates[-1])
 
 

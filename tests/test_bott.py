@@ -1,11 +1,12 @@
 import dataclasses
+import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import qcplane.matrixops as mo
-from qcplane import algebra, bott, qnormal
+from qcplane import algebra, bott, cli, qnormal
 from qcplane.algebra import RationalCoefficient, element
 from qcplane.errors import ConfigurationError, DomainError
 from qcplane.qnormal import TruncationWindow
@@ -177,3 +178,40 @@ def test_projection_report_shape():
                                   extra={"window": "[-8, 8]"})
     assert data["winding_diagnostic"] == {"value": 0.5, "unverified": True}
     assert data["window"] == "[-8, 8]"
+
+
+def test_block_band_matches_dense_blocks():
+    for q, n, sign, window in (("1/2", 1, 1, (-6, 6)), ("2/3", 2, -1, (-8, 8))):
+        T = qnormal.build_from_generators(q, ["1", "3/4"], TruncationWindow(*window),
+                                          zero_mass=1)
+        P = bott.bott_projection(n, sign, q)
+        for entries in (P.entries, bott.unitized_diag(q, 1, 0)):
+            blocks = [[represent(entries[i][j].body, T)
+                       + entries[i][j].unit * np.eye(T.dim) for j in range(2)]
+                      for i in range(2)]
+            got = bott._block_band(entries, T).dense()
+            assert np.max(np.abs(got - np.block(blocks))) == 0.0
+
+
+def test_projection_numeric_defects_match_dense_svd():
+    T = qnormal.build_from_generators("1/2", ["1"], TruncationWindow(-10, 10))
+    P = bott.bott_projection(2, 1, "1/2")
+    for entries in (P.entries, bott.m2_scale(P.entries, 2)):
+        cand = dataclasses.replace(P, entries=entries)
+        B = bott._block_band(entries, T).dense()
+        idx = bott._block_interior(T, 2 * P.n)
+        want = np.linalg.norm(mo.compress(B @ B - B, idx), 2)
+        rep = bott.verify_projection_numeric(cand, T)
+        assert abs(rep.idempotency_defect - want) <= 1e-15 * max(1.0, want)
+
+
+def test_perturbed_control_defect_is_about_two(capsys):
+    # (2P)^2 - 2P = 2P; P has norm 1 on the interior once it holds a few levels
+    code = cli.main(["bott", "--perturb"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 3
+    rows = report["projections"]
+    assert not any(row["passed"] for row in rows)
+    for row in rows:
+        if row["n"] < 3:
+            assert abs(row["idempotency_defect"] - 2.0) <= 1e-12

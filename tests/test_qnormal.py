@@ -217,6 +217,50 @@ def test_polar_check_passes_and_detects_tampering(kernel_measure):
     assert bad.reconstruction_defect > 0
 
 
+def test_polar_kernel_defect_float_is_column_norm(kernel_measure):
+    T = qnormal.build(kernel_measure, None, TruncationWindow(-3, 3), exact=False)
+    assert qnormal.polar_check(T).kernel_defect == 0.0
+    k = T.kernel_index
+    # entries (k - 1, k) = 3 and (k - 2, k) = 4i of u, on offsets 1 and 2
+    one, two = (np.zeros(T.dim, dtype=complex) for _ in range(2))
+    one[k - 1], two[k - 2] = 3, 4j
+    bad_u = T.u_band + mo.Band(T.dim, False, {1: one, 2: two})
+    bad = qnormal.polar_check(dataclasses.replace(T, u_band=bad_u))
+    assert bad.kernel_defect == 5.0
+    exact = qnormal.polar_check(dataclasses.replace(
+        qnormal.build(kernel_measure, None, TruncationWindow(-3, 3), exact=True),
+        u_band=mo.Band(T.dim, True, {1: np.array([Fraction(3) * (i == k - 1)
+                                                  for i in range(T.dim)], dtype=object)})))
+    assert exact.kernel_defect == 3
+
+
+def test_float_indicator_decided_exactly_at_deep_levels():
+    # grid points 7**-n below 10**-12 sit inside (7**-30, 1]; a rational guess
+    # with denominators up to 10**12 rounds them to 0, outside the interval
+    q = Fraction(1, 7)
+    mu = qspace.uniform_measure("1/7", ["1"])
+    ind = IndicatorCoefficient(Interval.open_closed(q ** 30, 1))
+    for lo, hi in ((-2, 35), (-5, 5)):
+        T = qnormal.build(mu, None, TruncationWindow(lo, hi), exact=True)
+        want = mo.to_float(qnormal.spectral_function(T, ind))
+        assert np.array_equal(qnormal.spectral_function(T.as_float(), ind), want)
+        assert qnormal.verify_covariance(T.as_float(), ind) == 0.0
+
+
+def test_float_spectral_points_are_the_exact_points_rounded():
+    T = qnormal.build(qspace.uniform_measure("3/7", ["1", "2/3"], zero_mass="1"), None,
+                      TruncationWindow(-9, 9), exact=False)
+    seen = []
+    f = algebra.ClosureCoefficient(lambda t: seen.append(t) or t, 5.0, True)
+    band = qnormal.spectral_band(T, f)
+    assert all(type(t) is float for t in seen)
+    assert seen == [float(gp.value) for gp in T.grid]
+    assert band.diags[0][T.kernel_index] == 5.0
+    seen.clear()
+    qnormal.spectral_band(T, f, T.q)
+    assert seen == [float(T.q * gp.value) for gp in T.grid]
+
+
 def test_weights_metadata_retained():
     mu = qspace.atomic_measure("1/2", [("1", "2"), ("3/4", "1/3")])
     T = qnormal.build(mu, None, TruncationWindow(-2, 2), exact=True)

@@ -144,6 +144,18 @@ def test_norm_zero_element(dyadic_measure):
     assert report.converged
 
 
+def test_norm_converged_is_relative(dyadic_measure):
+    windows = [TruncationWindow(-n, n) for n in (4, 8)]
+    flat = norm_estimate(parse_element(HALF, ["3@0"]), windows, dyadic_measure)
+    assert flat.estimates == (3.0, 3.0)
+    assert flat.converged
+    # about 1e-9 in size, changing by about 4e-3 of itself between the windows
+    tiny = parse_element(HALF, ["1/(1000000000+1000000000*t^2)@0"])
+    report = norm_estimate(tiny, windows, dyadic_measure)
+    assert abs(report.estimates[-1] - report.estimates[-2]) < 1e-8
+    assert not report.converged
+
+
 def test_norm_window_ordering_enforced(dyadic_measure):
     a = parse_element(HALF, ["1@0"])
     with pytest.raises(DomainError):
