@@ -106,8 +106,12 @@ class IndicatorCoefficient(CoefficientFunction):
         return self.interval.upper is not None
 
     def __call__(self, t: float) -> complex:
-        frac = Fraction(t).limit_denominator(10 ** 12)
-        return 1.0 + 0j if self.interval.contains(frac) else 0j
+        # a float equal to a rounded endpoint stands for that endpoint; any
+        # other float is decided by its exact value
+        ends = [e for e in (self.interval.lower, self.interval.upper)
+                if e is not None and t == float(e)]
+        x = ends[0] if ends else Fraction(t)
+        return 1.0 + 0j if self.interval.contains(x) else 0j
 
     def eval_exact(self, t) -> RationalComplex:
         return RationalComplex(Fraction(1 if self.interval.contains(Fraction(t)) else 0))

@@ -251,6 +251,9 @@ def cmd_norm(cfg: RunConfig) -> tuple[dict, int]:
         a = algebra.parse_element(cfg.q, [lit] if isinstance(lit, str) else lit)
         rep = represent.norm_estimate(a, sweep, mu)
         row = rep.to_json(lit)
+        # denominators have no root on [0, inf), so only growth at infinity
+        # can make a coefficient unbounded
+        row["bounded"] = all(f.rf.degree_num <= f.rf.degree_den for _, f in a.terms)
         row["window_spans"] = [[w.n_min, w.n_max] for w in sweep]
         rows.append(row)
     report = {

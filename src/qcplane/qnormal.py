@@ -162,8 +162,8 @@ def build_from_generators(q, generators, window: TruncationWindow, weights=None,
         # support {0} carries unit mass by convention
         zero_mass = Fraction(1)
 
-    grid = tuple(GridPoint(j, n, q ** n * x, weights[j])
-                 for n in window.levels for j, x in enumerate(gens))
+    grid = tuple(GridPoint(j, n, qn * x, weights[j])
+                 for n in window.levels for qn in (q ** n,) for j, x in enumerate(gens))
     kernel_dim = 1 if zero_mass > 0 else 0
     n_gens = len(gens)
     dim = len(grid) + kernel_dim

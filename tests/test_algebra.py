@@ -302,3 +302,18 @@ def test_mismatched_ratios_rejected():
         algebra.multiply(a, b)
     with pytest.raises(DomainError):
         algebra.add(a, b)
+
+
+def test_indicator_float_call_at_deep_levels_and_endpoints():
+    deep = IndicatorCoefficient(Interval.open_closed(Fraction(1, 7) ** 30, 1))
+    point = Fraction(1, 7) ** 20
+    assert deep(float(point)) == 1
+    assert deep.eval_exact(point) == 1
+    sevenths = IndicatorCoefficient(Interval.open_closed(Fraction(1, 7), 1))
+    assert sevenths(float(Fraction(1, 7))) == 0
+    assert sevenths(1.0) == 1
+    # 1/5 and 4/5 round up as floats: each float stands for its endpoint
+    fifths = IndicatorCoefficient(Interval.open_closed(Fraction(1, 5), Fraction(4, 5)))
+    assert fifths(float(Fraction(1, 5))) == 0
+    assert fifths(float(Fraction(4, 5))) == 1
+    assert fifths(0.5) == 1

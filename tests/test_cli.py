@@ -87,6 +87,16 @@ def test_norm_shift_element_oracle(capsys):
     assert abs(row["final"] - 4096.0) <= 1e-8
 
 
+def test_norm_reports_boundedness(capsys):
+    # one row per element: t grows without bound, degree 3 over 2 as well
+    for args, bounded in (((), [True]), (("--element", "t@0"), [False]),
+                          (("--element", "(1+t)/(2+t)@1", "--element", "0@0",
+                            "--element", "t^3/(1+t^2)@2"), [True, True, False])):
+        code, out = run(capsys, "norm", *args)
+        assert code == 0
+        assert [row["bounded"] for row in json.loads(out)["elements"]] == bounded
+
+
 def test_norm_zero_element(capsys):
     code, out = run(capsys, "norm", "--element", "0@0")
     assert code == 0

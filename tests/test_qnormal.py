@@ -261,6 +261,21 @@ def test_float_spectral_points_are_the_exact_points_rounded():
     assert seen == [float(T.q * gp.value) for gp in T.grid]
 
 
+def test_covariance_defect_sees_a_q_that_does_not_match_the_grid():
+    # f(q modulus) is evaluated at q * t_{j,n}, not read off the grid one level
+    # up, so a model whose q is not its grid's level ratio shows a defect
+    T = qnormal.build(qspace.uniform_measure("3/7", ["1", "2/3"], zero_mass="1"), None,
+                      TruncationWindow(-4, 4), exact=True)
+    wrong = dataclasses.replace(T, q=Fraction(1, 2))
+    for f in (RationalCoefficient(T_VAR), IndicatorCoefficient(Interval.open_closed("1/2", 1)),
+              algebra.ClosureCoefficient(lambda t: t / (1 + t), 0.0, True)):
+        if not isinstance(f, algebra.ClosureCoefficient):
+            assert qnormal.verify_covariance(T, f) == 0
+            assert qnormal.verify_covariance(wrong, f) > 0
+        assert qnormal.verify_covariance(T.as_float(), f) == 0.0
+        assert qnormal.verify_covariance(wrong.as_float(), f) > 0
+
+
 def test_weights_metadata_retained():
     mu = qspace.atomic_measure("1/2", [("1", "2"), ("3/4", "1/3")])
     T = qnormal.build(mu, None, TruncationWindow(-2, 2), exact=True)

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -28,6 +29,10 @@ def _random_poly(rng: random.Random, degree: int, real: bool = False) -> tuple:
 
 def _p_scaled(a, s: RationalComplex) -> tuple:
     return tuple(c * s for c in a)
+
+
+def _poly_rf(coeffs) -> RationalFunction:
+    return RationalFunction(coeffs, (1,))
 
 
 def _sympy_roots_on_half_line(den) -> int:
@@ -78,7 +83,7 @@ def test_check_denominator_matches_sympy_on_random_denominators():
         if trial % 5 == 0:
             # a shared real factor makes the gcd of Re and Im nontrivial
             shared = _random_poly(rng, rng.randint(1, 2), real=True)
-            den = ratfunc._p_mul(_p_scaled(den, _random_complex(rng)), shared)
+            den = (_poly_rf(_p_scaled(den, _random_complex(rng))) * _poly_rf(shared)).num
         f = RationalFunction((1,), den)
         expected = _sympy_roots_on_half_line(f.den)
         assert _rejected(f) == (expected > 0), den
@@ -105,11 +110,11 @@ def test_integer_convolution_matches_schoolbook():
         b = _random_poly(rng, rng.randint(0, 6), real=trial % 4 in (0, 1))
         if trial % 7 == 0:
             a = (RationalComplex(),) * 2 + a   # zero low-order coefficients
-        product = ratfunc._p_mul(a, b)
+        product = (_poly_rf(a) * _poly_rf(b)).num
         assert product == _schoolbook(a, b)
         assert all(isinstance(c.re, Fraction) and isinstance(c.im, Fraction)
                    for c in product)
-    assert ratfunc._p_mul((), _random_poly(rng, 2)) == ()
+    assert (_poly_rf(()) * _poly_rf(_random_poly(rng, 2))).num == ()
 
 
 def test_equals_decides_function_equality():
@@ -136,3 +141,89 @@ def test_evaluate_float_is_plain_horner():
                 continue
             assert f.evaluate_float(t) == num / den
             assert f.evaluate_float(t) == num / den   # cached coefficients agree
+
+
+# A schoolbook oracle: a function is a (num, den) pair of RationalComplex tuples,
+# trimmed, with den (1,) when num is zero, as the coefficient views present it.
+
+def _trim(cs) -> tuple:
+    cs = list(cs)
+    while cs and cs[-1].is_zero:
+        cs.pop()
+    return tuple(cs)
+
+
+def _oracle(num, den) -> tuple:
+    num, den = _trim(num), _trim(den)
+    return (num, den) if num else ((), (RationalComplex(Fraction(1)),))
+
+
+def _sum(a, b) -> tuple:
+    out = [RationalComplex()] * max(len(a), len(b))
+    for cs in (a, b):
+        for k, c in enumerate(cs):
+            out[k] = out[k] + c
+    return tuple(out)
+
+
+def _value(cs, t: Fraction) -> RationalComplex:
+    acc = RationalComplex()
+    for c in reversed(cs):
+        acc = acc * t + c
+    return acc
+
+
+def _random_pair(rng: random.Random, trial: int):
+    num = _random_poly(rng, rng.randint(0, 4), real=trial % 3 == 0)
+    den = _random_poly(rng, rng.randint(0, 3), real=trial % 3 != 2)
+    if trial % 4 == 1:
+        num = (RationalComplex(),) * rng.randint(1, 2) + num   # zero low-order coefficients
+    if trial % 13 == 0:
+        num = ()
+    return RationalFunction(num, den), _oracle(num, den)
+
+
+def _assert_stored(f: RationalFunction, oracle) -> None:
+    assert (f.num, f.den) == oracle
+    for re, im, d in (f._num, f._den):
+        assert d > 0 and len(re) == len(im)
+        assert not re or re[-1] or im[-1]
+        assert math.gcd(d, *re, *im) == 1
+
+
+def test_integer_storage_matches_schoolbook_oracle():
+    rng = random.Random(11)
+    points = [Fraction(0), Fraction(1), Fraction(2, 3), Fraction(-7, 5), Fraction(5)]
+    for trial in range(150):
+        (f, (fn, fd)), (g, (gn, gd)) = _random_pair(rng, trial), _random_pair(rng, trial + 1)
+        _assert_stored(f, (fn, fd))
+        _assert_stored(f + g, _oracle(_sum(_schoolbook(fn, gd), _schoolbook(gn, fd)),
+                                      _schoolbook(fd, gd)))
+        _assert_stored(f * g, _oracle(_schoolbook(fn, gn), _schoolbook(fd, gd)))
+        _assert_stored(-f, _oracle(tuple(-c for c in fn), fd))
+        _assert_stored(f.conjugate(), _oracle(tuple(c.conjugate() for c in fn),
+                                              tuple(c.conjugate() for c in fd)))
+        lam = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+        scaled = [tuple(c * lam ** k for k, c in enumerate(cs)) for cs in (fn, fd)]
+        _assert_stored(f.substitute_scale(lam), _oracle(*scaled))
+        assert f.equals(g) == (_trim(_schoolbook(fn, gd)) == _trim(_schoolbook(gn, fd)))
+        if not g.is_zero:
+            _assert_stored(f / g, _oracle(_schoolbook(fn, gd), _schoolbook(fd, gn)))
+            assert ((f * g) / g).equals(f)
+        for t in points:
+            den = _value(fd, t)
+            if den.is_zero:
+                with pytest.raises(EvaluationError):
+                    f.evaluate(t)
+                continue
+            want = _value(fn, t) / den
+            assert f.evaluate(t) == want
+            assert f.evaluate(RationalComplex(t)) == want
+    with pytest.raises(AttributeError):
+        f.num = ()
+
+
+@pytest.mark.parametrize("x", [RationalComplex(Fraction(1), Fraction(1)), 0.5, 1j, "1"])
+def test_evaluate_rejects_non_real_points(x):
+    with pytest.raises(TypeError):
+        ((1 + T) / (2 + T * T)).evaluate(x)
