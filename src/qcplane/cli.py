@@ -8,6 +8,7 @@ error, 3 verification failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import random
@@ -388,6 +389,7 @@ DISPATCH = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qcplane",

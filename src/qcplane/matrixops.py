@@ -2,9 +2,10 @@
 
 Every operator of a truncated model is a finite sum sum_d diag(v_d) S**d, the
 shape of the crossed product C0(X) x| Z it represents; :class:`Band` stores
-one diagonal per offset d.  Exact bands hold dtype=object diagonals over
-Fraction/RationalComplex, float bands complex128 ones, and the same numpy
-elementwise code serves both.  :meth:`Band.norm` measures a band without
+one diagonal per offset d.  Exact bands hold dtype=object diagonals, with
+real values as Fraction and complex ones as RationalComplex (the two mix under
+numpy's object arithmetic); float bands hold complex128 ones, and the same
+numpy elementwise code serves both.  :meth:`Band.norm` measures a band without
 making it dense.  Dense matrices are made only at the public dense returns and
 for LAPACK; the helpers below act on those and keep exact values exact.
 """

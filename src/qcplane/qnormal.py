@@ -25,7 +25,7 @@ from . import matrixops as mo
 from .algebra import CoefficientFunction, IndicatorCoefficient
 from .errors import ConfigurationError, DomainError, EvaluationError
 from .qspace import QInvariantMeasure, SpectralSet
-from .scalars import exact_magnitude, format_rational, parse_rational
+from .scalars import RationalComplex, exact_magnitude, format_rational, parse_rational
 
 
 @dataclass(frozen=True)
@@ -220,7 +220,7 @@ def spectral_band(T: TruncatedQNormal, f: CoefficientFunction, factor=1) -> mo.B
     """
     try:
         if T.exact:
-            values = [f.eval_exact(factor * gp.value) for gp in T.grid]
+            values = [_real(f.eval_exact(factor * gp.value)) for gp in T.grid]
         elif isinstance(f, IndicatorCoefficient):
             values = [complex(f.eval_exact(factor * gp.value)) for gp in T.grid]
         elif factor == 1:
@@ -228,10 +228,15 @@ def spectral_band(T: TruncatedQNormal, f: CoefficientFunction, factor=1) -> mo.B
         else:
             values = [complex(f(float(factor * gp.value))) for gp in T.grid]
         if T.kernel_dim:
-            values.append(f.value_at_zero if T.exact else complex(f.value_at_zero))
+            values.append(_real(f.value_at_zero) if T.exact else complex(f.value_at_zero))
     except (ArithmeticError, OverflowError) as exc:
         raise EvaluationError(f"coefficient undefined on the grid: {exc}") from exc
     return mo.Band(T.dim, T.exact, {0: np.array(values, dtype=object if T.exact else complex)})
+
+
+def _real(x):
+    """An exact value with zero imaginary part as its Fraction real part."""
+    return x.re if isinstance(x, RationalComplex) and not x.im else x
 
 
 def spectral_function(T: TruncatedQNormal, f: CoefficientFunction) -> np.ndarray:
@@ -240,12 +245,21 @@ def spectral_function(T: TruncatedQNormal, f: CoefficientFunction) -> np.ndarray
 
 
 def shift(T: TruncatedQNormal, k: int) -> mo.Band:
-    """u**k for k >= 0, (u*)**|k| for k < 0."""
-    step = T.u_band if k >= 0 else T.u_band.adjoint()
-    out = mo.Band.identity(T.dim, T.exact)
-    for _ in range(abs(k)):
-        out = out @ step
-    return out
+    """u**k for k >= 0, (u*)**|k| for k < 0, built as one band.
+
+    u is the single diagonal v at offset n = n_gens, so row i of u**k at
+    offset k n is v[i] v[i + n] ... v[i + (k - 1) n].
+    """
+    if k == 0:
+        return mo.Band.identity(T.dim, T.exact)
+    (n, v), = T.u_band.diags.items()
+    if abs(k) * n >= T.dim:
+        return mo.Band(T.dim, T.exact)
+    row = v
+    for j in range(1, abs(k)):
+        row = row * T.u_band._shifted(v, j * n)
+    power = mo.Band(T.dim, T.exact, {abs(k) * n: row})
+    return power if k > 0 else power.adjoint()
 
 
 def verify_covariance(T: TruncatedQNormal, f: CoefficientFunction, pad: int = 1):

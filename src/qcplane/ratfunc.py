@@ -36,6 +36,8 @@ def _canon(re: list[int], im: list[int], d: int) -> Poly:
 
 def _poly(raw) -> Poly:
     """Clear a sequence of int, Fraction or RationalComplex over one denominator."""
+    if all(type(c) is int for c in raw):
+        return _canon(list(raw), [0] * len(raw), 1)
     cs = [RationalComplex.coerce(c) for c in raw]
     d = math.lcm(*(x.denominator for c in cs for x in (c.re, c.im)))
     return _canon([c.re.numerator * (d // c.re.denominator) for c in cs],

@@ -254,3 +254,18 @@ def test_missing_subcommand_exits_with_usage_error(capsys):
         cli.main([])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_repeated_main_calls_keep_their_own_arguments(capsys):
+    for elements in (["t@1", "0@0"], ["1/(1+t)@0"]):
+        argv = [x for e in elements for x in ("--element", e)]
+        code, out = run(capsys, "norm", *argv)
+        assert code == 0
+        assert [row["element"] for row in json.loads(out)["elements"]] == elements
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["norm", "--window", "1"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, out = run(capsys, "norm", "--element", "t@1")
+    assert code == 0
+    assert [row["element"] for row in json.loads(out)["elements"]] == ["t@1"]

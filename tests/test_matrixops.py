@@ -80,18 +80,27 @@ def test_band_as_float_and_regime_checks():
 def test_kernel_model_bands_match_dense_products():
     mu = qspace.uniform_measure("1/2", ["1", "3/4"], zero_mass="1")
     T = qnormal.build(mu, None, TruncationWindow(-3, 3), exact=True)
-    k = T.kernel_index
-    assert k == T.dim - 1
+    assert T.kernel_index == T.dim - 1
     assert mo.max_entry_gap((T.u_band @ T.modulus_band).dense(), T.u @ T.modulus) == 0
     assert mo.max_entry_gap((T.zeta_band.adjoint() @ T.zeta_band).dense(),
                             mo.adjoint(T.zeta) @ T.zeta) == 0
-    for n in range(-4, 5):
-        step = T.u if n >= 0 else mo.adjoint(T.u)
-        want = np.linalg.matrix_power(step, abs(n)) if n else np.eye(T.dim, dtype=object)
-        shift = qnormal.shift(T, n).dense()
-        assert mo.max_entry_gap(shift, want) == 0
-        # no shift power reaches the kernel slot
-        assert all(shift[i, k] == 0 and shift[k, i] == 0 for i in range(T.dim) if i != k)
+    # shift powers against matrix_power, up to and past the 5-level window
+    for gens in (["1"], ["1", "3/4"]):
+        mu = qspace.uniform_measure("1/2", gens, zero_mass="1")
+        for exact in (True, False):
+            T = qnormal.build(mu, None, TruncationWindow(-2, 2), exact=exact)
+            k = T.kernel_index
+            for n in [*range(-6, 7), -20, 20]:
+                step = T.u if n >= 0 else mo.adjoint(T.u)
+                want = (np.linalg.matrix_power(step, abs(n)) if n
+                        else np.eye(T.dim, dtype=object if exact else complex))
+                shift = qnormal.shift(T, n).dense()
+                assert mo.max_entry_gap(shift, want) == 0
+                if abs(n) >= T.window.size:
+                    assert not shift.any()
+                # no shift power reaches the kernel slot
+                assert all(shift[i, k] == 0 and shift[k, i] == 0
+                           for i in range(T.dim) if i != k)
 
 
 def _float_band(rng: np.random.Generator, dim: int, offsets, density=0.6) -> mo.Band:

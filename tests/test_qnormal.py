@@ -12,8 +12,10 @@ from qcplane.errors import ConfigurationError, DomainError, EvaluationError
 from qcplane.qnormal import TruncationWindow
 from qcplane.qspace import Interval
 from qcplane.ratfunc import RationalFunction
+from qcplane.scalars import RationalComplex
 
 T_VAR = RationalFunction.variable()
+IM = RationalComplex(Fraction(0), Fraction(1))
 
 
 def test_window_validation():
@@ -154,6 +156,25 @@ def test_spectral_function_examples(dyadic_measure):
     lor = qnormal.spectral_function(T, RationalCoefficient(1 / (1 + T_VAR * T_VAR)))
     level0 = [i for i, gp in enumerate(T.grid) if gp.level == 0][0]
     assert lor[level0, level0] == Fraction(1, 2)
+
+
+@pytest.mark.parametrize("zero_mass", ["0", "1"])
+def test_exact_spectral_band_stores_real_values_as_fractions(zero_mass):
+    mu = qspace.uniform_measure("1/2", ["1", "3/4"], zero_mass=zero_mass)
+    T = qnormal.build(mu, None, TruncationWindow(-3, 3), exact=True)
+    points = [gp.value for gp in T.grid] + [Fraction(0)] * T.kernel_dim
+    real = [RationalCoefficient(T_VAR), RationalCoefficient(T_VAR * T_VAR),
+            IndicatorCoefficient(Interval.open_closed("1/2", 1)),
+            RationalCoefficient(1 / (1 + T_VAR * T_VAR))]
+    for f in real:
+        for factor in (1, T.q):
+            values = qnormal.spectral_band(T, f, factor).diags[0]
+            assert all(type(v) is Fraction for v in values)
+            assert list(values) == [f.eval_exact(factor * t) for t in points]
+    f = RationalCoefficient(IM * T_VAR)
+    values = qnormal.spectral_band(T, f).diags[0]
+    assert all(type(v) is RationalComplex and v.im for v in values[:len(T.grid)])
+    assert list(values) == [f.eval_exact(t) for t in points]
 
 
 def test_spectral_function_kernel_value(kernel_measure):

@@ -227,3 +227,12 @@ def test_integer_storage_matches_schoolbook_oracle():
 def test_evaluate_rejects_non_real_points(x):
     with pytest.raises(TypeError):
         ((1 + T) / (2 + T * T)).evaluate(x)
+
+
+def test_integer_coefficients_take_the_same_canonical_form():
+    rng = random.Random(23)
+    seqs = [(), (0,), (0, 0, 0), (5,), (-4, 0, 6, 0, 0), (0, 3, 0)]
+    seqs += [tuple(rng.randint(-9, 9) for _ in range(rng.randint(1, 6))) + (0,) * rng.randint(0, 2)
+             for _ in range(200)]
+    for seq in seqs:
+        assert ratfunc._poly(seq) == ratfunc._poly([Fraction(c) for c in seq])

@@ -13,6 +13,8 @@ from qcplane.qnormal import TruncationWindow
 from qcplane.represent import (NormReport, norm_estimate, pi_image, psi_check,
                                rapid_decay_family, represent_with_kernel,
                                scalar_z, verify_z_factorization, z_transform)
+from qcplane.ratfunc import RationalFunction
+from qcplane.scalars import RationalComplex
 from helpers import random_element
 
 HALF = "1/2"
@@ -33,6 +35,31 @@ def test_represent_mode_one_is_rescaled_shift(dyadic_measure):
     T = _model(dyadic_measure, -3, 3)
     M = represent.represent(parse_element(HALF, ["t@1"]), T)
     assert mo.max_entry_gap(M, T.zeta * Fraction(2)) == 0
+
+
+def _represent_oracle(a, T) -> np.ndarray:
+    """Row i of f_k(modulus) u**k is f_k(t_i) times row i of the matrix power."""
+    points = [gp.value for gp in T.grid] + [Fraction(0)] * T.kernel_dim
+    M = np.full((T.dim, T.dim), Fraction(0), dtype=object)
+    for k, f in a.terms:
+        step = T.u if k >= 0 else mo.adjoint(T.u)
+        P = np.linalg.matrix_power(step, abs(k)) if k else np.eye(T.dim, dtype=object)
+        for i, t in enumerate(points):
+            M[i] = M[i] + f.eval_exact(t) * P[i]
+    return M
+
+
+def test_represent_matches_pointwise_oracle(kernel_measure):
+    im_t = algebra.RationalCoefficient(
+        RationalComplex(Fraction(0), Fraction(1)) * RationalFunction.variable())
+    real = parse_element(HALF, ["t@1", "1/(1+t^2)@0", "(1+t)/(2+t^3)@-2", "t^2@3"])
+    mixed = algebra.element(Fraction(1, 2), {**dict(real.terms), -1: im_t})
+    for mu in (kernel_measure, qspace.uniform_measure(HALF, ["1", "3/4"])):
+        T = _model(mu, -3, 3)
+        for a in (real, mixed):
+            M = represent.represent(a, T)
+            assert mo.max_entry_gap(M, _represent_oracle(a, T)) == 0
+        assert all(type(x) is Fraction for x in represent.represent(real, T).flat)
 
 
 def test_represent_ratio_mismatch(dyadic_measure):
