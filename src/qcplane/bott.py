@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import matrixops as mo
 from .algebra import (AlgebraElement, RationalCoefficient, UnitizedElement,
                       element, multiply, u_add, u_adjoint, u_mul, u_scale,
@@ -206,7 +204,8 @@ def verify_projection_numeric(P: ProjectionCandidate, T: TruncatedQNormal) -> Nu
     """Defects of B**2 = B = B* for the represented 2x2 block operator."""
     pad = 2 * P.n
     if not T.window.interior_levels(pad):
-        raise ConfigurationError(f"window too small: padding {pad} leaves no interior")
+        raise ConfigurationError(f"window too small for numeric check of n={P.n}: "
+                                 f"padding {pad} leaves no interior")
     Tf = T.as_float()
     B = _block_band(P.entries, Tf)
     idx = _block_interior(Tf, pad)
@@ -224,8 +223,8 @@ def winding_diagnostic(P: ProjectionCandidate, T: TruncatedQNormal) -> float:
     """
     Tf = T.as_float()
     B = _block_band(P.entries, Tf)
-    flat = _block_band(unitized_diag(P.q, 1, 0), Tf)
-    return float((B.trace() - flat.trace()).real)
+    # the flat projection diag(1, 0) has trace dim
+    return float((B.trace() - Tf.dim).real)
 
 
 def projection_report(P: ProjectionCandidate, mode: str, max_residue,

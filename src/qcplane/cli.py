@@ -295,9 +295,6 @@ def cmd_bott(cfg: RunConfig) -> tuple[dict, int]:
                     P, "exact", format_rational(rep.max_residue), rep.points_checked,
                     winding, {"passed": ok}))
             else:
-                if not cfg.window.interior_levels(2 * n):
-                    raise ConfigurationError(
-                        f"window too small for numeric check of n={n}")
                 rep = bott.verify_projection_numeric(P, T)
                 ok = rep.max_defect <= cfg.tolerance
                 rows.append(bott.projection_report(

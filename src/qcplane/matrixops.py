@@ -6,8 +6,8 @@ one diagonal per offset d.  Exact bands hold dtype=object diagonals, with
 real values as Fraction and complex ones as RationalComplex (the two mix under
 numpy's object arithmetic); float bands hold complex128 ones, and the same
 numpy elementwise code serves both.  :meth:`Band.norm` measures a band without
-making it dense.  Dense matrices are made only at the public dense returns and
-for LAPACK; the helpers below act on those and keep exact values exact.
+making it dense.  Model paths never densify: dense matrices are made only for
+the public dense results, and the helpers below act on those, exactly.
 """
 
 from __future__ import annotations
@@ -99,6 +99,21 @@ class Band:
                 term = a * self._shifted(b, d)
                 out[d + e] = out[d + e] + term if d + e in out else term
         return Band(self.dim, self.exact, out)
+
+    def power(self, k: int) -> "Band":
+        """self**k of a one-diagonal band as one band; (self*)**|k| for k < 0."""
+        if k < 0:
+            return self.power(-k).adjoint()
+        if k == 0:
+            return Band.identity(self.dim, self.exact)
+        # with v at offset n, row i of self**k is v[i] v[i + n] ... v[i + (k - 1) n]
+        (n, v), = self.diags.items()
+        if k * abs(n) >= self.dim:
+            return Band(self.dim, self.exact)
+        row = v
+        for j in range(1, k):
+            row = row * self._shifted(v, j * n)
+        return Band(self.dim, self.exact, {k * n: row})
 
     def scale(self, s) -> "Band":
         s = s if self.exact else complex(s)

@@ -24,8 +24,8 @@ import numpy as np
 from . import matrixops as mo
 from .algebra import CoefficientFunction, IndicatorCoefficient
 from .errors import ConfigurationError, DomainError, EvaluationError
-from .qspace import QInvariantMeasure, SpectralSet
-from .scalars import RationalComplex, exact_magnitude, format_rational, parse_rational
+from .qspace import Interval, QInvariantMeasure, SpectralSet
+from .scalars import RationalComplex, format_rational, parse_rational
 
 
 @dataclass(frozen=True)
@@ -172,12 +172,14 @@ def build_from_generators(q, generators, window: TruncationWindow, weights=None,
     u, modulus, zeta = (np.full(dim, zero, dtype=object if exact else complex)
                         for _ in range(3))
     for i, gp in enumerate(grid):
-        value = gp.value if exact else complex(gp.value)
-        modulus[i] = value
-        if gp.level > window.n_min:
-            # e_{j,n} -> e_{j,n-1}; levels are enumerated in ascending blocks
-            u[i - n_gens] = one
-            zeta[i - n_gens] = value
+        try:
+            modulus[i] = gp.value if exact else complex(gp.value)
+        except OverflowError:
+            raise DomainError(f"level {gp.level} leaves float range; use --exact") from None
+    # e_{j,n} -> e_{j,n-1}: levels come in ascending blocks of n_gens, so entry
+    # (i, i + n_gens) moves grid point i + n_gens one level down
+    u[:len(grid) - n_gens] = one
+    zeta[:len(grid) - n_gens] = modulus[n_gens:len(grid)]
     return TruncatedQNormal(q, window, grid, kernel_dim, exact,
                             mo.Band(dim, exact, {n_gens: zeta}),
                             mo.Band(dim, exact, {n_gens: u}),
@@ -245,21 +247,8 @@ def spectral_function(T: TruncatedQNormal, f: CoefficientFunction) -> np.ndarray
 
 
 def shift(T: TruncatedQNormal, k: int) -> mo.Band:
-    """u**k for k >= 0, (u*)**|k| for k < 0, built as one band.
-
-    u is the single diagonal v at offset n = n_gens, so row i of u**k at
-    offset k n is v[i] v[i + n] ... v[i + (k - 1) n].
-    """
-    if k == 0:
-        return mo.Band.identity(T.dim, T.exact)
-    (n, v), = T.u_band.diags.items()
-    if abs(k) * n >= T.dim:
-        return mo.Band(T.dim, T.exact)
-    row = v
-    for j in range(1, abs(k)):
-        row = row * T.u_band._shifted(v, j * n)
-    power = mo.Band(T.dim, T.exact, {abs(k) * n: row})
-    return power if k > 0 else power.adjoint()
+    """u**k for k >= 0, (u*)**|k| for k < 0, built as one band at offset k n_gens."""
+    return T.u_band.power(k)
 
 
 def verify_covariance(T: TruncatedQNormal, f: CoefficientFunction, pad: int = 1):
@@ -272,14 +261,9 @@ def verify_covariance(T: TruncatedQNormal, f: CoefficientFunction, pad: int = 1)
 def polar_check(T: TruncatedQNormal) -> PolarReport:
     """zeta = u modulus, with zeta and u built apart; u must kill the kernel slot."""
     rec = (T.zeta_band - T.u_band @ T.modulus_band).norm()
-    kd = Fraction(0) if T.exact else 0.0
-    if T.kernel_dim:
-        # entries (k - d, k) of the kernel column k, one per offset d
-        k = T.kernel_index
-        col = [v[k - d] for d, v in T.u_band.diags.items() if 0 <= k - d < T.dim]
-        kd = (max((exact_magnitude(x) for x in col), default=kd) if T.exact
-              else float(np.linalg.norm(np.array(col, dtype=complex))))
-    return PolarReport(rec, kd)
+    # chi_{0}(modulus) projects onto the kernel slot, if any: u's kernel column
+    kernel = spectral_band(T, IndicatorCoefficient(Interval.point(0)))
+    return PolarReport(rec, (T.u_band @ kernel).norm())
 
 
 def spectra_to_csv(T: TruncatedQNormal, stream) -> None:

@@ -1,15 +1,15 @@
 """Covariant matrix representation, norm estimation, and bounded transforms.
 
 An algebra element sum f_k U**k acts on a truncated operator model as the
-band sum spectral_band(f_k) @ shift(k).  The norm estimator sweeps a family
-of growing windows of one fixed faithful model and reports the largest
-singular value per window; this stands in for the universal norm (the acting
-group Z is amenable, an assumption recorded in the report, never verified
-here).
+band sum of f_k(t) times the one diagonal of shift(k), with no dense matrix on
+any model path.  The norm estimator sweeps a family of growing windows of one
+fixed faithful model and reports the largest singular value per window; this
+stands in for the universal norm (the acting group Z is amenable, an
+assumption recorded in the report, never verified here).
 
-The bounded transform z(T) = T(1 + T*T)^(-1/2) and its inverse live here too,
-together with the factorization identity that moves shift powers u**k into
-powers of the transformed operator.
+The dense bounded transform z(T) = T(1 + T*T)^(-1/2) and its inverse live
+here too; the identity moving u**k into powers of z(zeta) = u z(modulus) is a
+band identity.
 """
 
 from __future__ import annotations
@@ -67,10 +67,13 @@ def represent_band(a: AlgebraElement, T: TruncatedQNormal) -> mo.Band:
     """Band of sum_k f_k(modulus) u**k; exact when T and all f_k are."""
     if a.q != T.q:
         raise DomainError("element and model have different ratios")
-    out = mo.Band(T.dim, T.exact)
+    diags: dict[int, np.ndarray] = {}
     for k, f in a.terms:
-        out = out + spectral_band(T, f) @ shift(T, k)
-    return out
+        # one diagonal at offset k n_gens; offsets collide only with no generators
+        for d, row in shift(T, k).diags.items():
+            values = spectral_band(T, f).diags[0] * row
+            diags[d] = diags[d] + values if d in diags else values
+    return mo.Band(T.dim, T.exact, diags)
 
 
 def represent(a: AlgebraElement, T: TruncatedQNormal) -> np.ndarray:
@@ -78,13 +81,17 @@ def represent(a: AlgebraElement, T: TruncatedQNormal) -> np.ndarray:
     return represent_band(a, T).dense()
 
 
-def represent_with_kernel(a: AlgebraElement, T: TruncatedQNormal) -> np.ndarray:
-    """As represent, with the kernel slot guaranteed to act as f_0(0)."""
+def _kernel_band(a: AlgebraElement, T: TruncatedQNormal) -> mo.Band:
     if classify(a) is Classification.FULL:
         raise DomainError("kernel extension needs vanishing nonzero modes")
     if T.kernel_dim != 1:
         raise DomainError("model carries no kernel slot")
-    return represent(a, T)
+    return represent_band(a, T)
+
+
+def represent_with_kernel(a: AlgebraElement, T: TruncatedQNormal) -> np.ndarray:
+    """As represent, with the kernel slot guaranteed to act as f_0(0)."""
+    return _kernel_band(a, T).dense()
 
 
 def psi_check(a: AlgebraElement, T: TruncatedQNormal) -> float:
@@ -94,8 +101,8 @@ def psi_check(a: AlgebraElement, T: TruncatedQNormal) -> float:
     approaches along levels n -> +infinity, so the gap shrinks as the window
     grows upward.
     """
-    M = represent_with_kernel(a, T.as_float())
-    return abs(mo.defect_norm(M) - mo.defect_norm(mo.compress(M, range(len(T.grid)))))
+    B = _kernel_band(a, T.as_float())
+    return abs(B.norm() - B.norm(range(len(T.grid))))
 
 
 def norm_estimate(a: AlgebraElement, windows, mu: QInvariantMeasure,
@@ -107,9 +114,7 @@ def norm_estimate(a: AlgebraElement, windows, mu: QInvariantMeasure,
     sizes = [w.size for w in windows]
     if sizes != sorted(sizes):
         raise DomainError("windows must be increasing")
-    estimates = []
-    for w in windows:
-        estimates.append(represent_band(a, build(mu, X, w, exact=False)).norm())
+    estimates = [represent_band(a, build(mu, X, w, exact=False)).norm() for w in windows]
     converged = (len(estimates) >= 2 and
                  abs(estimates[-1] - estimates[-2]) <= REL_CONVERGENCE_TOL * estimates[-1])
     return NormReport(tuple(sizes), tuple(estimates), converged, estimates[-1])
@@ -149,7 +154,7 @@ def pi_image(z: np.ndarray) -> np.ndarray:
 
 
 def scalar_z(tau: float) -> float:
-    return tau / math.sqrt(1.0 + tau * tau)
+    return tau / math.hypot(1.0, tau)
 
 
 def rapid_decay_family(n: int, q) -> CoefficientFunction:
@@ -186,16 +191,14 @@ def verify_z_factorization(T: TruncatedQNormal, f: CoefficientFunction,
     if not T.window.interior_levels(pad):
         raise ConfigurationError("window too small for the requested shift power")
     Tf = T.as_float()
-    q = float(T.q)
     phi_f = spectral_band(Tf, rapid_decay_family(n, T.q)) @ spectral_band(Tf, f)
-    Z = z_transform(Tf.zeta).z
-
-    exponents = range(1, k + 1) if k > 0 else range(0, k, -1)
-    # kernel slot stays 0: phi vanishes at 0, so the factor there is irrelevant
-    z_inverse = np.zeros(Tf.dim, dtype=complex)
-    for i, gp in enumerate(Tf.grid):
-        z_inverse[i] = 1.0 / math.prod(scalar_z((q ** j) * float(gp.value)) for j in exponents)
-    Zk = np.linalg.matrix_power(Z if k > 0 else Z.conj().T, abs(k))
-    lhs = (phi_f @ shift(Tf, k)).dense()
-    rhs = (phi_f @ mo.Band(Tf.dim, False, {0: z_inverse})).dense() @ Zk
-    return mo.defect_norm(mo.compress(lhs - rhs, Tf.interior_indices(pad)))
+    # z(zeta) = u z(modulus), because zeta* zeta is diagonal in the model
+    Zk = (Tf.u_band @ spectral_band(Tf, ClosureCoefficient(scalar_z, 0.0, False))).power(k)
+    scales = [float(T.q) ** j for j in (range(1, k + 1) if k > 0 else range(0, k, -1))]
+    # only where phi f != 0 (never the kernel slot) are the z-values far from underflow
+    coef = np.zeros(Tf.dim, dtype=complex)
+    for i in np.flatnonzero(phi_f.diags[0]):
+        t = float(Tf.grid[i].value)
+        coef[i] = phi_f.diags[0][i] / math.prod(scalar_z(s * t) for s in scales)
+    D = phi_f @ shift(Tf, k) - mo.Band(Tf.dim, False, {0: coef}) @ Zk
+    return D.norm(Tf.interior_indices(pad))

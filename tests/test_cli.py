@@ -231,6 +231,19 @@ def test_config_validation_errors(tmp_path, capsys):
     assert code == 2
 
 
+def test_float_grid_beyond_float_range_exits_2(tmp_path, capsys):
+    # 2**1100 has no float: the first such level is named and --exact suggested
+    sweep = tmp_path / "sweep.json"
+    sweep.write_text(json.dumps({"windows_sweep": [[-4, 4], [-1100, 1100]]}))
+    for argv in (["simulate", "--window", "-1100", "1100"],
+                 ["bott", "--window", "-1100", "1100"],
+                 ["norm", "--config", str(sweep)]):
+        assert cli.main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "level -1100" in captured.err and "--exact" in captured.err
+
+
 def test_poles_on_half_line_rejected(capsys):
     # 1048576 = 2**20 is a point of X at q = 1/2, far outside every window;
     # sqrt(2) is irrational, so no rational sample can ever hit it

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -28,6 +29,11 @@ def test_represent_identity(dyadic_measure):
     T = _model(dyadic_measure, -3, 3)
     M = represent.represent(parse_element(HALF, ["1@0"]), T)
     assert mo.max_entry_gap(M, np.eye(T.dim, dtype=object)) == 0
+    # with no generators every mode sits on offset 0 and the modes add up;
+    # t vanishes on the kernel slot
+    T0 = _model(qspace.uniform_measure(HALF, [], zero_mass="1"), -3, 3)
+    M = represent.represent(parse_element(HALF, ["1@0", "t@1", "t@-1"]), T0)
+    assert M.shape == (1, 1) and M[0, 0] == 1
 
 
 def test_represent_mode_one_is_rescaled_shift(dyadic_measure):
@@ -135,6 +141,10 @@ def test_psi_decay_matches_closed_form(kernel_measure):
         val = psi_check(a, T)
         want = float(Fraction(4) ** -hi / (1 + Fraction(4) ** -hi))
         assert abs(val - want) <= 1e-12
+        # the same gap measured on the dense matrix
+        M = represent_with_kernel(a, T)
+        dense = abs(mo.defect_norm(M) - mo.defect_norm(mo.compress(M, range(len(T.grid)))))
+        assert abs(val - dense) <= 1e-15
         got.append(val)
     assert got[0] > got[1] > got[2]
     assert got[2] <= 1e-6
@@ -281,6 +291,19 @@ def test_z_factorization_small_defect(dyadic_measure):
     f = _decaying_coefficient()
     for k in (1, -1, 2, -2):
         assert verify_z_factorization(T, f, k, n=2) <= 1e-10
+    # t**2 leaves float range at the ends of these windows, z(t) does not
+    for q in (HALF, "3/7"):
+        T = qnormal.build_from_generators(q, ["1"], TruncationWindow(-800, 800))
+        for k in (1, -1, 3, -3):
+            defect = verify_z_factorization(T, f, k, n=2)
+            assert math.isfinite(defect) and defect <= 1e-10
+
+
+def test_z_factorization_sees_a_q_that_does_not_match_the_grid(dyadic_measure):
+    # k = -1 uses only z(t) itself, so it cannot tell the ratios apart
+    T = dataclasses.replace(_model(dyadic_measure, -6, 6, exact=False), q=Fraction(1, 3))
+    for k in (1, 2, -3):
+        assert verify_z_factorization(T, _decaying_coefficient(), k, n=2) > 1e-3
 
 
 def test_z_factorization_guards(dyadic_measure):
@@ -300,3 +323,10 @@ def test_scalar_z_matches_matrix_case():
     for tau in (0.0, 0.25, 1.0, 8.0):
         got = z_transform(np.array([[tau]])).z[0, 0]
         assert abs(got - scalar_z(tau)) <= 1e-15
+
+
+def test_scalar_z_at_extreme_arguments():
+    # tau**2 overflows and underflows here; the transform is ~1 and ~tau
+    assert scalar_z(1e200) == 1.0
+    assert scalar_z(-1e200) == -1.0
+    assert scalar_z(1e-200) == 1e-200
