@@ -10,7 +10,7 @@ numerically through the truncated matrix representation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import matrixops as mo
@@ -58,6 +58,8 @@ class ProjectionCandidate:
     sign: int
     q: Fraction
     entries: Entries
+    # (float model, block band) of the last model P was represented on
+    _band: tuple | None = field(default=None, init=False, repr=False)
 
     @property
     def mode_span(self) -> int:
@@ -195,6 +197,20 @@ def _block_band(A: Entries, T: TruncatedQNormal) -> mo.Band:
                                 for i in range(2)])
 
 
+def _represented(P: ProjectionCandidate,
+                 T: TruncatedQNormal) -> tuple[TruncatedQNormal, mo.Band]:
+    """T as a float model and P's block band on it, built once per model.
+
+    The winding diagnostic and the numeric check of one projection on one
+    model read the same band, so P keeps the last one it was represented on.
+    Candidates and models are immutable; callers must not mutate the band.
+    """
+    Tf = T.as_float()
+    if P._band is None or P._band[0] is not Tf:
+        object.__setattr__(P, "_band", (Tf, _block_band(P.entries, Tf)))
+    return P._band
+
+
 def _block_interior(T: TruncatedQNormal, pad: int) -> list[int]:
     idx = T.interior_indices(pad)
     return idx + [i + T.dim for i in idx]
@@ -206,8 +222,7 @@ def verify_projection_numeric(P: ProjectionCandidate, T: TruncatedQNormal) -> Nu
     if not T.window.interior_levels(pad):
         raise ConfigurationError(f"window too small for numeric check of n={P.n}: "
                                  f"padding {pad} leaves no interior")
-    Tf = T.as_float()
-    B = _block_band(P.entries, Tf)
+    Tf, B = _represented(P, T)
     idx = _block_interior(Tf, pad)
     idem = (B @ B - B).norm(idx)
     sadj = (B.adjoint() - B).norm(idx)
@@ -221,8 +236,7 @@ def winding_diagnostic(P: ProjectionCandidate, T: TruncatedQNormal) -> float:
     window grows but nothing here certifies it.  Reports carry it with an
     explicit unverified marker.
     """
-    Tf = T.as_float()
-    B = _block_band(P.entries, Tf)
+    Tf, B = _represented(P, T)
     # the flat projection diag(1, 0) has trace dim
     return float((B.trace() - Tf.dim).real)
 

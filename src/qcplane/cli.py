@@ -39,6 +39,7 @@ class RunConfig:
     generators: tuple[Fraction, ...]
     zero_mass: Fraction
     window: TruncationWindow
+    window_given: bool
     windows_sweep: tuple[TruncationWindow, ...] | None
     tolerance: float
     exact_mode: bool
@@ -111,8 +112,10 @@ def load_config(path: str | None, overrides: argparse.Namespace) -> RunConfig:
 
     if getattr(overrides, "q", None) is not None:
         q = parse_rational(overrides.q)
+    window_given = "window" in data
     if getattr(overrides, "window", None) is not None:
         window = _as_window(overrides.window)
+        window_given = True
     if getattr(overrides, "tol", None) is not None:
         tolerance = float(overrides.tol)
     if getattr(overrides, "exact", None) is not None:
@@ -140,8 +143,8 @@ def load_config(path: str | None, overrides: argparse.Namespace) -> RunConfig:
     if zero_mass < 0:
         raise ConfigurationError("zero_mass must be nonnegative")
 
-    return RunConfig(q, generators, zero_mass, window, sweep, tolerance, exact_mode,
-                     elements, seed, bott_n, bott_signs, sample_range,
+    return RunConfig(q, generators, zero_mass, window, window_given, sweep, tolerance,
+                     exact_mode, elements, seed, bott_n, bott_signs, sample_range,
                      bool(getattr(overrides, "perturb", False)), limit_pairs,
                      limit_grid, getattr(overrides, "out", None),
                      getattr(overrides, "spectra_out", None))
@@ -244,6 +247,9 @@ def cmd_simulate(cfg: RunConfig) -> tuple[dict, int]:
 def cmd_norm(cfg: RunConfig) -> tuple[dict, int]:
     """Norm estimates for configured elements over a growing window sweep."""
     _require_deformed(cfg, "norm")
+    if cfg.window_given:
+        raise ConfigurationError("norm sweeps the windows of windows_sweep; "
+                                 "--window and the window key have no effect on it")
     mu = _measure(cfg)
     sweep = cfg.windows_sweep or tuple(_as_window(w) for w in DEFAULT_SWEEP)
     literals = cfg.elements or ["1/(1+t^2)@0"]

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -22,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from . import matrixops as mo
-from .algebra import CoefficientFunction, IndicatorCoefficient
+from .algebra import CoefficientFunction, IndicatorCoefficient, RationalCoefficient
 from .errors import ConfigurationError, DomainError, EvaluationError
 from .qspace import Interval, QInvariantMeasure, SpectralSet
 from .scalars import RationalComplex, format_rational, parse_rational
@@ -113,9 +115,20 @@ class TruncatedQNormal:
     def kernel_index(self) -> int | None:
         return len(self.grid) if self.kernel_dim else None
 
+    @property
+    def n_gens(self) -> int:
+        return len(self.grid) // self.window.size
+
     def interior_indices(self, pad: int = 1) -> list[int]:
-        keep = set(self.window.interior_levels(pad))
-        return [i for i, gp in enumerate(self.grid) if gp.level in keep]
+        # the grid holds ascending levels in blocks of n_gens points
+        levels = self.window.interior_levels(pad)
+        start = (levels.start - self.window.n_min) * self.n_gens
+        return list(range(start, start + len(levels) * self.n_gens))
+
+    @functools.cached_property
+    def _q_points(self) -> np.ndarray:
+        """float(q * t_{j,n}) for every grid point: each product rounded once."""
+        return _rounded([gp.value for gp in self.grid], self.q)
 
     def as_float(self) -> "TruncatedQNormal":
         if not self.exact:
@@ -162,20 +175,24 @@ def build_from_generators(q, generators, window: TruncationWindow, weights=None,
         # support {0} carries unit mass by convention
         zero_mass = Fraction(1)
 
-    grid = tuple(GridPoint(j, n, qn * x, weights[j])
+    grid = tuple(GridPoint(j, n, qn if x == 1 else qn * x, weights[j])
                  for n in window.levels for qn in (q ** n,) for j, x in enumerate(gens))
     kernel_dim = 1 if zero_mass > 0 else 0
     n_gens = len(gens)
     dim = len(grid) + kernel_dim
 
-    zero, one = (Fraction(0), Fraction(1)) if exact else (0j, 1.0 + 0j)
-    u, modulus, zeta = (np.full(dim, zero, dtype=object if exact else complex)
-                        for _ in range(3))
-    for i, gp in enumerate(grid):
+    if exact:
+        zero, one = Fraction(0), Fraction(1)
+        modulus = np.array([gp.value for gp in grid] + [zero] * kernel_dim, dtype=object)
+    else:
+        zero, one = 0j, 1.0 + 0j
+        modulus = np.zeros(dim, dtype=complex)
         try:
-            modulus[i] = gp.value if exact else complex(gp.value)
+            modulus[:len(grid)] = _rounded([gp.value for gp in grid])
         except OverflowError:
-            raise DomainError(f"level {gp.level} leaves float range; use --exact") from None
+            # levels ascend and q <= 1, so the first level holds the largest points
+            raise DomainError(f"level {window.n_min} leaves float range; use --exact") from None
+    u, zeta = (np.full(dim, zero, dtype=modulus.dtype) for _ in range(2))
     # e_{j,n} -> e_{j,n-1}: levels come in ascending blocks of n_gens, so entry
     # (i, i + n_gens) moves grid point i + n_gens one level down
     u[:len(grid) - n_gens] = one
@@ -212,28 +229,68 @@ def verify_relation(T: TruncatedQNormal, pad: int = 1) -> RelationReport:
     return RelationReport(D.norm(T.interior_indices(pad)), D.norm())
 
 
+def _rounded(values, factor: Fraction = Fraction(1)) -> np.ndarray:
+    """float(factor * v) for each Fraction v, as one integer true division per point."""
+    a, b = factor.numerator, factor.denominator
+    return np.array([(a * v.numerator) / (b * v.denominator) for v in values], dtype=float)
+
+
+def _indicator_mask(T: TruncatedQNormal, interval: Interval, factor: Fraction) -> np.ndarray:
+    """Exact membership of factor * t_{j,n} in the interval, for every grid point.
+
+    Along one generator the points q**n x_j fall as n grows (or stay put when
+    q = 1), so the levels inside the interval form one run: from the first
+    level below the upper end up to the first level not above the lower end.
+    Bisection finds both ends with O(log size) exact comparisons.
+    """
+    mask = np.zeros(len(T.grid), dtype=bool)
+    n_gens = T.n_gens
+    levels = range(T.window.size)
+    for j in range(n_gens):
+        def point(i: int, j=j) -> Fraction:
+            t = T.grid[i * n_gens + j].value
+            return t if factor == 1 else factor * t
+        start = bisect_left(levels, True, key=lambda i: interval.below_upper(point(i)))
+        stop = bisect_left(levels, True, key=lambda i: not interval.above_lower(point(i)))
+        mask[start * n_gens + j:stop * n_gens:n_gens] = True
+    return mask
+
+
 def spectral_band(T: TruncatedQNormal, f: CoefficientFunction, factor=1) -> mo.Band:
     """Diagonal band f(factor * modulus): f(factor * t_{j,n}) on the grid, f(0) on the kernel.
 
-    Float models evaluate f at the floats of the exact points: read off the
-    modulus diagonal at factor 1, rounded from factor * t_{j,n} otherwise, so
-    both sides of a covariance identity see the same floats.  Indicators are
-    decided by exact membership of the exact point.
+    Indicators are decided by exact membership of the exact points, found by
+    bisection along each generator's levels.  Otherwise exact models evaluate
+    f at each exact point.  Float models evaluate f at the floats of the exact
+    points: the modulus diagonal at factor 1, factor * t_{j,n} rounded once
+    otherwise, so both sides of a covariance identity see the same floats.  A
+    rational coefficient is evaluated on the whole diagonal by one array
+    Horner scheme; other callables are called per point.
     """
+    factor = Fraction(factor)
+    n = len(T.grid)
+    values = np.empty(T.dim, dtype=object if T.exact else complex)
     try:
-        if T.exact:
-            values = [_real(f.eval_exact(factor * gp.value)) for gp in T.grid]
-        elif isinstance(f, IndicatorCoefficient):
-            values = [complex(f.eval_exact(factor * gp.value)) for gp in T.grid]
-        elif factor == 1:
-            values = [complex(f(t)) for t in T.modulus_band.diags[0].real[:len(T.grid)].tolist()]
+        if isinstance(f, IndicatorCoefficient):
+            mask = _indicator_mask(T, f.interval, factor)
+            values[:n] = np.where(mask, Fraction(1), Fraction(0)) if T.exact else mask
+        elif T.exact:
+            values[:n] = [_real(f.eval_exact(gp.value if factor == 1 else factor * gp.value))
+                          for gp in T.grid]
         else:
-            values = [complex(f(float(factor * gp.value))) for gp in T.grid]
+            if factor == 1:
+                t = T.modulus_band.diags[0].real[:n]
+            elif factor == T.q:
+                t = T._q_points
+            else:
+                t = _rounded([gp.value for gp in T.grid], factor)
+            values[:n] = (f.rf.evaluate_array(t) if isinstance(f, RationalCoefficient)
+                          else [complex(f(x)) for x in t.tolist()])
         if T.kernel_dim:
-            values.append(_real(f.value_at_zero) if T.exact else complex(f.value_at_zero))
+            values[n] = _real(f.value_at_zero) if T.exact else complex(f.value_at_zero)
     except (ArithmeticError, OverflowError) as exc:
         raise EvaluationError(f"coefficient undefined on the grid: {exc}") from exc
-    return mo.Band(T.dim, T.exact, {0: np.array(values, dtype=object if T.exact else complex)})
+    return mo.Band(T.dim, T.exact, {0: values})
 
 
 def _real(x):

@@ -81,15 +81,17 @@ class Interval:
             return False
         return not (self.lower_closed and self.upper_closed)
 
+    def above_lower(self, t: Fraction) -> bool:
+        """t passes the lower end; false from some point on as t falls."""
+        return t > self.lower or (t == self.lower and self.lower_closed)
+
+    def below_upper(self, t: Fraction) -> bool:
+        """t passes the upper end; false from some point on as t grows."""
+        return self.upper is None or t < self.upper or (t == self.upper and self.upper_closed)
+
     def contains(self, t: Fraction) -> bool:
         t = Fraction(t)
-        if t < self.lower or (t == self.lower and not self.lower_closed):
-            return False
-        if self.upper is None:
-            return True
-        if t > self.upper or (t == self.upper and not self.upper_closed):
-            return False
-        return True
+        return self.above_lower(t) and self.below_upper(t)
 
     def scaled(self, c: Fraction) -> "Interval":
         """Image {c * t : t in self} for rational c > 0."""

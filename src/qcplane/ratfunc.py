@@ -14,6 +14,8 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import zip_longest
 
+import numpy as np
+
 from .errors import DomainError, EvaluationError
 from .scalars import RationalComplex
 
@@ -91,11 +93,27 @@ def _horner(cs: tuple[int, ...], p: int, r: int) -> int:
     return acc
 
 
-def _p_eval_float(a: tuple[complex, ...], t: float) -> complex:
-    acc = 0j
-    for c in reversed(a):
+def _p_eval_float(cs: tuple[float, ...], t):
+    """Horner's scheme for real coefficients at a float or a float array."""
+    acc = 0.0
+    for c in reversed(cs):
         acc = acc * t + c
     return acc
+
+
+def _smith_div(a, b, c, e, *, upper: bool):
+    """(a + ib) / (c + ie) by Smith's scaling, in the branch chosen by upper = |c| >= |e|.
+
+    This is the formula of CPython's complex division, written out so that
+    scalars and arrays round alike.
+    """
+    if upper:
+        ratio = e / c
+        denom = c + e * ratio
+        return (a + b * ratio) / denom, (b - a * ratio) / denom
+    ratio = c / e
+    denom = c * ratio + e
+    return (a * ratio + b) / denom, (b * ratio - a) / denom
 
 
 def _q_trim(a: list) -> list:
@@ -266,15 +284,51 @@ class RationalFunction:
         return RationalComplex(Fraction(a * s, c), Fraction(b * s, c))
 
     @cached_property
-    def _float_coeffs(self) -> tuple[tuple[complex, ...], tuple[complex, ...]]:
-        return tuple(complex(c) for c in self.num), tuple(complex(c) for c in self.den)
+    def _float_coeffs(self) -> tuple[tuple[float, ...], ...]:
+        """Rounded (Re num, Im num, Re den, Im den), or (Re num, Re den) if all real."""
+        (nr, ni, dn), (dr, di, dd) = self._num, self._den
+        parts = [(nr, dn), (ni, dn), (dr, dd), (di, dd)]
+        if not any(ni) and not any(di):
+            parts = parts[::2]
+        # integer true division rounds once, as float(Fraction(c, d)) does
+        return tuple(tuple(c / d for c in cs) for cs, d in parts)
 
     def evaluate_float(self, t: float) -> complex:
-        num, den = self._float_coeffs
-        d = _p_eval_float(den, t)
-        if d == 0:
+        """Value at a float point: Horner on real and imaginary parts, one division.
+
+        Agrees bit for bit with :meth:`evaluate_array`.  A real function divides
+        two reals, so where only the denominator overflows the value is 0, not nan.
+        """
+        cs = self._float_coeffs
+        if len(cs) == 2:
+            c = _p_eval_float(cs[1], t)
+            if c == 0:
+                raise EvaluationError(f"denominator vanishes at t={t}")
+            return complex(_p_eval_float(cs[0], t) / c)
+        a, b, c, e = (_p_eval_float(x, t) for x in cs)
+        if c == 0 and e == 0:
             raise EvaluationError(f"denominator vanishes at t={t}")
-        return _p_eval_float(num, t) / d
+        return complex(*_smith_div(a, b, c, e, upper=abs(c) >= abs(e)))
+
+    def evaluate_array(self, t: np.ndarray) -> np.ndarray:
+        """Values at a float64 array of points as a complex128 array.
+
+        The arithmetic of :meth:`evaluate_float`, elementwise and warning-free.
+        """
+        with np.errstate(all="ignore"):
+            parts = [_p_eval_float(cs, t) for cs in self._float_coeffs]
+            c, e = (parts[1], 0.0) if len(parts) == 2 else parts[2:]
+            bad = (c == 0) & (e == 0)
+            if np.any(bad):
+                raise EvaluationError(f"denominator vanishes at t={t[bad][0]}")
+            if len(parts) == 2:
+                return (parts[0] / c).astype(complex)
+            a, b = parts[:2]
+            upper = np.abs(c) >= np.abs(e)
+            out = np.empty(np.shape(t), dtype=complex)
+            out.real, out.imag = np.where(upper, _smith_div(a, b, c, e, upper=True),
+                                          _smith_div(a, b, c, e, upper=False))
+            return out
 
     def equals(self, other: "RationalFunction") -> bool:
         """Exact equality as functions: num_a den_b == num_b den_a."""

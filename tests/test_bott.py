@@ -205,6 +205,31 @@ def test_projection_numeric_defects_match_dense_svd():
         assert abs(rep.idempotency_defect - want) <= 1e-15 * max(1.0, want)
 
 
+def test_winding_and_numeric_check_represent_the_projection_once(monkeypatch):
+    T = qnormal.build_from_generators("1/2", ["1", "3/4"], TruncationWindow(-10, 10),
+                                      zero_mass=1)
+    P = bott.bott_projection(2, -1, "1/2")
+    # a fresh copy of the candidate carries no band yet
+    want = [bott.winding_diagnostic(dataclasses.replace(P), T),
+            bott.verify_projection_numeric(dataclasses.replace(P), T)]
+    calls = []
+    build = bott.represent_unitized
+    monkeypatch.setattr(bott, "represent_unitized",
+                        lambda x, T: calls.append(x) or build(x, T))
+    got = [bott.winding_diagnostic(P, T), bott.verify_projection_numeric(P, T)]
+    assert got == want
+    assert len(calls) == 4   # one per entry, shared by both checks
+    # another projection, or another model, is represented afresh
+    bott.winding_diagnostic(bott.bott_projection(2, 1, "1/2"), T)
+    bott.winding_diagnostic(P, qnormal.build_from_generators("1/2", ["1"],
+                                                             TruncationWindow(-10, 10)))
+    assert len(calls) == 12
+    exact = qnormal.build_from_generators("1/2", ["1"], TruncationWindow(-10, 10), exact=True)
+    bott.winding_diagnostic(P, exact)
+    bott.winding_diagnostic(P, exact)
+    assert len(calls) == 20  # each float copy of an exact model is a new model
+
+
 def test_perturbed_control_defect_is_about_two(capsys):
     # (2P)^2 - 2P = 2P; P has norm 1 on the interior once it holds a few levels
     code = cli.main(["bott", "--perturb"])

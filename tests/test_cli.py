@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -218,6 +219,12 @@ def test_config_validation_errors(tmp_path, capsys):
         bad.write_text(json.dumps(cfg))
         code, _ = run(capsys, *argv, "--config", str(bad))
         assert code == 2, cfg
+    # norm sweeps windows_sweep; a window given to it would have no effect
+    for argv, cfg in ((["--window", "-600", "600"], {}), ([], {"window": [-600, 600]})):
+        bad.write_text(json.dumps(cfg))
+        assert cli.main(["norm", "--element", "t@1", "--config", str(bad), *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "windows_sweep" in captured.err
     bad.write_text(json.dumps({"exact_mode": True}))
     code, out = run(capsys, "simulate", "--window", "-3", "3", "--config", str(bad))
     assert code == 0
@@ -242,6 +249,19 @@ def test_float_grid_beyond_float_range_exits_2(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "level -1100" in captured.err and "--exact" in captured.err
+
+
+def test_bott_wide_float_window_stays_finite(capsys):
+    # at t = 2**300 the n = 3 denominators 1 + c t^6 overflow to inf; the float
+    # values of 1/(1 + c t^6) and t^3/(1 + c t^6) are then 0, not nan
+    code, out = run(capsys, "bott", "--window", "-300", "300")
+    assert code == 0
+    rows = json.loads(out)["projections"]
+    for row in rows:
+        assert math.isfinite(row["max_residue"]) and row["passed"] is True
+    winding = {(row["n"], row["sign"]): row["winding_diagnostic"]["value"] for row in rows}
+    assert abs(winding[3, "+"] - 3.0) <= 1e-9
+    assert abs(winding[3, "-"] + 3.0) <= 1e-9
 
 
 def test_poles_on_half_line_rejected(capsys):

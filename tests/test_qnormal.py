@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -295,6 +296,69 @@ def test_covariance_defect_sees_a_q_that_does_not_match_the_grid():
             assert qnormal.verify_covariance(wrong, f) > 0
         assert qnormal.verify_covariance(T.as_float(), f) == 0.0
         assert qnormal.verify_covariance(wrong.as_float(), f) > 0
+
+
+def _random_interval(rng: random.Random, points: list[Fraction]) -> Interval:
+    """Open, closed or unbounded, with endpoints often on the given points."""
+    def end() -> Fraction:
+        if points and rng.random() < 0.6:
+            return rng.choice(points)
+        return Fraction(rng.randint(0, 40), rng.randint(1, 12))
+    lo, hi = sorted((end(), end()))
+    if rng.random() < 0.25:
+        return Interval(lo, None, rng.random() < 0.5, False)
+    return Interval(lo, hi, rng.random() < 0.5, rng.random() < 0.5)
+
+
+@pytest.mark.parametrize("q, gens, window, zero_mass", [
+    ("1/2", ["1"], (-6, 6), "0"),
+    ("3/7", ["1", "2/3"], (-9, 7), "1"),      # two generators and a kernel slot
+    ("2/3", ["5/6", "1"], (-3, 3), "0"),      # generators out of order
+    ("1/1", ["1", "1/2"], (-4, 4), "1"),      # q = 1: every level alike
+    ("1/2", [], (-2, 2), "1"),                # zero generators: the kernel only
+])
+def test_indicator_bisection_matches_pointwise_membership(q, gens, window, zero_mass):
+    rng = random.Random(f"{q}{gens}")
+    T = qnormal.build_from_generators(q, gens, TruncationWindow(*window),
+                                      zero_mass=zero_mass, exact=True)
+    grid = [gp.value for gp in T.grid]
+    intervals = [_random_interval(rng, grid + [T.q * t for t in grid]) for _ in range(60)]
+    intervals += [Interval.point(0), Interval.point(grid[0]) if grid else Interval.point(1),
+                  Interval(Fraction(0), None, True, False), Interval.open_closed(q, 1)]
+    for interval in intervals:
+        f = IndicatorCoefficient(interval)
+        for factor in (1, T.q, Fraction(5, 3)):
+            want = [interval.contains(factor * t) for t in grid]
+            want += [interval.contains(0)] * T.kernel_dim
+            exact = qnormal.spectral_band(T, f, factor).diags[0]
+            assert list(exact) == [Fraction(int(w)) for w in want], (interval, factor)
+            assert all(type(v) is Fraction for v in exact)
+            floats = qnormal.spectral_band(T.as_float(), f, factor).diags[0]
+            assert floats.dtype == complex
+            assert list(floats) == [complex(w) for w in want]
+
+
+@pytest.mark.parametrize("q, gens, zero_mass", [
+    ("1/2", ["1"], "0"), ("3/7", ["1", "2/3"], "1"), ("9/10", ["19/20", "1"], "0"),
+    ("1/1", ["1", "1/3"], "0"), ("1/2", [], "1")])
+def test_build_grid_and_modulus_match_the_direct_formula(q, gens, zero_mass):
+    window = TruncationWindow(-40, 35)
+    qq = Fraction(q)
+    want = [(n, j, qq ** n * Fraction(x)) for n in window.levels for j, x in enumerate(gens)]
+    for exact in (True, False):
+        T = qnormal.build_from_generators(q, gens, window, zero_mass=zero_mass, exact=exact)
+        assert [(gp.level, gp.gen, gp.value) for gp in T.grid] == want
+        assert all(type(gp.value) is Fraction for gp in T.grid)
+        modulus = T.modulus_band.diags[0]
+        if exact:
+            assert list(modulus) == [t for _, _, t in want] + [0] * T.kernel_dim
+        else:
+            assert modulus.dtype == complex
+            assert modulus.tolist() == [complex(t) for _, _, t in want] + [0j] * T.kernel_dim
+        for pad in (1, 3, 40):
+            keep = set(window.interior_levels(pad))
+            assert T.interior_indices(pad) == [i for i, gp in enumerate(T.grid)
+                                               if gp.level in keep]
 
 
 def test_weights_metadata_retained():

@@ -2,10 +2,14 @@ import math
 import random
 from fractions import Fraction
 
+import warnings
+
+import numpy as np
 import pytest
 
-from qcplane import ratfunc
+from qcplane import qnormal, ratfunc
 from qcplane.errors import EvaluationError
+from qcplane.qnormal import TruncationWindow
 from qcplane.ratfunc import RationalFunction
 from qcplane.scalars import RationalComplex
 
@@ -141,6 +145,80 @@ def test_evaluate_float_is_plain_horner():
                 continue
             assert f.evaluate_float(t) == num / den
             assert f.evaluate_float(t) == num / den   # cached coefficients agree
+
+
+def _model_points(q: str, h: int) -> list[np.ndarray]:
+    """The float points a model evaluates at: its grid at factor 1 and at factor q."""
+    T = qnormal.build_from_generators(q, ["1", "5/6"], TruncationWindow(-h, h))
+    return [T.modulus_band.diags[0].real[:len(T.grid)],
+            np.array([float(T.q * gp.value) for gp in T.grid])]
+
+
+def _same_bits(x: np.ndarray, y: np.ndarray) -> bool:
+    """Equal bit patterns, with every nan counted equal to every nan."""
+    x, y = x.view(float), y.view(float)
+    nan = np.isnan(x)
+    return bool(np.array_equal(nan, np.isnan(y))
+                and np.array_equal(x[~nan].view(np.int64), y[~nan].view(np.int64)))
+
+
+@pytest.mark.parametrize("q", ["1/2", "2/3", "3/7"])
+def test_evaluate_array_matches_evaluate_float_bit_for_bit(q):
+    rng = random.Random(q)
+    points = [t for h in (200, 300) for t in _model_points(q, h)]
+    # 1/(1 + t^6) and t^3/(1 + t^6), the n = 3 Bott coefficients, among random ones
+    # and a ratio whose numerator and denominator both overflow to inf/inf
+    fs = [1 / (1 + T ** 6), T ** 3 / (1 + T ** 6), (1 + T ** 8) / (2 + T ** 8)]
+    for trial in range(24):
+        real = trial % 2 == 0
+        fs.append(RationalFunction(_random_poly(rng, rng.randint(0, 5), real),
+                                   _random_poly(rng, rng.randint(0, 5), real)))
+    overflowed = 0
+    for f in fs:
+        for t in points:
+            try:
+                scalar = np.array([f.evaluate_float(x) for x in t.tolist()])
+            except EvaluationError:
+                with pytest.raises(EvaluationError):
+                    f.evaluate_array(t)
+                continue
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                values = f.evaluate_array(t)
+            assert values.dtype == complex and values.shape == t.shape
+            assert _same_bits(values, scalar), f.num
+            overflowed += not np.isfinite(values).all()
+    assert overflowed > 0   # the nan and inf cases are exercised too
+    for f in fs[:2]:
+        # real coefficients whose denominator alone overflows give 1/inf = 0,
+        # not nan; at q = 3/7 the numerator t^3 overflows as well
+        assert q == "3/7" or all(np.isfinite(f.evaluate_array(t)).all() for t in points)
+        assert f.evaluate_array(np.array([2.0 ** 300]))[0] == 0
+        assert f.evaluate_float(2.0 ** 300) == 0
+
+
+def test_evaluate_array_agrees_with_exact_values_at_finite_points():
+    rng = random.Random(11)
+    t = np.array([0.0, 0.25, 1.0, 3.5, 1e3])
+    for trial in range(40):
+        f = RationalFunction(_random_poly(rng, rng.randint(0, 4), trial % 2 == 0),
+                             _random_poly(rng, rng.randint(0, 4), trial % 2 == 0))
+        try:
+            exact = [complex(f.evaluate(Fraction(x))) for x in t.tolist()]
+        except EvaluationError:
+            continue
+        assert np.allclose(f.evaluate_array(t), exact, rtol=1e-12, atol=0)
+
+
+def test_evaluate_array_zero_denominator_raises():
+    f = 1 / (T - 1)
+    with pytest.raises(EvaluationError, match="t=1.0"):
+        f.evaluate_array(np.array([0.5, 1.0, 2.0]))
+    with pytest.raises(EvaluationError):
+        f.evaluate_float(1.0)
+    g = 1 / ((T - 1) * (T - IM))
+    with pytest.raises(EvaluationError):
+        g.evaluate_array(np.array([1.0]))
 
 
 # A schoolbook oracle: a function is a (num, den) pair of RationalComplex tuples,
