@@ -6,8 +6,9 @@ Multiplication twists the right factor, ``(f U**n)(g U**m) = f a**n(g) U**(n+m)`
 with ``a(g)(t) = g(q*t)``, and the involution is ``(f U**n)* = a**(-n)(conj f) U**(-n)``.
 
 Elements whose nonzero modes vanish at t = 0 form the subalgebra generated by
-the deformed coordinate; adjoining a unit scalar to that subalgebra yields the
-compactified model used for the projection constructions.
+the deformed coordinate.  Its unitization, the compactified model used for the
+projection constructions, needs no second type: the unit is the constant
+coefficient ``1@0``, an element like any other.
 """
 
 from __future__ import annotations
@@ -309,52 +310,6 @@ def classify(a: AlgebraElement) -> Classification:
     return Classification.VANISHING
 
 
-@dataclass(frozen=True, eq=False)
-class UnitizedElement:
-    """Pair (body, unit scalar) in the minimal unitization of the subalgebra."""
-
-    body: AlgebraElement
-    unit: object = 0
-
-    @property
-    def q(self) -> Fraction:
-        return self.body.q
-
-
-def unitize(a: AlgebraElement, unit=0) -> UnitizedElement:
-    if classify(a) is not Classification.FULL:
-        return UnitizedElement(a, unit)
-    raise DomainError("only elements with vanishing nonzero modes embed in the unitization")
-
-
-def unit_element(q) -> UnitizedElement:
-    return UnitizedElement(zero_element(q), 1)
-
-
-def u_add(x: UnitizedElement, y: UnitizedElement) -> UnitizedElement:
-    return UnitizedElement(add(x.body, y.body),
-                           _v0_combine(x.unit, y.unit, lambda a, b: a + b))
-
-
-def u_sub(x: UnitizedElement, y: UnitizedElement) -> UnitizedElement:
-    return u_add(x, u_scale(y, -1))
-
-
-def u_scale(x: UnitizedElement, s) -> UnitizedElement:
-    return UnitizedElement(scale(x.body, s),
-                           _v0_combine(x.unit, s, lambda a, b: a * b))
-
-
-def u_mul(x: UnitizedElement, y: UnitizedElement) -> UnitizedElement:
-    body = add(multiply(x.body, y.body),
-               add(scale(y.body, x.unit), scale(x.body, y.unit)))
-    return UnitizedElement(body, _v0_combine(x.unit, y.unit, lambda a, b: a * b))
-
-
-def u_adjoint(x: UnitizedElement) -> UnitizedElement:
-    return UnitizedElement(adjoint(x.body), conj_scalar(x.unit))
-
-
 def classical_eval(a: AlgebraElement, r: float, theta: float) -> complex:
     """Evaluate at the point with modulus r and argument theta.
 
@@ -403,15 +358,6 @@ def element_residual(a: AlgebraElement, b: AlgebraElement, points) -> Fraction |
             else:
                 worst = max(worst, abs(fa(float(p)) - fb(float(p))))
     return worst
-
-
-def unitized_residual(x: UnitizedElement, y: UnitizedElement, points):
-    """Max deviation between unitized elements: unit gap plus body residual."""
-    unit_gap = _v0_combine(x.unit, y.unit, lambda a, b: a - b)
-    body = element_residual(x.body, y.body, points)
-    if is_exact_scalar(unit_gap) and isinstance(body, Fraction):
-        return max(exact_magnitude(unit_gap), body)
-    return max(abs(complex(unit_gap)), float(body))
 
 
 _TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<var>t)|(?P<op>[()+\-*/^]))")

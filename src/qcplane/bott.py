@@ -2,29 +2,30 @@
 
 The rank-one projection onto the graph of the n-th power of the deformed
 coordinate has 2x2 entries that are rational functions of the modulus times
-canonical shift powers; both diagonal entries live in the unitization (the
-lower one has unit scalar 1).  Idempotency and self-adjointness are verified
-two ways: exactly, coefficient by coefficient at rational sample points, and
-numerically through the truncated matrix representation.
+canonical shift powers.  The entries live in the unitization of the
+subalgebra, whose unit is the constant element ``1@0``, so each is a plain
+crossed-product element (the lower diagonal one tends to 1 at infinity).
+Idempotency and self-adjointness are verified two ways: exactly, coefficient
+by coefficient at rational sample points, and numerically through the
+truncated matrix representation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import matrixops as mo
-from .algebra import (AlgebraElement, RationalCoefficient, UnitizedElement,
-                      element, multiply, u_add, u_adjoint, u_mul, u_scale,
-                      u_sub, unitized_residual, zero_element)
+from .algebra import (AlgebraElement, RationalCoefficient, add, adjoint, element,
+                      element_residual, multiply, scale, zero_element)
 from .errors import ConfigurationError, DomainError
 from .qnormal import TruncatedQNormal
 from .ratfunc import RationalFunction
 from .represent import represent_band
 from .scalars import parse_rational
 
-Entries = tuple[tuple[UnitizedElement, UnitizedElement],
-                tuple[UnitizedElement, UnitizedElement]]
+Entries = tuple[tuple[AlgebraElement, AlgebraElement],
+                tuple[AlgebraElement, AlgebraElement]]
 
 
 def canonical_power(n: int, q) -> tuple[int, RationalCoefficient]:
@@ -58,32 +59,10 @@ class ProjectionCandidate:
     sign: int
     q: Fraction
     entries: Entries
-    # (float model, block band) of the last model P was represented on
-    _band: tuple | None = field(default=None, init=False, repr=False)
 
     @property
     def mode_span(self) -> int:
         return self.n
-
-
-def _split_at_infinity(a: AlgebraElement) -> UnitizedElement:
-    """Peel the limit at infinity of the mode-0 coefficient into the unit slot."""
-    lam = Fraction(0)
-    body: dict[int, RationalCoefficient] = {}
-    for k, f in a.terms:
-        if not isinstance(f, RationalCoefficient):
-            raise DomainError("unitization split needs rational coefficients")
-        if k == 0:
-            lim = f.rf.limit_at_infinity()
-            if lim.im != 0:
-                raise DomainError("unit scalar must be real here")
-            lam = lim.re
-            body[k] = RationalCoefficient._from_checked(f.rf - RationalFunction.constant(lim))
-        else:
-            if not f.rf.vanishes_at_infinity:
-                raise DomainError("off-zero modes must vanish at infinity")
-            body[k] = f
-    return UnitizedElement(element(a.q, body), lam)
 
 
 def bott_projection(n: int, sign: int, q) -> ProjectionCandidate:
@@ -109,42 +88,36 @@ def bott_projection(n: int, sign: int, q) -> ProjectionCandidate:
                                            + RationalFunction.monomial(2 * n, c))
     g = element(q, {0: RationalCoefficient(g_fn)})
 
-    e11 = _split_at_infinity(g)
-    e12 = _split_at_infinity(multiply(g, row))
-    e21 = _split_at_infinity(multiply(col, g))
-    e22 = _split_at_infinity(multiply(col, multiply(g, row)))
-    return ProjectionCandidate(n, sign, q, ((e11, e12), (e21, e22)))
+    e12 = multiply(g, row)
+    e22 = multiply(col, e12)
+    return ProjectionCandidate(n, sign, q, ((g, e12), (multiply(col, g), e22)))
 
 
 def unitized_diag(q, top, bottom) -> Entries:
-    """Diagonal 2x2 of unit scalars, zero bodies."""
+    """Diagonal 2x2 of the constant elements top@0 and bottom@0."""
     q = parse_rational(q)
     z = zero_element(q)
-    return ((UnitizedElement(z, top), UnitizedElement(z, 0)),
-            (UnitizedElement(z, 0), UnitizedElement(z, bottom)))
+    top, bottom = (element(q, {0: RationalCoefficient(RationalFunction.constant(s))})
+                   for s in (top, bottom))
+    return ((top, z), (z, bottom))
 
 
 def m2_mul(A: Entries, B: Entries) -> Entries:
-    out = []
-    for i in range(2):
-        row = []
-        for j in range(2):
-            row.append(u_add(u_mul(A[i][0], B[0][j]), u_mul(A[i][1], B[1][j])))
-        out.append(tuple(row))
-    return tuple(out)
+    return tuple(tuple(add(multiply(A[i][0], B[0][j]), multiply(A[i][1], B[1][j]))
+                       for j in range(2)) for i in range(2))
 
 
 def m2_sub(A: Entries, B: Entries) -> Entries:
-    return tuple(tuple(u_sub(A[i][j], B[i][j]) for j in range(2)) for i in range(2))
+    return tuple(tuple(add(A[i][j], scale(B[i][j], -1)) for j in range(2)) for i in range(2))
 
 
 def m2_adjoint(A: Entries) -> Entries:
-    return ((u_adjoint(A[0][0]), u_adjoint(A[1][0])),
-            (u_adjoint(A[0][1]), u_adjoint(A[1][1])))
+    return ((adjoint(A[0][0]), adjoint(A[1][0])),
+            (adjoint(A[0][1]), adjoint(A[1][1])))
 
 
 def m2_scale(A: Entries, s) -> Entries:
-    return tuple(tuple(u_scale(A[i][j], s) for j in range(2)) for i in range(2))
+    return tuple(tuple(scale(A[i][j], s) for j in range(2)) for i in range(2))
 
 
 @dataclass(frozen=True)
@@ -175,40 +148,22 @@ def verify_projection_exact(P: ProjectionCandidate, sample_points) -> ExactProje
         raise DomainError("need at least one sample point")
     A = P.entries
     residues = [m2_sub(m2_mul(A, A), A), m2_sub(m2_adjoint(A), A)]
-    zero = unitized_diag(P.q, 0, 0)
+    zero = zero_element(P.q)
     worst = Fraction(0)
     for R in residues:
-        for i in range(2):
-            for j in range(2):
-                r = unitized_residual(R[i][j], zero[i][j], points)
+        for row in R:
+            for x in row:
+                r = element_residual(x, zero, points)
                 if not isinstance(r, Fraction):
                     raise DomainError("sample evaluation left the rational field")
                 worst = max(worst, r)
     return ExactProjectionReport(worst, len(points))
 
 
-def represent_unitized(x: UnitizedElement, T: TruncatedQNormal) -> mo.Band:
-    return represent_band(x.body, T) + mo.Band.identity(T.dim, T.exact).scale(x.unit)
-
-
 def _block_band(A: Entries, T: TruncatedQNormal) -> mo.Band:
     """The 2x2 block operator [[A_00, A_01], [A_10, A_11]] as one band of size 2 dim."""
-    return mo.Band.from_blocks([[represent_unitized(A[i][j], T) for j in range(2)]
+    return mo.Band.from_blocks([[represent_band(A[i][j], T) for j in range(2)]
                                 for i in range(2)])
-
-
-def _represented(P: ProjectionCandidate,
-                 T: TruncatedQNormal) -> tuple[TruncatedQNormal, mo.Band]:
-    """T as a float model and P's block band on it, built once per model.
-
-    The winding diagnostic and the numeric check of one projection on one
-    model read the same band, so P keeps the last one it was represented on.
-    Candidates and models are immutable; callers must not mutate the band.
-    """
-    Tf = T.as_float()
-    if P._band is None or P._band[0] is not Tf:
-        object.__setattr__(P, "_band", (Tf, _block_band(P.entries, Tf)))
-    return P._band
 
 
 def _block_interior(T: TruncatedQNormal, pad: int) -> list[int]:
@@ -222,7 +177,8 @@ def verify_projection_numeric(P: ProjectionCandidate, T: TruncatedQNormal) -> Nu
     if not T.window.interior_levels(pad):
         raise ConfigurationError(f"window too small for numeric check of n={P.n}: "
                                  f"padding {pad} leaves no interior")
-    Tf, B = _represented(P, T)
+    Tf = T.as_float()
+    B = _block_band(P.entries, Tf)
     idx = _block_interior(Tf, pad)
     idem = (B @ B - B).norm(idx)
     sadj = (B.adjoint() - B).norm(idx)
@@ -236,9 +192,10 @@ def winding_diagnostic(P: ProjectionCandidate, T: TruncatedQNormal) -> float:
     window grows but nothing here certifies it.  Reports carry it with an
     explicit unverified marker.
     """
-    Tf, B = _represented(P, T)
+    Tf = T.as_float()
+    trace = sum(represent_band(P.entries[i][i], Tf).trace() for i in range(2))
     # the flat projection diag(1, 0) has trace dim
-    return float((B.trace() - Tf.dim).real)
+    return float((trace - Tf.dim).real)
 
 
 def projection_report(P: ProjectionCandidate, mode: str, max_residue,

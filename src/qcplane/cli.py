@@ -275,18 +275,15 @@ def cmd_norm(cfg: RunConfig) -> tuple[dict, int]:
     return report, 0
 
 
-def _bott_sample_points(cfg: RunConfig) -> list[Fraction]:
-    m = cfg.sample_exponent_range
-    pts = sorted({cfg.q ** e * x for e in range(-m, m + 1) for x in cfg.generators})
-    return [Fraction(0)] + pts
-
-
 def cmd_bott(cfg: RunConfig) -> tuple[dict, int]:
     """Projection verification, exact or represented, for the configured family."""
     _require_deformed(cfg, "bott")
     rows = []
     code = 0
-    T = qnormal.build(_measure(cfg), None, cfg.window, exact=False)
+    mu = _measure(cfg)
+    T = qnormal.build(mu, None, cfg.window, exact=False)
+    m = cfg.sample_exponent_range
+    points = algebra.grid_sample_points(mu.support(), -m, m)
     for n in cfg.bott_n:
         for sign in cfg.bott_signs:
             P = bott.bott_projection(n, sign, cfg.q)
@@ -295,7 +292,7 @@ def cmd_bott(cfg: RunConfig) -> tuple[dict, int]:
                                              bott.m2_scale(P.entries, 2))
             winding = bott.winding_diagnostic(P, T)
             if cfg.exact_mode:
-                rep = bott.verify_projection_exact(P, _bott_sample_points(cfg))
+                rep = bott.verify_projection_exact(P, points)
                 ok = rep.max_residue == 0
                 rows.append(bott.projection_report(
                     P, "exact", format_rational(rep.max_residue), rep.points_checked,

@@ -101,6 +101,19 @@ def _p_eval_float(cs: tuple[float, ...], t):
     return acc
 
 
+def _reversed_ratio(cs: tuple[tuple[float, ...], ...], t):
+    """n(t)/d(t) for real coefficients cs = (n, d), as t^(deg n - deg d) n~(1/t)/d~(1/t).
+
+    n~ and d~ are the reversed polynomials, evaluated at 1/t, so no power of a
+    large t is formed beyond t^(deg n - deg d) itself.  The monomial is a
+    Horner product, which rounds alike for a float and a float array.
+    """
+    (num, den), u = cs, 1 / t
+    k = len(num) - len(den)
+    monomial = _p_eval_float((0.0,) * abs(k) + (1.0,), t if k > 0 else u)
+    return _p_eval_float(num[::-1], u) / _p_eval_float(den[::-1], u) * monomial
+
+
 def _smith_div(a, b, c, e, *, upper: bool):
     """(a + ib) / (c + ie) by Smith's scaling, in the branch chosen by upper = |c| >= |e|.
 
@@ -297,14 +310,19 @@ class RationalFunction:
         """Value at a float point: Horner on real and imaginary parts, one division.
 
         Agrees bit for bit with :meth:`evaluate_array`.  A real function divides
-        two reals, so where only the denominator overflows the value is 0, not nan.
+        two reals, so where only the denominator overflows the value is 0, not
+        nan; where that quotient is not finite at a finite t != 0, the value is
+        taken from the reversed polynomials at 1/t instead.
         """
         cs = self._float_coeffs
         if len(cs) == 2:
             c = _p_eval_float(cs[1], t)
             if c == 0:
                 raise EvaluationError(f"denominator vanishes at t={t}")
-            return complex(_p_eval_float(cs[0], t) / c)
+            v = _p_eval_float(cs[0], t) / c
+            if not math.isfinite(v) and t != 0 and math.isfinite(t):
+                v = _reversed_ratio(cs, t)
+            return complex(v)
         a, b, c, e = (_p_eval_float(x, t) for x in cs)
         if c == 0 and e == 0:
             raise EvaluationError(f"denominator vanishes at t={t}")
@@ -322,7 +340,11 @@ class RationalFunction:
             if np.any(bad):
                 raise EvaluationError(f"denominator vanishes at t={t[bad][0]}")
             if len(parts) == 2:
-                return (parts[0] / c).astype(complex)
+                v = parts[0] / c
+                redo = ~np.isfinite(v) & np.isfinite(t) & (t != 0)
+                if np.any(redo):
+                    v[redo] = _reversed_ratio(self._float_coeffs, t[redo])
+                return v.astype(complex)
             a, b = parts[:2]
             upper = np.abs(c) >= np.abs(e)
             out = np.empty(np.shape(t), dtype=complex)

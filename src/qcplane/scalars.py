@@ -12,8 +12,6 @@ from fractions import Fraction
 
 from .errors import ConfigurationError
 
-ExactScalar = "Fraction | int | RationalComplex"
-
 
 def parse_rational(text: str | int | Fraction) -> Fraction:
     """Parse a rational literal of the form ``p/r`` (or a plain integer)."""

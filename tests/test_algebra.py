@@ -178,32 +178,21 @@ def test_vanishing_closed_under_products():
         assert classify(algebra.multiply(a, b)) is Classification.VANISHING
 
 
-def test_unitize_rejects_full_class():
-    full = algebra.element(HALF, {1: ClosureCoefficient(lambda t: 1.0, 1.0, False)})
-    with pytest.raises(DomainError):
-        algebra.unitize(full)
-
-
 def test_unit_element_is_neutral():
-    one = algebra.unit_element(HALF)
-    x = algebra.unitize(parse_element("1/2", ["t@1", "t^2/(1+t^2)@0"]), Fraction(2))
+    # the unit of the unitization is the constant element 1@0
+    one = parse_element("1/2", ["1@0"])
+    x = parse_element("1/2", ["t@1", "t^2/(1+t^2)@0", "2@0", "(1+t)/(2+t^2)@-2"])
     pts = helpers.sample_fractions()
-    assert algebra.unitized_residual(algebra.u_mul(one, x), x, pts) == 0
-    assert algebra.unitized_residual(algebra.u_mul(x, one), x, pts) == 0
-
-
-def test_unitized_multiplication_matches_embedding():
-    a = parse_element("1/2", ["t@1"])
-    b = parse_element("1/2", ["t@-1"])
-    prod = algebra.u_mul(algebra.unitize(a), algebra.unitize(b))
-    direct = algebra.unitize(algebra.multiply(a, b))
-    assert algebra.unitized_residual(prod, direct, helpers.sample_fractions()) == 0
+    assert algebra.element_residual(algebra.multiply(one, x), x, pts) == 0
+    assert algebra.element_residual(algebra.multiply(x, one), x, pts) == 0
 
 
 def test_unitized_adjoint_conjugates_scalar():
     i = RationalComplex(Fraction(0), Fraction(1))
-    x = algebra.UnitizedElement(algebra.zero_element(HALF), i)
-    assert algebra.u_adjoint(x).unit == -i
+    x = algebra.element(HALF, {0: RationalCoefficient(RationalFunction.constant(i))})
+    adj = algebra.adjoint(x)
+    assert adj.modes == (0,)
+    assert adj.coefficient(0).rf.equals(RationalFunction.constant(-i))
 
 
 def test_classical_eval_single_mode():

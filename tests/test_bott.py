@@ -7,13 +7,10 @@ import pytest
 
 import qcplane.matrixops as mo
 from qcplane import algebra, bott, cli, qnormal
-from qcplane.algebra import RationalCoefficient, element
 from qcplane.errors import ConfigurationError, DomainError
 from qcplane.qnormal import TruncationWindow
-from qcplane.ratfunc import RationalFunction
 from qcplane.represent import represent
 
-HALF = Fraction(1, 2)
 SAMPLE_POINTS = [Fraction(0)] + [Fraction(2) ** k for k in range(-12, 13)]
 
 
@@ -55,28 +52,27 @@ def test_power_element_adjoint_symmetry():
 def test_projection_entry_values():
     P = bott.bott_projection(1, 1, "1/2")
     (e11, e12), (e21, e22) = P.entries
-    assert e11.unit == 0 and e12.unit == 0 and e21.unit == 0
-    assert e22.unit == 1
-
-    assert e11.body.coefficient(0).eval_exact(1).re == Fraction(4, 5)
-    assert e12.body.coefficient(1).eval_exact(1).re == Fraction(2, 5)
-    assert e21.body.coefficient(-1).eval_exact(1).re == Fraction(1, 2)
-    # diagonal corner: t^2/(1+t^2) split as unit 1 plus vanishing body
-    assert e22.body.coefficient(0).eval_exact(1).re == Fraction(-1, 2)
-    assert e22.body.coefficient(0).value_at_zero == -1
+    assert e11.coefficient(0).eval_exact(1).re == Fraction(4, 5)
+    assert e12.coefficient(1).eval_exact(1).re == Fraction(2, 5)
+    assert e21.coefficient(-1).eval_exact(1).re == Fraction(1, 2)
+    # diagonal corner t^2/(1+t^2): the unit 1@0 is folded in, so it tends to 1
+    corner = e22.coefficient(0)
+    assert corner.eval_exact(1).re == Fraction(1, 2)
+    assert corner.value_at_zero == 0
+    assert corner.rf.limit_at_infinity() == 1
 
 
 def test_projection_mode_layout():
     for n in (1, 2, 3):
         P = bott.bott_projection(n, 1, "2/3")
         (e11, e12), (e21, e22) = P.entries
-        assert e11.body.modes == (0,)
-        assert e12.body.modes == (n,)
-        assert e21.body.modes == (-n,)
-        assert e22.body.modes == (0,)
+        assert e11.modes == (0,)
+        assert e12.modes == (n,)
+        assert e21.modes == (-n,)
+        assert e22.modes == (0,)
         assert P.mode_span == n
     Pm = bott.bott_projection(2, -1, "2/3")
-    assert Pm.entries[0][1].body.modes == (-2,)
+    assert Pm.entries[0][1].modes == (-2,)
 
 
 def test_projection_offdiagonal_structure():
@@ -84,12 +80,12 @@ def test_projection_offdiagonal_structure():
         P = bott.bott_projection(2, sign, "1/2")
         (e11, e12), (e21, e22) = P.entries
         for e in (e12, e21):
-            f = e.body.coefficient(e.body.modes[0])
+            f = e.coefficient(e.modes[0])
             assert f.value_at_zero == 0
             assert f.vanishes_at_infinity
         # lower left is the adjoint of the upper right
-        adj = algebra.u_adjoint(e12)
-        assert algebra.unitized_residual(adj, e21, SAMPLE_POINTS[1:]) == 0
+        adj = algebra.adjoint(e12)
+        assert algebra.element_residual(adj, e21, SAMPLE_POINTS[1:]) == 0
 
 
 def test_projection_exact_certificate():
@@ -161,12 +157,6 @@ def test_projection_constructor_guards():
         bott.bott_projection(1, 1, "3/2")
 
 
-def test_split_rejects_nonvanishing_shift_mode():
-    bad = element(HALF, {1: RationalCoefficient(RationalFunction.constant(1))})
-    with pytest.raises(DomainError):
-        bott._split_at_infinity(bad)
-
-
 def test_projection_report_shape():
     P = bott.bott_projection(2, -1, "1/2")
     data = bott.projection_report(P, "exact", "0/1", 26, None)
@@ -186,9 +176,7 @@ def test_block_band_matches_dense_blocks():
                                           zero_mass=1)
         P = bott.bott_projection(n, sign, q)
         for entries in (P.entries, bott.unitized_diag(q, 1, 0)):
-            blocks = [[represent(entries[i][j].body, T)
-                       + entries[i][j].unit * np.eye(T.dim) for j in range(2)]
-                      for i in range(2)]
+            blocks = [[represent(entries[i][j], T) for j in range(2)] for i in range(2)]
             got = bott._block_band(entries, T).dense()
             assert np.max(np.abs(got - np.block(blocks))) == 0.0
 
@@ -205,29 +193,15 @@ def test_projection_numeric_defects_match_dense_svd():
         assert abs(rep.idempotency_defect - want) <= 1e-15 * max(1.0, want)
 
 
-def test_winding_and_numeric_check_represent_the_projection_once(monkeypatch):
+def test_winding_diagnostic_is_the_block_trace_gap():
+    # only the diagonal entries are represented; the whole block band agrees
     T = qnormal.build_from_generators("1/2", ["1", "3/4"], TruncationWindow(-10, 10),
                                       zero_mass=1)
-    P = bott.bott_projection(2, -1, "1/2")
-    # a fresh copy of the candidate carries no band yet
-    want = [bott.winding_diagnostic(dataclasses.replace(P), T),
-            bott.verify_projection_numeric(dataclasses.replace(P), T)]
-    calls = []
-    build = bott.represent_unitized
-    monkeypatch.setattr(bott, "represent_unitized",
-                        lambda x, T: calls.append(x) or build(x, T))
-    got = [bott.winding_diagnostic(P, T), bott.verify_projection_numeric(P, T)]
-    assert got == want
-    assert len(calls) == 4   # one per entry, shared by both checks
-    # another projection, or another model, is represented afresh
-    bott.winding_diagnostic(bott.bott_projection(2, 1, "1/2"), T)
-    bott.winding_diagnostic(P, qnormal.build_from_generators("1/2", ["1"],
-                                                             TruncationWindow(-10, 10)))
-    assert len(calls) == 12
-    exact = qnormal.build_from_generators("1/2", ["1"], TruncationWindow(-10, 10), exact=True)
-    bott.winding_diagnostic(P, exact)
-    bott.winding_diagnostic(P, exact)
-    assert len(calls) == 20  # each float copy of an exact model is a new model
+    Tf = T.as_float()
+    for n, sign in ((1, 1), (2, -1), (3, 1)):
+        P = bott.bott_projection(n, sign, "1/2")
+        want = (bott._block_band(P.entries, Tf).trace() - Tf.dim).real
+        assert abs(bott.winding_diagnostic(P, T) - want) <= 1e-12
 
 
 def test_perturbed_control_defect_is_about_two(capsys):

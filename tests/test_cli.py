@@ -264,6 +264,20 @@ def test_bott_wide_float_window_stays_finite(capsys):
     assert abs(winding[3, "-"] + 3.0) <= 1e-9
 
 
+def test_bott_wide_float_window_at_q_3_7_stays_finite(capsys):
+    # at q = 3/7 and t ~ 1e110 both t^3 and t^6 overflow, so the mode +-3
+    # coefficients t^3/(1 + c t^6) and the corner c t^6/(1 + c t^6) are inf/inf
+    # in forward Horner form; the reversed polynomials at 1/t give 0 and 1
+    code, out = run(capsys, "bott", "--q", "3/7", "--window", "-300", "300")
+    assert code == 0
+    rows = json.loads(out)["projections"]
+    for row in rows:
+        assert math.isfinite(row["max_residue"]) and row["passed"] is True
+    winding = {(row["n"], row["sign"]): row["winding_diagnostic"]["value"] for row in rows}
+    assert abs(winding[3, "+"] - 3.0) <= 1e-9
+    assert abs(winding[3, "-"] + 3.0) <= 1e-9
+
+
 def test_poles_on_half_line_rejected(capsys):
     # 1048576 = 2**20 is a point of X at q = 1/2, far outside every window;
     # sqrt(2) is irrational, so no rational sample can ever hit it

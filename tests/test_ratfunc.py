@@ -166,9 +166,11 @@ def _same_bits(x: np.ndarray, y: np.ndarray) -> bool:
 def test_evaluate_array_matches_evaluate_float_bit_for_bit(q):
     rng = random.Random(q)
     points = [t for h in (200, 300) for t in _model_points(q, h)]
-    # 1/(1 + t^6) and t^3/(1 + t^6), the n = 3 Bott coefficients, among random ones
-    # and a ratio whose numerator and denominator both overflow to inf/inf
-    fs = [1 / (1 + T ** 6), T ** 3 / (1 + T ** 6), (1 + T ** 8) / (2 + T ** 8)]
+    # 1/(1 + t^6) and t^3/(1 + t^6), the n = 3 Bott coefficients, among random ones,
+    # a ratio whose numerator and denominator both overflow to inf/inf and an
+    # unbounded ratio, whose value overflows to inf
+    fs = [1 / (1 + T ** 6), T ** 3 / (1 + T ** 6), (1 + T ** 8) / (2 + T ** 8),
+          T ** 8 / (1 + T)]
     for trial in range(24):
         real = trial % 2 == 0
         fs.append(RationalFunction(_random_poly(rng, rng.randint(0, 5), real),
@@ -188,13 +190,16 @@ def test_evaluate_array_matches_evaluate_float_bit_for_bit(q):
             assert values.dtype == complex and values.shape == t.shape
             assert _same_bits(values, scalar), f.num
             overflowed += not np.isfinite(values).all()
-    assert overflowed > 0   # the nan and inf cases are exercised too
+    assert overflowed > 0   # the inf case is exercised too
     for f in fs[:2]:
-        # real coefficients whose denominator alone overflows give 1/inf = 0,
-        # not nan; at q = 3/7 the numerator t^3 overflows as well
-        assert q == "3/7" or all(np.isfinite(f.evaluate_array(t)).all() for t in points)
+        # real coefficients whose denominator overflows give 0, not nan, also
+        # where the numerator t^3 overflows as well (q = 3/7)
+        assert all(np.isfinite(f.evaluate_array(t)).all() for t in points)
         assert f.evaluate_array(np.array([2.0 ** 300]))[0] == 0
         assert f.evaluate_float(2.0 ** 300) == 0
+    # inf/inf is read from the reversed polynomials: 1 - 1/(2 + t^8) rounds to 1
+    assert fs[2].evaluate_array(np.array([2.0 ** 300]))[0] == 1
+    assert fs[2].evaluate_float(2.0 ** 300) == 1
 
 
 def test_evaluate_array_agrees_with_exact_values_at_finite_points():
