@@ -13,8 +13,10 @@ coefficient ``1@0``, an element like any other.
 
 from __future__ import annotations
 
+import ast
 import enum
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -360,111 +362,53 @@ def element_residual(a: AlgebraElement, b: AlgebraElement, points) -> Fraction |
     return worst
 
 
-_TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<var>t)|(?P<op>[()+\-*/^]))")
+_OUTSIDE_GRAMMAR = re.compile(r"[^0-9t\s()+\-*/^]|\*\*")
+_LEADING_ZEROS = re.compile(r"(?<![0-9])0+(?=[0-9])")
+_ARITHMETIC = {ast.Add: operator.add, ast.Sub: operator.sub,
+               ast.Mult: operator.mul, ast.Div: operator.truediv}
+_SIGNS = {ast.UAdd: lambda x: x, ast.USub: operator.neg}  # RationalFunction has no __pos__
 
 
-class _Parser:
-    """Recursive descent over + - * / ^ with integer and t atoms."""
+def _exponent(node: ast.AST) -> int:
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _SIGNS:
+        return _SIGNS[type(node.op)](_exponent(node.operand))
+    if isinstance(node, ast.Constant) and type(node.value) is int:
+        return node.value
+    raise DomainError("exponent must be an integer")
 
-    def __init__(self, text: str):
-        self.tokens = self._lex(text)
-        self.pos = 0
 
-    @staticmethod
-    def _lex(text: str):
-        tokens = []
-        i = 0
-        while i < len(text):
-            m = _TOKEN.match(text, i)
-            if m is None:
-                if text[i:].strip() == "":
-                    break
-                raise DomainError(f"unexpected character {text[i:].strip()[0]!r} in expression")
-            if m.group("int") is not None:
-                tokens.append(("int", int(m.group("int"))))
-            elif m.group("var") is not None:
-                tokens.append(("var", "t"))
-            else:
-                tokens.append(("op", m.group("op")))
-            i = m.end()
-        tokens.append(("end", None))
-        return tokens
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def take(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect_op(self, op: str):
-        kind, val = self.take()
-        if kind != "op" or val != op:
-            raise DomainError(f"expected {op!r} in expression")
-
-    def parse(self) -> RationalFunction:
-        value = self.expr()
-        if self.peek()[0] != "end":
-            raise DomainError("trailing input in expression")
-        return value
-
-    def expr(self) -> RationalFunction:
-        value = self.term()
-        while self.peek() == ("op", "+") or self.peek() == ("op", "-"):
-            _, op = self.take()
-            rhs = self.term()
-            value = value + rhs if op == "+" else value - rhs
-        return value
-
-    def term(self) -> RationalFunction:
-        value = self.factor()
-        while self.peek() == ("op", "*") or self.peek() == ("op", "/"):
-            _, op = self.take()
-            rhs = self.factor()
-            value = value * rhs if op == "*" else value / rhs
-        return value
-
-    def factor(self) -> RationalFunction:
-        sign = 1
-        while self.peek() in (("op", "+"), ("op", "-")):
-            _, op = self.take()
-            if op == "-":
-                sign = -sign
-        value = self.power()
-        return value if sign > 0 else -value
-
-    def power(self) -> RationalFunction:
-        base = self.atom()
-        if self.peek() == ("op", "^"):
-            self.take()
-            exp_sign = 1
-            while self.peek() in (("op", "+"), ("op", "-")):
-                _, op = self.take()
-                if op == "-":
-                    exp_sign = -exp_sign
-            kind, val = self.take()
-            if kind != "int":
-                raise DomainError("exponent must be an integer")
-            return base ** (exp_sign * val)
-        return base
-
-    def atom(self) -> RationalFunction:
-        kind, val = self.take()
-        if kind == "int":
-            return RationalFunction.constant(val)
-        if kind == "var":
-            return RationalFunction.variable()
-        if kind == "op" and val == "(":
-            inner = self.expr()
-            self.expect_op(")")
-            return inner
-        raise DomainError("malformed expression")
+def _evaluate(node: ast.AST) -> RationalFunction:
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+        return _evaluate(node.left) ** _exponent(node.right)
+    if isinstance(node, ast.BinOp) and type(node.op) in _ARITHMETIC:
+        return _ARITHMETIC[type(node.op)](_evaluate(node.left), _evaluate(node.right))
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _SIGNS:
+        return _SIGNS[type(node.op)](_evaluate(node.operand))
+    if isinstance(node, ast.Constant) and type(node.value) is int:
+        return RationalFunction.constant(node.value)
+    if isinstance(node, ast.Name) and node.id == "t":
+        return RationalFunction.variable()
+    raise DomainError("malformed expression")
 
 
 def parse_rational_expression(text: str) -> RationalFunction:
-    """Parse an expression in t with integer literals and + - * / ^ ( )."""
-    return _Parser(text).parse()
+    """Parse an expression in t with integer literals and + - * / ^ ( ).
+
+    Python's expression parser reads the text once it is confined to that
+    grammar.  Whitespace runs become single spaces and the ends are trimmed
+    (Python reads indentation and newlines as syntax), integer literals lose
+    leading zeros (Python refuses ``007``) and ``^`` is spelled ``**``.
+    """
+    bad = _OUTSIDE_GRAMMAR.search(text)
+    if bad:
+        raise DomainError(f"unexpected {bad.group()!r} in expression")
+    source = _LEADING_ZEROS.sub("", " ".join(text.split())).replace("^", "**")
+    try:
+        return _evaluate(ast.parse(source, mode="eval").body)
+    except SyntaxError as exc:
+        raise DomainError(f"malformed expression: {exc.msg}") from None
+    except (RecursionError, MemoryError):  # MemoryError: "parser stack overflowed"
+        raise DomainError("expression nests too deeply") from None
 
 
 def parse_element_term(text: str) -> tuple[int, RationalCoefficient]:

@@ -93,15 +93,6 @@ def bott_projection(n: int, sign: int, q) -> ProjectionCandidate:
     return ProjectionCandidate(n, sign, q, ((g, e12), (multiply(col, g), e22)))
 
 
-def unitized_diag(q, top, bottom) -> Entries:
-    """Diagonal 2x2 of the constant elements top@0 and bottom@0."""
-    q = parse_rational(q)
-    z = zero_element(q)
-    top, bottom = (element(q, {0: RationalCoefficient(RationalFunction.constant(s))})
-                   for s in (top, bottom))
-    return ((top, z), (z, bottom))
-
-
 def m2_mul(A: Entries, B: Entries) -> Entries:
     return tuple(tuple(add(multiply(A[i][0], B[0][j]), multiply(A[i][1], B[1][j]))
                        for j in range(2)) for i in range(2))

@@ -255,7 +255,7 @@ def cmd_norm(cfg: RunConfig) -> tuple[dict, int]:
     literals = cfg.elements or ["1/(1+t^2)@0"]
     rows = []
     for lit in literals:
-        a = algebra.parse_element(cfg.q, [lit] if isinstance(lit, str) else lit)
+        a = algebra.parse_element(cfg.q, [lit])
         rep = represent.norm_estimate(a, sweep, mu)
         row = rep.to_json(lit)
         # denominators have no root on [0, inf), so only growth at infinity

@@ -245,12 +245,21 @@ def test_parser_precedence_and_power():
     assert neg.evaluate(Fraction(1)) == 2
     inv = parse_rational_expression("(1+t)^-1")
     assert inv.evaluate(Fraction(1)) == Fraction(1, 2)
+    for text, at_3 in (("+t", 3), (" t ^ 2 ", 9), ("\n t", 3), ("007", 7),
+                       ("t^--2", 9), ("-2^2", -4), ("2*-t", -6)):
+        assert parse_rational_expression(text).evaluate(Fraction(3)) == at_3, text
 
 
 def test_parser_rejects_garbage():
-    for bad in ("x", "t@", "1+", "(t", "t^t", "2**3"):
+    for bad in ("x", "t@", "1+", "(t", "t^t", "2**3", "tt", "t@t", "0x10", "1_0",
+                "1j", "t^2.5", "t^2^3", "True", "", "t # c"):
         with pytest.raises(DomainError):
             parse_rational_expression(bad)
+
+
+def test_parser_rejects_deep_nesting():
+    with pytest.raises(DomainError):
+        parse_rational_expression("(" * 300 + "t" + ")" * 300)
 
 
 def test_parse_element_terms():

@@ -142,7 +142,8 @@ def test_winding_signs():
 def test_winding_flat_reference_is_zero():
     T = qnormal.build_from_generators("1/2", ["1"], TruncationWindow(-6, 6))
     P = bott.bott_projection(1, 1, "1/2")
-    flat = dataclasses.replace(P, entries=bott.unitized_diag("1/2", 1, 0))
+    z = algebra.zero_element(P.q)
+    flat = dataclasses.replace(P, entries=((algebra.parse_element(P.q, ["1@0"]), z), (z, z)))
     assert bott.winding_diagnostic(flat, T) == 0.0
 
 
@@ -175,7 +176,8 @@ def test_block_band_matches_dense_blocks():
         T = qnormal.build_from_generators(q, ["1", "3/4"], TruncationWindow(*window),
                                           zero_mass=1)
         P = bott.bott_projection(n, sign, q)
-        for entries in (P.entries, bott.unitized_diag(q, 1, 0)):
+        z = algebra.zero_element(P.q)
+        for entries in (P.entries, ((algebra.parse_element(q, ["1@0"]), z), (z, z))):
             blocks = [[represent(entries[i][j], T) for j in range(2)] for i in range(2)]
             got = bott._block_band(entries, T).dense()
             assert np.max(np.abs(got - np.block(blocks))) == 0.0

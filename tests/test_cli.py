@@ -287,6 +287,12 @@ def test_poles_on_half_line_rejected(capsys):
         assert out == ""
 
 
+def test_deeply_nested_element_exits_2(capsys):
+    code, out = run(capsys, "norm", "--element", "(" * 300 + "t" + ")" * 300 + "@0")
+    assert code == 2
+    assert out == ""
+
+
 def test_out_file(tmp_path, capsys):
     dest = tmp_path / "report.json"
     code, out = run(capsys, "norm", "--out", str(dest))
