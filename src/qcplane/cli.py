@@ -335,6 +335,23 @@ def _random_classical_element(rng: random.Random, q: Fraction,
     return algebra.element(q, coeffs)
 
 
+def _classical_table(a: algebra.AlgebraElement, radii, angles) -> list[list[complex]]:
+    """classical_eval(a, r, th) for every r > 0 and th, summed in the same order.
+
+    Each f_k(r) is computed once per radius, each e^(i k th) once per angle.
+    """
+    turns = [[complex(math.cos(k * th), math.sin(k * th)) for th in angles]
+             for k in a.modes]
+    table = []
+    for r in radii:
+        row = [0j] * len(angles)
+        for (_, f), turn in zip(a.terms, turns):
+            val = complex(f(r))
+            row = [total + val * z for total, z in zip(row, turn)]
+        table.append(row)
+    return table
+
+
 def cmd_limit(cfg: RunConfig) -> tuple[dict, int]:
     """Classical-limit checks at q = 1: commutativity and multiplicative evaluation."""
     if cfg.q != 1:
@@ -355,11 +372,10 @@ def cmd_limit(cfg: RunConfig) -> tuple[dict, int]:
         if not isinstance(resid, Fraction):
             raise QcplaneError("classical commutator residual left the rational field")
         commutator_exact = max(commutator_exact, resid)
-        for r in grid_r:
-            for th in grid_th:
-                gap = abs(algebra.classical_eval(ab, r, th)
-                          - algebra.classical_eval(a, r, th) * algebra.classical_eval(b, r, th))
-                mult_residue = max(mult_residue, gap)
+        for row_ab, row_a, row_b in zip(*(_classical_table(x, grid_r, grid_th)
+                                          for x in (ab, a, b))):
+            for at_ab, at_a, at_b in zip(row_ab, row_a, row_b):
+                mult_residue = max(mult_residue, abs(at_ab - at_a * at_b))
     diag = algebra.parse_element(cfg.q, ["(1+t)/(1+t^2)@0"])
     at_zero = {algebra.classical_eval(diag, 0.0, th) for th in grid_th}
     theta_independent = len(at_zero) == 1

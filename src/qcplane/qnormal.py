@@ -16,10 +16,12 @@ from __future__ import annotations
 import csv
 import dataclasses
 import functools
+import operator
 from bisect import bisect_left
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from itertools import accumulate, repeat
 
 import numpy as np
 
@@ -28,6 +30,8 @@ from .algebra import CoefficientFunction, IndicatorCoefficient, RationalCoeffici
 from .errors import ConfigurationError, DomainError, EvaluationError
 from .qspace import Interval, QInvariantMeasure, SpectralSet
 from .scalars import RationalComplex, format_rational, parse_rational
+
+_SQRT_FLOAT_MAX = np.sqrt(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -68,6 +72,39 @@ class GridPoint:
 
 
 @dataclass(frozen=True)
+class LevelGrid(Sequence):
+    """The points t_{j,n} = q**n x_j, ascending levels in blocks of n_gens points.
+
+    Stores ratio, generators, weights and levels; a GridPoint is made only when indexed.
+    """
+
+    q: Fraction
+    generators: tuple[Fraction, ...]
+    weights: tuple[Fraction, ...]
+    levels: range
+
+    def __len__(self) -> int:
+        return len(self.levels) * len(self.generators)
+
+    def __getitem__(self, i):
+        n, j = divmod(range(len(self))[i], len(self.generators))
+        qn, x = self.q ** self.levels[n], self.generators[j]
+        return GridPoint(j, self.levels[n], qn if x == 1 else qn * x, self.weights[j])
+
+    def rounded(self, factor: Fraction = Fraction(1)) -> np.ndarray:
+        """float(factor * t_{j,n}) for every point: one integer true division each."""
+        top = max(abs(self.levels.start), abs(self.levels[-1]))
+        ps, rs = ([*accumulate(repeat(b, top), operator.mul, initial=1)]
+                  for b in (self.q.numerator, self.q.denominator))
+        # q = p/r, so q**n is p**n / r**n, and r**|n| / p**|n| below level 0
+        powers = [(ps[n], rs[n]) if n >= 0 else (rs[-n], ps[-n]) for n in self.levels]
+        scaled = [(factor.numerator * x.numerator, factor.denominator * x.denominator)
+                  for x in self.generators]
+        return np.array([(a * pn) / (b * rn) for pn, rn in powers for a, b in scaled],
+                        dtype=float)
+
+
+@dataclass(frozen=True)
 class RelationReport:
     interior_defect: object
     boundary_defect: object
@@ -88,7 +125,7 @@ class TruncatedQNormal:
 
     q: Fraction
     window: TruncationWindow
-    grid: tuple[GridPoint, ...]
+    grid: LevelGrid
     kernel_dim: int
     exact: bool
     zeta_band: mo.Band
@@ -128,7 +165,7 @@ class TruncatedQNormal:
     @functools.cached_property
     def _q_points(self) -> np.ndarray:
         """float(q * t_{j,n}) for every grid point: each product rounded once."""
-        return _rounded([gp.value for gp in self.grid], self.q)
+        return self.grid.rounded(self.q)
 
     def as_float(self) -> "TruncatedQNormal":
         if not self.exact:
@@ -175,20 +212,21 @@ def build_from_generators(q, generators, window: TruncationWindow, weights=None,
         # support {0} carries unit mass by convention
         zero_mass = Fraction(1)
 
-    grid = tuple(GridPoint(j, n, qn if x == 1 else qn * x, weights[j])
-                 for n in window.levels for qn in (q ** n,) for j, x in enumerate(gens))
+    grid = LevelGrid(q, gens, tuple(weights), window.levels)
     kernel_dim = 1 if zero_mass > 0 else 0
     n_gens = len(gens)
     dim = len(grid) + kernel_dim
 
     if exact:
         zero, one = Fraction(0), Fraction(1)
-        modulus = np.array([gp.value for gp in grid] + [zero] * kernel_dim, dtype=object)
+        powers = accumulate(repeat(q, window.size - 1), operator.mul, initial=q ** window.n_min)
+        modulus = np.array([qn if x == 1 else qn * x for qn in powers for x in gens]
+                           + [zero] * kernel_dim, dtype=object)
     else:
         zero, one = 0j, 1.0 + 0j
         modulus = np.zeros(dim, dtype=complex)
         try:
-            modulus[:len(grid)] = _rounded([gp.value for gp in grid])
+            modulus[:len(grid)] = grid.rounded()
         except OverflowError:
             # levels ascend and q <= 1, so the first level holds the largest points
             raise DomainError(f"level {window.n_min} leaves float range; use --exact") from None
@@ -222,17 +260,20 @@ def build(mu: QInvariantMeasure, X: SpectralSet | None, window: TruncationWindow
 
 
 def verify_relation(T: TruncatedQNormal, pad: int = 1) -> RelationReport:
-    """Defect of zeta zeta* = q**2 zeta* zeta, interior and full-window."""
+    """Defect of zeta zeta* = q**2 zeta* zeta, interior and full-window.
+
+    A float model with an entry of |zeta| above sqrt(float max) is refused
+    before any product is formed, since its square leaves float range.
+    """
+    for v in [] if T.exact else T.zeta_band.diags.values():
+        i = int(np.argmax(np.abs(v)))   # zeta[i] is |zeta| at grid point i + n_gens
+        if abs(v[i]) > _SQRT_FLOAT_MAX:
+            raise DomainError(f"|zeta| at level {T.grid[i + T.n_gens].level} squares "
+                              "beyond float range; use --exact")
     zs = T.zeta_band.adjoint()
     q2 = T.q * T.q if T.exact else float(T.q) ** 2
     D = T.zeta_band @ zs - (zs @ T.zeta_band).scale(q2)
     return RelationReport(D.norm(T.interior_indices(pad)), D.norm())
-
-
-def _rounded(values, factor: Fraction = Fraction(1)) -> np.ndarray:
-    """float(factor * v) for each Fraction v, as one integer true division per point."""
-    a, b = factor.numerator, factor.denominator
-    return np.array([(a * v.numerator) / (b * v.denominator) for v in values], dtype=float)
 
 
 def _indicator_mask(T: TruncatedQNormal, interval: Interval, factor: Fraction) -> np.ndarray:
@@ -241,14 +282,16 @@ def _indicator_mask(T: TruncatedQNormal, interval: Interval, factor: Fraction) -
     Along one generator the points q**n x_j fall as n grows (or stay put when
     q = 1), so the levels inside the interval form one run: from the first
     level below the upper end up to the first level not above the lower end.
-    Bisection finds both ends with O(log size) exact comparisons.
+    Bisection finds both ends with O(log size) exact comparisons.  Exact
+    models read the probed points off their modulus; float models make them.
     """
     mask = np.zeros(len(T.grid), dtype=bool)
     n_gens = T.n_gens
     levels = range(T.window.size)
     for j in range(n_gens):
         def point(i: int, j=j) -> Fraction:
-            t = T.grid[i * n_gens + j].value
+            k = i * n_gens + j
+            t = T.modulus_band.diags[0][k] if T.exact else T.grid[k].value
             return t if factor == 1 else factor * t
         start = bisect_left(levels, True, key=lambda i: interval.below_upper(point(i)))
         stop = bisect_left(levels, True, key=lambda i: not interval.above_lower(point(i)))
@@ -261,11 +304,11 @@ def spectral_band(T: TruncatedQNormal, f: CoefficientFunction, factor=1) -> mo.B
 
     Indicators are decided by exact membership of the exact points, found by
     bisection along each generator's levels.  Otherwise exact models evaluate
-    f at each exact point.  Float models evaluate f at the floats of the exact
-    points: the modulus diagonal at factor 1, factor * t_{j,n} rounded once
-    otherwise, so both sides of a covariance identity see the same floats.  A
-    rational coefficient is evaluated on the whole diagonal by one array
-    Horner scheme; other callables are called per point.
+    f at each point of the exact modulus diagonal.  Float models evaluate f at
+    the floats of the exact points: the modulus diagonal at factor 1,
+    factor * t_{j,n} rounded once otherwise, so both sides of a covariance
+    identity see the same floats.  A rational coefficient is evaluated on the
+    whole diagonal by one array Horner scheme; other callables per point.
     """
     factor = Fraction(factor)
     n = len(T.grid)
@@ -275,15 +318,11 @@ def spectral_band(T: TruncatedQNormal, f: CoefficientFunction, factor=1) -> mo.B
             mask = _indicator_mask(T, f.interval, factor)
             values[:n] = np.where(mask, Fraction(1), Fraction(0)) if T.exact else mask
         elif T.exact:
-            values[:n] = [_real(f.eval_exact(gp.value if factor == 1 else factor * gp.value))
-                          for gp in T.grid]
+            values[:n] = [_real(f.eval_exact(t if factor == 1 else factor * t))
+                          for t in T.modulus_band.diags[0][:n]]
         else:
-            if factor == 1:
-                t = T.modulus_band.diags[0].real[:n]
-            elif factor == T.q:
-                t = T._q_points
-            else:
-                t = _rounded([gp.value for gp in T.grid], factor)
+            t = (T.modulus_band.diags[0].real[:n] if factor == 1 else
+                 T._q_points if factor == T.q else T.grid.rounded(factor))
             values[:n] = (f.rf.evaluate_array(t) if isinstance(f, RationalCoefficient)
                           else [complex(f(x)) for x in t.tolist()])
         if T.kernel_dim:

@@ -9,6 +9,7 @@ products.  The variable is real, and ``evaluate`` takes a rational point.
 
 from __future__ import annotations
 
+import cmath
 import math
 from fractions import Fraction
 from functools import cached_property
@@ -22,6 +23,11 @@ from .scalars import RationalComplex
 Coeffs = tuple[RationalComplex, ...]
 Poly = tuple[tuple[int, ...], tuple[int, ...], int]
 _ONE: Poly = ((1,), (0,), 1)
+
+# f ** k is refused when k times f's degree, or k times the bit length of its
+# largest integer, passes these: a literal cannot ask for unbounded work
+MAX_POWER_DEGREE = 1000
+MAX_POWER_BITS = 1 << 16
 
 
 def _canon(re: list[int], im: list[int], d: int) -> Poly:
@@ -101,19 +107,6 @@ def _p_eval_float(cs: tuple[float, ...], t):
     return acc
 
 
-def _reversed_ratio(cs: tuple[tuple[float, ...], ...], t):
-    """n(t)/d(t) for real coefficients cs = (n, d), as t^(deg n - deg d) n~(1/t)/d~(1/t).
-
-    n~ and d~ are the reversed polynomials, evaluated at 1/t, so no power of a
-    large t is formed beyond t^(deg n - deg d) itself.  The monomial is a
-    Horner product, which rounds alike for a float and a float array.
-    """
-    (num, den), u = cs, 1 / t
-    k = len(num) - len(den)
-    monomial = _p_eval_float((0.0,) * abs(k) + (1.0,), t if k > 0 else u)
-    return _p_eval_float(num[::-1], u) / _p_eval_float(den[::-1], u) * monomial
-
-
 def _smith_div(a, b, c, e, *, upper: bool):
     """(a + ib) / (c + ie) by Smith's scaling, in the branch chosen by upper = |c| >= |e|.
 
@@ -127,6 +120,33 @@ def _smith_div(a, b, c, e, *, upper: bool):
     ratio = c / e
     denom = c * ratio + e
     return (a * ratio + b) / denom, (b * ratio - a) / denom
+
+
+def _smith(a, b, c, e):
+    """Smith's division of floats or float arrays, the branch chosen per entry."""
+    if np.ndim(c) == 0:
+        return _smith_div(a, b, c, e, upper=abs(c) >= abs(e))
+    return np.where(np.abs(c) >= np.abs(e), _smith_div(a, b, c, e, upper=True),
+                    _smith_div(a, b, c, e, upper=False))
+
+
+def _reversed_value(cs: tuple[tuple[float, ...], ...], t):
+    """(Re, Im) of n(t)/d(t), as t^(deg n - deg d) n~(1/t)/d~(1/t).
+
+    cs holds the parts (n, d) for real coefficients, (Re n, Im n, Re d, Im d)
+    otherwise.  n~ and d~ are the reversed polynomials, evaluated at 1/t, so
+    no power of a large t is formed beyond t^(deg n - deg d) itself.  The
+    monomial is a Horner product, which rounds alike for a float and a float
+    array; complex parts are divided by Smith's formula.
+    """
+    u = 1 / t
+    k = len(cs[0]) - len(cs[-1])
+    monomial = _p_eval_float((0.0,) * abs(k) + (1.0,), t if k > 0 else u)
+    parts = [_p_eval_float(p[::-1], u) for p in cs]
+    if len(parts) == 2:
+        return parts[0] / parts[1] * monomial, 0.0
+    re, im = _smith(*parts)
+    return re * monomial, im * monomial
 
 
 def _q_trim(a: list) -> list:
@@ -264,10 +284,20 @@ class RationalFunction:
             if self.is_zero:
                 raise DomainError("negative power of the zero function")
             return _rf(self._den, self._num) ** (-k)
-        out = RationalFunction.constant(1)
-        for _ in range(k):
-            out = out * self
-        return out
+        degree = k * max(self.degree_num, self.degree_den)
+        bits = k * max(abs(c).bit_length() for re, im, d in (self._num, self._den)
+                       for c in (*re, *im, d))
+        if degree > MAX_POWER_DEGREE or bits > MAX_POWER_BITS:
+            raise DomainError(f"power {k} passes the bounds of degree {MAX_POWER_DEGREE} "
+                              f"and of {MAX_POWER_BITS}-bit coefficients")
+        (num, den), (bn, bd) = (_ONE, _ONE), (self._num, self._den)
+        while k:   # by squaring: num^k and den^k over the bits of k
+            if k & 1:
+                num, den = _p_mul(num, bn), _p_mul(den, bd)
+            k >>= 1
+            if k:
+                bn, bd = _p_mul(bn, bn), _p_mul(bd, bd)
+        return _rf(num, den)
 
     def conjugate(self) -> "RationalFunction":
         (nr, ni, dn), (dr, di, dd) = self._num, self._den
@@ -311,22 +341,19 @@ class RationalFunction:
 
         Agrees bit for bit with :meth:`evaluate_array`.  A real function divides
         two reals, so where only the denominator overflows the value is 0, not
-        nan; where that quotient is not finite at a finite t != 0, the value is
-        taken from the reversed polynomials at 1/t instead.
+        nan.  Where the quotient is not finite at a finite t != 0, the value is
+        taken from the reversed polynomials at 1/t instead, for real and for
+        complex coefficients.
         """
         cs = self._float_coeffs
-        if len(cs) == 2:
-            c = _p_eval_float(cs[1], t)
-            if c == 0:
-                raise EvaluationError(f"denominator vanishes at t={t}")
-            v = _p_eval_float(cs[0], t) / c
-            if not math.isfinite(v) and t != 0 and math.isfinite(t):
-                v = _reversed_ratio(cs, t)
-            return complex(v)
-        a, b, c, e = (_p_eval_float(x, t) for x in cs)
+        parts = [_p_eval_float(x, t) for x in cs]
+        c, e = (parts[1], 0.0) if len(cs) == 2 else parts[2:]
         if c == 0 and e == 0:
             raise EvaluationError(f"denominator vanishes at t={t}")
-        return complex(*_smith_div(a, b, c, e, upper=abs(c) >= abs(e)))
+        v = parts[0] / c if len(cs) == 2 else complex(*_smith(*parts))
+        if not cmath.isfinite(v) and t != 0 and math.isfinite(t):
+            v = complex(*_reversed_value(cs, t))
+        return complex(v)
 
     def evaluate_array(self, t: np.ndarray) -> np.ndarray:
         """Values at a float64 array of points as a complex128 array.
@@ -340,17 +367,14 @@ class RationalFunction:
             if np.any(bad):
                 raise EvaluationError(f"denominator vanishes at t={t[bad][0]}")
             if len(parts) == 2:
-                v = parts[0] / c
-                redo = ~np.isfinite(v) & np.isfinite(t) & (t != 0)
-                if np.any(redo):
-                    v[redo] = _reversed_ratio(self._float_coeffs, t[redo])
-                return v.astype(complex)
-            a, b = parts[:2]
-            upper = np.abs(c) >= np.abs(e)
-            out = np.empty(np.shape(t), dtype=complex)
-            out.real, out.imag = np.where(upper, _smith_div(a, b, c, e, upper=True),
-                                          _smith_div(a, b, c, e, upper=False))
-            return out
+                v = (parts[0] / c).astype(complex)
+            else:
+                v = np.empty(np.shape(t), dtype=complex)
+                v.real, v.imag = _smith(*parts)
+            redo = ~np.isfinite(v) & np.isfinite(t) & (t != 0)
+            if np.any(redo):
+                v.real[redo], v.imag[redo] = _reversed_value(self._float_coeffs, t[redo])
+            return v
 
     def equals(self, other: "RationalFunction") -> bool:
         """Exact equality as functions: num_a den_b == num_b den_a."""

@@ -120,12 +120,12 @@ def norm_estimate(a: AlgebraElement, windows, mu: QInvariantMeasure,
     return NormReport(tuple(sizes), tuple(estimates), converged, estimates[-1])
 
 
-def _hermitian_inv_sqrt(H: np.ndarray) -> np.ndarray:
+def _hermitian_inv_sqrt(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """H^(-1/2), with eigenvalues clamped away from 0, and H's eigenvalues."""
     vals, vecs = np.linalg.eigh(H)
     if not np.all(np.isfinite(vals)):
         raise ArithmeticError("eigendecomposition produced non-finite values")
-    vals = np.clip(vals, EIGENVALUE_CLAMP, None)
-    return (vecs * (vals ** -0.5)) @ vecs.conj().T
+    return (vecs * (np.clip(vals, EIGENVALUE_CLAMP, None) ** -0.5)) @ vecs.conj().T, vals
 
 
 def z_transform(M: np.ndarray) -> ZTransformPair:
@@ -136,21 +136,26 @@ def z_transform(M: np.ndarray) -> ZTransformPair:
     if not np.all(np.isfinite(M)):
         raise ArithmeticError("matrix has non-finite entries")
     H = np.eye(M.shape[0], dtype=complex) + M.conj().T @ M
-    return ZTransformPair(M, M @ _hermitian_inv_sqrt(H))
+    return ZTransformPair(M, M @ _hermitian_inv_sqrt(H)[0])
 
 
 def pi_image(z: np.ndarray) -> np.ndarray:
-    """Inverse transform z (1 - z*z)^(-1/2); defined only strictly inside the ball."""
+    """Inverse transform z (1 - z*z)^(-1/2); defined only strictly inside the ball.
+
+    One eigendecomposition of G = 1 - z*z serves both the guard and the
+    image: its least eigenvalue is 1 - ||z||^2, so ||z|| needs no SVD.
+    """
     z = np.asarray(z, dtype=complex)
     if z.ndim != 2 or z.shape[0] != z.shape[1]:
         raise DomainError("inverse transform needs a square matrix")
     if z.size == 0:
         return z
-    norm = float(np.linalg.norm(z, 2))
+    G = np.eye(z.shape[0], dtype=complex) - z.conj().T @ z
+    root, vals = _hermitian_inv_sqrt(G)
+    norm = math.sqrt(max(0.0, 1.0 - float(vals[0])))
     if norm >= 1.0 - UNIT_NORM_GUARD:
         raise SingularityError(f"operator norm {norm} too close to 1; image unbounded")
-    G = np.eye(z.shape[0], dtype=complex) - z.conj().T @ z
-    return z @ _hermitian_inv_sqrt(G)
+    return z @ root
 
 
 def scalar_z(tau: float) -> float:
@@ -197,8 +202,8 @@ def verify_z_factorization(T: TruncatedQNormal, f: CoefficientFunction,
     scales = [float(T.q) ** j for j in (range(1, k + 1) if k > 0 else range(0, k, -1))]
     # only where phi f != 0 (never the kernel slot) are the z-values far from underflow
     coef = np.zeros(Tf.dim, dtype=complex)
+    t = Tf.modulus_band.diags[0].real.tolist()
     for i in np.flatnonzero(phi_f.diags[0]):
-        t = float(Tf.grid[i].value)
-        coef[i] = phi_f.diags[0][i] / math.prod(scalar_z(s * t) for s in scales)
+        coef[i] = phi_f.diags[0][i] / math.prod(scalar_z(s * t[i]) for s in scales)
     D = phi_f @ shift(Tf, k) - mo.Band(Tf.dim, False, {0: coef}) @ Zk
     return D.norm(Tf.interior_indices(pad))

@@ -1,10 +1,13 @@
 import json
 import math
+import random
+import time
+import warnings
 from fractions import Fraction
 
 import pytest
 
-from qcplane import cli
+from qcplane import algebra, cli
 
 
 def run(capsys, *argv):
@@ -322,3 +325,35 @@ def test_repeated_main_calls_keep_their_own_arguments(capsys):
     code, out = run(capsys, "norm", "--element", "t@1")
     assert code == 0
     assert [row["element"] for row in json.loads(out)["elements"]] == ["t@1"]
+
+
+def test_power_literal_beyond_the_degree_bound_exits_2_at_once(capsys):
+    start = time.perf_counter()
+    assert cli.main(["norm", "--element", "t^100000@0"]) == 2
+    assert time.perf_counter() - start < 0.5
+    captured = capsys.readouterr()
+    assert captured.out == "" and "degree 1000" in captured.err
+
+
+def test_float_simulate_refuses_a_zeta_whose_square_overflows(capsys):
+    # at q = 1/1000 the grid reaches 1e180, a float, but t^2 does not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["simulate", "--q", "1/1000", "--window", "-60", "60"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "level -59" in captured.err and "--exact" in captured.err
+    # inside float range the report comes out finite; its verdict is the
+    # absolute gate's, which a defect of 1e272 fails
+    code, out = run(capsys, "simulate", "--q", "1/1000", "--window", "-50", "50")
+    assert code == 3 and math.isfinite(json.loads(out)["max_interior_defect"])
+
+
+def test_limit_table_matches_classical_eval_bit_for_bit():
+    rng = random.Random(4)
+    radii = [0.1 + 2.9 * i / 9 for i in range(10)]
+    angles = [2 * math.pi * i / 10 for i in range(10)]
+    for _ in range(10):
+        a = cli._random_classical_element(rng, Fraction(1))
+        table = cli._classical_table(a, radii, angles)
+        assert table == [[algebra.classical_eval(a, r, th) for th in angles] for r in radii]

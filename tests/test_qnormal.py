@@ -375,3 +375,56 @@ def test_spectra_csv_and_summary(kernel_measure):
     lines = buf.getvalue().strip().splitlines()
     assert lines[0] == "level,generator,value"
     assert lines[-1].startswith("kernel")
+
+
+@pytest.mark.parametrize("q", ["1/2", "2/3", "3/7", "1/1"])
+@pytest.mark.parametrize("gens, window", [(["1"], (-70, 9)), (["1", "5/6"], (-6, 64))])
+def test_level_grid_rounded_matches_the_exact_points(q, gens, window):
+    # windows reach powers of q past 2**53, where a float numerator or
+    # denominator would already be rounded
+    qq = Fraction(q)
+    T = qnormal.build_from_generators(q, gens, TruncationWindow(*window))
+    for f in (Fraction(1), qq, 1 / qq, Fraction(3, 5)):
+        got = T.grid.rounded(f)
+        assert got.dtype == np.float64
+        assert got.tolist() == [float(f * gp.value) for gp in T.grid]
+    assert T.grid.rounded().tolist() == T.modulus_band.diags[0].real.tolist()
+
+
+@pytest.mark.parametrize("q, gens, weights", [
+    ("3/7", ["1", "2/3"], ["2", "1/3"]), ("1/2", ["1"], ["5"]), ("1/1", ["1", "1/4"], None),
+    ("1/2", [], [])])
+def test_level_grid_reads_as_the_tuple_of_grid_points(q, gens, weights):
+    window = TruncationWindow(-4, 3)
+    T = qnormal.build_from_generators(q, gens, window, weights, zero_mass="1")
+    ws = [Fraction(w) for w in weights] if weights is not None else [Fraction(1)] * len(gens)
+    want = tuple(qnormal.GridPoint(j, n, Fraction(q) ** n * Fraction(x), ws[j])
+                 for n in window.levels for j, x in enumerate(gens))
+    grid = T.grid
+    assert len(grid) == len(want)
+    assert tuple(grid) == want
+    assert [grid[i] for i in range(-len(want), len(want))] == list(want + want)
+    assert list(reversed(grid)) == list(reversed(want))
+    for bad in (len(want), -len(want) - 1):
+        with pytest.raises(IndexError):
+            grid[bad]
+
+
+def test_float_grid_beyond_float_range_names_the_first_level():
+    for q, gens, lo in (("1/2", ["1", "3/4"], -1100), ("3/7", ["1", "1/2"], -900)):
+        with pytest.raises(DomainError, match=f"level {lo} leaves float range; use --exact"):
+            qnormal.build_from_generators(q, gens, TruncationWindow(lo, 5))
+        T = qnormal.build_from_generators(q, ["1"], TruncationWindow(lo, 5), exact=True)
+        assert T.modulus_band.diags[0][0] == Fraction(q) ** lo
+
+
+def test_float_relation_refuses_a_zeta_whose_square_overflows():
+    # q = 1/1000 at level -59: |zeta| = 1e177 is a float, its square is not
+    T = qnormal.build_from_generators("1/1000", ["1"], TruncationWindow(-60, 60))
+    with pytest.raises(DomainError, match="level -59 .*--exact"):
+        qnormal.verify_relation(T)
+    # at level -51 the largest |zeta| is 1e150, whose square is still a float
+    T = qnormal.build_from_generators("1/1000", ["1"], TruncationWindow(-51, 60))
+    assert np.isfinite(qnormal.verify_relation(T).boundary_defect)
+    exact = qnormal.build_from_generators("1/1000", ["1"], TruncationWindow(-60, 60), exact=True)
+    assert qnormal.verify_relation(exact).interior_defect == 0

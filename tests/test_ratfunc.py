@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from qcplane import qnormal, ratfunc
-from qcplane.errors import EvaluationError
+from qcplane.errors import DomainError, EvaluationError
 from qcplane.qnormal import TruncationWindow
 from qcplane.ratfunc import RationalFunction
 from qcplane.scalars import RationalComplex
@@ -319,3 +319,61 @@ def test_integer_coefficients_take_the_same_canonical_form():
              for _ in range(200)]
     for seq in seqs:
         assert ratfunc._poly(seq) == ratfunc._poly([Fraction(c) for c in seq])
+
+
+def test_complex_coefficients_read_from_reversed_polynomials_where_both_overflow():
+    # numerator and denominator overflow together, and Smith's division of
+    # inf by inf reads nan; the reversed polynomials at 1/t give the value
+    cases = [((1 + IM * T ** 8) / (2 + T ** 8), 2.0 ** 300, 1j),
+             (IM * T ** 3 / (1 + T ** 6), 1e110, 0j),     # i 1e-330 rounds to 0
+             ((T + 3 * IM * T ** 8) / (2 * T ** 8 + 1), 1e40, 5e-281 + 1.5j)]
+    for f, t, want in cases:
+        points = np.array([t, 0.0, 0.5, 3.0, 1e30, t * 4])
+        scalar = np.array([f.evaluate_float(x) for x in points.tolist()])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = f.evaluate_array(points)
+        assert _same_bits(values, scalar)
+        assert np.isfinite(values).all()
+        assert values[0] == pytest.approx(want, rel=1e-15, abs=0)
+        exact = [complex(f.evaluate(Fraction(x))) for x in points[1:5].tolist()]
+        assert np.allclose(values[1:5], exact, rtol=1e-12, atol=0)
+
+
+def _repeated(f: RationalFunction, k: int) -> RationalFunction:
+    out = RationalFunction.constant(1)
+    for _ in range(abs(k)):
+        out = out * f if k > 0 else out / f
+    return out
+
+
+def test_power_by_squaring_equals_repeated_multiplication():
+    rng = random.Random(17)
+    fs = [T, 1 + T, RationalFunction.constant(Fraction(-3, 2)),
+          RationalFunction((1, IM, Fraction(2, 3)), (5, -1, 1))]
+    fs += [RationalFunction(_random_poly(rng, rng.randint(1, 4), trial % 2 == 0),
+                            _random_poly(rng, rng.randint(1, 3), trial % 2 == 0))
+           for trial in range(6)]
+    for f in fs:
+        for k in range(-7, 8):
+            if k < 0 and f.is_zero:
+                continue
+            got, want = f ** k, _repeated(f, k)
+            assert (got._num, got._den) == (want._num, want._den), (f.num, k)
+            assert got.equals(want)
+    zero = RationalFunction.constant(0)
+    assert (zero ** 5).is_zero and (zero ** 0).equals(RationalFunction.constant(1))
+    with pytest.raises(DomainError):
+        zero ** -1
+
+
+def test_power_refuses_results_beyond_the_stated_bounds():
+    assert (T ** ratfunc.MAX_POWER_DEGREE).degree_num == ratfunc.MAX_POWER_DEGREE
+    assert ((1 / T) ** -ratfunc.MAX_POWER_DEGREE).degree_num == ratfunc.MAX_POWER_DEGREE
+    two, m = RationalFunction.constant(2), ratfunc.MAX_POWER_BITS // 2   # 2 is two bits long
+    assert (two ** m).evaluate(0).re == 2 ** m
+    for f, k in ((T, ratfunc.MAX_POWER_DEGREE + 1), (1 + T ** 2, 501), (T, 10 ** 50),
+                 (1 / (1 + T), -ratfunc.MAX_POWER_DEGREE - 1),
+                 (two, m + 1)):
+        with pytest.raises(DomainError, match="passes the bounds"):
+            f ** k

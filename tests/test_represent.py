@@ -330,3 +330,43 @@ def test_scalar_z_at_extreme_arguments():
     assert scalar_z(1e200) == 1.0
     assert scalar_z(-1e200) == -1.0
     assert scalar_z(1e-200) == 1e-200
+
+
+def _old_pi_image(z):
+    """The former two-step inverse transform: ||z|| by SVD, then eigh of 1 - z*z."""
+    z = np.asarray(z, dtype=complex)
+    norm = float(np.linalg.norm(z, 2))
+    if norm >= 1.0 - represent.UNIT_NORM_GUARD:
+        raise SingularityError(f"operator norm {norm} too close to 1; image unbounded")
+    G = np.eye(z.shape[0], dtype=complex) - z.conj().T @ z
+    vals, vecs = np.linalg.eigh(G)
+    vals = np.clip(vals, represent.EIGENVALUE_CLAMP, None)
+    return z @ ((vecs * (vals ** -0.5)) @ vecs.conj().T)
+
+
+def _with_norm(rng: np.random.Generator, n: int, norm: float) -> np.ndarray:
+    """A complex n x n matrix with singular values norm, then below norm / 2."""
+    u, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    v, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    s = np.concatenate([[norm], rng.uniform(0, norm / 2, n - 1)])
+    return (u * s) @ v.conj().T
+
+
+def test_pi_image_is_bit_identical_to_the_two_step_path(dyadic_measure):
+    rng = np.random.default_rng(5)
+    T = _model(dyadic_measure, -6, 6, exact=False)
+    zs = [z_transform(represent.represent(parse_element(HALF, lits), T)).z
+          for lits in (["t@1"], ["1/(1+t^2)@0", "t@-1"])]
+    zs += [_with_norm(rng, n, s) for n, s in ((1, 0.5), (5, 0.9), (40, 1 - 1e-6))]
+    for z in zs:
+        assert np.array_equal(pi_image(z), _old_pi_image(z))
+
+
+def test_pi_image_guard_reads_the_norm_from_the_eigendecomposition():
+    rng = np.random.default_rng(9)
+    for n in (1, 4, 30):
+        for norm in (1 - 1e-11, 1.0, 1 + 1e-6, 3.0):
+            with pytest.raises(SingularityError, match="too close to 1; image unbounded"):
+                pi_image(_with_norm(rng, n, norm))
+        z = _with_norm(rng, n, 1 - 1e-9)
+        assert np.all(np.isfinite(pi_image(z)))
