@@ -20,6 +20,7 @@ import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, repeat
 from typing import Callable, Mapping
 
 from .errors import DomainError, EvaluationError
@@ -330,7 +331,11 @@ def classical_eval(a: AlgebraElement, r: float, theta: float) -> complex:
 def grid_sample_points(X: SpectralSet, n_min: int, n_max: int,
                        include_zero: bool = True) -> tuple[Fraction, ...]:
     """Grid values q**n * x over the level range, optionally with 0."""
-    pts = sorted({X.q ** n * x for n in range(n_min, n_max + 1) for x in X.generators})
+    # one running product per generator: q**n_min * x, then one factor q per level
+    steps = n_max - n_min
+    pts = sorted({v for x in X.generators if steps >= 0
+                  for v in accumulate(repeat(X.q, steps), operator.mul,
+                                      initial=X.q ** n_min * x)})
     if include_zero and X.includes_zero:
         pts.insert(0, Fraction(0))
     return tuple(pts)

@@ -282,8 +282,9 @@ def cmd_bott(cfg: RunConfig) -> tuple[dict, int]:
     code = 0
     mu = _measure(cfg)
     T = qnormal.build(mu, None, cfg.window, exact=False)
-    m = cfg.sample_exponent_range
-    points = algebra.grid_sample_points(mu.support(), -m, m)
+    if cfg.exact_mode:
+        m = cfg.sample_exponent_range
+        points = algebra.grid_sample_points(mu.support(), -m, m)
     for n in cfg.bott_n:
         for sign in cfg.bott_signs:
             P = bott.bott_projection(n, sign, cfg.q)

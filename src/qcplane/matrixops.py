@@ -152,7 +152,9 @@ class Band:
         2-norm: the kept nonzero entries split into blocks that share no row
         and no column, the matrix is (up to permutations) their direct sum, and
         its 2-norm is the largest block norm, so only blocks of two or more
-        entries need an SVD.  A non-finite kept entry gives inf.
+        entries need an SVD.  Every block of a one-diagonal band is a single
+        entry, so its norm is its largest kept |entry|.  A non-finite kept
+        entry gives inf.
         """
         kept = np.ones(self.dim, dtype=bool)
         if keep is not None:
@@ -172,6 +174,9 @@ class Band:
         if not np.isfinite(vals).all():
             # an overflowed entry: report an unbounded norm, never a small one
             return float("inf")
+        if len(self.diags) == 1:
+            # one diagonal: no two entries share a row or a column
+            return float(np.max(np.abs(vals), initial=0.0))
         nonzero = vals != 0
         if not nonzero.any():
             return 0.0

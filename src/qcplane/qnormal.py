@@ -282,19 +282,29 @@ def _indicator_mask(T: TruncatedQNormal, interval: Interval, factor: Fraction) -
     Along one generator the points q**n x_j fall as n grows (or stay put when
     q = 1), so the levels inside the interval form one run: from the first
     level below the upper end up to the first level not above the lower end.
-    Bisection finds both ends with O(log size) exact comparisons.  Exact
-    models read the probed points off their modulus; float models make them.
+    Bisection finds both ends with O(log size) exact comparisons of a probed
+    point, given as a pair of integers num / den.  Exact models read the pair
+    off their modulus; float models make it from integer powers of the grid
+    ratio's numerator and denominator, with no Fraction.
     """
     mask = np.zeros(len(T.grid), dtype=bool)
     n_gens = T.n_gens
     levels = range(T.window.size)
+    p, r = T.grid.q.numerator, T.grid.q.denominator
+
+    def point(i: int, j: int) -> tuple[int, int]:
+        if T.exact:
+            t = T.modulus_band.diags[0][i * n_gens + j]
+            num, den = t.numerator, t.denominator
+        else:
+            n, x = T.grid.levels[i], T.grid.generators[j]
+            num, den = (p ** n, r ** n) if n >= 0 else (r ** -n, p ** -n)
+            num, den = num * x.numerator, den * x.denominator
+        return factor.numerator * num, factor.denominator * den
+
     for j in range(n_gens):
-        def point(i: int, j=j) -> Fraction:
-            k = i * n_gens + j
-            t = T.modulus_band.diags[0][k] if T.exact else T.grid[k].value
-            return t if factor == 1 else factor * t
-        start = bisect_left(levels, True, key=lambda i: interval.below_upper(point(i)))
-        stop = bisect_left(levels, True, key=lambda i: not interval.above_lower(point(i)))
+        start = bisect_left(levels, True, key=lambda i: interval.below_upper(*point(i, j)))
+        stop = bisect_left(levels, True, key=lambda i: not interval.above_lower(*point(i, j)))
         mask[start * n_gens + j:stop * n_gens:n_gens] = True
     return mask
 

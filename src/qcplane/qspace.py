@@ -81,17 +81,26 @@ class Interval:
             return False
         return not (self.lower_closed and self.upper_closed)
 
-    def above_lower(self, t: Fraction) -> bool:
-        """t passes the lower end; false from some point on as t falls."""
-        return t > self.lower or (t == self.lower and self.lower_closed)
+    def above_lower(self, num: int, den: int) -> bool:
+        """t = num/den (den > 0) passes the lower end; false from some point on as t falls.
 
-    def below_upper(self, t: Fraction) -> bool:
-        """t passes the upper end; false from some point on as t grows."""
-        return self.upper is None or t < self.upper or (t == self.upper and self.upper_closed)
+        Compared by cross-multiplication, so a point given as a pair of
+        integers needs no Fraction.
+        """
+        gap = num * self.lower.denominator - self.lower.numerator * den
+        return gap > 0 or (gap == 0 and self.lower_closed)
+
+    def below_upper(self, num: int, den: int) -> bool:
+        """t = num/den (den > 0) passes the upper end; false from some point on as t grows."""
+        if self.upper is None:
+            return True
+        gap = num * self.upper.denominator - self.upper.numerator * den
+        return gap < 0 or (gap == 0 and self.upper_closed)
 
     def contains(self, t: Fraction) -> bool:
         t = Fraction(t)
-        return self.above_lower(t) and self.below_upper(t)
+        return (self.above_lower(t.numerator, t.denominator)
+                and self.below_upper(t.numerator, t.denominator))
 
     def scaled(self, c: Fraction) -> "Interval":
         """Image {c * t : t in self} for rational c > 0."""

@@ -339,11 +339,10 @@ class RationalFunction:
     def evaluate_float(self, t: float) -> complex:
         """Value at a float point: Horner on real and imaginary parts, one division.
 
-        Agrees bit for bit with :meth:`evaluate_array`.  A real function divides
-        two reals, so where only the denominator overflows the value is 0, not
-        nan.  Where the quotient is not finite at a finite t != 0, the value is
-        taken from the reversed polynomials at 1/t instead, for real and for
-        complex coefficients.
+        Agrees bit for bit with :meth:`evaluate_array`.  Where the denominator
+        or the quotient is not finite at a finite t != 0, the value is taken
+        from the reversed polynomials at 1/t instead, for real and for complex
+        coefficients: an overflowed denominator does not make the value 0.
         """
         cs = self._float_coeffs
         parts = [_p_eval_float(x, t) for x in cs]
@@ -351,7 +350,8 @@ class RationalFunction:
         if c == 0 and e == 0:
             raise EvaluationError(f"denominator vanishes at t={t}")
         v = parts[0] / c if len(cs) == 2 else complex(*_smith(*parts))
-        if not cmath.isfinite(v) and t != 0 and math.isfinite(t):
+        finite = cmath.isfinite(v) and math.isfinite(c) and math.isfinite(e)
+        if not finite and t != 0 and math.isfinite(t):
             v = complex(*_reversed_value(cs, t))
         return complex(v)
 
@@ -371,7 +371,8 @@ class RationalFunction:
             else:
                 v = np.empty(np.shape(t), dtype=complex)
                 v.real, v.imag = _smith(*parts)
-            redo = ~np.isfinite(v) & np.isfinite(t) & (t != 0)
+            finite = np.isfinite(v) & np.isfinite(c) & np.isfinite(e)
+            redo = ~finite & np.isfinite(t) & (t != 0)
             if np.any(redo):
                 v.real[redo], v.imag[redo] = _reversed_value(self._float_coeffs, t[redo])
             return v

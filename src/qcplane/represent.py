@@ -129,14 +129,21 @@ def _hermitian_inv_sqrt(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def z_transform(M: np.ndarray) -> ZTransformPair:
-    """Bounded transform M (1 + M*M)^(-1/2), always of norm < 1."""
+    """Bounded transform M (1 + M*M)^(-1/2), always of norm < 1.
+
+    Both matrices of the pair are complex.  When M has no nonzero imaginary
+    part the transform is computed in real arithmetic (a real symmetric eigh
+    and real products), as every represented element with real coefficients
+    allows; otherwise in complex arithmetic.
+    """
     M = np.asarray(M, dtype=complex)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise DomainError("bounded transform needs a square matrix")
     if not np.all(np.isfinite(M)):
         raise ArithmeticError("matrix has non-finite entries")
-    H = np.eye(M.shape[0], dtype=complex) + M.conj().T @ M
-    return ZTransformPair(M, M @ _hermitian_inv_sqrt(H)[0])
+    A = M.real if not M.imag.any() else M
+    H = np.eye(M.shape[0], dtype=A.dtype) + A.conj().T @ A
+    return ZTransformPair(M, (A @ _hermitian_inv_sqrt(H)[0]).astype(complex, copy=False))
 
 
 def pi_image(z: np.ndarray) -> np.ndarray:

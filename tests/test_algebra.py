@@ -315,3 +315,13 @@ def test_indicator_float_call_at_deep_levels_and_endpoints():
     assert fifths(float(Fraction(1, 5))) == 0
     assert fifths(float(Fraction(4, 5))) == 1
     assert fifths(0.5) == 1
+
+
+def test_grid_sample_points_match_the_pointwise_formula():
+    for q, gens in (("1/2", ["1"]), ("3/7", ["1", "2/3"]), ("9/10", ["19/20", "1"])):
+        X = qspace.make_spectral_set(q, gens)
+        for lo, hi in ((-12, 12), (0, 0), (3, 2), (-30, 5), (4, 9)):
+            for include_zero in (True, False):
+                want = sorted({X.q ** n * x for n in range(lo, hi + 1) for x in X.generators})
+                want = ([Fraction(0)] if include_zero else []) + want
+                assert grid_sample_points(X, lo, hi, include_zero) == tuple(want)

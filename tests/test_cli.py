@@ -357,3 +357,19 @@ def test_limit_table_matches_classical_eval_bit_for_bit():
         a = cli._random_classical_element(rng, Fraction(1))
         table = cli._classical_table(a, radii, angles)
         assert table == [[algebra.classical_eval(a, r, th) for th in angles] for r in radii]
+
+
+def test_float_bott_builds_no_exact_sample_grid(capsys, monkeypatch):
+    # only the exact verdict reads the rational sample points
+    real = algebra.grid_sample_points
+    calls = []
+    monkeypatch.setattr(algebra, "grid_sample_points",
+                        lambda *args, **kw: calls.append(args) or real(*args, **kw))
+    for argv in (["bott"], ["bott", "--perturb"], ["bott", "--q", "2/3"]):
+        code, out = run(capsys, *argv)
+        assert code in (0, 3) and json.loads(out)["projections"]
+    assert calls == []
+    code, out = run(capsys, "bott", "--exact")
+    assert code == 0 and len(calls) == 1
+    for row in json.loads(out)["projections"]:
+        assert row["points_checked"] == 52

@@ -202,3 +202,26 @@ def test_band_trace_and_blocks():
         assert mo.max_entry_gap(whole.dense(), want) == 0
         assert whole.trace() == np.trace(want)
     assert mo.Band(4, True).trace() == 0
+
+
+def test_one_offset_float_band_norm_is_the_largest_kept_entry():
+    rng = np.random.default_rng(73)
+    for dim in (1, 2, 9, 24):
+        for d in (0, 1, -3, 7, dim - 1):
+            for density in (0.0, 0.3, 1.0):
+                B = _float_band(rng, dim, (d,), density)
+                for keep in (None, [], sorted(rng.choice(dim, size=dim // 2, replace=False))):
+                    kept = np.zeros(dim, dtype=bool)
+                    kept[range(dim) if keep is None else keep] = True
+                    rows = B._rows(d)
+                    rows = rows[kept[rows] & kept[rows + d]]
+                    entries = B.diags[d][rows] if d in B.diags else np.zeros(0)
+                    got = B.norm(keep)
+                    assert got == (float(np.max(np.abs(entries))) if entries.any() else 0.0)
+                    # the same bits as the general path, whose blocks are all single entries
+                    nz = entries != 0
+                    general = (mo._block_norm(rows[nz], rows[nz] + d, entries[nz], dim)
+                               if nz.any() else 0.0)
+                    assert got == general
+                    want = _dense_norm(B.dense(), keep)
+                    assert abs(got - want) <= 1e-12 * max(1.0, want)

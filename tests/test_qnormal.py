@@ -428,3 +428,34 @@ def test_float_relation_refuses_a_zeta_whose_square_overflows():
     assert np.isfinite(qnormal.verify_relation(T).boundary_defect)
     exact = qnormal.build_from_generators("1/1000", ["1"], TruncationWindow(-60, 60), exact=True)
     assert qnormal.verify_relation(exact).interior_defect == 0
+
+
+def test_float_indicator_band_makes_no_grid_point(monkeypatch):
+    # float probes are integer pairs from powers of the grid ratio: no GridPoint
+    rng = random.Random(7)
+    models = [qnormal.build_from_generators(q, gens, TruncationWindow(-60, 45),
+                                            zero_mass=zero_mass, exact=False)
+              for q, gens, zero_mass in (("1/2", ["1"], "0"), ("3/7", ["1", "2/3"], "1"),
+                                         ("1/1", ["1", "1/2"], "0"))]
+    points = [Fraction(2) ** k for k in range(-70, 60, 7)] + [Fraction(3, 7) ** k
+                                                             for k in range(-50, 50, 9)]
+    intervals = [_random_interval(rng, points) for _ in range(40)]
+    intervals += [Interval.point(0), Interval.point(1), Interval.open_closed("1/2", 1)]
+    want = {}
+    for i, T in enumerate(models):
+        for j, interval in enumerate(intervals):
+            for factor in (1, T.q, Fraction(5, 3)):
+                want[i, j, factor] = [interval.contains(factor * gp.value) for gp in T.grid]
+
+    def no_grid_point(self, i):
+        raise AssertionError("a GridPoint was made")
+
+    monkeypatch.setattr(qnormal.LevelGrid, "__getitem__", no_grid_point)
+    for i, T in enumerate(models):
+        for j, interval in enumerate(intervals):
+            f = IndicatorCoefficient(interval)
+            for factor in (1, T.q, Fraction(5, 3)):
+                got = qnormal.spectral_band(T, f, factor).diags[0][:len(T.grid)]
+                assert got.tolist() == [complex(w) for w in want[i, j, factor]]
+        assert qnormal.verify_covariance(T, IndicatorCoefficient(intervals[-1])) == 0.0
+        assert qnormal.polar_check(T).kernel_defect == 0.0

@@ -192,11 +192,13 @@ def test_evaluate_array_matches_evaluate_float_bit_for_bit(q):
             overflowed += not np.isfinite(values).all()
     assert overflowed > 0   # the inf case is exercised too
     for f in fs[:2]:
-        # real coefficients whose denominator overflows give 0, not nan, also
-        # where the numerator t^3 overflows as well (q = 3/7)
+        # real coefficients whose denominator overflows are finite, not nan, also
+        # where the numerator t^3 overflows as well (q = 3/7); at 2^300 they read
+        # the true values 2^-1800 (which rounds to 0) and 2^-900
         assert all(np.isfinite(f.evaluate_array(t)).all() for t in points)
-        assert f.evaluate_array(np.array([2.0 ** 300]))[0] == 0
-        assert f.evaluate_float(2.0 ** 300) == 0
+        want = complex(f.evaluate(Fraction(2) ** 300))
+        assert f.evaluate_array(np.array([2.0 ** 300]))[0] == pytest.approx(want, rel=1e-15, abs=0)
+        assert f.evaluate_float(2.0 ** 300) == pytest.approx(want, rel=1e-15, abs=0)
     # inf/inf is read from the reversed polynomials: 1 - 1/(2 + t^8) rounds to 1
     assert fs[2].evaluate_array(np.array([2.0 ** 300]))[0] == 1
     assert fs[2].evaluate_float(2.0 ** 300) == 1
@@ -377,3 +379,29 @@ def test_power_refuses_results_beyond_the_stated_bounds():
                  (two, m + 1)):
         with pytest.raises(DomainError, match="passes the bounds"):
             f ** k
+
+
+def test_values_where_only_the_denominator_overflows():
+    # at t = 1e60 the denominator 1 + t^6 is inf while t^3 = 1e180 is finite;
+    # the quotient of the two would read 0, the reversed polynomials give 1e-180
+    for f, want in ((T ** 3 / (1 + T ** 6), 1e-180), (IM * T ** 3 / (1 + T ** 6), 1e-180j),
+                    ((2 + IM) * T ** 3 / (1 + IM + T ** 6), (2 + 1j) * 1e-180)):
+        points = np.array([1e60, 0.0, 0.5, 3.0, 1e51, 1e60 * 7])
+        scalar = np.array([f.evaluate_float(x) for x in points.tolist()])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = f.evaluate_array(points)
+        assert _same_bits(values, scalar)
+        assert values[0] == pytest.approx(want, rel=1e-15, abs=0)
+        assert values[5] == pytest.approx(want / 7 ** 3, rel=1e-15, abs=0)
+        # at 1e51 the denominator 1e306 is finite: the forward quotient stands
+        num, den = (_forward(cs, 1e51) for cs in (f.num, f.den))
+        assert values[4] == num / den
+        assert values[4] == pytest.approx(want * 1e27, rel=1e-15, abs=0)
+
+
+def _forward(cs, t: float) -> complex:
+    acc = 0j
+    for c in reversed(cs):
+        acc = acc * t + complex(c)
+    return acc

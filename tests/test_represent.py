@@ -370,3 +370,57 @@ def test_pi_image_guard_reads_the_norm_from_the_eigendecomposition():
                 pi_image(_with_norm(rng, n, norm))
         z = _with_norm(rng, n, 1 - 1e-9)
         assert np.all(np.isfinite(pi_image(z)))
+
+
+def _complex_z_transform(M):
+    """The bounded transform in complex arithmetic, whatever M's entries."""
+    M = np.asarray(M, dtype=complex)
+    H = np.eye(M.shape[0], dtype=complex) + M.conj().T @ M
+    vals, vecs = np.linalg.eigh(H)
+    vals = np.clip(vals, represent.EIGENVALUE_CLAMP, None)
+    return M @ ((vecs * (vals ** -0.5)) @ vecs.conj().T)
+
+
+def test_z_transform_of_a_real_matrix_matches_the_complex_formula(dyadic_measure):
+    # the two paths round differently, by about eps times the condition of
+    # 1 + M*M, so the matrices here have norm at most 4
+    rng = np.random.default_rng(23)
+    mats = []
+    for n in (1, 2, 7, 30, 60):
+        for norm in (1e-3, 0.5, 4.0):
+            M = rng.normal(size=(n, n))
+            mats.append(M * (norm / np.linalg.norm(M, 2)))
+    T = _model(dyadic_measure, -25, 25, exact=False)
+    mats += [represent.represent(parse_element(HALF, lits), T).real
+             for lits in (["t/(1+t^2)@1"], ["2*t^2/(1+t^4)@2", "3/(1+t)@0", "t/(2+t^2)@-3"])]
+    for M in mats:
+        want = _complex_z_transform(M)
+        for given in (M, M.astype(complex)):
+            pair = z_transform(given)
+            assert pair.z.dtype == complex and pair.original.dtype == complex
+            assert np.array_equal(pair.original, M)
+            assert not pair.z.imag.any()
+            assert np.linalg.norm(pair.z - want, 2) <= 1e-14 * np.linalg.norm(want, 2)
+
+
+def test_z_transform_of_a_complex_matrix_keeps_the_complex_bits():
+    rng = np.random.default_rng(29)
+    for n in (1, 3, 12, 40):
+        M = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        assert np.array_equal(z_transform(M).z, _complex_z_transform(M))
+    # one nonzero imaginary part is enough to take the complex path
+    M = rng.normal(size=(6, 6)).astype(complex)
+    M[2, 4] += 1e-300j
+    assert np.array_equal(z_transform(M).z, _complex_z_transform(M))
+
+
+@pytest.mark.parametrize("half", [25, 50, 75])
+def test_pi_image_inverts_the_real_transform_of_represented_elements(dyadic_measure, half):
+    T = _model(dyadic_measure, -half, half, exact=False)
+    assert T.dim == 2 * half + 1
+    for lits in (["t/(1+t^2)@1"], ["1/(1+t^2)@0", "t/(1+t^2)@-1"],
+                 ["2*t^2/(1+t^4)@2", "3/(1+t)@0", "t/(2+t^2)@-3"]):
+        M = represent.represent(parse_element(HALF, lits), T)
+        assert not M.imag.any()
+        back = pi_image(z_transform(M).z)
+        assert np.max(np.abs(back - M)) <= 1e-9
