@@ -358,11 +358,12 @@ def element_residual(a: AlgebraElement, b: AlgebraElement, points) -> Fraction |
         if (all_exact and isinstance(fa, RationalCoefficient)
                 and isinstance(fb, RationalCoefficient) and fa.rf.equals(fb.rf)):
             continue
-        for p in points:
-            if all_exact:
-                diff = fa.eval_exact(p) - fb.eval_exact(p)
-                worst = max(worst, exact_magnitude(diff))
-            else:
+        if all_exact:
+            va, vb = (f.rf.evaluate_diagonal(points) if isinstance(f, RationalCoefficient)
+                      else [f.eval_exact(p) for p in points] for f in (fa, fb))
+            worst = max([worst, *(exact_magnitude(x - y) for x, y in zip(va, vb))])
+        else:
+            for p in points:
                 worst = max(worst, abs(fa(float(p)) - fb(float(p))))
     return worst
 

@@ -158,8 +158,8 @@ def _block_band(A: Entries, T: TruncatedQNormal) -> mo.Band:
 
 
 def _block_interior(T: TruncatedQNormal, pad: int) -> list[int]:
-    idx = T.interior_indices(pad)
-    return idx + [i + T.dim for i in idx]
+    idx, dim = T.interior_indices(pad), T.dim
+    return idx + [i + dim for i in idx]
 
 
 def verify_projection_numeric(P: ProjectionCandidate, T: TruncatedQNormal) -> NumericProjectionReport:

@@ -198,13 +198,11 @@ def cmd_simulate(cfg: RunConfig) -> tuple[dict, int]:
     rows = []
     worst = 0.0
     failing: str | None = None
+    family = {name: _covariance_function(name, cfg.q) for name in COVARIANCE_FAMILY}
     for w in windows:
         T = qnormal.build(mu, None, w, exact=cfg.exact_mode)
         rel = qnormal.verify_relation(T)
-        cov = {}
-        for name in COVARIANCE_FAMILY:
-            f = _covariance_function(name, cfg.q)
-            cov[name] = qnormal.verify_covariance(T, f)
+        cov = {name: qnormal.verify_covariance(T, f) for name, f in family.items()}
         pol = qnormal.polar_check(T)
         interiors = {"relation": rel.interior_defect, **cov,
                      "polar": pol.reconstruction_defect, "kernel": pol.kernel_defect}

@@ -29,7 +29,7 @@ from . import matrixops as mo
 from .algebra import CoefficientFunction, IndicatorCoefficient, RationalCoefficient
 from .errors import ConfigurationError, DomainError, EvaluationError
 from .qspace import Interval, QInvariantMeasure, SpectralSet
-from .scalars import RationalComplex, format_rational, parse_rational
+from .scalars import format_rational, parse_rational
 
 _SQRT_FLOAT_MAX = np.sqrt(np.finfo(float).max)
 
@@ -314,11 +314,12 @@ def spectral_band(T: TruncatedQNormal, f: CoefficientFunction, factor=1) -> mo.B
 
     Indicators are decided by exact membership of the exact points, found by
     bisection along each generator's levels.  Otherwise exact models evaluate
-    f at each point of the exact modulus diagonal.  Float models evaluate f at
-    the floats of the exact points: the modulus diagonal at factor 1,
-    factor * t_{j,n} rounded once otherwise, so both sides of a covariance
-    identity see the same floats.  A rational coefficient is evaluated on the
-    whole diagonal by one array Horner scheme; other callables per point.
+    f in integers on the whole exact modulus diagonal, the kernel's 0 included,
+    by one ``evaluate_diagonal``.  Float models evaluate f at the floats of the
+    exact points: the modulus diagonal at factor 1, factor * t_{j,n} rounded
+    once otherwise, so both sides of a covariance identity see the same
+    floats.  A rational coefficient is evaluated on the whole diagonal by one
+    array Horner scheme; other callables per point.
     """
     factor = Fraction(factor)
     n = len(T.grid)
@@ -328,23 +329,20 @@ def spectral_band(T: TruncatedQNormal, f: CoefficientFunction, factor=1) -> mo.B
             mask = _indicator_mask(T, f.interval, factor)
             values[:n] = np.where(mask, Fraction(1), Fraction(0)) if T.exact else mask
         elif T.exact:
-            values[:n] = [_real(f.eval_exact(t if factor == 1 else factor * t))
-                          for t in T.modulus_band.diags[0][:n]]
+            if not isinstance(f, RationalCoefficient):
+                raise EvaluationError(f"{type(f).__name__} has no exact evaluation")
+            values[:] = f.rf.evaluate_diagonal(T.modulus_band.diags[0], factor)
+            return mo.Band(T.dim, True, {0: values})
         else:
             t = (T.modulus_band.diags[0].real[:n] if factor == 1 else
                  T._q_points if factor == T.q else T.grid.rounded(factor))
             values[:n] = (f.rf.evaluate_array(t) if isinstance(f, RationalCoefficient)
                           else [complex(f(x)) for x in t.tolist()])
         if T.kernel_dim:
-            values[n] = _real(f.value_at_zero) if T.exact else complex(f.value_at_zero)
+            values[n] = f.value_at_zero if T.exact else complex(f.value_at_zero)
     except (ArithmeticError, OverflowError) as exc:
         raise EvaluationError(f"coefficient undefined on the grid: {exc}") from exc
     return mo.Band(T.dim, T.exact, {0: values})
-
-
-def _real(x):
-    """An exact value with zero imaginary part as its Fraction real part."""
-    return x.re if isinstance(x, RationalComplex) and not x.im else x
 
 
 def spectral_function(T: TruncatedQNormal, f: CoefficientFunction) -> np.ndarray:

@@ -311,20 +311,35 @@ class RationalFunction:
         return _rf(_p_argscale(self._num, lam), _p_argscale(self._den, lam))
 
     def evaluate(self, x) -> RationalComplex:
-        """Exact value at a real point: int, Fraction or RationalComplex with im == 0."""
+        """Exact value at a real point (int, Fraction or RationalComplex with im == 0)."""
         t = x.re if isinstance(x, RationalComplex) and not x.im else x
         if not isinstance(t, (int, Fraction)):
             raise TypeError(f"evaluate needs a real rational point, got {x!r}")
-        p, r = t.numerator, t.denominator
+        return RationalComplex.coerce(self.evaluate_diagonal((t,))[0])
+
+    def evaluate_diagonal(self, points, factor: Fraction = Fraction(1)) -> list:
+        """Exact f(factor * t) at rational points t, such as a modulus diagonal.
+
+        Horner's scheme runs in integers at p / r = (factor.num t.num) / (factor.den
+        t.den); each value is one Fraction, or a RationalComplex if its im != 0.
+        """
+        fp, fr = factor.numerator, factor.denominator
         (nr, ni, dn), (dr, di, dd) = self._num, self._den
-        # num(t) = (a + i b) / (dn r^deg num) and den(t) = (c + i e) / (dd r^deg den)
-        a, b, c, e = (_horner(cs, p, r) for cs in (nr, ni, dr, di))
-        if not c and not e:
-            raise EvaluationError(f"denominator vanishes at t={x}")
-        if e:
-            a, b, c = a * c + b * e, b * c - a * e, c * c + e * e
-        s, c = dd * r ** len(dr), c * dn * r ** len(nr)
-        return RationalComplex(Fraction(a * s, c), Fraction(b * s, c))
+        real, k = not any(ni) and not any(di), len(dr) - len(nr)
+        out = []
+        for t in points:
+            p, r = fp * t.numerator, fr * t.denominator
+            # num = (a + i b) / (dn r^len(nr)) and den = (c + i e) / (dd r^len(dr))
+            a, c = _horner(nr, p, r), _horner(dr, p, r)
+            b, e = (0, 0) if real else (_horner(ni, p, r), _horner(di, p, r))
+            if not c and not e:
+                raise EvaluationError(f"denominator vanishes at t={Fraction(p, r)}")
+            if e:
+                a, b, c = a * c + b * e, b * c - a * e, c * c + e * e
+            s, c = (dd * r ** k, c * dn) if k >= 0 else (dd, c * dn * r ** -k)
+            out.append(RationalComplex(Fraction(a * s, c), Fraction(b * s, c)) if b
+                       else Fraction(a * s, c))
+        return out
 
     @cached_property
     def _float_coeffs(self) -> tuple[tuple[float, ...], ...]:

@@ -1,10 +1,10 @@
 """Covariant matrix representation, norm estimation, and bounded transforms.
 
 An algebra element sum f_k U**k acts on a truncated operator model as the
-band sum of f_k(t) times the one diagonal of shift(k), with no dense matrix on
-any model path.  The norm estimator sweeps a family of growing windows of one
-fixed faithful model and reports the largest singular value per window; this
-stands in for the universal norm (the acting group Z is amenable, an
+band with f_k(t) on the rows where shift(k) has its entries, with no dense
+matrix on any model path.  The norm estimator sweeps a family of growing
+windows of one fixed faithful model and reports the largest singular value per
+window; this stands in for the universal norm (the acting group Z is amenable, an
 assumption recorded in the report, never verified here).
 
 The dense bounded transform z(T) = T(1 + T*T)^(-1/2) and its inverse live
@@ -64,15 +64,21 @@ class ZTransformPair:
 
 
 def represent_band(a: AlgebraElement, T: TruncatedQNormal) -> mo.Band:
-    """Band of sum_k f_k(modulus) u**k; exact when T and all f_k are."""
+    """Band of sum_k f_k(modulus) u**k; exact when T and all f_k are.
+
+    u**k (k != 0) is 1 at offset d = k n_gens on the grid rows from max(0, -d) to
+    min(len(grid), len(grid) - d), u**0 is the identity; f_k(t_i) goes on those rows.
+    """
     if a.q != T.q:
         raise DomainError("element and model have different ratios")
+    n, zero = len(T.grid), Fraction(0) if T.exact else 0j
     diags: dict[int, np.ndarray] = {}
     for k, f in a.terms:
-        # one diagonal at offset k n_gens; offsets collide only with no generators
-        for d, row in shift(T, k).diags.items():
-            values = spectral_band(T, f).diags[0] * row
-            diags[d] = diags[d] + values if d in diags else values
+        d = k * T.n_gens
+        # a d past the grid is past the matrix too, and mo.Band drops it; offsets
+        # collide only with no generators, where only u**0 has rows
+        rows = slice(0, T.dim) if k == 0 else slice(max(0, -d), min(n, n - d))
+        diags.setdefault(d, np.full(T.dim, zero))[rows] = spectral_band(T, f).diags[0][rows]
     return mo.Band(T.dim, T.exact, diags)
 
 

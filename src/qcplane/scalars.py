@@ -141,9 +141,11 @@ class RationalComplex:
 
 def exact_magnitude(value) -> Fraction:
     """Exact magnitude proxy for Fraction, int or RationalComplex."""
+    if isinstance(value, Fraction):
+        return abs(value)
     if isinstance(value, RationalComplex):
         return value.magnitude()
-    if isinstance(value, (int, Fraction)):
+    if isinstance(value, int):
         return abs(Fraction(value))
     raise TypeError(f"not an exact scalar: {type(value).__name__}")
 

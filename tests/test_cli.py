@@ -4,6 +4,7 @@ import random
 import time
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -373,3 +374,42 @@ def test_float_bott_builds_no_exact_sample_grid(capsys, monkeypatch):
     assert code == 0 and len(calls) == 1
     for row in json.loads(out)["projections"]:
         assert row["points_checked"] == 52
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_simulate_builds_the_covariance_family_once_per_run(tmp_path, capsys, monkeypatch,
+                                                            exact):
+    built = []
+    make = cli._covariance_function
+
+    def counting(name, q):
+        built.append(name)
+        return make(name, q)
+
+    monkeypatch.setattr(cli, "_covariance_function", counting)
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"windows_sweep": [[-3, 3], [-4, 4], [-5, 5]]}))
+    argv = ["simulate", "--config", str(cfgfile)] + (["--exact"] if exact else [])
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert len(json.loads(out)["windows"]) == 3
+    assert built == list(cli.COVARIANCE_FAMILY)
+
+
+GOLDEN = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("name, argv, want_code", [
+    ("simulate_exact", ["simulate", "--exact"], 0),
+    ("simulate_exact_q3_7_w40", ["simulate", "--exact", "--q", "3/7", "--window", "-40", "40"], 0),
+    ("bott_exact", ["bott", "--exact"], 0),
+    ("bott", ["bott"], 0),
+    ("norm", ["norm"], 0),
+    ("limit_q1", ["limit", "--q", "1/1"], 0),
+])
+def test_reports_match_the_recorded_golden_output(capsys, name, argv, want_code):
+    # tests/data/golden_<name>.out is the byte-exact stdout of
+    # `python -m qcplane.cli <argv>` recorded before the exact diagonal evaluator
+    code, out = run(capsys, *argv)
+    assert code == want_code
+    assert out.encode() == (GOLDEN / f"golden_{name}.out").read_bytes()

@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcplane import qnormal, ratfunc
 from qcplane.errors import DomainError, EvaluationError
@@ -405,3 +407,60 @@ def _forward(cs, t: float) -> complex:
     for c in reversed(cs):
         acc = acc * t + complex(c)
     return acc
+
+
+_small_fractions = st.fractions(min_value=-9, max_value=9, max_denominator=7)
+
+
+@st.composite
+def _exact_rational_functions(draw):
+    """Real or complex quotients of degree <= 4 over <= 3, denominator nonzero."""
+    real = draw(st.booleans())
+    coeff = st.builds(RationalComplex, _small_fractions,
+                      st.just(Fraction(0)) if real else _small_fractions)
+    num = draw(st.lists(coeff, max_size=5))
+    den = draw(st.lists(coeff, min_size=1, max_size=4).filter(
+        lambda cs: any(not c.is_zero for c in cs)))
+    return RationalFunction(num, den)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_exact_rational_functions(), st.sampled_from(["1/2", "3/7", "2/3"]),
+       st.sampled_from(["1", "q", "1/q"]), st.booleans())
+def test_evaluate_diagonal_matches_pointwise_evaluation(f, q, which, kernel):
+    gens = ["1", "5/6"] if q == "2/3" else ["1"]
+    model = qnormal.build_from_generators(q, gens, TruncationWindow(-4, 4),
+                                      zero_mass=int(kernel), exact=True)
+    factor = {"1": Fraction(1), "q": model.q, "1/q": 1 / model.q}[which]
+    points = model.modulus_band.diags[0]
+    wants = []
+    for t in points:
+        den = _value(f.den, factor * t)
+        wants.append(None if den.is_zero else _value(f.num, factor * t) / den)
+    if None in wants:
+        with pytest.raises(EvaluationError, match="denominator vanishes"):
+            f.evaluate_diagonal(points, factor)
+        return
+    values = f.evaluate_diagonal(points, factor)
+    assert len(values) == len(points)
+    for t, v, want in zip(points, values, wants):
+        assert v == want
+        assert v == f.evaluate(factor * t)
+        if want.im:
+            assert type(v) is RationalComplex
+        else:
+            assert type(v) is Fraction
+
+
+def test_evaluate_diagonal_raises_at_a_denominator_root_on_the_diagonal():
+    model = qnormal.build_from_generators("1/2", ["1"], TruncationWindow(-3, 3),
+                                      zero_mass=1, exact=True)
+    points = model.modulus_band.diags[0]   # 8, 4, ..., 1/8 and the kernel's 0
+    for f, factor, root in ((1 / (2 * T - 1), Fraction(1), "1/2"),
+                            (1 / (T - 1), Fraction(1, 2), "1"),
+                            (1 / ((T - 4) * (T - IM)), Fraction(2), "4"),
+                            (1 / T, Fraction(1), "0")):
+        with pytest.raises(EvaluationError, match=f"denominator vanishes at t={root}$"):
+            f.evaluate_diagonal(points, factor)
+    # a root between the points is no root on the diagonal
+    assert len((1 / (3 * T - 1)).evaluate_diagonal(points)) == model.dim

@@ -424,3 +424,36 @@ def test_pi_image_inverts_the_real_transform_of_represented_elements(dyadic_meas
         assert not M.imag.any()
         back = pi_image(z_transform(M).z)
         assert np.max(np.abs(back - M)) <= 1e-9
+
+
+def _former_represent_band(a, T) -> mo.Band:
+    """The earlier construction: sum_k f_k(modulus) times the one diagonal of u**k."""
+    diags = {}
+    for k, f in a.terms:
+        for d, row in qnormal.shift(T, k).diags.items():
+            values = qnormal.spectral_band(T, f).diags[0] * row
+            diags[d] = diags[d] + values if d in diags else values
+    return mo.Band(T.dim, T.exact, diags)
+
+
+@pytest.mark.parametrize("q, gens, zero_mass", [
+    ("1/2", ["1"], "0"), ("1/2", ["1"], "1"), ("3/7", ["1", "2/3"], "0"),
+    ("2/3", ["1", "5/6"], "1/2"), ("1/1", ["1", "1/3"], "1"), ("1/2", [], "1"),
+])
+@pytest.mark.parametrize("exact", [True, False])
+def test_represent_band_places_each_mode_on_the_rows_of_its_shift(q, gens, zero_mass, exact):
+    # modes up to 6 levels away on a window of 5 levels: |k| >= levels reaches
+    # past the grid, and with no generators every mode lands on offset 0
+    T = qnormal.build_from_generators(q, gens, TruncationWindow(-2, 2),
+                                      zero_mass=zero_mass, exact=exact)
+    im_t = algebra.RationalCoefficient(
+        RationalComplex(Fraction(1), Fraction(-2)) * RationalFunction.variable())
+    a = parse_element(q, ["1/(1+t^2)@0", "t@1", "(1+t)/(2+t^3)@-2", "t^2@4", "3@5", "t@-6"])
+    a = algebra.element(a.q, {**dict(a.terms), -1: im_t})
+    new, old = represent.represent_band(a, T), _former_represent_band(a, T)
+    assert set(new.diags) == set(old.diags)
+    N, M = new.dense(), old.dense()
+    if exact:
+        assert all(x == y for x, y in zip(N.flat, M.flat))
+    else:
+        assert np.array_equal(N, M)
