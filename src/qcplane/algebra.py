@@ -15,17 +15,19 @@ from __future__ import annotations
 
 import ast
 import enum
+import heapq
 import math
 import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, repeat
+from itertools import accumulate, groupby, repeat
 from typing import Callable, Mapping
 
 from .errors import DomainError, EvaluationError
 from .qspace import Interval, SpectralSet
-from .ratfunc import RationalFunction
+from .ratfunc import (_ONE, RationalFunction, _f_add, _f_div, _f_mul, _f_neg, _f_pow,
+                      _f_sub, _poly, _rf)
 from .scalars import (RationalComplex, conj_scalar, exact_magnitude,
                       is_exact_scalar, parse_rational)
 
@@ -161,9 +163,9 @@ def _v0_combine(x, y, op):
 
 def cf_alpha(f: CoefficientFunction, n: int, q: Fraction) -> CoefficientFunction:
     """Scaling action iterate: t -> f(q**n * t)."""
-    if n == 0:
+    qn = q ** n
+    if qn == 1:
         return f
-    qn = Fraction(q) ** n
     if isinstance(f, RationalCoefficient):
         return RationalCoefficient._from_checked(f.rf.substitute_scale(qn))
     if isinstance(f, IndicatorCoefficient):
@@ -201,7 +203,7 @@ def cf_add(f: CoefficientFunction, g: CoefficientFunction) -> CoefficientFunctio
 
 def cf_scale(f: CoefficientFunction, s) -> CoefficientFunction:
     if is_exact_scalar(s) and isinstance(f, RationalCoefficient):
-        return RationalCoefficient._from_checked(f.rf * RationalComplex.coerce(s))
+        return RationalCoefficient._from_checked(f.rf * s)
     sc = complex(s)
     zero = _v0_combine(f.value_at_zero, s, lambda a, b: a * b)
     return ClosureCoefficient(lambda t, f=f, sc=sc: sc * f(t), zero, f.vanishes_at_infinity)
@@ -265,7 +267,6 @@ class AlgebraElement:
 
 def element(q, coeffs: Mapping[int, CoefficientFunction]) -> AlgebraElement:
     """Assemble an element, dropping syntactically zero coefficients."""
-    q = Fraction(q)
     terms = tuple((int(k), f) for k, f in coeffs.items() if not _is_syntactic_zero(f))
     return AlgebraElement(q, terms)
 
@@ -300,7 +301,7 @@ def add(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
 
 
 def scale(a: AlgebraElement, s) -> AlgebraElement:
-    if (is_exact_scalar(s) and RationalComplex.coerce(s).is_zero) or s == 0:
+    if s == 0:
         return zero_element(a.q)
     return element(a.q, {k: cf_scale(f, s) for k, f in a.terms})
 
@@ -330,12 +331,12 @@ def classical_eval(a: AlgebraElement, r: float, theta: float) -> complex:
 
 def grid_sample_points(X: SpectralSet, n_min: int, n_max: int,
                        include_zero: bool = True) -> tuple[Fraction, ...]:
-    """Grid values q**n * x over the level range, optionally with 0."""
-    # one running product per generator: q**n_min * x, then one factor q per level
+    """Grid values q**n * x over the level range, ascending, optionally with 0."""
+    # each generator's run q**n_min x, q**(n_min + 1) x, ... descends: reversed, they merge
     steps = n_max - n_min
-    pts = sorted({v for x in X.generators if steps >= 0
-                  for v in accumulate(repeat(X.q, steps), operator.mul,
-                                      initial=X.q ** n_min * x)})
+    runs = [list(accumulate(repeat(X.q, steps), operator.mul, initial=X.q ** n_min * x))[::-1]
+            for x in X.generators] if steps >= 0 else []
+    pts = [v for v, _ in groupby(heapq.merge(*runs))]
     if include_zero and X.includes_zero:
         pts.insert(0, Fraction(0))
     return tuple(pts)
@@ -370,30 +371,32 @@ def element_residual(a: AlgebraElement, b: AlgebraElement, points) -> Fraction |
 
 _OUTSIDE_GRAMMAR = re.compile(r"[^0-9t\s()+\-*/^]|\*\*")
 _LEADING_ZEROS = re.compile(r"(?<![0-9])0+(?=[0-9])")
-_ARITHMETIC = {ast.Add: operator.add, ast.Sub: operator.sub,
-               ast.Mult: operator.mul, ast.Div: operator.truediv}
-_SIGNS = {ast.UAdd: lambda x: x, ast.USub: operator.neg}  # RationalFunction has no __pos__
+_ARITHMETIC = {ast.Add: _f_add, ast.Sub: _f_sub, ast.Mult: _f_mul, ast.Div: _f_div}
+_SIGNS = {ast.UAdd: 1, ast.USub: -1}
+_T = RationalFunction.variable()._pair
 
 
 def _exponent(node: ast.AST) -> int:
     if isinstance(node, ast.UnaryOp) and type(node.op) in _SIGNS:
-        return _SIGNS[type(node.op)](_exponent(node.operand))
+        return _SIGNS[type(node.op)] * _exponent(node.operand)
     if isinstance(node, ast.Constant) and type(node.value) is int:
         return node.value
     raise DomainError("exponent must be an integer")
 
 
-def _evaluate(node: ast.AST) -> RationalFunction:
+def _evaluate(node: ast.AST):
+    """The (num, den) pair of an expression node, in ratfunc's normal form."""
     if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
-        return _evaluate(node.left) ** _exponent(node.right)
+        return _f_pow(_evaluate(node.left), _exponent(node.right))
     if isinstance(node, ast.BinOp) and type(node.op) in _ARITHMETIC:
         return _ARITHMETIC[type(node.op)](_evaluate(node.left), _evaluate(node.right))
     if isinstance(node, ast.UnaryOp) and type(node.op) in _SIGNS:
-        return _SIGNS[type(node.op)](_evaluate(node.operand))
+        value = _evaluate(node.operand)
+        return value if _SIGNS[type(node.op)] > 0 else _f_neg(value)
     if isinstance(node, ast.Constant) and type(node.value) is int:
-        return RationalFunction.constant(node.value)
+        return _poly((node.value,)), _ONE
     if isinstance(node, ast.Name) and node.id == "t":
-        return RationalFunction.variable()
+        return _T
     raise DomainError("malformed expression")
 
 
@@ -410,7 +413,7 @@ def parse_rational_expression(text: str) -> RationalFunction:
         raise DomainError(f"unexpected {bad.group()!r} in expression")
     source = _LEADING_ZEROS.sub("", " ".join(text.split())).replace("^", "**")
     try:
-        return _evaluate(ast.parse(source, mode="eval").body)
+        return _rf(_evaluate(ast.parse(source, mode="eval").body))
     except SyntaxError as exc:
         raise DomainError(f"malformed expression: {exc.msg}") from None
     except (RecursionError, MemoryError):  # MemoryError: "parser stack overflowed"

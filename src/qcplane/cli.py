@@ -19,6 +19,7 @@ from fractions import Fraction
 from . import algebra, bott, qnormal, qspace, represent
 from .errors import ConfigurationError, DomainError, EvaluationError, QcplaneError
 from .qnormal import TruncationWindow
+from .ratfunc import RationalFunction
 from .scalars import format_rational, parse_rational
 
 CONFIG_KEYS = frozenset({"q", "generators", "zero_mass", "window", "windows_sweep",
@@ -177,7 +178,6 @@ def _measure(cfg: RunConfig) -> qspace.QInvariantMeasure:
 
 
 def _covariance_function(name: str, q: Fraction) -> algebra.CoefficientFunction:
-    from .ratfunc import RationalFunction
     t = RationalFunction.variable()
     if name == "t":
         return algebra.RationalCoefficient(t)
@@ -321,14 +321,12 @@ def cmd_bott(cfg: RunConfig) -> tuple[dict, int]:
 
 def _random_classical_element(rng: random.Random, q: Fraction,
                               modes: int = 2) -> algebra.AlgebraElement:
-    from .ratfunc import RationalFunction
     coeffs = {}
     for k in range(-modes, modes + 1):
         if rng.random() < 0.4:
             continue
-        poly = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(3)]
-        rf = sum((RationalFunction.monomial(d, c) for d, c in enumerate(poly) if c),
-                 RationalFunction.constant(0))
+        rf = RationalFunction([Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(3)],
+                              (1,))
         if not rf.is_zero:
             coeffs[k] = algebra.RationalCoefficient(rf)
     return algebra.element(q, coeffs)

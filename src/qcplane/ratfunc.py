@@ -2,8 +2,10 @@
 
 Each polynomial is stored integer-cleared as a canonical triple (re, im, d):
 coefficient k (ascending powers) is (re[k] + i im[k]) / d, trimmed, d > 0 and
-gcd(d, *re, *im) == 1, so all exact arithmetic runs on Python ints.  Numerator
-and denominator are not reduced against each other; ``equals`` compares cross
+gcd(d, *re, *im) == 1, so all exact arithmetic runs on Python ints.  A function
+(num, den) keeps den primitive (d == 1, gcd(*re, *im) == 1, the first nonzero
+part of its lead positive; exactly ``_ONE`` if constant), its content in num.
+The two are not reduced against each other; ``equals`` compares cross
 products.  The variable is real, and ``evaluate`` takes a rational point.
 """
 
@@ -22,6 +24,7 @@ from .scalars import RationalComplex
 
 Coeffs = tuple[RationalComplex, ...]
 Poly = tuple[tuple[int, ...], tuple[int, ...], int]
+Pair = tuple[Poly, Poly]   # (num, den) in the normal form of the module docstring
 _ONE: Poly = ((1,), (0,), 1)
 
 # f ** k is refused when k times f's degree, or k times the bit length of its
@@ -38,14 +41,15 @@ def _canon(re: list[int], im: list[int], d: int) -> Poly:
     re, im = re[:n], im[:n]
     g = math.gcd(d, *re, *im)
     if g > 1:
-        return tuple(c // g for c in re), tuple(c // g for c in im), d // g
+        return tuple([c // g for c in re]), tuple([c // g for c in im]), d // g
     return tuple(re), tuple(im), d
 
 
 def _poly(raw) -> Poly:
     """Clear a sequence of int, Fraction or RationalComplex over one denominator."""
-    if all(type(c) is int for c in raw):
-        return _canon(list(raw), [0] * len(raw), 1)
+    if all(type(c) in (int, Fraction) for c in raw):
+        d = math.lcm(*(c.denominator for c in raw))
+        return _canon([c.numerator * (d // c.denominator) for c in raw], [0] * len(raw), d)
     cs = [RationalComplex.coerce(c) for c in raw]
     d = math.lcm(*(x.denominator for c in cs for x in (c.re, c.im)))
     return _canon([c.re.numerator * (d // c.re.denominator) for c in cs],
@@ -88,6 +92,77 @@ def _p_argscale(a: Poly, lam: Fraction) -> Poly:
     p, r, n = lam.numerator, lam.denominator, max(len(re) - 1, 0)
     w = [p ** k * r ** (n - k) for k in range(len(re))]
     return _canon([c * x for c, x in zip(re, w)], [c * x for c, x in zip(im, w)], d * r ** n)
+
+
+def _normal(num: Poly, den: Poly) -> Pair:
+    """num / den in the normal form, den != 0; a constant den (a + ib) / d goes into num."""
+    re, im, d = den
+    if not num[0] or den == _ONE:
+        return num, _ONE
+    if len(re) == 1:
+        return _p_mul(num, _canon([d * re[0]], [-d * im[0]], re[0] ** 2 + im[0] ** 2)), _ONE
+    g, s = math.gcd(*re, *im), 1 if (re[-1] or im[-1]) > 0 else -1
+    if g == s == d == 1:
+        return num, den
+    sg = s * g
+    return (_p_mul(num, ((s * d,), (0,), g)),
+            (tuple([c // sg for c in re]), tuple([c // sg for c in im]), 1))
+
+
+def _f_add(a: Pair, b: Pair) -> Pair:
+    (an, ad), (bn, bd) = a, b
+    if ad == bd:
+        return _normal(_p_add(an, bn), ad)
+    return _normal(_p_add(_p_mul(an, bd), _p_mul(bn, ad)), _p_mul(ad, bd))
+
+
+def _f_neg(a: Pair) -> Pair:
+    (re, im, d), den = a
+    return (tuple(-c for c in re), tuple(-c for c in im), d), den
+
+
+def _f_sub(a: Pair, b: Pair) -> Pair:
+    return _f_add(a, _f_neg(b))
+
+
+def _f_mul(a: Pair, b: Pair) -> Pair:
+    return _normal(_p_mul(a[0], b[0]), _p_mul(a[1], b[1]))
+
+
+def _f_div(a: Pair, b: Pair) -> Pair:
+    if not b[0][0]:
+        raise DomainError("division by the zero function")
+    return _normal(_p_mul(a[0], b[1]), _p_mul(a[1], b[0]))
+
+
+def _f_pow(a: Pair, k: int) -> Pair:
+    """a ** k by squaring, refused before any expansion past the power bounds."""
+    if k < 0:
+        if not a[0][0]:
+            raise DomainError("negative power of the zero function")
+        a, k = (a[1], a[0]), -k
+    (nr, ni, nd), (dr, di, dd) = a
+    degree = k * (max(len(nr), len(dr)) - 1)
+    bits = k * max(map(int.bit_length, (*nr, *ni, nd, *dr, *di, dd)))
+    if degree > MAX_POWER_DEGREE or bits > MAX_POWER_BITS:
+        raise DomainError(f"power {k} passes the bounds of degree {MAX_POWER_DEGREE} "
+                          f"and of {MAX_POWER_BITS}-bit coefficients")
+    (num, den), (bn, bd) = (_ONE, _ONE), a
+    while k:   # by squaring: num^k and den^k over the bits of k
+        if k & 1:
+            num, den = _p_mul(num, bn), _p_mul(den, bd)
+        k >>= 1
+        if k:
+            bn, bd = _p_mul(bn, bn), _p_mul(bd, bd)
+    return _normal(num, den)
+
+
+def _operator(op):
+    """RationalFunction method applying op to the pairs of self and _as_rf(other)."""
+    def method(self, other):
+        o = _as_rf(other)
+        return NotImplemented if o is None else _rf(op(self._pair, o._pair))
+    return method
 
 
 def _horner(cs: tuple[int, ...], p: int, r: int) -> int:
@@ -199,10 +274,10 @@ class RationalFunction:
         den = _poly(den)
         if not den[0]:
             raise DomainError("zero denominator polynomial")
-        self._set(_poly(num), den)
+        self._set(_normal(_poly(num), den))
 
-    def _set(self, num: Poly, den: Poly) -> "RationalFunction":
-        self.__dict__.update(_num=num, _den=den if num[0] else _ONE)
+    def _set(self, pair: Pair) -> "RationalFunction":
+        self.__dict__.update(_pair=pair, _num=pair[0], _den=pair[1])
         return self
 
     def __setattr__(self, name, value):
@@ -230,85 +305,37 @@ class RationalFunction:
     def is_zero(self) -> bool:
         return not self._num[0]
 
-    def __add__(self, other):
-        o = _as_rf(other)
-        if o is None:
-            return NotImplemented
-        return _rf(_p_add(_p_mul(self._num, o._den), _p_mul(o._num, self._den)),
-                   _p_mul(self._den, o._den))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = _as_rf(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = _as_rf(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
-    def __neg__(self):
-        re, im, d = self._num
-        return _rf((tuple(-c for c in re), tuple(-c for c in im), d), self._den)
+    __add__ = __radd__ = _operator(_f_add)
+    __sub__ = _operator(_f_sub)
+    __rsub__ = _operator(lambda a, b: _f_sub(b, a))
+    __truediv__ = _operator(_f_div)
+    __rtruediv__ = _operator(lambda a, b: _f_div(b, a))
 
     def __mul__(self, other):
-        o = _as_rf(other)
-        if o is None:
+        if isinstance(other, (int, Fraction, RationalComplex)):   # a scalar scales num alone
+            return _rf(_normal(_p_mul(self._num, _poly((other,))), self._den))
+        if not isinstance(other, RationalFunction):
             return NotImplemented
-        return _rf(_p_mul(self._num, o._num), _p_mul(self._den, o._den))
+        return _rf(_f_mul(self._pair, other._pair))
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        o = _as_rf(other)
-        if o is None:
-            return NotImplemented
-        if o.is_zero:
-            raise DomainError("division by the zero function")
-        return _rf(_p_mul(self._num, o._den), _p_mul(self._den, o._num))
-
-    def __rtruediv__(self, other):
-        o = _as_rf(other)
-        if o is None:
-            return NotImplemented
-        return o / self
+    def __neg__(self):
+        return _rf(_f_neg(self._pair))
 
     def __pow__(self, k: int):
-        if not isinstance(k, int):
-            return NotImplemented
-        if k < 0:
-            if self.is_zero:
-                raise DomainError("negative power of the zero function")
-            return _rf(self._den, self._num) ** (-k)
-        degree = k * max(self.degree_num, self.degree_den)
-        bits = k * max(abs(c).bit_length() for re, im, d in (self._num, self._den)
-                       for c in (*re, *im, d))
-        if degree > MAX_POWER_DEGREE or bits > MAX_POWER_BITS:
-            raise DomainError(f"power {k} passes the bounds of degree {MAX_POWER_DEGREE} "
-                              f"and of {MAX_POWER_BITS}-bit coefficients")
-        (num, den), (bn, bd) = (_ONE, _ONE), (self._num, self._den)
-        while k:   # by squaring: num^k and den^k over the bits of k
-            if k & 1:
-                num, den = _p_mul(num, bn), _p_mul(den, bd)
-            k >>= 1
-            if k:
-                bn, bd = _p_mul(bn, bn), _p_mul(bd, bd)
-        return _rf(num, den)
+        return _rf(_f_pow(self._pair, k)) if isinstance(k, int) else NotImplemented
 
     def conjugate(self) -> "RationalFunction":
-        (nr, ni, dn), (dr, di, dd) = self._num, self._den
-        return _rf((nr, tuple(-c for c in ni), dn), (dr, tuple(-c for c in di), dd))
+        (nr, ni, dn), (dr, di, dd) = self._pair
+        return _rf(_normal((nr, tuple(-c for c in ni), dn), (dr, tuple(-c for c in di), dd)))
 
     def substitute_scale(self, lam: Fraction) -> "RationalFunction":
         """Return t -> f(lam * t) for rational lam > 0."""
         lam = Fraction(lam)
         if lam <= 0:
             raise DomainError("argument scale must be positive")
-        return _rf(_p_argscale(self._num, lam), _p_argscale(self._den, lam))
+        return _rf(_normal(_p_argscale(self._num, lam), _p_argscale(self._den, lam)))
 
     def evaluate(self, x) -> RationalComplex:
         """Exact value at a real point (int, Fraction or RationalComplex with im == 0)."""
@@ -394,7 +421,8 @@ class RationalFunction:
 
     def equals(self, other: "RationalFunction") -> bool:
         """Exact equality as functions: num_a den_b == num_b den_a."""
-        return _p_mul(self._num, other._den) == _p_mul(other._num, self._den)
+        return (self._pair == other._pair
+                or _p_mul(self._num, other._den) == _p_mul(other._num, self._den))
 
     @property
     def degree_num(self) -> int:
@@ -421,19 +449,20 @@ class RationalFunction:
         A real t is a root of the denominator exactly when it is a common root
         of its real and imaginary parts, that is a root of their gcd g over Q.
         A root at t = 0 shows in g's constant term; Sturm's theorem counts the
-        distinct roots in (0, inf).  The answer is decided, not sampled.
+        distinct roots in (0, inf), which real coefficients >= 0 rule out at
+        once.  The answer is decided, not sampled.
         """
         re, im, _ = self._den
         g = _q_gcd(_q_trim(list(re)), _q_trim(list(im)))
         if g[0] == 0:
             raise EvaluationError("denominator vanishes at t=0")
-        roots = _positive_root_count(g)
+        roots = _positive_root_count(g) if any(im) or min(re) < 0 else 0
         if roots:
             raise EvaluationError(f"denominator has {roots} distinct root(s) in (0, inf)")
 
 
-def _rf(num: Poly, den: Poly) -> RationalFunction:
-    return RationalFunction.__new__(RationalFunction)._set(num, den)
+def _rf(pair: Pair) -> RationalFunction:
+    return RationalFunction.__new__(RationalFunction)._set(pair)
 
 
 def _as_rf(value) -> RationalFunction | None:

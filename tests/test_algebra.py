@@ -1,13 +1,16 @@
+import ast
 import math
+import operator
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from qcplane import algebra, qspace
+from qcplane import algebra, qspace, ratfunc
 from qcplane.algebra import (Classification, ClosureCoefficient,
                              IndicatorCoefficient, RationalCoefficient,
                              classify, element_residual, grid_sample_points,
@@ -325,3 +328,96 @@ def test_grid_sample_points_match_the_pointwise_formula():
                 want = sorted({X.q ** n * x for n in range(lo, hi + 1) for x in X.generators})
                 want = ([Fraction(0)] if include_zero else []) + want
                 assert grid_sample_points(X, lo, hi, include_zero) == tuple(want)
+
+
+# The parser as it was before it computed on (num, den) pairs: one
+# RationalFunction per node, built by the class's own operators.
+_PER_NODE_ARITHMETIC = {ast.Add: operator.add, ast.Sub: operator.sub,
+                        ast.Mult: operator.mul, ast.Div: operator.truediv}
+_PER_NODE_SIGNS = {ast.UAdd: lambda x: x, ast.USub: operator.neg}
+
+
+def _per_node_exponent(node: ast.AST) -> int:
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _PER_NODE_SIGNS:
+        return _PER_NODE_SIGNS[type(node.op)](_per_node_exponent(node.operand))
+    if isinstance(node, ast.Constant) and type(node.value) is int:
+        return node.value
+    raise DomainError("exponent must be an integer")
+
+
+def _per_node(node: ast.AST) -> RationalFunction:
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+        return _per_node(node.left) ** _per_node_exponent(node.right)
+    if isinstance(node, ast.BinOp) and type(node.op) in _PER_NODE_ARITHMETIC:
+        return _PER_NODE_ARITHMETIC[type(node.op)](_per_node(node.left), _per_node(node.right))
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _PER_NODE_SIGNS:
+        return _PER_NODE_SIGNS[type(node.op)](_per_node(node.operand))
+    if isinstance(node, ast.Constant) and type(node.value) is int:
+        return RationalFunction.constant(node.value)
+    if isinstance(node, ast.Name) and node.id == "t":
+        return RationalFunction.variable()
+    raise DomainError("malformed expression")
+
+
+def _per_node_parse(text: str):
+    """The per-node value of text, or the (type, message) of the error it raises."""
+    source = algebra._LEADING_ZEROS.sub("", " ".join(text.split())).replace("^", "**")
+    try:
+        return _per_node(ast.parse(source, mode="eval").body)
+    except SyntaxError as exc:
+        return DomainError, f"malformed expression: {exc.msg}"
+    except (RecursionError, MemoryError):
+        return DomainError, "expression nests too deeply"
+    except DomainError as exc:
+        return DomainError, str(exc)
+
+
+def _random_literal(rng: random.Random, depth: int) -> str:
+    pick = rng.random()
+    if depth == 0 or pick < 0.25:
+        return rng.choice(["t", "0", "1", "2", "3", "10", "007", "t", "t"])
+    if pick < 0.35:
+        return f"-{_random_literal(rng, depth - 1)}"
+    if pick < 0.5:
+        k = rng.choice([-3, -2, -1, 0, 1, 2, 3])
+        return f"({_random_literal(rng, depth - 1)})^{k}"
+    op = rng.choice(["+", "-", "*", "/", "/"])
+    return f"({_random_literal(rng, depth - 1)}){op}({_random_literal(rng, depth - 1)})"
+
+
+def test_parser_matches_the_per_node_evaluator():
+    rng = random.Random(5)
+    bound = ratfunc.MAX_POWER_DEGREE
+    texts = [_random_literal(rng, rng.randint(1, 5)) for _ in range(400)]
+    texts += ["1/0", "t/(t-t)", "(t-t)^-2", "0^-1", "(0)^0", "t^-0", "-t^--2",
+              "(" * 300 + "t" + ")" * 300, "-" * 5000 + "t", "t" + "*t" * 3000, "(" * 40 + "1+t" + ")" * 40 + "^-3",
+              f"t^{bound}", f"t^{bound + 1}", f"(1+t)^-{bound}", f"(1/(1+t))^-{bound + 1}",
+              "(1/(2+2*t)+1/(1+t))^600", "2^32768", "2^32769", "(t/2)^-32768"]
+    outcomes = set()
+    for text in texts:
+        want = _per_node_parse(text)
+        if isinstance(want, RationalFunction):
+            got = parse_rational_expression(text)
+            assert got._pair == want._pair, text
+            outcomes.add("value")
+        else:
+            with pytest.raises(want[0]) as exc:
+                parse_rational_expression(text)
+            assert str(exc.value) == want[1], text
+            outcomes.add(want[1].split()[0])
+    assert outcomes >= {"value", "division", "negative", "power", "expression", "malformed"}
+
+
+def test_grid_sample_points_equal_the_sorted_set_of_grid_values():
+    cases = [qspace.make_spectral_set("1/2", ["1"]), qspace.make_spectral_set("3/7", ["2/3", "1"]),
+             SimpleNamespace(q=Fraction(1), generators=(Fraction(1, 3), Fraction(1)),
+                             includes_zero=True),
+             SimpleNamespace(q=Fraction(1), generators=(Fraction(3, 4),), includes_zero=False)]
+    for X in cases:
+        for lo, hi in ((-25, 25), (0, 0), (2, 1), (-3, 8)):
+            for include_zero in (True, False):
+                want = sorted(set(X.q ** n * x for n in range(lo, hi + 1) for x in X.generators))
+                if include_zero and X.includes_zero:
+                    want.insert(0, Fraction(0))
+                got = grid_sample_points(X, lo, hi, include_zero)
+                assert got == tuple(want) and all(type(v) is Fraction for v in got)

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import helpers
 from qcplane import algebra, cli
 
 
@@ -358,6 +359,31 @@ def test_limit_table_matches_classical_eval_bit_for_bit():
         a = cli._random_classical_element(rng, Fraction(1))
         table = cli._classical_table(a, radii, angles)
         assert table == [[algebra.classical_eval(a, r, th) for th in angles] for r in radii]
+
+
+def _bits(z: complex) -> tuple[str, str]:
+    return z.real.hex(), z.imag.hex()
+
+
+def test_limit_table_matches_the_per_radius_formula_bit_for_bit():
+    # complex(f(r)) per radius and mode, accumulated mode by mode, on real and
+    # complex coefficients with denominators and at radii near the float limits
+    rng = random.Random(9)
+    radii = [0.1 + 2.9 * i / 9 for i in range(10)] + [1e-200, 1e160]
+    angles = [2 * math.pi * i / 7 for i in range(7)]
+    for trial in range(20):
+        a = (cli._random_classical_element(rng, Fraction(1)) if trial % 2
+             else helpers.random_element(rng, Fraction(1)))
+        turns = [[complex(math.cos(k * th), math.sin(k * th)) for th in angles] for k in a.modes]
+        want = []
+        for r in radii:
+            row = [0j] * len(angles)
+            for (_, f), turn in zip(a.terms, turns):
+                val = complex(f(r))
+                row = [total + val * z for total, z in zip(row, turn)]
+            want.append(row)
+        got = cli._classical_table(a, radii, angles)
+        assert [[_bits(z) for z in row] for row in got] == [[_bits(z) for z in row] for row in want]
 
 
 def test_float_bott_builds_no_exact_sample_grid(capsys, monkeypatch):

@@ -270,12 +270,26 @@ def _random_pair(rng: random.Random, trial: int):
     return RationalFunction(num, den), _oracle(num, den)
 
 
-def _assert_stored(f: RationalFunction, oracle) -> None:
-    assert (f.num, f.den) == oracle
+def _assert_normal(f: RationalFunction) -> None:
+    """Canonical triples; den primitive, the first nonzero part of its lead positive."""
     for re, im, d in (f._num, f._den):
         assert d > 0 and len(re) == len(im)
         assert not re or re[-1] or im[-1]
         assert math.gcd(d, *re, *im) == 1
+    re, im, d = f._den
+    assert d == 1 and math.gcd(*re, *im) == 1 and (re[-1] or im[-1]) > 0
+    assert (f._den == ratfunc._ONE) == (len(re) == 1)
+    assert f._num[0] or f._den == ratfunc._ONE   # the zero function is 0 / 1
+    assert f._pair == (f._num, f._den)
+
+
+def _assert_stored(f: RationalFunction, oracle) -> None:
+    """f is in the normal form and equals the oracle's quotient in value."""
+    _assert_normal(f)
+    num, den = oracle
+    assert _trim(_schoolbook(f.num, den)) == _trim(_schoolbook(num, f.den))
+    if not num:
+        assert f.is_zero
 
 
 def test_integer_storage_matches_schoolbook_oracle():
@@ -285,6 +299,9 @@ def test_integer_storage_matches_schoolbook_oracle():
         (f, (fn, fd)), (g, (gn, gd)) = _random_pair(rng, trial), _random_pair(rng, trial + 1)
         _assert_stored(f, (fn, fd))
         _assert_stored(f + g, _oracle(_sum(_schoolbook(fn, gd), _schoolbook(gn, fd)),
+                                      _schoolbook(fd, gd)))
+        _assert_stored(f - g, _oracle(_sum(_schoolbook(fn, gd),
+                                           _schoolbook(tuple(-c for c in gn), fd)),
                                       _schoolbook(fd, gd)))
         _assert_stored(f * g, _oracle(_schoolbook(fn, gn), _schoolbook(fd, gd)))
         _assert_stored(-f, _oracle(tuple(-c for c in fn), fd))
@@ -383,6 +400,15 @@ def test_power_refuses_results_beyond_the_stated_bounds():
             f ** k
 
 
+def test_power_bounds_read_the_denominator_too():
+    # a large integer in the denominator alone passes the bit bound
+    f = 1 / (2 ** 700 + T)   # 701 bits: 93 * 701 <= MAX_POWER_BITS < 94 * 701
+    assert f._num == ratfunc._ONE and (f ** 93).degree_den == 93
+    for g, k in ((f, 94), (1 / f, -94)):
+        with pytest.raises(DomainError, match="passes the bounds"):
+            g ** k
+
+
 def test_values_where_only_the_denominator_overflows():
     # at t = 1e60 the denominator 1 + t^6 is inf while t^3 = 1e180 is finite;
     # the quotient of the two would read 0, the reversed polynomials give 1e-180
@@ -413,15 +439,51 @@ _small_fractions = st.fractions(min_value=-9, max_value=9, max_denominator=7)
 
 
 @st.composite
-def _exact_rational_functions(draw):
-    """Real or complex quotients of degree <= 4 over <= 3, denominator nonzero."""
+def _drawn_functions(draw):
+    """(f, (num, den)): real or complex quotients of degree <= 4 over <= 3, den nonzero."""
     real = draw(st.booleans())
     coeff = st.builds(RationalComplex, _small_fractions,
                       st.just(Fraction(0)) if real else _small_fractions)
     num = draw(st.lists(coeff, max_size=5))
     den = draw(st.lists(coeff, min_size=1, max_size=4).filter(
         lambda cs: any(not c.is_zero for c in cs)))
-    return RationalFunction(num, den)
+    return RationalFunction(num, den), (tuple(num), tuple(den))
+
+
+def _exact_rational_functions():
+    return _drawn_functions().map(lambda drawn: drawn[0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(_drawn_functions(), _drawn_functions(),
+       st.sampled_from([0, 1, -1, 3, Fraction(-2, 9), RationalComplex(Fraction(1, 2), Fraction(-3)),
+                        RationalComplex(Fraction(0), Fraction(5, 7))]),
+       st.fractions(min_value=Fraction(1, 9), max_value=9, max_denominator=9),
+       st.integers(min_value=-3, max_value=3))
+def test_normal_form_holds_after_every_operation(drawn_f, drawn_g, s, lam, k):
+    (f, (fn, fd)), (g, (gn, gd)) = drawn_f, drawn_g
+    neg_gn = tuple(-c for c in gn)
+    cases = [(f, (fn, fd)),
+             (f + g, (_sum(_schoolbook(fn, gd), _schoolbook(gn, fd)), _schoolbook(fd, gd))),
+             (f - g, (_sum(_schoolbook(fn, gd), _schoolbook(neg_gn, fd)), _schoolbook(fd, gd))),
+             (f * g, (_schoolbook(fn, gn), _schoolbook(fd, gd))),
+             (f * s, (_p_scaled(fn, RationalComplex.coerce(s)), fd)),
+             (s * f, (_p_scaled(fn, RationalComplex.coerce(s)), fd)),
+             (-f, (tuple(-c for c in fn), fd)),
+             (f.conjugate(), (tuple(c.conjugate() for c in fn), tuple(c.conjugate() for c in fd))),
+             (f.substitute_scale(lam), tuple(tuple(c * lam ** j for j, c in enumerate(cs))
+                                             for cs in (fn, fd)))]
+    if not g.is_zero:
+        cases.append((f / g, (_schoolbook(fn, gd), _schoolbook(fd, gn))))
+    if k >= 0 or not f.is_zero:
+        num, den = ((RationalComplex(Fraction(1)),),) * 2
+        for _ in range(abs(k)):
+            num, den = _schoolbook(num, fn if k > 0 else fd), _schoolbook(den, fd if k > 0 else fn)
+        cases.append((f ** k, (num, den)))
+    for h, (num, den) in cases:
+        _assert_normal(h)
+        assert _trim(_schoolbook(h.num, den)) == _trim(_schoolbook(num, h.den))
+        assert h.is_zero == (not _trim(num))
 
 
 @settings(max_examples=150, deadline=None)
