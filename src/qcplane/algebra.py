@@ -28,8 +28,7 @@ from .errors import DomainError, EvaluationError
 from .qspace import Interval, SpectralSet
 from .ratfunc import (_ONE, RationalFunction, _f_add, _f_div, _f_mul, _f_neg, _f_pow,
                       _f_sub, _poly, _rf)
-from .scalars import (RationalComplex, conj_scalar, exact_magnitude,
-                      is_exact_scalar, parse_rational)
+from .scalars import RationalComplex, exact_magnitude, parse_rational
 
 
 class Classification(enum.Enum):
@@ -38,9 +37,12 @@ class Classification(enum.Enum):
 
 
 class CoefficientFunction:
-    """Radial coefficient; the concrete classes decide exact evaluability."""
+    """Radial coefficient.
 
-    exact = False
+    The algebra multiplies, adds and scales rational coefficients only.
+    Indicators and closures are leaves: they are represented, classified and
+    evaluated, and an indicator is rescaled and conjugated exactly.
+    """
 
     @property
     def value_at_zero(self):
@@ -58,8 +60,6 @@ class CoefficientFunction:
 
 
 class RationalCoefficient(CoefficientFunction):
-    exact = True
-
     def __init__(self, rf: RationalFunction):
         rf.check_denominator()
         self.rf = rf
@@ -97,8 +97,6 @@ class RationalCoefficient(CoefficientFunction):
 
 class IndicatorCoefficient(CoefficientFunction):
     """Characteristic function of an interval; exact at rational points."""
-
-    exact = True
 
     def __init__(self, interval: Interval):
         self.interval = interval
@@ -155,10 +153,11 @@ def _is_syntactic_zero(f: CoefficientFunction) -> bool:
     return isinstance(f, RationalCoefficient) and f.is_zero
 
 
-def _v0_combine(x, y, op):
-    if is_exact_scalar(x) and is_exact_scalar(y):
-        return op(RationalComplex.coerce(x), RationalComplex.coerce(y))
-    return op(complex(x), complex(y))
+def _rational(f: CoefficientFunction) -> RationalFunction:
+    if not isinstance(f, RationalCoefficient):
+        raise DomainError(f"coefficient arithmetic is exact: {type(f).__name__} "
+                          "is a leaf, not a rational coefficient")
+    return f.rf
 
 
 def cf_alpha(f: CoefficientFunction, n: int, q: Fraction) -> CoefficientFunction:
@@ -166,47 +165,29 @@ def cf_alpha(f: CoefficientFunction, n: int, q: Fraction) -> CoefficientFunction
     qn = q ** n
     if qn == 1:
         return f
-    if isinstance(f, RationalCoefficient):
-        return RationalCoefficient._from_checked(f.rf.substitute_scale(qn))
     if isinstance(f, IndicatorCoefficient):
         # chi_M(q**n t) = chi_{q**-n M}(t)
         return IndicatorCoefficient(f.interval.scaled(1 / qn))
-    factor = float(qn)
-    return ClosureCoefficient(lambda t, f=f, c=factor: f(c * t),
-                              f.value_at_zero, f.vanishes_at_infinity)
+    return RationalCoefficient._from_checked(_rational(f).substitute_scale(qn))
 
 
 def cf_conj(f: CoefficientFunction) -> CoefficientFunction:
-    if isinstance(f, RationalCoefficient):
-        return RationalCoefficient._from_checked(f.rf.conjugate())
     if isinstance(f, IndicatorCoefficient):
         return f
-    return ClosureCoefficient(lambda t, f=f: complex(f(t)).conjugate(),
-                              conj_scalar(f.value_at_zero), f.vanishes_at_infinity)
+    return RationalCoefficient._from_checked(_rational(f).conjugate())
 
 
-def cf_mul(f: CoefficientFunction, g: CoefficientFunction) -> CoefficientFunction:
-    if isinstance(f, RationalCoefficient) and isinstance(g, RationalCoefficient):
-        return RationalCoefficient._from_checked(f.rf * g.rf)
-    return ClosureCoefficient(lambda t, f=f, g=g: f(t) * g(t),
-                              _v0_combine(f.value_at_zero, g.value_at_zero, lambda a, b: a * b),
-                              f.vanishes_at_infinity or g.vanishes_at_infinity)
+def cf_mul(f: CoefficientFunction, g: CoefficientFunction) -> RationalCoefficient:
+    return RationalCoefficient._from_checked(_rational(f) * _rational(g))
 
 
-def cf_add(f: CoefficientFunction, g: CoefficientFunction) -> CoefficientFunction:
-    if isinstance(f, RationalCoefficient) and isinstance(g, RationalCoefficient):
-        return RationalCoefficient._from_checked(f.rf + g.rf)
-    return ClosureCoefficient(lambda t, f=f, g=g: f(t) + g(t),
-                              _v0_combine(f.value_at_zero, g.value_at_zero, lambda a, b: a + b),
-                              f.vanishes_at_infinity and g.vanishes_at_infinity)
+def cf_add(f: CoefficientFunction, g: CoefficientFunction) -> RationalCoefficient:
+    return RationalCoefficient._from_checked(_rational(f) + _rational(g))
 
 
-def cf_scale(f: CoefficientFunction, s) -> CoefficientFunction:
-    if is_exact_scalar(s) and isinstance(f, RationalCoefficient):
-        return RationalCoefficient._from_checked(f.rf * s)
-    sc = complex(s)
-    zero = _v0_combine(f.value_at_zero, s, lambda a, b: a * b)
-    return ClosureCoefficient(lambda t, f=f, sc=sc: sc * f(t), zero, f.vanishes_at_infinity)
+def cf_scale(f: CoefficientFunction, s) -> RationalCoefficient:
+    """s * f for an exact scalar s; a float s raises TypeError."""
+    return RationalCoefficient._from_checked(_rational(f) * s)
 
 
 @dataclass(frozen=True, eq=False)
@@ -342,30 +323,24 @@ def grid_sample_points(X: SpectralSet, n_min: int, n_max: int,
     return tuple(pts)
 
 
-def element_residual(a: AlgebraElement, b: AlgebraElement, points) -> Fraction | float:
-    """Max coefficient deviation |a_k - b_k| over modes and sample points.
+def element_residual(a: AlgebraElement, b: AlgebraElement, points) -> Fraction:
+    """Exact max coefficient deviation |a_k - b_k| over modes and rational sample points.
 
-    Exact (a Fraction) when every involved coefficient evaluates exactly,
-    otherwise a float.  In the exact case a mode whose two coefficients are
-    the same rational function contributes exactly 0 without evaluation.
+    A mode whose two coefficients are the same rational function contributes
+    exactly 0 without evaluation.  A closure has no exact evaluation and
+    raises EvaluationError.
     """
     if a.q != b.q:
         raise DomainError("cannot compare elements over different ratios")
-    modes = sorted(set(a.modes) | set(b.modes))
-    all_exact = all(f.exact for _, f in a.terms) and all(f.exact for _, f in b.terms)
-    worst: Fraction | float = Fraction(0) if all_exact else 0.0
-    for k in modes:
+    worst = Fraction(0)
+    for k in sorted(set(a.modes) | set(b.modes)):
         fa, fb = a.coefficient(k), b.coefficient(k)
-        if (all_exact and isinstance(fa, RationalCoefficient)
-                and isinstance(fb, RationalCoefficient) and fa.rf.equals(fb.rf)):
+        if (isinstance(fa, RationalCoefficient) and isinstance(fb, RationalCoefficient)
+                and fa.rf.equals(fb.rf)):
             continue
-        if all_exact:
-            va, vb = (f.rf.evaluate_diagonal(points) if isinstance(f, RationalCoefficient)
-                      else [f.eval_exact(p) for p in points] for f in (fa, fb))
-            worst = max([worst, *(exact_magnitude(x - y) for x, y in zip(va, vb))])
-        else:
-            for p in points:
-                worst = max(worst, abs(fa(float(p)) - fb(float(p))))
+        va, vb = (f.rf.evaluate_diagonal(points) if isinstance(f, RationalCoefficient)
+                  else [f.eval_exact(p) for p in points] for f in (fa, fb))
+        worst = max([worst, *(exact_magnitude(x - y) for x, y in zip(va, vb))])
     return worst
 
 

@@ -140,14 +140,7 @@ def verify_projection_exact(P: ProjectionCandidate, sample_points) -> ExactProje
     A = P.entries
     residues = [m2_sub(m2_mul(A, A), A), m2_sub(m2_adjoint(A), A)]
     zero = zero_element(P.q)
-    worst = Fraction(0)
-    for R in residues:
-        for row in R:
-            for x in row:
-                r = element_residual(x, zero, points)
-                if not isinstance(r, Fraction):
-                    raise DomainError("sample evaluation left the rational field")
-                worst = max(worst, r)
+    worst = max(element_residual(x, zero, points) for R in residues for row in R for x in row)
     return ExactProjectionReport(worst, len(points))
 
 

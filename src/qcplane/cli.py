@@ -134,6 +134,8 @@ def load_config(path: str | None, overrides: argparse.Namespace) -> RunConfig:
         raise ConfigurationError("sample_exponent_range must be at least 1")
     if limit_pairs < 1 or limit_grid < 2:
         raise ConfigurationError("limit needs limit_pairs >= 1 and limit_grid >= 2")
+    if sweep == ():
+        raise ConfigurationError("windows_sweep must list at least one window")
     if not bott_n or not bott_signs or min(bott_n) < 1:
         raise ConfigurationError("bott needs nonempty bott_n and bott_signs, "
                                  "and every bott_n entry at least 1")
@@ -194,7 +196,7 @@ def cmd_simulate(cfg: RunConfig) -> tuple[dict, int]:
     """Relation, covariance and polar defects of the truncated model per window."""
     _require_deformed(cfg, "simulate")
     mu = _measure(cfg)
-    windows = list(cfg.windows_sweep) if cfg.windows_sweep else [cfg.window]
+    windows = cfg.windows_sweep or (cfg.window,)
     rows = []
     worst = 0.0
     failing: str | None = None
@@ -222,7 +224,7 @@ def cmd_simulate(cfg: RunConfig) -> tuple[dict, int]:
                       "kernel": _defect_json(pol.kernel_defect)},
         })
         if cfg.spectra_out and w is windows[0]:
-            with open(cfg.spectra_out, "w", encoding="utf-8", newline="") as fh:
+            with _open_out(cfg.spectra_out, newline="") as fh:
                 qnormal.spectra_to_csv(T, fh)
     report = {
         "command": "simulate",
@@ -365,10 +367,7 @@ def cmd_limit(cfg: RunConfig) -> tuple[dict, int]:
         b = _random_classical_element(rng, cfg.q)
         ab = algebra.multiply(a, b)
         ba = algebra.multiply(b, a)
-        resid = algebra.element_residual(ab, ba, sample)
-        if not isinstance(resid, Fraction):
-            raise QcplaneError("classical commutator residual left the rational field")
-        commutator_exact = max(commutator_exact, resid)
+        commutator_exact = max(commutator_exact, algebra.element_residual(ab, ba, sample))
         for row_ab, row_a, row_b in zip(*(_classical_table(x, grid_r, grid_th)
                                           for x in (ab, a, b))):
             for at_ab, at_a, at_b in zip(row_ab, row_a, row_b):
@@ -437,10 +436,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _open_out(path: str, newline: str | None = None):
+    """Open path for writing; an unwritable path is a configuration error."""
+    try:
+        return open(path, "w", encoding="utf-8", newline=newline)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write {path}: {exc.strerror}") from exc
+
+
 def _emit(report: dict, out: str | None) -> None:
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
+        with _open_out(out) as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)

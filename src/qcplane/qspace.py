@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ConfigurationError, DomainError
+from .errors import DomainError
 from .scalars import format_rational, parse_rational
 
 INFINITE = float("inf")
@@ -135,31 +135,22 @@ def scaling_exponent(q: Fraction, ratio: Fraction) -> int | None:
     return None
 
 
-def _first_k_below(q: Fraction, x: Fraction, bound: Fraction, closed: bool) -> int:
-    """Smallest k with q**k * x <= bound (strict if not closed); needs bound > 0."""
+def _first_level(q: Fraction, x: Fraction, bound: Fraction, passes) -> int:
+    """Smallest k with passes(num, den) for q**k * x = num/den; needs bound > 0.
+
+    passes must fail for small k and hold from some k on, as an interval's
+    ``below_upper`` does and ``not above_lower`` does.  The walk starts at the
+    level of bound, guessed by logarithms.
+    """
     def ok(k: int) -> bool:
         v = q ** k * x
-        return v <= bound if closed else v < bound
+        return passes(v.numerator, v.denominator)
 
     k = round((_flog(bound) - _flog(x)) / _flog(q))
     while ok(k):
         k -= 1
     while not ok(k):
         k += 1
-    return k
-
-
-def _last_k_above(q: Fraction, x: Fraction, bound: Fraction, closed: bool) -> int:
-    """Largest k with q**k * x >= bound (strict if not closed); needs bound > 0."""
-    def ok(k: int) -> bool:
-        v = q ** k * x
-        return v >= bound if closed else v > bound
-
-    k = round((_flog(bound) - _flog(x)) / _flog(q))
-    while ok(k):
-        k += 1
-    while not ok(k):
-        k -= 1
     return k
 
 
@@ -169,11 +160,11 @@ def orbit_exponents(q: Fraction, x: Fraction, interval: Interval) -> range:
         raise DomainError("orbit enumeration needs a bounded nonempty interval")
     if interval.upper <= 0:
         return range(0)
-    k_lo = _first_k_below(q, x, interval.upper, interval.upper_closed)
     if interval.lower == 0:
         raise DomainError("orbit meets every neighbourhood of 0")
-    k_hi = _last_k_above(q, x, interval.lower, interval.lower_closed)
-    return range(k_lo, k_hi + 1)
+    return range(_first_level(q, x, interval.upper, interval.below_upper),
+                 _first_level(q, x, interval.lower,
+                              lambda num, den: not interval.above_lower(num, den)))
 
 
 @dataclass(frozen=True)

@@ -148,16 +148,3 @@ def exact_magnitude(value) -> Fraction:
     if isinstance(value, int):
         return abs(Fraction(value))
     raise TypeError(f"not an exact scalar: {type(value).__name__}")
-
-
-def is_exact_scalar(value) -> bool:
-    return isinstance(value, (int, Fraction, RationalComplex))
-
-
-def conj_scalar(value):
-    """Complex conjugate for any scalar the package handles."""
-    if isinstance(value, (int, Fraction)):
-        return value
-    if isinstance(value, RationalComplex):
-        return value.conjugate()
-    return complex(value).conjugate()

@@ -421,3 +421,56 @@ def test_grid_sample_points_equal_the_sorted_set_of_grid_values():
                     want.insert(0, Fraction(0))
                 got = grid_sample_points(X, lo, hi, include_zero)
                 assert got == tuple(want) and all(type(v) is Fraction for v in got)
+
+
+def _leaf_elements():
+    """Elements whose mode-1 coefficient is an indicator or a closure."""
+    ind = IndicatorCoefficient(Interval.open_closed(HALF, 1))
+    clo = ClosureCoefficient(lambda t: math.exp(-t), 1.0, True)
+    return [algebra.element(HALF, {1: f}) for f in (ind, clo)]
+
+
+def test_arithmetic_with_a_leaf_coefficient_raises_domain_error():
+    rat = parse_element("1/2", ["t@1", "1@0"])
+    for leaf in _leaf_elements():
+        for build in (lambda: algebra.multiply(leaf, rat), lambda: algebra.multiply(rat, leaf),
+                      lambda: algebra.multiply(leaf, leaf), lambda: algebra.add(leaf, rat),
+                      lambda: algebra.add(rat, leaf), lambda: algebra.add(leaf, leaf),
+                      lambda: algebra.scale(leaf, 2), lambda: algebra.scale(leaf, Fraction(-1, 3)),
+                      lambda: algebra.scale(leaf, RationalComplex(HALF, HALF))):
+            with pytest.raises(DomainError):
+                build()
+
+
+def test_scale_by_a_float_raises_type_error():
+    a = parse_element("1/2", ["t@1", "(1+t)/(2+t^2)@0"])
+    for s in (0.5, 1.0, -2.0):
+        with pytest.raises(TypeError):
+            algebra.scale(a, s)
+
+
+def test_adjoint_of_an_indicator_element_stays_an_exact_indicator():
+    a = _leaf_elements()[0]
+    astar = algebra.adjoint(a)
+    assert astar.modes == (-1,)
+    # (chi_M U)* = alpha^-1(chi_M) U^-1 = chi_{qM} U^-1
+    coeff = astar.coefficient(-1)
+    assert isinstance(coeff, IndicatorCoefficient)
+    assert coeff.interval == Interval.open_closed(Fraction(1, 4), HALF)
+    back = algebra.adjoint(astar).coefficient(1)
+    assert isinstance(back, IndicatorCoefficient)
+    assert back.interval == a.coefficient(1).interval
+
+
+def test_element_residual_is_a_fraction_for_indicators_and_refuses_closures():
+    ind, clo = _leaf_elements()
+    pts = helpers.sample_fractions()
+    zero = algebra.zero_element(HALF)
+    rat = algebra.element(HALF, {1: RationalCoefficient(T)})
+    for a, b, want in ((ind, ind, 0), (algebra.adjoint(algebra.adjoint(ind)), ind, 0),
+                       (ind, zero, 1), (zero, ind, 1), (ind, rat, 4)):
+        got = element_residual(a, b, pts)
+        assert type(got) is Fraction and got == want
+    for a, b in ((clo, zero), (zero, clo), (clo, clo), (clo, ind)):
+        with pytest.raises(EvaluationError):
+            element_residual(a, b, pts)

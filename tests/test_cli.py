@@ -220,12 +220,15 @@ def test_config_validation_errors(tmp_path, capsys):
                       (["simulate"], {"exact_mode": 0}),
                       (["bott"], {"bott_n": []}),
                       (["bott", "--exact"], {"bott_n": [0, 1]}),
-                      (["bott"], {"bott_signs": []})):
+                      (["bott"], {"bott_signs": []}),
+                      (["simulate"], {"windows_sweep": []})):
         bad.write_text(json.dumps(cfg))
         code, _ = run(capsys, *argv, "--config", str(bad))
         assert code == 2, cfg
-    # norm sweeps windows_sweep; a window given to it would have no effect
-    for argv, cfg in ((["--window", "-600", "600"], {}), ([], {"window": [-600, 600]})):
+    # norm sweeps windows_sweep; a window given to it would have no effect, and
+    # an empty sweep is refused rather than replaced by the default
+    for argv, cfg in ((["--window", "-600", "600"], {}), ([], {"window": [-600, 600]}),
+                      ([], {"windows_sweep": []})):
         bad.write_text(json.dumps(cfg))
         assert cli.main(["norm", "--element", "t@1", "--config", str(bad), *argv]) == 2
         captured = capsys.readouterr()
@@ -305,6 +308,17 @@ def test_out_file(tmp_path, capsys):
     assert out == ""
     report = json.loads(dest.read_text())
     assert report["command"] == "norm"
+
+
+def test_unwritable_output_paths_exit_2_without_a_traceback(tmp_path, capsys):
+    missing = tmp_path / "no" / "such" / "dir"
+    for flag, name in (("--out", "r.json"), ("--spectra-out", "s.csv")):
+        target = str(missing / name)
+        assert cli.main(["simulate", flag, target]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"cannot write {target}" in captured.err
+    assert not missing.parent.exists()
 
 
 def test_missing_subcommand_exits_with_usage_error(capsys):

@@ -109,6 +109,22 @@ def test_measure_matches_enumeration_oracle():
         assert qspace.measure_of(mu, interval) == orbit_weight_sum(mu, interval)
 
 
+def test_orbit_exponents_match_enumeration():
+    # the exponents themselves, not only their count: both ends open and
+    # closed, on and off the orbit, and an interval the orbit misses
+    for q, x in ((Fraction(1, 2), Fraction(1)), (Fraction(2, 3), Fraction(7, 9)),
+                 (Fraction(3, 7), Fraction(1, 2))):
+        for lo, hi in ((q ** 5 * x, q ** -4 * x), (Fraction(1, 10), Fraction(5, 2)),
+                       (x, x), (q * x * Fraction(101, 100), x * Fraction(99, 100))):
+            for lower_closed in (False, True):
+                for upper_closed in (False, True):
+                    interval = Interval(lo, hi, lower_closed, upper_closed)
+                    if interval.is_empty:
+                        continue
+                    want = [k for k in range(-40, 41) if interval.contains(q ** k * x)]
+                    assert list(qspace.orbit_exponents(q, x, interval)) == want, interval
+
+
 def test_measure_infinite_cases(dyadic_measure):
     assert qspace.measure_of(dyadic_measure, Interval(Fraction(0), Fraction(1), False, True)) == float("inf")
     assert qspace.measure_of(dyadic_measure, Interval(Fraction(1), None, False, False)) == float("inf")
