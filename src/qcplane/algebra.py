@@ -9,6 +9,13 @@ Elements whose nonzero modes vanish at t = 0 form the subalgebra generated by
 the deformed coordinate.  Its unitization, the compactified model used for the
 projection constructions, needs no second type: the unit is the constant
 coefficient ``1@0``, an element like any other.
+
+Each twist a**n(g) is one rescaling of g by q**n = p**n / r**n, read off q's
+numerator and denominator.  ``AlgebraElement`` and ``element`` validate q and
+the modes; the operations build their results from valid operands and only
+sort the modes and drop syntactic zeros.  Element literals are evaluated in
+ratfunc's integer forms: polynomial sub-expressions stay polynomials, and a
+(num, den) pair arises only at a division by a non-constant or at a power.
 """
 
 from __future__ import annotations
@@ -26,8 +33,8 @@ from typing import Callable, Mapping
 
 from .errors import DomainError, EvaluationError
 from .qspace import Interval, SpectralSet
-from .ratfunc import (_ONE, RationalFunction, _f_add, _f_div, _f_mul, _f_neg, _f_pow,
-                      _f_sub, _poly, _rf)
+from .ratfunc import (_ONE, RationalFunction, _canon, _f_add, _f_argscale, _f_div, _f_mul,
+                      _f_neg, _f_pow, _f_sub, _normal, _p_add, _p_mul, _p_neg, _rf)
 from .scalars import RationalComplex, exact_magnitude, parse_rational
 
 
@@ -162,13 +169,15 @@ def _rational(f: CoefficientFunction) -> RationalFunction:
 
 def cf_alpha(f: CoefficientFunction, n: int, q: Fraction) -> CoefficientFunction:
     """Scaling action iterate: t -> f(q**n * t)."""
-    qn = q ** n
-    if qn == 1:
+    p, r = (q.numerator, q.denominator) if n > 0 else (q.denominator, q.numerator)
+    if n == 0 or p == r:
         return f
     if isinstance(f, IndicatorCoefficient):
         # chi_M(q**n t) = chi_{q**-n M}(t)
-        return IndicatorCoefficient(f.interval.scaled(1 / qn))
-    return RationalCoefficient._from_checked(_rational(f).substitute_scale(qn))
+        return IndicatorCoefficient(f.interval.scaled(Fraction(r, p) ** abs(n)))
+    # q**n = p**|n| / r**|n| in lowest terms, read off q without a Fraction power
+    return RationalCoefficient._from_checked(
+        _rf(_f_argscale(_rational(f)._pair, p ** abs(n), r ** abs(n))))
 
 
 def cf_conj(f: CoefficientFunction) -> CoefficientFunction:
@@ -252,6 +261,18 @@ def element(q, coeffs: Mapping[int, CoefficientFunction]) -> AlgebraElement:
     return AlgebraElement(q, terms)
 
 
+def _assemble(q: Fraction, coeffs: dict[int, CoefficientFunction]) -> AlgebraElement:
+    """The element of coeffs built by the operations below, without re-validation.
+
+    q is an operand's validated ratio and the modes are dict keys, so distinct
+    ints; only the sorting and the dropping of syntactic zeros remain to do.
+    """
+    out = object.__new__(AlgebraElement)
+    out.__dict__.update(q=q, terms=tuple(sorted(
+        (k, f) for k, f in coeffs.items() if not _is_syntactic_zero(f))))
+    return out
+
+
 def zero_element(q) -> AlgebraElement:
     return AlgebraElement(Fraction(q), ())
 
@@ -265,11 +286,11 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
             term = cf_mul(f, cf_alpha(g, n, a.q))
             k = n + m
             out[k] = cf_add(out[k], term) if k in out else term
-    return element(a.q, out)
+    return _assemble(a.q, out)
 
 
 def adjoint(a: AlgebraElement) -> AlgebraElement:
-    return element(a.q, {-k: cf_alpha(cf_conj(f), -k, a.q) for k, f in a.terms})
+    return _assemble(a.q, {-k: cf_alpha(cf_conj(f), -k, a.q) for k, f in a.terms})
 
 
 def add(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
@@ -278,13 +299,13 @@ def add(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     out = dict(a.terms)
     for k, g in b.terms:
         out[k] = cf_add(out[k], g) if k in out else g
-    return element(a.q, out)
+    return _assemble(a.q, out)
 
 
 def scale(a: AlgebraElement, s) -> AlgebraElement:
     if s == 0:
         return zero_element(a.q)
-    return element(a.q, {k: cf_scale(f, s) for k, f in a.terms})
+    return _assemble(a.q, {k: cf_scale(f, s) for k, f in a.terms})
 
 
 def classify(a: AlgebraElement) -> Classification:
@@ -348,7 +369,7 @@ _OUTSIDE_GRAMMAR = re.compile(r"[^0-9t\s()+\-*/^]|\*\*")
 _LEADING_ZEROS = re.compile(r"(?<![0-9])0+(?=[0-9])")
 _ARITHMETIC = {ast.Add: _f_add, ast.Sub: _f_sub, ast.Mult: _f_mul, ast.Div: _f_div}
 _SIGNS = {ast.UAdd: 1, ast.USub: -1}
-_T = RationalFunction.variable()._pair
+_T = RationalFunction.variable()._num
 
 
 def _exponent(node: ast.AST) -> int:
@@ -359,17 +380,50 @@ def _exponent(node: ast.AST) -> int:
     raise DomainError("exponent must be an integer")
 
 
+def _as_pair(value):
+    """A folded polynomial (a 3-tuple) as the pair (poly, 1); a pair as it is."""
+    return value if len(value) == 2 else (value, _ONE)
+
+
+def _folded(pair):
+    """A pair whose den is 1 folds back to its numerator polynomial."""
+    return pair[0] if pair[1] == _ONE else pair
+
+
+def _poly_op(op: type, a, b):
+    """a op b for two polynomials, the same value and form as op on their pairs."""
+    if op is ast.Add:
+        return _p_add(a, b)
+    if op is ast.Sub:
+        return _p_add(a, _p_neg(b))
+    if op is ast.Mult:
+        return _p_mul(a, b)
+    if not b[0]:
+        raise DomainError("division by the zero function")
+    return _folded(_normal(a, b))
+
+
 def _evaluate(node: ast.AST):
-    """The (num, den) pair of an expression node, in ratfunc's normal form."""
+    """The value of an expression node in ratfunc's integer forms.
+
+    A polynomial value stays a canonical triple (re, im, d); a (num, den)
+    pair in the normal form arises only at a division by a non-constant or
+    at a power, and folds back to its numerator when its den is 1.
+    """
     if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
-        return _f_pow(_evaluate(node.left), _exponent(node.right))
+        return _folded(_f_pow(_as_pair(_evaluate(node.left)), _exponent(node.right)))
     if isinstance(node, ast.BinOp) and type(node.op) in _ARITHMETIC:
-        return _ARITHMETIC[type(node.op)](_evaluate(node.left), _evaluate(node.right))
+        a, b = _evaluate(node.left), _evaluate(node.right)
+        if len(a) == len(b) == 3:
+            return _poly_op(type(node.op), a, b)
+        return _folded(_ARITHMETIC[type(node.op)](_as_pair(a), _as_pair(b)))
     if isinstance(node, ast.UnaryOp) and type(node.op) in _SIGNS:
         value = _evaluate(node.operand)
-        return value if _SIGNS[type(node.op)] > 0 else _f_neg(value)
+        if _SIGNS[type(node.op)] > 0:
+            return value
+        return _p_neg(value) if len(value) == 3 else _f_neg(value)
     if isinstance(node, ast.Constant) and type(node.value) is int:
-        return _poly((node.value,)), _ONE
+        return _canon([node.value], [0], 1)
     if isinstance(node, ast.Name) and node.id == "t":
         return _T
     raise DomainError("malformed expression")
@@ -388,7 +442,7 @@ def parse_rational_expression(text: str) -> RationalFunction:
         raise DomainError(f"unexpected {bad.group()!r} in expression")
     source = _LEADING_ZEROS.sub("", " ".join(text.split())).replace("^", "**")
     try:
-        return _rf(_evaluate(ast.parse(source, mode="eval").body))
+        return _rf(_as_pair(_evaluate(ast.parse(source, mode="eval").body)))
     except SyntaxError as exc:
         raise DomainError(f"malformed expression: {exc.msg}") from None
     except (RecursionError, MemoryError):  # MemoryError: "parser stack overflowed"

@@ -134,7 +134,7 @@ def verify_projection_exact(P: ProjectionCandidate, sample_points) -> ExactProje
     every rational sample point in exact arithmetic; the report carries the
     maximum magnitude found, which must be exactly 0 for a true projection.
     """
-    points = [Fraction(p) for p in sample_points]
+    points = [p if type(p) in (int, Fraction) else Fraction(p) for p in sample_points]
     if not points:
         raise DomainError("need at least one sample point")
     A = P.entries

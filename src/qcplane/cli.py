@@ -11,6 +11,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import random
 import sys
 from dataclasses import dataclass
@@ -444,6 +445,21 @@ def _open_out(path: str, newline: str | None = None):
         raise ConfigurationError(f"cannot write {path}: {exc.strerror}") from exc
 
 
+def _probe_out(path: str) -> None:
+    """Refuse an output path that cannot be written, before the command runs.
+
+    access(2) is asked about the file, or about its directory while there is
+    no file, so the probe creates nothing: a run that fails later leaves no
+    empty report behind.  The write at the end still reports what it meets.
+    """
+    if os.path.isdir(path):
+        raise ConfigurationError(f"cannot write {path}: Is a directory")
+    target = path if os.path.exists(path) else os.path.dirname(path) or "."
+    if not os.access(target, os.W_OK):
+        why = "Permission denied" if os.path.exists(target) else "No such directory"
+        raise ConfigurationError(f"cannot write {path}: {why}")
+
+
 def _emit(report: dict, out: str | None) -> None:
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if out:
@@ -458,6 +474,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(getattr(args, "config", None), args)
+        for path in (cfg.out, cfg.spectra_out):
+            if path:
+                _probe_out(path)
         report, code = DISPATCH[args.command](cfg)
         _emit(report, cfg.out)
         return code

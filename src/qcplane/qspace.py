@@ -118,7 +118,16 @@ class Interval:
 
 
 def _flog(x: Fraction) -> float:
-    return math.log(x.numerator) - math.log(x.denominator)
+    """log x for rational x > 0, without cancellation near x = 1.
+
+    For x in (1/2, 3/2), log1p of (num - den) / den, an integer true division
+    that rounds once; elsewhere log x is at least log 3/2 in size and the
+    difference of the two logarithms is accurate.
+    """
+    num, den = x.numerator, x.denominator
+    if 2 * abs(num - den) < den:
+        return math.log1p((num - den) / den)
+    return math.log(num) - math.log(den)
 
 
 def scaling_exponent(q: Fraction, ratio: Fraction) -> int | None:

@@ -7,6 +7,10 @@ gcd(d, *re, *im) == 1, so all exact arithmetic runs on Python ints.  A function
 part of its lead positive; exactly ``_ONE`` if constant), its content in num.
 The two are not reduced against each other; ``equals`` compares cross
 products.  The variable is real, and ``evaluate`` takes a rational point.
+
+A product by a constant scales coefficients and two real factors make one
+convolution.  The rescaling f(p/r t) multiplies num and den by one weight
+table p^k r^(n-k), n the larger degree, whose common r^n cancels.
 """
 
 from __future__ import annotations
@@ -68,30 +72,68 @@ def _p_add(a: Poly, b: Poly) -> Poly:
                   [x * sa + y * sb for x, y in zip_longest(ai, bi, fillvalue=0)], da * sa)
 
 
+def _conv(out: list[int], x: tuple[int, ...], y: tuple[int, ...]) -> list[int]:
+    """out += x * y, convolved; returns out."""
+    for i, xi in enumerate(x):
+        if xi:
+            for j, yj in enumerate(y, i):
+                out[j] += xi * yj
+    return out
+
+
 def _p_mul(a: Poly, b: Poly) -> Poly:
-    """Product over the integers; the imaginary parts of real factors are skipped."""
+    """Product over the integers.
+
+    A constant factor scales the other's coefficients; otherwise the real
+    parts are convolved and only nonzero imaginary parts join in, so two
+    real factors make one convolution.
+    """
     if a == _ONE or b == _ONE:
         return b if a == _ONE else a
+    if len(a[0]) > len(b[0]):
+        a, b = b, a
     (ar, ai, da), (br, bi, db) = a, b
-    re = [0] * (len(ar) + len(br) - 1)
-    im = re.copy()
-    terms = [(re, ar, br), (im, ai, br)] if any(ai) else [(re, ar, br)]
+    if len(ar) <= 1:   # a is a constant, or zero
+        if not ar:
+            return a
+        cr, ci = ar[0], ai[0]
+        return _canon([cr * x - ci * y for x, y in zip(br, bi)],
+                      [cr * y + ci * x for x, y in zip(br, bi)], da * db)
+    size = len(ar) + len(br) - 1
+    re, im = _conv([0] * size, ar, br), [0] * size
+    if any(ai):
+        _conv(im, ai, br)
+        if any(bi):
+            _conv(re, [-c for c in ai], bi)
     if any(bi):
-        terms += [(im, ar, bi), (re, [-c for c in ai], bi)]
-    for out, x, y in terms:   # out += x * y, convolved
-        for i, xi in enumerate(x):
-            if xi:
-                for j, yj in enumerate(y):
-                    out[i + j] += xi * yj
+        _conv(im, ar, bi)
     return _canon(re, im, da * db)
 
 
-def _p_argscale(a: Poly, lam: Fraction) -> Poly:
-    """c(lam t) for lam = p/r: c_k picks up p^k r^(n-k) and d picks up r^n."""
+def _p_neg(a: Poly) -> Poly:
     re, im, d = a
-    p, r, n = lam.numerator, lam.denominator, max(len(re) - 1, 0)
-    w = [p ** k * r ** (n - k) for k in range(len(re))]
-    return _canon([c * x for c, x in zip(re, w)], [c * x for c, x in zip(im, w)], d * r ** n)
+    return tuple([-c for c in re]), tuple([-c for c in im]), d
+
+
+def _f_argscale(a: Pair, p: int, r: int) -> Pair:
+    """f(p/r t) for integers p, r > 0, num and den scaled by one weight table.
+
+    Coefficient k of num and den is multiplied by p^k r^(n-k), n the larger
+    degree: that is num(p/r t) and den(p/r t) times the same r^n, which
+    cancels in the quotient.  A constant den stays 1, and r^n goes into num's d.
+    """
+    (nr, ni, d), (dr, di, _) = a
+    if not nr:
+        return a
+    n = max(len(nr), len(dr)) - 1
+    w = [p ** k * r ** (n - k) for k in range(n + 1)]
+
+    def scaled(cs: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple([c * x for c, x in zip(cs, w)])
+
+    if a[1] == _ONE:
+        return _canon(scaled(nr), scaled(ni), d * w[0]), _ONE
+    return _normal(_canon(scaled(nr), scaled(ni), d), (scaled(dr), scaled(di), 1))
 
 
 def _normal(num: Poly, den: Poly) -> Pair:
@@ -117,8 +159,7 @@ def _f_add(a: Pair, b: Pair) -> Pair:
 
 
 def _f_neg(a: Pair) -> Pair:
-    (re, im, d), den = a
-    return (tuple(-c for c in re), tuple(-c for c in im), d), den
+    return _p_neg(a[0]), a[1]
 
 
 def _f_sub(a: Pair, b: Pair) -> Pair:
@@ -335,7 +376,7 @@ class RationalFunction:
         lam = Fraction(lam)
         if lam <= 0:
             raise DomainError("argument scale must be positive")
-        return _rf(_normal(_p_argscale(self._num, lam), _p_argscale(self._den, lam)))
+        return _rf(_f_argscale(self._pair, lam.numerator, lam.denominator))
 
     def evaluate(self, x) -> RationalComplex:
         """Exact value at a real point (int, Fraction or RationalComplex with im == 0)."""

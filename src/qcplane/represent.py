@@ -156,19 +156,22 @@ def pi_image(z: np.ndarray) -> np.ndarray:
     """Inverse transform z (1 - z*z)^(-1/2); defined only strictly inside the ball.
 
     One eigendecomposition of G = 1 - z*z serves both the guard and the
-    image: its least eigenvalue is 1 - ||z||^2, so ||z|| needs no SVD.
+    image: its least eigenvalue is 1 - ||z||^2, so ||z|| needs no SVD.  The
+    result is complex; as in :func:`z_transform`, a z with no nonzero
+    imaginary part is inverted in real arithmetic.
     """
     z = np.asarray(z, dtype=complex)
     if z.ndim != 2 or z.shape[0] != z.shape[1]:
         raise DomainError("inverse transform needs a square matrix")
     if z.size == 0:
         return z
-    G = np.eye(z.shape[0], dtype=complex) - z.conj().T @ z
+    A = z.real if not z.imag.any() else z
+    G = np.eye(z.shape[0], dtype=A.dtype) - A.conj().T @ A
     root, vals = _hermitian_inv_sqrt(G)
     norm = math.sqrt(max(0.0, 1.0 - float(vals[0])))
     if norm >= 1.0 - UNIT_NORM_GUARD:
         raise SingularityError(f"operator norm {norm} too close to 1; image unbounded")
-    return z @ root
+    return (A @ root).astype(complex, copy=False)
 
 
 def scalar_z(tau: float) -> float:

@@ -14,7 +14,8 @@ from qcplane import algebra, qspace, ratfunc
 from qcplane.algebra import (Classification, ClosureCoefficient,
                              IndicatorCoefficient, RationalCoefficient,
                              classify, element_residual, grid_sample_points,
-                             parse_element, parse_rational_expression)
+                             parse_element, parse_element_term,
+                             parse_rational_expression)
 from qcplane.errors import DomainError, EvaluationError
 from qcplane.qspace import Interval
 from qcplane.ratfunc import RationalFunction
@@ -392,7 +393,10 @@ def test_parser_matches_the_per_node_evaluator():
     texts += ["1/0", "t/(t-t)", "(t-t)^-2", "0^-1", "(0)^0", "t^-0", "-t^--2",
               "(" * 300 + "t" + ")" * 300, "-" * 5000 + "t", "t" + "*t" * 3000, "(" * 40 + "1+t" + ")" * 40 + "^-3",
               f"t^{bound}", f"t^{bound + 1}", f"(1+t)^-{bound}", f"(1/(1+t))^-{bound + 1}",
-              "(1/(2+2*t)+1/(1+t))^600", "2^32768", "2^32769", "(t/2)^-32768"]
+              "(1/(2+2*t)+1/(1+t))^600", "2^32768", "2^32769", "(t/2)^-32768",
+              # polynomial sub-expressions fold, a division by a constant stays folded
+              "0*t/(1+t)", "(7/14)*t", "1/(2/(3*t))", "(2*t)/2", "t/(0*t+3)", "(t-t)/(1+t)",
+              "-(6/4)*t^2/(3+t)", "(t^2+1)/(t+1)+t", "((1+t)^2-1)/t", "3/(2-2)", "(4/6)^-2"]
     outcomes = set()
     for text in texts:
         want = _per_node_parse(text)
@@ -474,3 +478,57 @@ def test_element_residual_is_a_fraction_for_indicators_and_refuses_closures():
     for a, b in ((clo, zero), (zero, clo), (clo, clo), (clo, ind)):
         with pytest.raises(EvaluationError):
             element_residual(a, b, pts)
+
+
+def _old_cf_alpha(f, n: int, q: Fraction):
+    """The former scaling action: one q**n, then substitute_scale or a scaled interval."""
+    qn = q ** n
+    if qn == 1:
+        return f
+    if isinstance(f, IndicatorCoefficient):
+        return IndicatorCoefficient(f.interval.scaled(1 / qn))
+    return RationalCoefficient(f.rf.substitute_scale(qn))
+
+
+def test_cf_alpha_from_integer_powers_matches_the_fraction_power():
+    rng = random.Random(23)
+    lits = ["t", "1/(1+t^2)", "(3+t)/(2+t)^2", "t^3/(7+5*t^4)", "(1+2*t-t^2)/(4+t^6)", "5/3"]
+    coeffs = [parse_element_term(f"{lit}@0")[1] for lit in lits]
+    ind = IndicatorCoefficient(Interval.open_closed(Fraction(1, 3), 2))
+    for q in (HALF, Fraction(3, 7), Fraction(9, 10), Fraction(1), Fraction(1, 1000)):
+        for n in (-5, -2, -1, 0, 1, 2, 5, rng.randint(-9, 9)):
+            for f in coeffs:
+                got, want = algebra.cf_alpha(f, n, q), _old_cf_alpha(f, n, q)
+                assert got.rf._pair == want.rf._pair
+                if n == 0 or q == 1:
+                    assert got is f
+            got = algebra.cf_alpha(ind, n, q)
+            assert got.interval == _old_cf_alpha(ind, n, q).interval
+            assert got is ind if n == 0 or q == 1 else isinstance(got, IndicatorCoefficient)
+
+
+def _assert_assembled(x: algebra.AlgebraElement, *operands: algebra.AlgebraElement) -> None:
+    assert any(x.q is y.q for y in operands) and type(x.q) is Fraction
+    modes = [k for k, _ in x.terms]
+    assert modes == sorted(set(modes)) and all(type(k) is int for k in modes)
+    assert not any(algebra._is_syntactic_zero(f) for _, f in x.terms)
+
+
+def test_operations_assemble_sorted_distinct_nonzero_modes_over_the_operand_ratio():
+    q = Fraction(3, 7)
+    a = parse_element(q, ["t@2", "1/(1+t^2)@0", "3*t^2@-1"])
+    b = parse_element(q, ["-t@2", "t@-3", "(1+t)/(2+t)@1"])
+    for x in (algebra.multiply(a, b), algebra.multiply(b, a), algebra.add(a, b),
+              algebra.add(b, a), algebra.adjoint(a), algebra.adjoint(b), algebra.scale(a, -2),
+              algebra.scale(b, RationalComplex(HALF, HALF)), a - a, a + b - b, a * (b - b)):
+        _assert_assembled(x, a, b)
+    assert algebra.add(a, b).modes == (-3, -1, 0, 1)       # t@2 and -t@2 cancel
+    assert (a - a).is_zero and (a * (b - b)).is_zero
+    assert algebra.adjoint(a).modes == (-2, 0, 1)
+    # the public constructors keep every check
+    for bad in (lambda: algebra.AlgebraElement(2, ()),
+                lambda: algebra.AlgebraElement(q, ((1, a.coefficient(2)), (1, a.coefficient(0)))),
+                lambda: algebra.element(0, {})):
+        with pytest.raises(DomainError):
+            bad()
+    assert algebra.AlgebraElement(q, ((2, a.coefficient(2)), (0, a.coefficient(0)))).modes == (0, 2)

@@ -321,6 +321,29 @@ def test_unwritable_output_paths_exit_2_without_a_traceback(tmp_path, capsys):
     assert not missing.parent.exists()
 
 
+def test_outputs_are_probed_before_the_command_runs(tmp_path, capsys, monkeypatch):
+    missing = str(tmp_path / "no" / "r.json")
+    spectra = tmp_path / "s.csv"
+    built = []
+    monkeypatch.setattr(cli.qnormal, "build", lambda *args, **kw: built.append(args))
+    for out in (missing, str(tmp_path)):
+        code = cli.main(["simulate", "--exact", "--window", "-1000", "1000",
+                         "--spectra-out", str(spectra), "--out", out])
+        assert code == 2 and not built
+        assert f"cannot write {out}" in capsys.readouterr().err
+        assert not spectra.exists()
+    monkeypatch.undo()
+    # a run that fails after the probe leaves no new report and keeps an old one
+    fresh, old = tmp_path / "fresh.json", tmp_path / "old.json"
+    old.write_text("old report\n")
+    for out in (fresh, old):
+        assert cli.main(["norm", "--element", "t^100000@0", "--out", str(out)]) == 2
+    assert "invalid input" in capsys.readouterr().err
+    assert not fresh.exists() and old.read_text() == "old report\n"
+    assert cli.main(["simulate", "--window", "-2", "2", "--out", str(old)]) == 0
+    assert json.loads(old.read_text())["command"] == "simulate"
+
+
 def test_missing_subcommand_exits_with_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main([])

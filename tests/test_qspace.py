@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -123,6 +124,34 @@ def test_orbit_exponents_match_enumeration():
                         continue
                     want = [k for k in range(-40, 41) if interval.contains(q ** k * x)]
                     assert list(qspace.orbit_exponents(q, x, interval)) == want, interval
+
+
+@pytest.mark.parametrize("e", [14, 15, 20])
+def test_ratios_next_to_one_keep_their_logarithm(e):
+    # log(num) - log(den) cancels to nothing near q = 1; log1p does not
+    q = Fraction(10 ** e - 1, 10 ** e)
+    assert qspace._flog(q) < 0
+    X = qspace.make_spectral_set(q, ["1"])
+    for k in range(-40, 41):
+        assert qspace.contains(X, q ** k)
+        assert qspace.scaling_exponent(q, q ** k) == k
+        assert not qspace.contains(X, q ** k * (1 + q) / 2)
+    mu = qspace.uniform_measure(q, ["1"])
+    ends = Interval.open_closed(q ** 5, q ** -5)
+    assert qspace.orbit_exponents(q, Fraction(1), ends) == range(-5, 5)
+    assert qspace.measure_of(mu, ends) == 10
+    assert qspace.measure_of(mu, Interval(q ** 5, q ** -5, True, False)) == 10
+
+
+def test_orbit_edge_walks_down_from_a_guess_above_the_answer(monkeypatch):
+    # with the cancelling difference of logarithms, the guess for the upper
+    # end of (q^5, q^-5] is level -4 where the answer is -5
+    q = Fraction(10 ** 14 - 1, 10 ** 14)
+    monkeypatch.setattr(qspace, "_flog", lambda x: math.log(x.numerator) - math.log(x.denominator))
+    upper = q ** -5
+    assert round(qspace._flog(upper) / qspace._flog(q)) == -4
+    ends = Interval.open_closed(q ** 5, upper)
+    assert qspace.orbit_exponents(q, Fraction(1), ends) == range(-5, 5)
 
 
 def test_measure_infinite_cases(dyadic_measure):

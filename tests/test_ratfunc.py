@@ -526,3 +526,61 @@ def test_evaluate_diagonal_raises_at_a_denominator_root_on_the_diagonal():
             f.evaluate_diagonal(points, factor)
     # a root between the points is no root on the diagonal
     assert len((1 / (3 * T - 1)).evaluate_diagonal(points)) == model.dim
+
+
+def _two_table_argscale(f: RationalFunction, p: int, r: int) -> tuple:
+    """The former rescale: num and den each scaled by its own weight table."""
+    def argscale(a):
+        re, im, d = a
+        n = max(len(re) - 1, 0)
+        w = [p ** k * r ** (n - k) for k in range(len(re))]
+        return ratfunc._canon([c * x for c, x in zip(re, w)], [c * x for c, x in zip(im, w)],
+                              d * r ** n)
+    return ratfunc._normal(argscale(f._num), argscale(f._den))
+
+
+def test_one_table_argscale_equals_the_two_table_formula():
+    rng = random.Random(16)
+    lams = [(1, 1), (1, 2), (2, 1), (3, 7), (7, 3), (9, 10), (1024, 1), (1, 3 ** 20)]
+    cases = 0
+    for trial in range(300):
+        f, _ = _random_pair(rng, trial)
+        for p, r in lams + [(rng.randint(1, 50), rng.randint(1, 50))]:
+            got = ratfunc._f_argscale(f._pair, p, r)
+            assert got == _two_table_argscale(f, p, r), (f._pair, p, r)
+            assert got == f.substitute_scale(Fraction(p, r))._pair
+            cases += 1
+    # degrees of num above, equal to and below those of den, real and complex
+    assert cases == 2700
+
+
+def test_argscale_of_a_polynomial_keeps_den_one_and_cancels_r_power():
+    f = RationalFunction((1, 2, 3), (1,))                     # 1 + 2t + 3t^2 at 2t/3
+    assert f.substitute_scale(Fraction(2, 3))._pair == (((3, 4, 4), (0, 0, 0), 3), ratfunc._ONE)
+    g = RationalFunction((0, 1), (1, 0, 1))                  # t / (1 + t^2)
+    # (2t/3) / (1 + 4t^2/9) = 6t / (9 + 4t^2): den primitive, lead positive
+    assert g.substitute_scale(Fraction(2, 3))._pair == (((0, 6), (0, 0), 1), ((9, 0, 4), (0, 0, 0), 1))
+
+
+def _p_mul_oracle(a, b) -> tuple:
+    """Schoolbook product of two canonical triples through their coefficient views."""
+    fa, fb = (RationalFunction(ratfunc._coeffs(*x) or (0,), (1,)) for x in (a, b))
+    return ratfunc._poly(_schoolbook(fa.num, fb.num)) if fa.num and fb.num else ratfunc._poly((0,))
+
+
+def test_p_mul_paths_match_the_schoolbook_product():
+    rng = random.Random(61)
+    seen = set()
+    for trial in range(400):
+        polys = []
+        for real in (trial % 2 == 0, trial % 3 == 0):
+            degree = rng.choice([0, 0, 1, 2, 4])
+            cs = _random_poly(rng, degree, real)
+            if trial % 11 == 0:
+                cs = (RationalComplex(),)
+            polys.append(ratfunc._poly(cs))
+        a, b = polys
+        got = ratfunc._p_mul(a, b)
+        assert got == _p_mul_oracle(a, b) == ratfunc._p_mul(b, a), (a, b)
+        seen.add((min(len(a[0]), len(b[0])) <= 1, not any(a[1]) and not any(b[1])))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}

@@ -359,7 +359,13 @@ def test_pi_image_is_bit_identical_to_the_two_step_path(dyadic_measure):
           for lits in (["t@1"], ["1/(1+t^2)@0", "t@-1"])]
     zs += [_with_norm(rng, n, s) for n, s in ((1, 0.5), (5, 0.9), (40, 1 - 1e-6))]
     for z in zs:
-        assert np.array_equal(pi_image(z), _old_pi_image(z))
+        got, want = pi_image(z), _old_pi_image(z)
+        if z.imag.any():
+            assert np.array_equal(got, want)
+        else:   # a real z is inverted in real arithmetic, which rounds differently
+            assert got.dtype == complex and not got.imag.any()
+            assert np.linalg.norm(got - want, 2) <= 1e-14 * np.linalg.norm(want, 2)
+    assert sum(not z.imag.any() for z in zs) == 2
 
 
 def test_pi_image_guard_reads_the_norm_from_the_eigendecomposition():
