@@ -2,12 +2,15 @@
 
 Every operator of a truncated model is a finite sum sum_d diag(v_d) S**d, the
 shape of the crossed product C0(X) x| Z it represents; :class:`Band` stores
-one diagonal per offset d.  Exact bands hold dtype=object diagonals, with
-real values as Fraction and complex ones as RationalComplex (the two mix under
-numpy's object arithmetic); float bands hold complex128 ones, and the same
-numpy elementwise code serves both.  :meth:`Band.norm` measures a band without
-making it dense.  Model paths never densify: dense matrices are made only for
-the public dense results, and the helpers below act on those, exactly.
+one diagonal per offset d.  Exact bands hold dtype=object diagonals: a value
+(a grid point, a coefficient value) is a Fraction when real and a
+RationalComplex otherwise, and a structural zero, an entry no value is written
+to, is the int 0, an exact rational that 0 * x and 0 + 0 keep without making a
+Fraction (all three mix under numpy's object arithmetic).  Float bands hold
+complex128 diagonals, and the same numpy elementwise code serves both.
+:meth:`Band.norm` measures a band without making it dense.  Model paths never
+densify: dense matrices are made only for the public dense results, and the
+helpers below act on those, exactly.
 """
 
 from __future__ import annotations
@@ -24,6 +27,9 @@ class Band:
 
     Diagonals have length dim and are indexed by row; entries whose column
     falls outside the matrix are zero, and offsets with |d| >= dim are dropped.
+    Exact values are Fraction or RationalComplex, and the zeros a band fills
+    in itself (padding, shifted-out rows, dense entries off every diagonal)
+    are the int 0; exact norms and traces are still Fractions.
     """
 
     def __init__(self, dim: int, exact: bool, diags: dict | None = None):
@@ -58,9 +64,8 @@ class Band:
         return out
 
     def _zeros(self, *shape: int) -> np.ndarray:
-        if self.exact:
-            return np.full(shape, Fraction(0), dtype=object)
-        return np.zeros(shape, dtype=complex)
+        # exact structural zeros are the int 0: 0 * x and 0 + 0 make no Fraction
+        return np.zeros(shape, dtype=object if self.exact else complex)
 
     def _shifted(self, v: np.ndarray, d: int) -> np.ndarray:
         """w[i] = v[i + d], zero where i + d leaves the matrix."""
@@ -141,9 +146,8 @@ class Band:
         return out
 
     def trace(self):
-        if 0 not in self.diags:
-            return Fraction(0) if self.exact else 0j
-        return self.diags[0].sum()
+        zero = Fraction(0) if self.exact else 0j
+        return self.diags[0].sum(initial=zero) if 0 in self.diags else zero
 
     def norm(self, keep=None):
         """defect_norm of the operator compressed to the rows and columns in keep.

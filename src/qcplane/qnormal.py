@@ -218,19 +218,20 @@ def build_from_generators(q, generators, window: TruncationWindow, weights=None,
     dim = len(grid) + kernel_dim
 
     if exact:
-        zero, one = Fraction(0), Fraction(1)
+        one = Fraction(1)
         powers = accumulate(repeat(q, window.size - 1), operator.mul, initial=q ** window.n_min)
         modulus = np.array([qn if x == 1 else qn * x for qn in powers for x in gens]
-                           + [zero] * kernel_dim, dtype=object)
+                           + [Fraction(0)] * kernel_dim, dtype=object)
     else:
-        zero, one = 0j, 1.0 + 0j
+        one = 1.0 + 0j
         modulus = np.zeros(dim, dtype=complex)
         try:
             modulus[:len(grid)] = grid.rounded()
         except OverflowError:
             # levels ascend and q <= 1, so the first level holds the largest points
             raise DomainError(f"level {window.n_min} leaves float range; use --exact") from None
-    u, zeta = (np.full(dim, zero, dtype=modulus.dtype) for _ in range(2))
+    # entries past the shifted rows are structural zeros: the int 0 when exact
+    u, zeta = (np.zeros(dim, dtype=modulus.dtype) for _ in range(2))
     # e_{j,n} -> e_{j,n-1}: levels come in ascending blocks of n_gens, so entry
     # (i, i + n_gens) moves grid point i + n_gens one level down
     u[:len(grid) - n_gens] = one

@@ -229,7 +229,20 @@ def contains(X: SpectralSet, t) -> bool:
         raise DomainError("membership is defined on [0, inf)")
     if t == 0:
         return X.includes_zero
-    return any(scaling_exponent(X.q, t / g) is not None for g in X.generators)
+    if not X.generators:
+        return False
+    # every generator lies in (q, 1], so t can only be q**k g at the one level k
+    # with t / q**k in (q, 1]: guess k by logarithms, correct it exactly with
+    # s = t / q**k = num / den in integers, then look s up among the generators
+    p, r = X.q.numerator, X.q.denominator
+    k = math.floor(_flog(t) / _flog(X.q))
+    num, den = ((t.numerator * r ** k, t.denominator * p ** k) if k >= 0
+                else (t.numerator * p ** -k, t.denominator * r ** -k))
+    while num > den:            # s > 1: one level down, s * q
+        num, den = num * p, den * r
+    while num * r <= den * p:   # s <= q: one level up, s / q
+        num, den = num * r, den * p
+    return any(num * g.denominator == g.numerator * den for g in X.generators)
 
 
 @dataclass(frozen=True)

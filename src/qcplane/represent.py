@@ -67,23 +67,29 @@ def represent_band(a: AlgebraElement, T: TruncatedQNormal) -> mo.Band:
     """Band of sum_k f_k(modulus) u**k; exact when T and all f_k are.
 
     u**k (k != 0) is 1 at offset d = k n_gens on the grid rows from max(0, -d) to
-    min(len(grid), len(grid) - d), u**0 is the identity; f_k(t_i) goes on those rows.
+    min(len(grid), len(grid) - d), u**0 is the identity; f_k(t_i) goes on those rows,
+    and the other rows of the diagonal are the int 0 on an exact model.
     """
     if a.q != T.q:
         raise DomainError("element and model have different ratios")
-    n, zero = len(T.grid), Fraction(0) if T.exact else 0j
+    n, dtype = len(T.grid), object if T.exact else complex
     diags: dict[int, np.ndarray] = {}
     for k, f in a.terms:
         d = k * T.n_gens
         # a d past the grid is past the matrix too, and mo.Band drops it; offsets
         # collide only with no generators, where only u**0 has rows
         rows = slice(0, T.dim) if k == 0 else slice(max(0, -d), min(n, n - d))
-        diags.setdefault(d, np.full(T.dim, zero))[rows] = spectral_band(T, f).diags[0][rows]
+        diags.setdefault(d, np.zeros(T.dim, dtype=dtype))[rows] = spectral_band(T, f).diags[0][rows]
     return mo.Band(T.dim, T.exact, diags)
 
 
 def represent(a: AlgebraElement, T: TruncatedQNormal) -> np.ndarray:
-    """Matrix of sum_k f_k(modulus) u**k; exact when T and all f_k are."""
+    """Matrix of sum_k f_k(modulus) u**k; exact when T and all f_k are.
+
+    An exact matrix holds each value f_k(t_i) as a Fraction, or as a
+    RationalComplex where its imaginary part is nonzero, at (i, i + k n_gens)
+    on the rows of mode k; every other entry is the int 0.
+    """
     return represent_band(a, T).dense()
 
 

@@ -7,7 +7,7 @@ import pytest
 import qcplane.matrixops as mo
 from qcplane import qnormal, qspace
 from qcplane.qnormal import TruncationWindow
-from qcplane.scalars import RationalComplex
+from qcplane.scalars import RationalComplex, exact_magnitude
 
 
 def _scalar(rng: random.Random, exact: bool):
@@ -28,9 +28,13 @@ def _random_band(rng: random.Random, dim: int, exact: bool, offsets) -> mo.Band:
 
 
 def _oracle(B: mo.Band) -> np.ndarray:
-    """Dense matrix written entry by entry: (i, i + d) holds v_d[i]."""
+    """Dense matrix written entry by entry: (i, i + d) holds v_d[i].
+
+    An exact one has Fraction(0) in every entry no diagonal value lands on.
+    """
     n = B.dim
-    D = np.zeros((n, n), dtype=object if B.exact else complex)
+    D = (np.full((n, n), Fraction(0), dtype=object) if B.exact
+         else np.zeros((n, n), dtype=complex))
     for d, v in B.diags.items():
         for i in range(n):
             if 0 <= i + d < n:
@@ -202,6 +206,83 @@ def test_band_trace_and_blocks():
         assert mo.max_entry_gap(whole.dense(), want) == 0
         assert whole.trace() == np.trace(want)
     assert mo.Band(4, True).trace() == 0
+
+
+def _int_padded_band(rng: random.Random, dim: int, offsets, complex_values: bool) -> mo.Band:
+    """Exact band as the models make one: values on some rows, the int 0 on the rest."""
+    diags = {}
+    for d in offsets:
+        v = np.zeros(dim, dtype=object)
+        for i in range(max(0, -d), min(dim, dim - d)):
+            if rng.random() < 0.7:
+                v[i] = (_scalar(rng, True) if complex_values
+                        else Fraction(rng.randint(-4, 4), rng.randint(1, 5)))
+        diags[d] = v
+    return mo.Band(dim, True, diags)
+
+
+def _oracle_power(D: np.ndarray, k: int) -> np.ndarray:
+    """D**k of an exact dense oracle, (D*)**|k| for k < 0, padded with Fraction(0)."""
+    step = D if k >= 0 else np.array([[x.conjugate() for x in col] for col in D.T], dtype=object)
+    P = np.full(D.shape, Fraction(0), dtype=object)
+    for i in range(len(D)):
+        P[i, i] = Fraction(1)
+    for _ in range(abs(k)):
+        P = P @ step
+    return P
+
+
+def _assert_same_entries(M: np.ndarray, D: np.ndarray) -> None:
+    assert M.shape == D.shape
+    assert all(x == y for x, y in zip(M.flat, D.flat))
+    # values are Fraction or RationalComplex; a structural zero is the int 0
+    assert all(type(x) in (Fraction, RationalComplex) or (type(x) is int and x == 0)
+               for x in M.flat)
+
+
+@pytest.mark.parametrize("complex_values", [False, True])
+def test_int_padded_exact_bands_match_fraction_padded_oracle(complex_values):
+    rng = random.Random(83)
+    dim = 7
+    for offs_a in OFFSETS:
+        for offs_b in OFFSETS:
+            A = _int_padded_band(rng, dim, offs_a, complex_values)
+            B = _int_padded_band(rng, dim, offs_b, complex_values)
+            DA, DB = _oracle(A), _oracle(B)
+            _assert_same_entries(A.dense(), DA)
+            _assert_same_entries((A + B).dense(), DA + DB)
+            _assert_same_entries((A - B).dense(), DA - DB)
+            _assert_same_entries((A @ B).dense(), DA @ DB)
+            _assert_same_entries(A.adjoint().dense(), _oracle_power(DA, -1))
+    for d in (0, 1, -2, 3, 6):
+        A = _int_padded_band(rng, dim, (d,), complex_values)
+        for k in range(-4, 5):
+            _assert_same_entries(A.power(k).dense(), _oracle_power(_oracle(A), k))
+    blocks = [[_int_padded_band(rng, 4, offs, complex_values) for offs in row]
+              for row in (((0, 2), (-1,)), ((), (0, -3, 3)))]
+    _assert_same_entries(mo.Band.from_blocks(blocks).dense(),
+                         np.block([[_oracle(b) for b in row] for row in blocks]))
+
+
+def test_exact_measures_of_int_padded_operators_are_fractions():
+    zero = mo.Band(6, True, {0: np.zeros(6, dtype=object), 2: np.zeros(6, dtype=object)})
+    Z = zero.dense()
+    for got in (zero.norm(), zero.norm([1, 3]), mo.Band(6, True).norm(), mo.defect_norm(Z),
+                mo.defect_norm(Z[:0, :0]), mo.max_entry_gap(Z, Z), zero.trace(),
+                mo.Band(6, True).trace()):
+        assert type(got) is Fraction and got == 0
+    rng = random.Random(89)
+    for complex_values in (False, True):
+        A = _int_padded_band(rng, 7, (0, 2, -1), complex_values)
+        D = A - A
+        for got in (D.norm(), mo.defect_norm(D.dense()), mo.max_entry_gap(A.dense(), A.dense())):
+            assert type(got) is Fraction and got == 0
+        want = max(exact_magnitude(x) for x in _oracle(A).flat)
+        for got in (A.norm(), mo.defect_norm(A.dense()), mo.max_entry_gap(A.dense(), D.dense())):
+            assert type(got) is Fraction and got == want
+    real = _int_padded_band(rng, 7, (0, 3), False)
+    assert type(real.trace()) is Fraction
+    assert real.trace() == sum(_oracle(real).diagonal())
 
 
 def test_one_offset_float_band_norm_is_the_largest_kept_entry():

@@ -48,6 +48,20 @@ def test_build_kernel_slot():
     assert all(T.zeta[k, i] == 0 for i in range(T.dim))
 
 
+@pytest.mark.parametrize("gens, zero_mass", [(["1"], "0"), (["1", "3/4"], "1")])
+def test_exact_shift_bands_have_int_tails(gens, zero_mass):
+    mu = qspace.uniform_measure("1/2", gens, zero_mass=zero_mass)
+    T = qnormal.build(mu, None, TruncationWindow(-3, 3), exact=True)
+    top = len(T.grid) - T.n_gens   # rows of grid points with a level below them
+    for band in (T.u_band, T.zeta_band):
+        (d, v), = band.diags.items()
+        assert d == T.n_gens
+        assert all(type(x) is Fraction for x in v[:top])
+        assert all(type(x) is int and x == 0 for x in v[top:])
+    assert all(T.u_band.diags[T.n_gens][:top] == 1)
+    assert all(type(t) is Fraction for t in T.modulus_band.diags[0])
+
+
 def test_build_zero_only_support():
     mu = qspace.uniform_measure("1/2", [], zero_mass="1")
     T = qnormal.build(mu, None, TruncationWindow(-1, 1), exact=True)

@@ -47,6 +47,48 @@ def test_membership_matches_enumeration():
         assert qspace.contains(X, t) == (t in orbit)
 
 
+def _member_by_generator(X, span=60):
+    """Oracle: t is 0 in a set with 0, or q**k g for some generator g and |k| <= span."""
+    orbit = {X.q ** k * g for g in X.generators for k in range(-span, span + 1)}
+    return lambda t: X.includes_zero if t == 0 else t in orbit
+
+
+def _membership_points(X, levels):
+    """Orbit points, the ends of (q, 1] and points between them, on the given levels."""
+    q = X.q
+    base = sorted({q, Fraction(1), *X.generators, (q + 1) / 2, (2 * q + 1) / 3,
+                   q + (1 - q) / 10 ** 6, 1 - (1 - q) / 10 ** 6})
+    return [Fraction(0)] + [q ** k * x for k in levels for x in base]
+
+
+@pytest.mark.parametrize("q, gens", [
+    ("1/2", ["1", "3/4"]), ("3/7", ["2/3", "1/2"]), ("9/10", ["1", "19/20"]),
+    (Fraction(10 ** 14 - 1, 10 ** 14), ["1", Fraction(3 * 10 ** 14 - 1, 3 * 10 ** 14)])])
+def test_membership_matches_per_generator_definition(q, gens):
+    X = qspace.make_spectral_set(q, gens)
+    points = _membership_points(X, range(-40, 41))
+    if X.q < Fraction(99, 100):
+        points += [Fraction(a, b) for a in range(1, 40) for b in range(1, 40)]
+    member, hits = _member_by_generator(X), 0
+    for t in points:
+        want = member(t)
+        assert qspace.contains(X, t) == want, t
+        hits += want
+    assert 0 < hits < len(points)
+
+
+@pytest.mark.parametrize("delta", [-3, -1, 1, 3])
+def test_membership_corrects_a_level_guess_that_is_off(monkeypatch, delta):
+    # shift the logarithm of every t by delta levels, leaving log q alone
+    flog = qspace._flog
+    X = qspace.make_spectral_set("3/7", ["2/3", "1"])
+    monkeypatch.setattr(qspace, "_flog",
+                        lambda x: flog(x) if x == X.q else flog(x) + delta * flog(X.q))
+    member = _member_by_generator(X)
+    for t in _membership_points(X, range(-8, 9)):
+        assert qspace.contains(X, t) == member(t), t
+
+
 def test_membership_negative_rejected():
     X = qspace.make_spectral_set("1/2", ["1"])
     with pytest.raises(DomainError):

@@ -65,7 +65,17 @@ def test_represent_matches_pointwise_oracle(kernel_measure):
         for a in (real, mixed):
             M = represent.represent(a, T)
             assert mo.max_entry_gap(M, _represent_oracle(a, T)) == 0
-        assert all(type(x) is Fraction for x in represent.represent(real, T).flat)
+        # the values of a real element's modes are Fractions, at (i, i + k n_gens)
+        # on the rows of mode k; every other entry is a structural zero, the int 0
+        M, n = represent.represent(real, T), len(T.grid)
+        written = np.zeros(M.shape, dtype=bool)
+        for k, _ in real.terms:
+            d = k * T.n_gens
+            rows = np.arange(T.dim) if k == 0 else np.arange(max(0, -d), min(n, n - d))
+            written[rows, rows + d] = True
+        assert all(type(x) is Fraction for x in M[written])
+        assert all(type(x) is int and x == 0 for x in M[~written])
+        assert not any(isinstance(x, RationalComplex) for x in M.flat)
 
 
 def test_represent_ratio_mismatch(dyadic_measure):
