@@ -57,12 +57,19 @@ class RunConfig:
     spectra_out: str | None
 
 
+def _as_int(raw) -> int:
+    """A JSON integer: an int, or a float with no fractional part; never a boolean."""
+    if isinstance(raw, float) and raw.is_integer():
+        return int(raw)
+    if not isinstance(raw, int) or isinstance(raw, bool):
+        raise TypeError(f"expected an integer, got {raw!r}")
+    return raw
+
+
 def _as_window(raw) -> TruncationWindow:
-    try:
-        lo, hi = int(raw[0]), int(raw[1])
-    except (TypeError, ValueError, IndexError) as exc:
-        raise ConfigurationError(f"window must be a pair of integers, got {raw!r}") from exc
-    return TruncationWindow(lo, hi)
+    if not isinstance(raw, (list, tuple)) or len(raw) != 2:
+        raise TypeError(f"a window is a pair of integers, got {raw!r}")
+    return TruncationWindow(_as_int(raw[0]), _as_int(raw[1]))
 
 
 def _as_bool(raw) -> bool:
@@ -105,12 +112,12 @@ def load_config(path: str | None, overrides: argparse.Namespace) -> RunConfig:
     tolerance = pick("tolerance", 1e-12, float)
     exact_mode = pick("exact_mode", False, _as_bool)
     elements = pick("elements", [], each(str))
-    seed = pick("seed", 7, int)
-    bott_n = pick("bott_n", [1, 2, 3], each(int))
+    seed = pick("seed", 7, _as_int)
+    bott_n = pick("bott_n", [1, 2, 3], each(_as_int))
     bott_signs = pick("bott_signs", ["+", "-"], each(lambda s: BOTT_SIGNS[str(s)]))
-    sample_range = pick("sample_exponent_range", 25, int)
-    limit_pairs = pick("limit_pairs", 20, int)
-    limit_grid = pick("limit_grid", 10, int)
+    sample_range = pick("sample_exponent_range", 25, _as_int)
+    limit_pairs = pick("limit_pairs", 20, _as_int)
+    limit_grid = pick("limit_grid", 10, _as_int)
 
     if getattr(overrides, "q", None) is not None:
         q = parse_rational(overrides.q)

@@ -17,7 +17,6 @@ import csv
 import dataclasses
 import functools
 import operator
-from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,7 +27,7 @@ import numpy as np
 from . import matrixops as mo
 from .algebra import CoefficientFunction, IndicatorCoefficient, RationalCoefficient
 from .errors import ConfigurationError, DomainError, EvaluationError
-from .qspace import Interval, QInvariantMeasure, SpectralSet
+from .qspace import Interval, QInvariantMeasure, SpectralSet, level_run
 from .scalars import format_rational, parse_rational
 
 _SQRT_FLOAT_MAX = np.sqrt(np.finfo(float).max)
@@ -280,32 +279,20 @@ def verify_relation(T: TruncatedQNormal, pad: int = 1) -> RelationReport:
 def _indicator_mask(T: TruncatedQNormal, interval: Interval, factor: Fraction) -> np.ndarray:
     """Exact membership of factor * t_{j,n} in the interval, for every grid point.
 
-    Along one generator the points q**n x_j fall as n grows (or stay put when
-    q = 1), so the levels inside the interval form one run: from the first
-    level below the upper end up to the first level not above the lower end.
-    Bisection finds both ends with O(log size) exact comparisons of a probed
-    point, given as a pair of integers num / den.  Exact models read the pair
-    off their modulus; float models make it from integer powers of the grid
-    ratio's numerator and denominator, with no Fraction.
+    Along one generator the points q**n x_j fall as n grows, so the levels
+    inside the interval form one run: ``qspace.level_run`` of factor * x_j,
+    clipped to the window.  The ratio is the grid's, which sets the points.
+    When it is 1 every level holds the same point: all are in or none.
     """
     mask = np.zeros(len(T.grid), dtype=bool)
-    n_gens = T.n_gens
-    levels = range(T.window.size)
-    p, r = T.grid.q.numerator, T.grid.q.denominator
-
-    def point(i: int, j: int) -> tuple[int, int]:
-        if T.exact:
-            t = T.modulus_band.diags[0][i * n_gens + j]
-            num, den = t.numerator, t.denominator
+    n_gens, n_min, q = T.n_gens, T.window.n_min, T.grid.q
+    for j, x in enumerate(T.grid.generators):
+        if q == 1:
+            start, stop = 0, T.window.size if interval.contains(factor * x) else 0
         else:
-            n, x = T.grid.levels[i], T.grid.generators[j]
-            num, den = (p ** n, r ** n) if n >= 0 else (r ** -n, p ** -n)
-            num, den = num * x.numerator, den * x.denominator
-        return factor.numerator * num, factor.denominator * den
-
-    for j in range(n_gens):
-        start = bisect_left(levels, True, key=lambda i: interval.below_upper(*point(i, j)))
-        stop = bisect_left(levels, True, key=lambda i: not interval.above_lower(*point(i, j)))
+            start, stop = level_run(q, factor * x, interval)
+            start = 0 if start is None else max(start - n_min, 0)
+            stop = T.window.size if stop is None else max(stop - n_min, 0)
         mask[start * n_gens + j:stop * n_gens:n_gens] = True
     return mask
 
@@ -313,14 +300,16 @@ def _indicator_mask(T: TruncatedQNormal, interval: Interval, factor: Fraction) -
 def spectral_band(T: TruncatedQNormal, f: CoefficientFunction, factor=1) -> mo.Band:
     """Diagonal band f(factor * modulus): f(factor * t_{j,n}) on the grid, f(0) on the kernel.
 
-    Indicators are decided by exact membership of the exact points, found by
-    bisection along each generator's levels.  Otherwise exact models evaluate
-    f in integers on the whole exact modulus diagonal, the kernel's 0 included,
-    by one ``evaluate_diagonal``.  Float models evaluate f at the floats of the
-    exact points: the modulus diagonal at factor 1, factor * t_{j,n} rounded
-    once otherwise, so both sides of a covariance identity see the same
-    floats.  A rational coefficient is evaluated on the whole diagonal by one
-    array Horner scheme; other callables per point.
+    Indicators are decided by exact membership of the exact points: along each
+    generator the points inside the interval form one run of levels, whose
+    ends are the ``qspace.ladder`` levels of the interval's ends.  Otherwise
+    exact models evaluate f in integers on the whole exact modulus diagonal,
+    the kernel's 0 included, by one ``evaluate_diagonal``.  Float models
+    evaluate f at the floats of the exact points: the modulus diagonal at
+    factor 1, factor * t_{j,n} rounded once otherwise, so both sides of a
+    covariance identity see the same floats.  A rational coefficient is
+    evaluated on the whole diagonal by one array Horner scheme; other
+    callables per point.
     """
     factor = Fraction(factor)
     n = len(T.grid)

@@ -19,6 +19,10 @@ from .scalars import format_rational, parse_rational
 
 INFINITE = float("inf")
 
+# ladder refuses a level k once |k| times the bit length of q's denominator
+# passes this: a point far from 1 on a ratio next to 1 cannot ask for a huge power
+MAX_LADDER_BITS = 1 << 16
+
 
 @dataclass(frozen=True)
 class DeformationParameter:
@@ -81,26 +85,17 @@ class Interval:
             return False
         return not (self.lower_closed and self.upper_closed)
 
-    def above_lower(self, num: int, den: int) -> bool:
-        """t = num/den (den > 0) passes the lower end; false from some point on as t falls.
-
-        Compared by cross-multiplication, so a point given as a pair of
-        integers needs no Fraction.
-        """
+    def contains(self, t: Fraction) -> bool:
+        # compared by cross-multiplication, cheaper than Fraction comparisons
+        t = Fraction(t)
+        num, den = t.numerator, t.denominator
         gap = num * self.lower.denominator - self.lower.numerator * den
-        return gap > 0 or (gap == 0 and self.lower_closed)
-
-    def below_upper(self, num: int, den: int) -> bool:
-        """t = num/den (den > 0) passes the upper end; false from some point on as t grows."""
+        if gap < 0 or (gap == 0 and not self.lower_closed):
+            return False
         if self.upper is None:
             return True
         gap = num * self.upper.denominator - self.upper.numerator * den
         return gap < 0 or (gap == 0 and self.upper_closed)
-
-    def contains(self, t: Fraction) -> bool:
-        t = Fraction(t)
-        return (self.above_lower(t.numerator, t.denominator)
-                and self.below_upper(t.numerator, t.denominator))
 
     def scaled(self, c: Fraction) -> "Interval":
         """Image {c * t : t in self} for rational c > 0."""
@@ -130,37 +125,49 @@ def _flog(x: Fraction) -> float:
     return math.log(num) - math.log(den)
 
 
-def scaling_exponent(q: Fraction, ratio: Fraction) -> int | None:
-    """Integer k with q**k == ratio, if one exists."""
-    if ratio <= 0:
-        return None
-    if ratio == 1:
-        return 0
-    guess = round(_flog(ratio) / _flog(q))
-    for delta in range(4):
-        for cand in (guess - delta, guess + delta):
-            if q ** cand == ratio:
-                return cand
-    return None
+def ladder(q: Fraction, t: Fraction) -> tuple[int, int, int]:
+    """Level of rational t > 0 on the scaling ladder of q in (0, 1).
 
-
-def _first_level(q: Fraction, x: Fraction, bound: Fraction, passes) -> int:
-    """Smallest k with passes(num, den) for q**k * x = num/den; needs bound > 0.
-
-    passes must fail for small k and hold from some k on, as an interval's
-    ``below_upper`` does and ``not above_lower`` does.  The walk starts at the
-    level of bound, guessed by logarithms.
+    Returns (k, num, den) with t == q**k * num / den and num / den in (q, 1]:
+    the one level k at which t / q**k lies in the fundamental interval.  k is
+    guessed by logarithms and corrected exactly in integers.  A level whose
+    power of q needs more than MAX_LADDER_BITS bits is refused with
+    DomainError before the power is formed.
     """
-    def ok(k: int) -> bool:
-        v = q ** k * x
-        return passes(v.numerator, v.denominator)
+    p, r = q.numerator, q.denominator
+    k = math.floor(_flog(t) / _flog(q))
+    if abs(k) * r.bit_length() > MAX_LADDER_BITS:
+        raise DomainError(f"{format_rational(t)} sits near level {k} of q = {format_rational(q)}, "
+                          f"whose power passes {MAX_LADDER_BITS} bits")
+    # s = t / q**k = num / den, with q**k = p**k / r**k
+    num, den = ((t.numerator * r ** k, t.denominator * p ** k) if k >= 0
+                else (t.numerator * p ** -k, t.denominator * r ** -k))
+    while num > den:            # s > 1: one level down, s * q
+        num, den, k = num * p, den * r, k - 1
+    while num * r <= den * p:   # s <= q: one level up, s / q
+        num, den, k = num * r, den * p, k + 1
+    return k, num, den
 
-    k = round((_flog(bound) - _flog(x)) / _flog(q))
-    while ok(k):
-        k -= 1
-    while not ok(k):
-        k += 1
-    return k
+
+def level_run(q: Fraction, x: Fraction, interval: Interval) -> tuple[int | None, int | None]:
+    """The levels k with q**k * x in the interval, for x > 0: start <= k < stop.
+
+    The points q**k * x fall as k grows, so they form one run, read off the
+    ladder levels of both ends in closed form.  None marks a side the run
+    does not end on: no upper end, or a lower end at 0.
+    """
+    if interval.upper == 0:
+        return 0, 0             # no orbit point is 0
+    start = stop = None
+    if interval.upper is not None:
+        # u / x = q**j * s with s in (q, 1]: q**k * x <= u from k = j on if s = 1
+        j, num, den = ladder(q, interval.upper / x)
+        start = j if interval.upper_closed and num == den else j + 1
+    if interval.lower > 0:
+        # l / x = q**i * s: q**k * x > l up to k = i, unless s = 1 and l is left out
+        i, num, den = ladder(q, interval.lower / x)
+        stop = i if not interval.lower_closed and num == den else i + 1
+    return start, stop
 
 
 def orbit_exponents(q: Fraction, x: Fraction, interval: Interval) -> range:
@@ -171,9 +178,7 @@ def orbit_exponents(q: Fraction, x: Fraction, interval: Interval) -> range:
         return range(0)
     if interval.lower == 0:
         raise DomainError("orbit meets every neighbourhood of 0")
-    return range(_first_level(q, x, interval.upper, interval.below_upper),
-                 _first_level(q, x, interval.lower,
-                              lambda num, den: not interval.above_lower(num, den)))
+    return range(*level_run(q, x, interval))
 
 
 @dataclass(frozen=True)
@@ -231,17 +236,8 @@ def contains(X: SpectralSet, t) -> bool:
         return X.includes_zero
     if not X.generators:
         return False
-    # every generator lies in (q, 1], so t can only be q**k g at the one level k
-    # with t / q**k in (q, 1]: guess k by logarithms, correct it exactly with
-    # s = t / q**k = num / den in integers, then look s up among the generators
-    p, r = X.q.numerator, X.q.denominator
-    k = math.floor(_flog(t) / _flog(X.q))
-    num, den = ((t.numerator * r ** k, t.denominator * p ** k) if k >= 0
-                else (t.numerator * p ** -k, t.denominator * r ** -k))
-    while num > den:            # s > 1: one level down, s * q
-        num, den = num * p, den * r
-    while num * r <= den * p:   # s <= q: one level up, s / q
-        num, den = num * r, den * p
+    # every generator lies in (q, 1], so t can only be q**k g at its ladder level k
+    _, num, den = ladder(X.q, t)
     return any(num * g.denominator == g.numerator * den for g in X.generators)
 
 

@@ -221,10 +221,21 @@ def test_config_validation_errors(tmp_path, capsys):
                       (["bott"], {"bott_n": []}),
                       (["bott", "--exact"], {"bott_n": [0, 1]}),
                       (["bott"], {"bott_signs": []}),
-                      (["simulate"], {"windows_sweep": []})):
+                      (["simulate"], {"windows_sweep": []}),
+                      # integer keys take integers: no rounding, truncation or booleans
+                      (["bott"], {"bott_n": [1.5]}),
+                      (["simulate"], {"window": [-6.9, 6.9]}),
+                      (["simulate"], {"window": [-6, 6, 9]}),
+                      (["simulate"], {"window": [-6]}),
+                      (["simulate"], {"windows_sweep": [[-4, 4], [-8.5, 8]]}),
+                      (["limit", "--q", "1/1"], {"limit_pairs": True}),
+                      (["limit", "--q", "1/1"], {"limit_grid": 2.5}),
+                      (["simulate"], {"seed": 2.5}),
+                      (["bott", "--exact"], {"sample_exponent_range": "25"})):
         bad.write_text(json.dumps(cfg))
-        code, _ = run(capsys, *argv, "--config", str(bad))
-        assert code == 2, cfg
+        assert cli.main([*argv, "--config", str(bad)]) == 2, cfg
+        captured = capsys.readouterr()
+        assert captured.out == "" and next(iter(cfg)) in captured.err, cfg
     # norm sweeps windows_sweep; a window given to it would have no effect, and
     # an empty sweep is refused rather than replaced by the default
     for argv, cfg in ((["--window", "-600", "600"], {}), ([], {"window": [-600, 600]}),
@@ -237,6 +248,10 @@ def test_config_validation_errors(tmp_path, capsys):
     code, out = run(capsys, "simulate", "--window", "-3", "3", "--config", str(bad))
     assert code == 0
     assert json.loads(out)["provenance"]["mode"] == "exact"
+    bad.write_text(json.dumps({"window": [-3.0, 3]}))
+    code, out = run(capsys, "simulate", "--config", str(bad))
+    assert code == 0
+    assert json.loads(out)["provenance"]["window"] == [-3, 3]
 
     bad.write_text("not json")
     code, _ = run(capsys, "simulate", "--config", str(bad))

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -176,7 +179,8 @@ def test_ratios_next_to_one_keep_their_logarithm(e):
     X = qspace.make_spectral_set(q, ["1"])
     for k in range(-40, 41):
         assert qspace.contains(X, q ** k)
-        assert qspace.scaling_exponent(q, q ** k) == k
+        level, num, den = qspace.ladder(q, q ** k)
+        assert (level, num) == (k, den)
         assert not qspace.contains(X, q ** k * (1 + q) / 2)
     mu = qspace.uniform_measure(q, ["1"])
     ends = Interval.open_closed(q ** 5, q ** -5)
@@ -194,6 +198,65 @@ def test_orbit_edge_walks_down_from_a_guess_above_the_answer(monkeypatch):
     assert round(qspace._flog(upper) / qspace._flog(q)) == -4
     ends = Interval.open_closed(q ** 5, upper)
     assert qspace.orbit_exponents(q, Fraction(1), ends) == range(-5, 5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=st.integers(1, 99), dr=st.integers(1, 99),
+       a=st.integers(1, 10 ** 6), b=st.integers(1, 10 ** 6))
+def test_ladder_places_t_on_its_level(p, dr, a, b):
+    # t == q**k * num / den exactly with num / den in (q, 1], also when the
+    # logarithmic guess is off by three levels either way
+    q, t = Fraction(p, p + dr), Fraction(a, b)
+    flog = qspace._flog
+    for delta in (0, -3, 3):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(qspace, "_flog",
+                       lambda x: flog(x) if x == q else flog(x) + delta * flog(q))
+            k, num, den = qspace.ladder(q, t)
+        assert t == q ** k * Fraction(num, den)
+        assert q < Fraction(num, den) <= 1
+
+
+def test_level_run_leaves_an_unbounded_side_open():
+    # no upper end: every level from start down; lower end 0: every level from start up
+    levels = range(-40, 41)
+    for q, x in ((Fraction(1, 2), Fraction(1)), (Fraction(2, 3), Fraction(7, 9)),
+                 (Fraction(3, 7), Fraction(1, 2))):
+        for end in (q ** 5 * x, q ** -4 * x, Fraction(1, 10), Fraction(5, 2)):
+            for closed in (False, True):
+                above = Interval(end, None, closed, False)
+                start, stop = qspace.level_run(q, x, above)
+                assert start is None
+                assert [k for k in levels if above.contains(q ** k * x)] == \
+                    [k for k in levels if k < stop], above
+                below = Interval(Fraction(0), end, closed, closed)
+                start, stop = qspace.level_run(q, x, below)
+                assert stop is None
+                assert [k for k in levels if below.contains(q ** k * x)] == \
+                    [k for k in levels if k >= start], below
+        assert qspace.level_run(q, x, Interval.point(0)) == (0, 0)
+
+
+NEXT_TO_ONE = "q = Fraction(10 ** 14 - 1, 10 ** 14)\n"
+
+
+@pytest.mark.parametrize("call", [
+    "qspace.contains(qspace.make_spectral_set(q, ['1']), Fraction(1, 2))",
+    "qspace.measure_of(qspace.uniform_measure(q, ['1']), Interval.open_closed(Fraction(1, 4), Fraction(1, 2)))",
+], ids=["contains", "measure_of"])
+def test_far_levels_of_a_ratio_next_to_one_are_refused(call):
+    # t = 1/2 sits near level 7e13 of q = 1 - 1e-14: refused before q**k is
+    # formed; run apart so that a search that never returns fails the test
+    script = ("from fractions import Fraction\n"
+              "from qcplane import qspace\n"
+              "from qcplane.errors import DomainError\n"
+              "from qcplane.qspace import Interval\n" + NEXT_TO_ONE +
+              f"try:\n    {call}\nexcept DomainError as exc:\n    print('refused:', exc)\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=10, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("refused:"), done.stdout
 
 
 def test_measure_infinite_cases(dyadic_measure):
