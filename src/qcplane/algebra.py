@@ -11,11 +11,14 @@ projection constructions, needs no second type: the unit is the constant
 coefficient ``1@0``, an element like any other.
 
 Each twist a**n(g) is one rescaling of g by q**n = p**n / r**n, read off q's
-numerator and denominator.  ``AlgebraElement`` and ``element`` validate q and
-the modes; the operations build their results from valid operands and only
-sort the modes and drop syntactic zeros.  Element literals are evaluated in
-ratfunc's integer forms: polynomial sub-expressions stay polynomials, and a
-(num, den) pair arises only at a division by a non-constant or at a power.
+numerator and denominator once per left mode.  ``AlgebraElement`` and
+``element`` validate q and the modes; the operations build their results from
+valid operands and only sort the modes and drop syntactic zeros.  They compute
+every output mode on ratfunc's (num, den) pairs and wrap one coefficient per
+output mode.  Element literals are evaluated in integer forms: constants and
+their + - * / fold as reduced integer pairs (n, d), t**k is built as its
+monomial, polynomial sub-expressions stay polynomials, and a (num, den) pair
+arises only at a division by a non-constant or at any other power.
 """
 
 from __future__ import annotations
@@ -33,8 +36,9 @@ from typing import Callable, Mapping
 
 from .errors import DomainError, EvaluationError
 from .qspace import Interval, SpectralSet
-from .ratfunc import (_ONE, RationalFunction, _canon, _f_add, _f_argscale, _f_div, _f_mul,
-                      _f_neg, _f_pow, _f_sub, _normal, _p_add, _p_mul, _p_neg, _rf)
+from .ratfunc import (_ONE, MAX_POWER_DEGREE, Pair, RationalFunction, _f_add, _f_argscale,
+                      _f_conj, _f_div, _f_mul, _f_neg, _f_pow, _f_sub, _normal, _p_add,
+                      _p_mul, _p_neg, _poly, _rf)
 from .scalars import RationalComplex, exact_magnitude, parse_rational
 
 
@@ -160,43 +164,38 @@ def _is_syntactic_zero(f: CoefficientFunction) -> bool:
     return isinstance(f, RationalCoefficient) and f.is_zero
 
 
-def _rational(f: CoefficientFunction) -> RationalFunction:
+def _leaf(f: CoefficientFunction) -> DomainError:
+    return DomainError(f"coefficient arithmetic is exact: {type(f).__name__} "
+                       "is a leaf, not a rational coefficient")
+
+
+def _pair(f: CoefficientFunction) -> Pair:
+    """The (num, den) pair of a rational coefficient; a leaf raises DomainError."""
     if not isinstance(f, RationalCoefficient):
-        raise DomainError(f"coefficient arithmetic is exact: {type(f).__name__} "
-                          "is a leaf, not a rational coefficient")
-    return f.rf
+        raise _leaf(f)
+    return f.rf._pair
+
+
+def _coefficient(pair: Pair) -> RationalCoefficient:
+    """The coefficient of a pair computed from checked coefficients."""
+    return RationalCoefficient._from_checked(_rf(pair))
+
+
+def _twist(q: Fraction, n: int) -> tuple[int, int] | None:
+    """(p**|n|, r**|n|) with q**n = p**|n| / r**|n| in lowest terms; None if q**n is 1."""
+    p, r = (q.numerator, q.denominator) if n > 0 else (q.denominator, q.numerator)
+    return None if n == 0 or p == r else (p ** abs(n), r ** abs(n))
 
 
 def cf_alpha(f: CoefficientFunction, n: int, q: Fraction) -> CoefficientFunction:
     """Scaling action iterate: t -> f(q**n * t)."""
-    p, r = (q.numerator, q.denominator) if n > 0 else (q.denominator, q.numerator)
-    if n == 0 or p == r:
+    w = _twist(q, n)
+    if w is None:
         return f
     if isinstance(f, IndicatorCoefficient):
         # chi_M(q**n t) = chi_{q**-n M}(t)
-        return IndicatorCoefficient(f.interval.scaled(Fraction(r, p) ** abs(n)))
-    # q**n = p**|n| / r**|n| in lowest terms, read off q without a Fraction power
-    return RationalCoefficient._from_checked(
-        _rf(_f_argscale(_rational(f)._pair, p ** abs(n), r ** abs(n))))
-
-
-def cf_conj(f: CoefficientFunction) -> CoefficientFunction:
-    if isinstance(f, IndicatorCoefficient):
-        return f
-    return RationalCoefficient._from_checked(_rational(f).conjugate())
-
-
-def cf_mul(f: CoefficientFunction, g: CoefficientFunction) -> RationalCoefficient:
-    return RationalCoefficient._from_checked(_rational(f) * _rational(g))
-
-
-def cf_add(f: CoefficientFunction, g: CoefficientFunction) -> RationalCoefficient:
-    return RationalCoefficient._from_checked(_rational(f) + _rational(g))
-
-
-def cf_scale(f: CoefficientFunction, s) -> RationalCoefficient:
-    """s * f for an exact scalar s; a float s raises TypeError."""
-    return RationalCoefficient._from_checked(_rational(f) * s)
+        return IndicatorCoefficient(f.interval.scaled(Fraction(w[1], w[0])))
+    return _coefficient(_f_argscale(_pair(f), *w))
 
 
 @dataclass(frozen=True, eq=False)
@@ -244,7 +243,7 @@ class AlgebraElement:
     def __sub__(self, other):
         if not isinstance(other, AlgebraElement):
             return NotImplemented
-        return add(self, scale(other, -1))
+        return _subtract(self, other)
 
     def __mul__(self, other):
         if not isinstance(other, AlgebraElement):
@@ -252,7 +251,7 @@ class AlgebraElement:
         return multiply(self, other)
 
     def __neg__(self):
-        return scale(self, -1)
+        return _assemble(self.q, {k: _coefficient(_f_neg(_pair(f))) for k, f in self.terms})
 
 
 def element(q, coeffs: Mapping[int, CoefficientFunction]) -> AlgebraElement:
@@ -278,19 +277,38 @@ def zero_element(q) -> AlgebraElement:
 
 
 def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
+    """Sum over modes of f alpha**n(g) U**(n+m), each output mode wrapped once."""
     if a.q != b.q:
         raise DomainError("cannot multiply elements over different ratios")
-    out: dict[int, CoefficientFunction] = {}
+    right = [(m, g, g.rf._pair if isinstance(g, RationalCoefficient) else None)
+             for m, g in b.terms]
+    out: dict[int, Pair] = {}
     for n, f in a.terms:
-        for m, g in b.terms:
-            term = cf_mul(f, cf_alpha(g, n, a.q))
+        fp = f.rf._pair if isinstance(f, RationalCoefficient) else None
+        w = _twist(a.q, n)
+        for m, g, gp in right:
+            if fp is None or gp is None:
+                # the twist comes first and refuses every leaf but an indicator;
+                # then f is read, then the twisted g
+                g_first = gp is None and (fp is not None or w is not None
+                                          and not isinstance(g, IndicatorCoefficient))
+                raise _leaf(g if g_first else f)
+            term = _f_mul(fp, gp if w is None else _f_argscale(gp, *w))
             k = n + m
-            out[k] = cf_add(out[k], term) if k in out else term
-    return _assemble(a.q, out)
+            out[k] = _f_add(out[k], term) if k in out else term
+    return _assemble(a.q, {k: _coefficient(p) for k, p in out.items()})
 
 
 def adjoint(a: AlgebraElement) -> AlgebraElement:
-    return _assemble(a.q, {-k: cf_alpha(cf_conj(f), -k, a.q) for k, f in a.terms})
+    """(f U**n)* = alpha**(-n)(conj f) U**(-n): conjugated and rescaled pairs, indicators exact."""
+    out: dict[int, CoefficientFunction] = {}
+    for k, f in a.terms:
+        if isinstance(f, IndicatorCoefficient):   # real, so its own conjugate
+            out[-k] = cf_alpha(f, -k, a.q)
+            continue
+        w, fp = _twist(a.q, -k), _f_conj(_pair(f))
+        out[-k] = _coefficient(fp if w is None else _f_argscale(fp, *w))
+    return _assemble(a.q, out)
 
 
 def add(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
@@ -298,14 +316,29 @@ def add(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
         raise DomainError("cannot add elements over different ratios")
     out = dict(a.terms)
     for k, g in b.terms:
-        out[k] = cf_add(out[k], g) if k in out else g
+        out[k] = _coefficient(_f_add(_pair(out[k]), _pair(g))) if k in out else g
+    return _assemble(a.q, out)
+
+
+def _subtract(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
+    """a - b: b's pairs are negated first, so a leaf of b raises before any check of a."""
+    negated = [(k, _f_neg(_pair(g))) for k, g in b.terms]
+    if a.q != b.q:
+        raise DomainError("cannot add elements over different ratios")
+    out = dict(a.terms)
+    for k, gp in negated:
+        out[k] = _coefficient(_f_add(_pair(out[k]), gp) if k in out else gp)
     return _assemble(a.q, out)
 
 
 def scale(a: AlgebraElement, s) -> AlgebraElement:
+    """s * a for an exact scalar s (int, Fraction or RationalComplex); a float raises TypeError."""
+    if not isinstance(s, (int, Fraction, RationalComplex)):
+        raise TypeError(f"scale needs an exact scalar, got {type(s).__name__}")
     if s == 0:
         return zero_element(a.q)
-    return _assemble(a.q, {k: cf_scale(f, s) for k, f in a.terms})
+    c = (_poly((s,)), _ONE)
+    return _assemble(a.q, {k: _coefficient(_f_mul(_pair(f), c)) for k, f in a.terms})
 
 
 def classify(a: AlgebraElement) -> Classification:
@@ -380,14 +413,38 @@ def _exponent(node: ast.AST) -> int:
     raise DomainError("exponent must be an integer")
 
 
+def _as_poly(value):
+    """A folded constant (n, d) as its polynomial triple; any other value as it is."""
+    if type(value[0]) is not int:
+        return value
+    n, d = value
+    return ((n,), (0,), d) if n else ((), (), 1)
+
+
 def _as_pair(value):
-    """A folded polynomial (a 3-tuple) as the pair (poly, 1); a pair as it is."""
+    """A folded constant or polynomial as the pair (poly, 1); a pair as it is."""
+    value = _as_poly(value)
     return value if len(value) == 2 else (value, _ONE)
 
 
 def _folded(pair):
     """A pair whose den is 1 folds back to its numerator polynomial."""
     return pair[0] if pair[1] == _ONE else pair
+
+
+def _constant_op(op: type, a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    """a op b for two constants n/d in lowest terms with d > 0, in the same form."""
+    (an, ad), (bn, bd) = a, b
+    if op is ast.Add or op is ast.Sub:
+        n, d = an * bd + (bn if op is ast.Add else -bn) * ad, ad * bd
+    elif op is ast.Mult:
+        n, d = an * bn, ad * bd
+    elif not bn:
+        raise DomainError("division by the zero function")
+    else:
+        n, d = (an * bd, ad * bn) if bn > 0 else (-an * bd, -ad * bn)
+    g = math.gcd(n, d)
+    return n // g, d // g
 
 
 def _poly_op(op: type, a, b):
@@ -404,27 +461,40 @@ def _poly_op(op: type, a, b):
 
 
 def _evaluate(node: ast.AST):
-    """The value of an expression node in ratfunc's integer forms.
+    """The value of an expression node in integer forms.
 
-    A polynomial value stays a canonical triple (re, im, d); a (num, den)
-    pair in the normal form arises only at a division by a non-constant or
-    at a power, and folds back to its numerator when its den is 1.
+    An integer constant and the + - * / of constants fold as a reduced pair
+    (n, d) with d > 0.  A polynomial value is a canonical triple (re, im, d),
+    and t**k for 0 <= k <= MAX_POWER_DEGREE is built as its monomial; a
+    (num, den) pair in ratfunc's normal form arises only at a division by a
+    non-constant or at any other power, and folds back to its numerator when
+    its den is 1.  Each form holds the value the RationalFunction operators
+    would give for the node, in the same canonical integers.
     """
-    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
-        return _folded(_f_pow(_as_pair(_evaluate(node.left)), _exponent(node.right)))
-    if isinstance(node, ast.BinOp) and type(node.op) in _ARITHMETIC:
-        a, b = _evaluate(node.left), _evaluate(node.right)
+    kind = type(node)
+    if kind is ast.BinOp and type(node.op) is ast.Pow:
+        base, k = _evaluate(node.left), _exponent(node.right)
+        if base == _T and 0 <= k <= MAX_POWER_DEGREE:
+            return (0,) * k + (1,), (0,) * (k + 1), 1
+        return _folded(_f_pow(_as_pair(base), k))
+    if kind is ast.BinOp and type(node.op) in _ARITHMETIC:
+        op, a, b = type(node.op), _evaluate(node.left), _evaluate(node.right)
+        if type(a[0]) is int and type(b[0]) is int:
+            return _constant_op(op, a, b)
+        a, b = _as_poly(a), _as_poly(b)
         if len(a) == len(b) == 3:
-            return _poly_op(type(node.op), a, b)
-        return _folded(_ARITHMETIC[type(node.op)](_as_pair(a), _as_pair(b)))
-    if isinstance(node, ast.UnaryOp) and type(node.op) in _SIGNS:
+            return _poly_op(op, a, b)
+        return _folded(_ARITHMETIC[op](_as_pair(a), _as_pair(b)))
+    if kind is ast.UnaryOp and type(node.op) in _SIGNS:
         value = _evaluate(node.operand)
         if _SIGNS[type(node.op)] > 0:
             return value
+        if type(value[0]) is int:
+            return -value[0], value[1]
         return _p_neg(value) if len(value) == 3 else _f_neg(value)
-    if isinstance(node, ast.Constant) and type(node.value) is int:
-        return _canon([node.value], [0], 1)
-    if isinstance(node, ast.Name) and node.id == "t":
+    if kind is ast.Constant and type(node.value) is int:
+        return node.value, 1
+    if kind is ast.Name and node.id == "t":
         return _T
     raise DomainError("malformed expression")
 
@@ -467,5 +537,5 @@ def parse_element(q, literals) -> AlgebraElement:
     out: dict[int, CoefficientFunction] = {}
     for lit in literals:
         k, cf = parse_element_term(lit)
-        out[k] = cf_add(out[k], cf) if k in out else cf
+        out[k] = _coefficient(_f_add(out[k].rf._pair, cf.rf._pair)) if k in out else cf
     return element(q, out)

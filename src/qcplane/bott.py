@@ -99,7 +99,7 @@ def m2_mul(A: Entries, B: Entries) -> Entries:
 
 
 def m2_sub(A: Entries, B: Entries) -> Entries:
-    return tuple(tuple(add(A[i][j], scale(B[i][j], -1)) for j in range(2)) for i in range(2))
+    return tuple(tuple(A[i][j] - B[i][j] for j in range(2)) for i in range(2))
 
 
 def m2_adjoint(A: Entries) -> Entries:

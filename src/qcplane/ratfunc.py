@@ -162,6 +162,11 @@ def _f_neg(a: Pair) -> Pair:
     return _p_neg(a[0]), a[1]
 
 
+def _f_conj(a: Pair) -> Pair:
+    (nr, ni, dn), (dr, di, dd) = a
+    return _normal((nr, tuple([-c for c in ni]), dn), (dr, tuple([-c for c in di]), dd))
+
+
 def _f_sub(a: Pair, b: Pair) -> Pair:
     return _f_add(a, _f_neg(b))
 
@@ -368,8 +373,7 @@ class RationalFunction:
         return _rf(_f_pow(self._pair, k)) if isinstance(k, int) else NotImplemented
 
     def conjugate(self) -> "RationalFunction":
-        (nr, ni, dn), (dr, di, dd) = self._pair
-        return _rf(_normal((nr, tuple(-c for c in ni), dn), (dr, tuple(-c for c in di), dd)))
+        return _rf(_f_conj(self._pair))
 
     def substitute_scale(self, lam: Fraction) -> "RationalFunction":
         """Return t -> f(lam * t) for rational lam > 0."""

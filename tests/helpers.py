@@ -31,14 +31,14 @@ def random_rational_function(rng: random.Random, degree: int = 2,
 
 
 def random_element(rng: random.Random, q, max_modes: int = 5,
-                   vanishing: bool = False) -> algebra.AlgebraElement:
+                   vanishing: bool = False, complex_coeffs: bool = True) -> algebra.AlgebraElement:
     n_modes = rng.randint(1, max_modes)
     span = 3
     modes = rng.sample(range(-span, span + 1), n_modes)
     coeffs = {}
     for k in modes:
-        rf = random_rational_function(rng, degree=2,
-                                      vanish_at_zero=vanishing and k != 0)
+        rf = random_rational_function(rng, degree=2, vanish_at_zero=vanishing and k != 0,
+                                      complex_coeffs=complex_coeffs)
         if not rf.is_zero:
             coeffs[k] = algebra.RationalCoefficient(rf)
     return algebra.element(Fraction(q), coeffs)

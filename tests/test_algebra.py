@@ -396,7 +396,10 @@ def test_parser_matches_the_per_node_evaluator():
               "(1/(2+2*t)+1/(1+t))^600", "2^32768", "2^32769", "(t/2)^-32768",
               # polynomial sub-expressions fold, a division by a constant stays folded
               "0*t/(1+t)", "(7/14)*t", "1/(2/(3*t))", "(2*t)/2", "t/(0*t+3)", "(t-t)/(1+t)",
-              "-(6/4)*t^2/(3+t)", "(t^2+1)/(t+1)+t", "((1+t)^2-1)/t", "3/(2-2)", "(4/6)^-2"]
+              "-(6/4)*t^2/(3+t)", "(t^2+1)/(t+1)+t", "((1+t)^2-1)/t", "3/(2-2)", "(4/6)^-2",
+              # constants fold as integer pairs and t^k as a monomial, up to the degree bound
+              "t^0", "t^1000", "t^1001", "(t)^2", "t^(+2)", "t^-2", "0^0", "(2/4)*t^2",
+              "-(3/6)*t", "2^-1*t", "(0/5)*t", "1/(2/3)", "3/(4-4)", "-2^2*t"]
     outcomes = set()
     for text in texts:
         want = _per_node_parse(text)
@@ -448,9 +451,12 @@ def test_arithmetic_with_a_leaf_coefficient_raises_domain_error():
 
 def test_scale_by_a_float_raises_type_error():
     a = parse_element("1/2", ["t@1", "(1+t)/(2+t^2)@0"])
-    for s in (0.5, 1.0, -2.0):
+    zero = algebra.zero_element(HALF)
+    for x, s in ((a, 0.5), (a, 1.0), (a, -2.0), (a, 0.0), (a, -0.0), (zero, 2.5), (zero, 0.0)):
         with pytest.raises(TypeError):
-            algebra.scale(a, s)
+            algebra.scale(x, s)
+    for s in (0, Fraction(0), RationalComplex()):
+        assert algebra.scale(a, s).is_zero
 
 
 def test_adjoint_of_an_indicator_element_stays_an_exact_indicator():
@@ -532,3 +538,150 @@ def test_operations_assemble_sorted_distinct_nonzero_modes_over_the_operand_rati
         with pytest.raises(DomainError):
             bad()
     assert algebra.AlgebraElement(q, ((2, a.coefficient(2)), (0, a.coefficient(0)))).modes == (0, 2)
+
+
+# The element operations as they were before they computed on (num, den)
+# pairs: one wrapped coefficient per step, built by the RationalFunction
+# operators, with the scaling action through a Fraction power of q.
+def _old_rational(f) -> RationalFunction:
+    if not isinstance(f, RationalCoefficient):
+        raise DomainError(f"coefficient arithmetic is exact: {type(f).__name__} "
+                          "is a leaf, not a rational coefficient")
+    return f.rf
+
+
+def _old_alpha(f, n: int, q: Fraction):
+    if n == 0 or q == 1:
+        return f
+    if isinstance(f, IndicatorCoefficient):
+        return IndicatorCoefficient(f.interval.scaled(1 / q ** n))
+    return RationalCoefficient._from_checked(_old_rational(f).substitute_scale(q ** n))
+
+
+def _old_conj(f):
+    if isinstance(f, IndicatorCoefficient):
+        return f
+    return RationalCoefficient._from_checked(_old_rational(f).conjugate())
+
+
+def _old_mul(f, g):
+    return RationalCoefficient._from_checked(_old_rational(f) * _old_rational(g))
+
+
+def _old_add(f, g):
+    return RationalCoefficient._from_checked(_old_rational(f) + _old_rational(g))
+
+
+def _old_scale_cf(f, s):
+    return RationalCoefficient._from_checked(_old_rational(f) * s)
+
+
+def _old_multiply(a, b):
+    if a.q != b.q:
+        raise DomainError("cannot multiply elements over different ratios")
+    out = {}
+    for n, f in a.terms:
+        for m, g in b.terms:
+            term = _old_mul(f, _old_alpha(g, n, a.q))
+            out[n + m] = _old_add(out[n + m], term) if n + m in out else term
+    return algebra._assemble(a.q, out)
+
+
+def _old_adjoint(a):
+    return algebra._assemble(a.q, {-k: _old_alpha(_old_conj(f), -k, a.q) for k, f in a.terms})
+
+
+def _old_element_add(a, b):
+    if a.q != b.q:
+        raise DomainError("cannot add elements over different ratios")
+    out = dict(a.terms)
+    for k, g in b.terms:
+        out[k] = _old_add(out[k], g) if k in out else g
+    return algebra._assemble(a.q, out)
+
+
+def _old_element_scale(a, s):
+    if s == 0:
+        return algebra.zero_element(a.q)
+    return algebra._assemble(a.q, {k: _old_scale_cf(f, s) for k, f in a.terms})
+
+
+def _outcome(build):
+    """The element build returns, or the (type, message) of what it raises."""
+    try:
+        return build()
+    except (DomainError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+def _assert_same_outcome(got, want) -> None:
+    if not isinstance(want, algebra.AlgebraElement):
+        assert got == want
+        return
+    assert isinstance(got, algebra.AlgebraElement) and got.q == want.q
+    assert got.modes == want.modes
+    for (_, f), (_, g) in zip(got.terms, want.terms):
+        assert type(f) is type(g)
+        if isinstance(g, RationalCoefficient):
+            assert f.rf._pair == g.rf._pair
+        elif isinstance(g, IndicatorCoefficient):
+            assert f.interval == g.interval
+        else:
+            assert f is g
+
+
+_LEAVES = (IndicatorCoefficient(Interval.open_closed(Fraction(1, 3), 2)),
+           ClosureCoefficient(lambda t: 1 / (1 + t), 1.0, True))
+
+
+def _operand(rng: random.Random, q: Fraction, leaves: bool) -> algebra.AlgebraElement:
+    """A random element, the zero element, or with leaves one or two leaf modes."""
+    if rng.random() < 0.15:
+        return algebra.zero_element(q)
+    a = helpers.random_element(rng, q, max_modes=4, complex_coeffs=rng.random() < 0.5)
+    if not leaves:
+        return a
+    coeffs = dict(a.terms)
+    for k in rng.sample(range(-3, 4), rng.randint(1, 2)):
+        coeffs[k] = rng.choice(_LEAVES)
+    return algebra.element(q, coeffs)
+
+
+def _assert_operations_match_the_old_composition(a, b) -> None:
+    scalars = (2, -1, Fraction(-1, 3), RationalComplex(HALF, Fraction(-2)), 0, Fraction(0))
+    cases = [(lambda: algebra.multiply(a, b), lambda: _old_multiply(a, b)),
+             (lambda: algebra.multiply(b, a), lambda: _old_multiply(b, a)),
+             (lambda: a * a, lambda: _old_multiply(a, a)),
+             (lambda: algebra.add(a, b), lambda: _old_element_add(a, b)),
+             (lambda: a - b, lambda: _old_element_add(a, _old_element_scale(b, -1))),
+             (lambda: b - a, lambda: _old_element_add(b, _old_element_scale(a, -1))),
+             (lambda: -a, lambda: _old_element_scale(a, -1)),
+             (lambda: algebra.adjoint(a), lambda: _old_adjoint(a)),
+             (lambda: algebra.adjoint(b), lambda: _old_adjoint(b))]
+    cases += [(lambda s=s: algebra.scale(a, s), lambda s=s: _old_element_scale(a, s))
+              for s in scalars]
+    for new, old in cases:
+        _assert_same_outcome(_outcome(new), _outcome(old))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32), st.sampled_from([HALF, Fraction(3, 7), Fraction(1)]),
+       st.sampled_from([(False, False), (True, False), (False, True), (True, True)]))
+def test_pair_operations_match_the_per_coefficient_composition(seed, q, leaves):
+    rng = random.Random(seed)
+    a, b = _operand(rng, q, leaves[0]), _operand(rng, q, leaves[1])
+    _assert_operations_match_the_old_composition(a, b)
+
+
+def test_leaf_operands_raise_where_the_per_coefficient_composition_raises():
+    ind, clo = _LEAVES
+    rat = RationalCoefficient(T)
+    # which leaf is named depends on the order of the old steps: a twist
+    # refuses a closure before its left factor is read, and a - b negates all
+    # of b before it reads a
+    pairs = [({1: ind}, {1: clo}), ({0: ind}, {1: clo}), ({1: clo}, {0: ind}),
+             ({1: rat}, {1: ind}), ({1: ind}, {0: rat, 2: clo}), ({0: ind, 1: rat}, {0: rat, 2: clo}),
+             ({2: clo, 1: rat}, {}), ({}, {-1: ind}), ({0: ind}, {1: rat}), ({0: rat}, {0: clo, 1: ind})]
+    for q in (HALF, Fraction(1)):
+        for x, y in pairs:
+            _assert_operations_match_the_old_composition(algebra.element(q, x), algebra.element(q, y))
