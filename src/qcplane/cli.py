@@ -102,7 +102,12 @@ def load_config(path: str | None, overrides: argparse.Namespace) -> RunConfig:
             raise ConfigurationError(f"config {key!r} has a bad value: {exc}") from exc
 
     def each(convert):
-        return lambda raw: tuple(convert(x) for x in raw)
+        def convert_all(raw):
+            # a JSON string is iterable too, by character: refuse it
+            if not isinstance(raw, list):
+                raise TypeError(f"expected a list, got {raw!r}")
+            return tuple(convert(x) for x in raw)
+        return convert_all
 
     q = pick("q", "1/2", parse_rational)
     generators = pick("generators", ["1"], each(parse_rational))
@@ -183,20 +188,21 @@ def _defect_json(value):
 
 
 def _measure(cfg: RunConfig) -> qspace.QInvariantMeasure:
-    return qspace.uniform_measure(cfg.q, [format_rational(g) for g in cfg.generators],
-                                  zero_mass=format_rational(cfg.zero_mass))
+    return qspace.uniform_measure(cfg.q, cfg.generators, zero_mass=cfg.zero_mass)
+
+
+_T = RationalFunction.variable()
+# the members of the covariance family that do not depend on q, built once
+_FIXED_COVARIANCE = {"t": algebra.RationalCoefficient(_T),
+                     "t^2": algebra.RationalCoefficient(_T * _T),
+                     "lorentzian": algebra.RationalCoefficient(1 / (1 + _T * _T))}
 
 
 def _covariance_function(name: str, q: Fraction) -> algebra.CoefficientFunction:
-    t = RationalFunction.variable()
-    if name == "t":
-        return algebra.RationalCoefficient(t)
-    if name == "t^2":
-        return algebra.RationalCoefficient(t * t)
     if name == "indicator":
         return algebra.IndicatorCoefficient(qspace.Interval.open_closed(q, 1))
-    if name == "lorentzian":
-        return algebra.RationalCoefficient(1 / (1 + t * t))
+    if name in _FIXED_COVARIANCE:
+        return _FIXED_COVARIANCE[name]
     raise ConfigurationError(f"unknown covariance test function {name!r}")
 
 

@@ -2,24 +2,161 @@
 
 Every operator of a truncated model is a finite sum sum_d diag(v_d) S**d, the
 shape of the crossed product C0(X) x| Z it represents; :class:`Band` stores
-one diagonal per offset d.  Exact bands hold dtype=object diagonals: a value
-(a grid point, a coefficient value) is a Fraction when real and a
-RationalComplex otherwise, and a structural zero, an entry no value is written
-to, is the int 0, an exact rational that 0 * x and 0 + 0 keep without making a
-Fraction (all three mix under numpy's object arithmetic).  Float bands hold
-complex128 diagonals, and the same numpy elementwise code serves both.
-:meth:`Band.norm` measures a band without making it dense.  Model paths never
-densify: dense matrices are made only for the public dense results, and the
-helpers below act on those, exactly.
+one diagonal per offset d.  Float bands hold complex128 diagonals.  Exact bands
+hold :class:`ExactDiagonal` s: integer pairs, value i being
+(re[i] + i im[i]) / den[i] over Python ints, never reduced.  A sum or product
+of exact bands multiplies and adds integers and makes no Fraction, so it pays
+for no gcd (Knuth, TAOCP vol. 2, 4.5.1: reduction can wait until the value
+leaves); an exact norm or trace makes one Fraction at the end.  Both kinds of
+diagonal take the same indexing and elementwise arithmetic, so one code path
+serves both regimes.  Values leave an exact band only through :meth:`Band.dense`
+and the read-only :attr:`Band.diags`: a written value as a Fraction, or a
+RationalComplex where its imaginary part is nonzero, and a structural zero, an
+entry no value was written to, as the int 0.  :meth:`Band.norm` measures a
+band without making it dense.  Model paths never densify: dense matrices are
+made only for the public dense results, and the helpers below act on those,
+exactly.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
+from itertools import repeat
+from types import MappingProxyType
 
 import numpy as np
 
-from .scalars import exact_magnitude
+from .scalars import RationalComplex, exact_magnitude
+
+
+def _ints(n: int, value: int) -> np.ndarray:
+    return np.zeros(n, dtype=object) if value == 0 else np.array([value] * n, dtype=object)
+
+
+def _scalar_pair(s) -> tuple[int, int, int]:
+    """(re, im, den) with s == (re + i im) / den, for an int, Fraction or RationalComplex."""
+    if isinstance(s, RationalComplex):
+        (a, b), (c, e) = s.re.as_integer_ratio(), s.im.as_integer_ratio()
+        return a * e, c * b, b * e
+    if isinstance(s, (int, Fraction)):
+        n, d = s.as_integer_ratio()
+        return n, 0, d
+    raise TypeError(f"not an exact scalar: {type(s).__name__}")
+
+
+class ExactDiagonal:
+    """One exact diagonal: value i is (re[i] + i im[i]) / den[i], all Python ints.
+
+    re, im and den are object arrays; den > 0, and no pair is reduced.  im is
+    None while every value is real.  placed marks the rows a value was written
+    to; the others are structural zeros, 0 / 1.  Arithmetic marks a row placed
+    when either operand's row is, as 0 * x and 0 + x of a Fraction x are
+    Fractions too.  Indexing and item assignment take numpy row indices.
+    """
+
+    __slots__ = ("re", "im", "den", "placed")
+
+    def __init__(self, re: np.ndarray, im: np.ndarray | None, den: np.ndarray,
+                 placed: np.ndarray):
+        self.re, self.im, self.den, self.placed = re, im, den, placed
+
+    @classmethod
+    def written(cls, re, den, im=None) -> "ExactDiagonal":
+        """Values (re[i] + i im[i]) / den[i] (den > 0) from int sequences, written to every row."""
+        return cls(np.array(re, dtype=object), None if im is None else np.array(im, dtype=object),
+                   np.array(den, dtype=object), np.ones(len(re), dtype=bool))
+
+    @classmethod
+    def of(cls, values) -> "ExactDiagonal":
+        """From Fraction, RationalComplex and int values; an int 0 is a structural zero."""
+        n = len(values)
+        out = cls(_ints(n, 0), _ints(n, 0), _ints(n, 1), np.zeros(n, dtype=bool))
+        for i, x in enumerate(values):
+            if type(x) is int and x == 0:
+                continue
+            out.re[i], out.im[i], out.den[i] = _scalar_pair(x)
+            out.placed[i] = True
+        if not out.im.any():
+            out.im = None
+        return out
+
+    def __len__(self) -> int:
+        return len(self.re)
+
+    def __getitem__(self, rows) -> "ExactDiagonal":
+        return ExactDiagonal(self.re[rows], None if self.im is None else self.im[rows],
+                             self.den[rows], self.placed[rows])
+
+    def __setitem__(self, rows, v: "ExactDiagonal") -> None:
+        self.re[rows], self.den[rows], self.placed[rows] = v.re, v.den, v.placed
+        if v.im is not None and self.im is None:
+            self.im = _ints(len(self), 0)
+        if self.im is not None:
+            self.im[rows] = 0 if v.im is None else v.im
+
+    def _imag(self) -> np.ndarray:
+        return _ints(len(self), 0) if self.im is None else self.im
+
+    def _sum(self, other: "ExactDiagonal", op) -> "ExactDiagonal":
+        a, b = self, other
+        im = (None if a.im is None and b.im is None
+              else op(a._imag() * b.den, b._imag() * a.den))
+        return ExactDiagonal(op(a.re * b.den, b.re * a.den), im, a.den * b.den,
+                             a.placed | b.placed)
+
+    def __add__(self, other: "ExactDiagonal") -> "ExactDiagonal":
+        return self._sum(other, operator.add)
+
+    def __sub__(self, other: "ExactDiagonal") -> "ExactDiagonal":
+        return self._sum(other, operator.sub)
+
+    def __mul__(self, other: "ExactDiagonal") -> "ExactDiagonal":
+        a, b = self, other
+        re, im = a.re * b.re, None
+        if a.im is not None and b.im is not None:
+            re, im = re - a.im * b.im, a.re * b.im + a.im * b.re
+        elif a.im is not None or b.im is not None:
+            im = a.im * b.re if b.im is None else a.re * b.im
+        return ExactDiagonal(re, im, a.den * b.den, a.placed | b.placed)
+
+    def scaled(self, s) -> "ExactDiagonal":
+        """s times every value, for an int, Fraction or RationalComplex s."""
+        re, im, den = _scalar_pair(s)
+        # s as a diagonal of plain ints, which broadcast over the rows
+        return self * ExactDiagonal(re, im or None, den, False)
+
+    def conj(self) -> "ExactDiagonal":
+        return ExactDiagonal(self.re, None if self.im is None else -self.im, self.den,
+                             self.placed)
+
+    def to_complex(self) -> np.ndarray:
+        """Each value rounded once: integer true division of each part by den."""
+        out = (self.re / self.den).astype(complex)
+        if self.im is not None:
+            out.imag = (self.im / self.den).astype(float)
+        return out
+
+    def values(self) -> np.ndarray:
+        """Object array: Fraction, RationalComplex where im != 0, int 0 where not placed."""
+        ims = repeat(0) if self.im is None else self.im.tolist()
+        out = np.empty(len(self), dtype=object)
+        out[:] = [(RationalComplex(Fraction(a, d), Fraction(b, d)) if b else Fraction(a, d))
+                  if p else 0 for a, b, d, p in zip(self.re.tolist(), ims, self.den.tolist(),
+                                                    self.placed.tolist())]
+        return out
+
+
+def zeros(n: int, exact: bool):
+    """A diagonal of n structural zeros: exact, or complex128."""
+    if exact:
+        return ExactDiagonal(_ints(n, 0), None, _ints(n, 1), np.zeros(n, dtype=bool))
+    return np.zeros(n, dtype=complex)
+
+
+def ones(n: int, exact: bool):
+    """A diagonal of n written ones: exact, or complex128."""
+    return ExactDiagonal.written([1] * n, [1] * n) if exact else np.full(n, 1.0 + 0j)
 
 
 class Band:
@@ -27,20 +164,35 @@ class Band:
 
     Diagonals have length dim and are indexed by row; entries whose column
     falls outside the matrix are zero, and offsets with |d| >= dim are dropped.
-    Exact values are Fraction or RationalComplex, and the zeros a band fills
-    in itself (padding, shifted-out rows, dense entries off every diagonal)
-    are the int 0; exact norms and traces are still Fractions.
+    An exact band stores :class:`ExactDiagonal` s and accepts, besides those,
+    object arrays of Fraction, RationalComplex and the int 0; exact norms are
+    Fractions, exact traces Fractions or RationalComplex.
     """
 
     def __init__(self, dim: int, exact: bool, diags: dict | None = None):
         self.dim = dim
         self.exact = exact
-        self.diags = {d: v for d, v in (diags or {}).items() if abs(d) < dim}
+        self._diags = {d: ExactDiagonal.of(v) if exact and not isinstance(v, ExactDiagonal)
+                       else v for d, v in (diags or {}).items() if abs(d) < dim}
+
+    @property
+    def diags(self) -> MappingProxyType:
+        """Read-only offset -> diagonal view; exact values rendered as in ``dense``."""
+        if not self.exact:
+            return MappingProxyType(self._diags)
+        out = {}
+        for d, v in self._diags.items():
+            out[d] = v.values()
+            out[d].flags.writeable = False
+        return MappingProxyType(out)
+
+    def diagonal(self, d: int):
+        """The stored diagonal at offset d (structural zeros if there is none)."""
+        return self._diags[d] if d in self._diags else zeros(self.dim, self.exact)
 
     @classmethod
     def identity(cls, dim: int, exact: bool) -> "Band":
-        one = Fraction(1) if exact else 1.0 + 0j
-        return cls(dim, exact, {0: np.full(dim, one, dtype=object if exact else complex)})
+        return cls(dim, exact, {0: ones(dim, exact)})
 
     @classmethod
     def from_blocks(cls, blocks: list[list["Band"]]) -> "Band":
@@ -55,21 +207,17 @@ class Band:
         for i, row in enumerate(blocks):
             for j, block in enumerate(row):
                 first._check(block)
-                for d, v in block.diags.items():
+                for d, v in block._diags.items():
                     rows = block._rows(d)
                     D = d + (j - i) * n
-                    if D not in out.diags:
-                        out.diags[D] = out._zeros(m * n)
-                    out.diags[D][i * n + rows] = v[rows]
+                    if D not in out._diags:
+                        out._diags[D] = zeros(m * n, out.exact)
+                    out._diags[D][i * n + rows] = v[rows]
         return out
 
-    def _zeros(self, *shape: int) -> np.ndarray:
-        # exact structural zeros are the int 0: 0 * x and 0 + 0 make no Fraction
-        return np.zeros(shape, dtype=object if self.exact else complex)
-
-    def _shifted(self, v: np.ndarray, d: int) -> np.ndarray:
-        """w[i] = v[i + d], zero where i + d leaves the matrix."""
-        out = self._zeros(self.dim)
+    def _shifted(self, v, d: int):
+        """w[i] = v[i + d], a structural zero where i + d leaves the matrix."""
+        out = zeros(self.dim, self.exact)
         if d >= 0:
             out[:self.dim - d] = v[d:]
         else:
@@ -82,23 +230,23 @@ class Band:
 
     def _combine(self, other: "Band", op) -> "Band":
         self._check(other)
-        out = dict(self.diags)
-        for d, v in other.diags.items():
-            out[d] = op(out[d] if d in out else self._zeros(self.dim), v)
+        out = dict(self._diags)
+        for d, v in other._diags.items():
+            out[d] = op(out[d] if d in out else zeros(self.dim, self.exact), v)
         return Band(self.dim, self.exact, out)
 
     def __add__(self, other: "Band") -> "Band":
-        return self._combine(other, np.add)
+        return self._combine(other, operator.add)
 
     def __sub__(self, other: "Band") -> "Band":
-        return self._combine(other, np.subtract)
+        return self._combine(other, operator.sub)
 
     def __matmul__(self, other: "Band") -> "Band":
         # (A B)[i, i + d + e] = a_d[i] * b_e[i + d]
         self._check(other)
-        out: dict[int, np.ndarray] = {}
-        for d, a in self.diags.items():
-            for e, b in other.diags.items():
+        out: dict = {}
+        for d, a in self._diags.items():
+            for e, b in other._diags.items():
                 if abs(d + e) >= self.dim:
                     continue
                 term = a * self._shifted(b, d)
@@ -112,7 +260,7 @@ class Band:
         if k == 0:
             return Band.identity(self.dim, self.exact)
         # with v at offset n, row i of self**k is v[i] v[i + n] ... v[i + (k - 1) n]
-        (n, v), = self.diags.items()
+        (n, v), = self._diags.items()
         if k * abs(n) >= self.dim:
             return Band(self.dim, self.exact)
         row = v
@@ -121,38 +269,50 @@ class Band:
         return Band(self.dim, self.exact, {k * n: row})
 
     def scale(self, s) -> "Band":
-        s = s if self.exact else complex(s)
-        return Band(self.dim, self.exact, {d: s * v for d, v in self.diags.items()})
+        if self.exact:
+            return Band(self.dim, True, {d: v.scaled(s) for d, v in self._diags.items()})
+        s = complex(s)
+        return Band(self.dim, False, {d: s * v for d, v in self._diags.items()})
 
     def adjoint(self) -> "Band":
         # (A*)[i, i - d] = conj(a_d[i - d])
         return Band(self.dim, self.exact,
-                    {-d: np.conj(self._shifted(v, -d)) for d, v in self.diags.items()})
+                    {-d: self._shifted(v, -d).conj() for d, v in self._diags.items()})
 
     def as_float(self) -> "Band":
         if not self.exact:
             return self
-        return Band(self.dim, False, {d: v.astype(complex) for d, v in self.diags.items()})
+        return Band(self.dim, False, {d: v.to_complex() for d, v in self._diags.items()})
 
     def _rows(self, d: int) -> np.ndarray:
         """Rows i whose entry (i, i + d) lies inside the matrix."""
         return np.arange(max(0, -d), min(self.dim, self.dim - d))
 
     def dense(self) -> np.ndarray:
-        out = self._zeros(self.dim, self.dim)
-        for d, v in self.diags.items():
-            rows = self._rows(d)
-            out[rows, rows + d] = v[rows]
-        return out
+        n = self.dim
+        out = np.zeros(n * n, dtype=object if self.exact else complex)
+        for d, v in self._diags.items():
+            # rows lo..hi - 1 hold entries (i, i + d), every (n + 1)-th flat entry from d
+            lo, hi = max(0, -d), min(n, n - d)
+            out[lo * (n + 1) + d:hi * (n + 1) + d:n + 1] = (v[lo:hi].values() if self.exact
+                                                           else v[lo:hi])
+        return out.reshape(n, n)
 
     def trace(self):
-        zero = Fraction(0) if self.exact else 0j
-        return self.diags[0].sum(initial=zero) if 0 in self.diags else zero
+        if not self.exact:
+            return self._diags[0].sum(initial=0j) if 0 in self._diags else 0j
+        re, im, den = 0, 0, 1
+        if 0 in self._diags:
+            v = self._diags[0]
+            for a, b, c in zip(v.re.tolist(), v._imag().tolist(), v.den.tolist()):
+                re, im, den = re * c + a * den, im * c + b * den, den * c
+        return RationalComplex(Fraction(re, den), Fraction(im, den)) if im else Fraction(re, den)
 
     def norm(self, keep=None):
         """defect_norm of the operator compressed to the rows and columns in keep.
 
-        Exact bands give the largest entry magnitude.  Float bands give the
+        Exact bands give the largest entry magnitude, found by comparing
+        integer cross products, as one Fraction.  Float bands give the
         2-norm: the kept nonzero entries split into blocks that share no row
         and no column, the matrix is (up to permutations) their direct sum, and
         its 2-norm is the largest block norm, so only blocks of two or more
@@ -160,25 +320,35 @@ class Band:
         entry, so its norm is its largest kept |entry|.  A non-finite kept
         entry gives inf.
         """
+        if self.exact:
+            # max(|re|, |im|) / den is the exact size proxy of a value; the
+            # largest so far is best / scale
+            inside = range(self.dim) if keep is None else set(keep)
+            best, scale = 0, 1
+            for d, v in self._diags.items():
+                ims = repeat(0) if v.im is None else v.im.tolist()
+                for i, (a, b, den) in enumerate(zip(v.re.tolist(), ims, v.den.tolist())):
+                    if (a or b) and i in inside and i + d in inside:
+                        m = max(abs(a), abs(b))
+                        if m * scale > best * den:
+                            best, scale = m, den
+            return Fraction(best, scale)
         kept = np.ones(self.dim, dtype=bool)
         if keep is not None:
             kept[:] = False
             kept[np.asarray(list(keep), dtype=int)] = True
         rows, cols, vals = [], [], []
-        for d, v in self.diags.items():
+        for d, v in self._diags.items():
             r = self._rows(d)
             r = r[kept[r] & kept[r + d]]
             rows.append(r)
             cols.append(r + d)
             vals.append(v[r])
-        if self.exact:
-            return max((exact_magnitude(x) for part in vals for x in part),
-                       default=Fraction(0))
         vals = np.concatenate(vals) if vals else np.zeros(0, dtype=complex)
         if not np.isfinite(vals).all():
             # an overflowed entry: report an unbounded norm, never a small one
             return float("inf")
-        if len(self.diags) == 1:
+        if len(self._diags) == 1:
             # one diagonal: no two entries share a row or a column
             return float(np.max(np.abs(vals), initial=0.0))
         nonzero = vals != 0

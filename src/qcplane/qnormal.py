@@ -90,17 +90,24 @@ class LevelGrid(Sequence):
         qn, x = self.q ** self.levels[n], self.generators[j]
         return GridPoint(j, self.levels[n], qn if x == 1 else qn * x, self.weights[j])
 
-    def rounded(self, factor: Fraction = Fraction(1)) -> np.ndarray:
-        """float(factor * t_{j,n}) for every point: one integer true division each."""
+    def pairs(self, factor: Fraction = Fraction(1)) -> tuple[list[int], list[int]]:
+        """Integers (nums, dens) with factor * t_{j,n} == nums[i] / dens[i], for every point.
+
+        q = p/r, so q**n is p**n / r**n, and r**|n| / p**|n| below level 0: each
+        pair is a product of integer powers, never reduced.
+        """
         top = max(abs(self.levels.start), abs(self.levels[-1]))
         ps, rs = ([*accumulate(repeat(b, top), operator.mul, initial=1)]
                   for b in (self.q.numerator, self.q.denominator))
-        # q = p/r, so q**n is p**n / r**n, and r**|n| / p**|n| below level 0
         powers = [(ps[n], rs[n]) if n >= 0 else (rs[-n], ps[-n]) for n in self.levels]
         scaled = [(factor.numerator * x.numerator, factor.denominator * x.denominator)
                   for x in self.generators]
-        return np.array([(a * pn) / (b * rn) for pn, rn in powers for a, b in scaled],
-                        dtype=float)
+        return ([a * pn for pn, _ in powers for a, _ in scaled],
+                [b * rn for _, rn in powers for _, b in scaled])
+
+    def rounded(self, factor: Fraction = Fraction(1)) -> np.ndarray:
+        """float(factor * t_{j,n}) for every point: one integer true division each."""
+        return np.array(list(map(operator.truediv, *self.pairs(factor))), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -217,24 +224,22 @@ def build_from_generators(q, generators, window: TruncationWindow, weights=None,
     dim = len(grid) + kernel_dim
 
     if exact:
-        one = Fraction(1)
-        powers = accumulate(repeat(q, window.size - 1), operator.mul, initial=q ** window.n_min)
-        modulus = np.array([qn if x == 1 else qn * x for qn in powers for x in gens]
-                           + [Fraction(0)] * kernel_dim, dtype=object)
+        nums, dens = grid.pairs()
+        modulus = mo.ExactDiagonal.written(nums + [0] * kernel_dim, dens + [1] * kernel_dim)
     else:
-        one = 1.0 + 0j
         modulus = np.zeros(dim, dtype=complex)
         try:
             modulus[:len(grid)] = grid.rounded()
         except OverflowError:
             # levels ascend and q <= 1, so the first level holds the largest points
             raise DomainError(f"level {window.n_min} leaves float range; use --exact") from None
-    # entries past the shifted rows are structural zeros: the int 0 when exact
-    u, zeta = (np.zeros(dim, dtype=modulus.dtype) for _ in range(2))
     # e_{j,n} -> e_{j,n-1}: levels come in ascending blocks of n_gens, so entry
-    # (i, i + n_gens) moves grid point i + n_gens one level down
-    u[:len(grid) - n_gens] = one
-    zeta[:len(grid) - n_gens] = modulus[n_gens:len(grid)]
+    # (i, i + n_gens) moves grid point i + n_gens one level down; the rows of
+    # the lowest level and the kernel slot hold structural zeros
+    top = len(grid) - n_gens
+    u, zeta = mo.zeros(dim, exact), mo.zeros(dim, exact)
+    u[:top] = mo.ones(top, exact)
+    zeta[:top] = modulus[n_gens:len(grid)]
     return TruncatedQNormal(q, window, grid, kernel_dim, exact,
                             mo.Band(dim, exact, {n_gens: zeta}),
                             mo.Band(dim, exact, {n_gens: u}),
@@ -271,29 +276,35 @@ def verify_relation(T: TruncatedQNormal, pad: int = 1) -> RelationReport:
             raise DomainError(f"|zeta| at level {T.grid[i + T.n_gens].level} squares "
                               "beyond float range; use --exact")
     zs = T.zeta_band.adjoint()
-    q2 = T.q * T.q if T.exact else float(T.q) ** 2
+    p, r = T.q.as_integer_ratio()
+    q2 = Fraction(p * p, r * r) if T.exact else float(T.q) ** 2
     D = T.zeta_band @ zs - (zs @ T.zeta_band).scale(q2)
     return RelationReport(D.norm(T.interior_indices(pad)), D.norm())
 
 
 def _indicator_mask(T: TruncatedQNormal, interval: Interval, factor: Fraction) -> np.ndarray:
-    """Exact membership of factor * t_{j,n} in the interval, for every grid point.
+    """Exact membership of factor * t_{j,n} in the interval for every grid point, and of 0
+    on the kernel slot.
 
     Along one generator the points q**n x_j fall as n grows, so the levels
     inside the interval form one run: ``qspace.level_run`` of factor * x_j,
     clipped to the window.  The ratio is the grid's, which sets the points.
-    When it is 1 every level holds the same point: all are in or none.
+    When it is 1 every level holds the same point: all are in or none.  Every
+    product and test is on integer pairs.
     """
-    mask = np.zeros(len(T.grid), dtype=bool)
+    mask = np.zeros(T.dim, dtype=bool)
     n_gens, n_min, q = T.n_gens, T.window.n_min, T.grid.q
+    fp, fr = factor.as_integer_ratio()
     for j, x in enumerate(T.grid.generators):
-        if q == 1:
-            start, stop = 0, T.window.size if interval.contains(factor * x) else 0
+        fx = Fraction(fp * x.numerator, fr * x.denominator)
+        if q.numerator == q.denominator:
+            start, stop = 0, T.window.size if interval.contains(fx) else 0
         else:
-            start, stop = level_run(q, factor * x, interval)
+            start, stop = level_run(q, fx, interval)
             start = 0 if start is None else max(start - n_min, 0)
             stop = T.window.size if stop is None else max(stop - n_min, 0)
         mask[start * n_gens + j:stop * n_gens:n_gens] = True
+    mask[len(T.grid):] = interval.contains(0)
     return mask
 
 
@@ -303,8 +314,9 @@ def spectral_band(T: TruncatedQNormal, f: CoefficientFunction, factor=1) -> mo.B
     Indicators are decided by exact membership of the exact points: along each
     generator the points inside the interval form one run of levels, whose
     ends are the ``qspace.ladder`` levels of the interval's ends.  Otherwise
-    exact models evaluate f in integers on the whole exact modulus diagonal,
-    the kernel's 0 included, by one ``evaluate_diagonal``.  Float models
+    exact models evaluate f by ``RationalFunction.evaluate_pairs`` on the
+    integer pairs of the whole exact modulus diagonal times factor, the
+    kernel's 0 included, and keep the integers it returns.  Float models
     evaluate f at the floats of the exact points: the modulus diagonal at
     factor 1, factor * t_{j,n} rounded once otherwise, so both sides of a
     covariance identity see the same floats.  A rational coefficient is
@@ -313,23 +325,26 @@ def spectral_band(T: TruncatedQNormal, f: CoefficientFunction, factor=1) -> mo.B
     """
     factor = Fraction(factor)
     n = len(T.grid)
-    values = np.empty(T.dim, dtype=object if T.exact else complex)
     try:
         if isinstance(f, IndicatorCoefficient):
             mask = _indicator_mask(T, f.interval, factor)
-            values[:n] = np.where(mask, Fraction(1), Fraction(0)) if T.exact else mask
+            values = (mo.ExactDiagonal.written(mask.astype(int).tolist(), [1] * T.dim)
+                      if T.exact else mask.astype(complex))
         elif T.exact:
             if not isinstance(f, RationalCoefficient):
                 raise EvaluationError(f"{type(f).__name__} has no exact evaluation")
-            values[:] = f.rf.evaluate_diagonal(T.modulus_band.diags[0], factor)
-            return mo.Band(T.dim, True, {0: values})
+            t, (fp, fr) = T.modulus_band.diagonal(0), factor.as_integer_ratio()
+            re, im, den = f.rf.evaluate_pairs([fp * x for x in t.re.tolist()],
+                                              [fr * x for x in t.den.tolist()])
+            values = mo.ExactDiagonal.written(re, den, im)
         else:
+            values = np.empty(T.dim, dtype=complex)
             t = (T.modulus_band.diags[0].real[:n] if factor == 1 else
                  T._q_points if factor == T.q else T.grid.rounded(factor))
             values[:n] = (f.rf.evaluate_array(t) if isinstance(f, RationalCoefficient)
                           else [complex(f(x)) for x in t.tolist()])
-        if T.kernel_dim:
-            values[n] = f.value_at_zero if T.exact else complex(f.value_at_zero)
+            if T.kernel_dim:
+                values[n] = complex(f.value_at_zero)
     except (ArithmeticError, OverflowError) as exc:
         raise EvaluationError(f"coefficient undefined on the grid: {exc}") from exc
     return mo.Band(T.dim, T.exact, {0: values})
@@ -352,11 +367,14 @@ def verify_covariance(T: TruncatedQNormal, f: CoefficientFunction, pad: int = 1)
     return (lhs - rhs).norm(T.interior_indices(pad))
 
 
+_AT_ORIGIN = IndicatorCoefficient(Interval.point(0))
+
+
 def polar_check(T: TruncatedQNormal) -> PolarReport:
     """zeta = u modulus, with zeta and u built apart; u must kill the kernel slot."""
     rec = (T.zeta_band - T.u_band @ T.modulus_band).norm()
     # chi_{0}(modulus) projects onto the kernel slot, if any: u's kernel column
-    kernel = spectral_band(T, IndicatorCoefficient(Interval.point(0)))
+    kernel = spectral_band(T, _AT_ORIGIN)
     return PolarReport(rec, (T.u_band @ kernel).norm())
 
 

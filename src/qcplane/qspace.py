@@ -156,18 +156,24 @@ def level_run(q: Fraction, x: Fraction, interval: Interval) -> tuple[int | None,
     ladder levels of both ends in closed form.  None marks a side the run
     does not end on: no upper end, or a lower end at 0.
     """
-    if interval.upper == 0:
+    upper, lower = interval.upper, interval.lower
+    if upper is not None and not upper.numerator:
         return 0, 0             # no orbit point is 0
     start = stop = None
-    if interval.upper is not None:
+    if upper is not None:
         # u / x = q**j * s with s in (q, 1]: q**k * x <= u from k = j on if s = 1
-        j, num, den = ladder(q, interval.upper / x)
+        j, num, den = ladder(q, _quotient(upper, x))
         start = j if interval.upper_closed and num == den else j + 1
-    if interval.lower > 0:
+    if lower.numerator:
         # l / x = q**i * s: q**k * x > l up to k = i, unless s = 1 and l is left out
-        i, num, den = ladder(q, interval.lower / x)
+        i, num, den = ladder(q, _quotient(lower, x))
         stop = i if not interval.lower_closed and num == den else i + 1
     return start, stop
+
+
+def _quotient(a: Fraction, b: Fraction) -> Fraction:
+    """a / b for b != 0, formed from the integers of a and b."""
+    return Fraction(a.numerator * b.denominator, a.denominator * b.numerator)
 
 
 def orbit_exponents(q: Fraction, x: Fraction, interval: Interval) -> range:

@@ -390,17 +390,27 @@ class RationalFunction:
         return RationalComplex.coerce(self.evaluate_diagonal((t,))[0])
 
     def evaluate_diagonal(self, points, factor: Fraction = Fraction(1)) -> list:
-        """Exact f(factor * t) at rational points t, such as a modulus diagonal.
-
-        Horner's scheme runs in integers at p / r = (factor.num t.num) / (factor.den
-        t.den); each value is one Fraction, or a RationalComplex if its im != 0.
-        """
+        """Exact f(factor * t) at rational points t: one Fraction each, or a
+        RationalComplex if its im != 0, from the integers of :meth:`evaluate_pairs`."""
         fp, fr = factor.numerator, factor.denominator
+        re, im, den = self.evaluate_pairs([fp * t.numerator for t in points],
+                                          [fr * t.denominator for t in points])
+        if im is None:
+            return list(map(Fraction, re, den))
+        return [RationalComplex(Fraction(a, c), Fraction(b, c)) if b else Fraction(a, c)
+                for a, b, c in zip(re, im, den)]
+
+    def evaluate_pairs(self, nums, dens) -> tuple[list[int], list[int] | None, list[int]]:
+        """(re, im, den) with f(p / r) = (re + i im) / den and den > 0, at each point p / r.
+
+        The points are integer pairs with r > 0, reduced or not, such as the
+        values of an exact diagonal.  Horner's scheme runs in integers at p / r
+        and no pair is reduced.  im is None when f has real coefficients.
+        """
         (nr, ni, dn), (dr, di, dd) = self._num, self._den
         real, k = not any(ni) and not any(di), len(dr) - len(nr)
-        out = []
-        for t in points:
-            p, r = fp * t.numerator, fr * t.denominator
+        re, im, den = [], None if real else [], []
+        for p, r in zip(nums, dens):
             # num = (a + i b) / (dn r^len(nr)) and den = (c + i e) / (dd r^len(dr))
             a, c = _horner(nr, p, r), _horner(dr, p, r)
             b, e = (0, 0) if real else (_horner(ni, p, r), _horner(di, p, r))
@@ -409,9 +419,13 @@ class RationalFunction:
             if e:
                 a, b, c = a * c + b * e, b * c - a * e, c * c + e * e
             s, c = (dd * r ** k, c * dn) if k >= 0 else (dd, c * dn * r ** -k)
-            out.append(RationalComplex(Fraction(a * s, c), Fraction(b * s, c)) if b
-                       else Fraction(a * s, c))
-        return out
+            if c < 0:
+                s, c = -s, -c
+            re.append(a * s)
+            den.append(c)
+            if not real:
+                im.append(b * s)
+        return re, im, den
 
     @cached_property
     def _float_coeffs(self) -> tuple[tuple[float, ...], ...]:

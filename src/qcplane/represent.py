@@ -68,18 +68,20 @@ def represent_band(a: AlgebraElement, T: TruncatedQNormal) -> mo.Band:
 
     u**k (k != 0) is 1 at offset d = k n_gens on the grid rows from max(0, -d) to
     min(len(grid), len(grid) - d), u**0 is the identity; f_k(t_i) goes on those rows,
-    and the other rows of the diagonal are the int 0 on an exact model.
+    and the other rows of the diagonal are structural zeros.
     """
-    if a.q != T.q:
+    # the ratios are compared as integer pairs: exact band work does no Fraction arithmetic
+    if a.q.as_integer_ratio() != T.q.as_integer_ratio():
         raise DomainError("element and model have different ratios")
-    n, dtype = len(T.grid), object if T.exact else complex
-    diags: dict[int, np.ndarray] = {}
+    n = len(T.grid)
+    diags: dict = {}
     for k, f in a.terms:
         d = k * T.n_gens
         # a d past the grid is past the matrix too, and mo.Band drops it; offsets
         # collide only with no generators, where only u**0 has rows
         rows = slice(0, T.dim) if k == 0 else slice(max(0, -d), min(n, n - d))
-        diags.setdefault(d, np.zeros(T.dim, dtype=dtype))[rows] = spectral_band(T, f).diags[0][rows]
+        values = spectral_band(T, f).diagonal(0)
+        diags.setdefault(d, mo.zeros(T.dim, T.exact))[rows] = values[rows]
     return mo.Band(T.dim, T.exact, diags)
 
 

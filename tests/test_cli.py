@@ -231,7 +231,11 @@ def test_config_validation_errors(tmp_path, capsys):
                       (["limit", "--q", "1/1"], {"limit_pairs": True}),
                       (["limit", "--q", "1/1"], {"limit_grid": 2.5}),
                       (["simulate"], {"seed": 2.5}),
-                      (["bott", "--exact"], {"sample_exponent_range": "25"})):
+                      (["bott", "--exact"], {"sample_exponent_range": "25"}),
+                      # list keys take lists: a string is not read character by character
+                      (["bott"], {"bott_signs": "+-"}),
+                      (["simulate"], {"generators": "1"}),
+                      (["norm"], {"elements": "t@1"})):
         bad.write_text(json.dumps(cfg))
         assert cli.main([*argv, "--config", str(bad)]) == 2, cfg
         captured = capsys.readouterr()

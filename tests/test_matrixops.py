@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -5,9 +6,13 @@ import numpy as np
 import pytest
 
 import qcplane.matrixops as mo
-from qcplane import qnormal, qspace
+from qcplane import algebra, qnormal, qspace, represent
+from qcplane.algebra import RationalCoefficient
 from qcplane.qnormal import TruncationWindow
+from qcplane.ratfunc import RationalFunction
 from qcplane.scalars import RationalComplex, exact_magnitude
+
+T_VAR = RationalFunction.variable()
 
 
 def _scalar(rng: random.Random, exact: bool):
@@ -240,6 +245,47 @@ def _assert_same_entries(M: np.ndarray, D: np.ndarray) -> None:
                for x in M.flat)
 
 
+def _wide_model() -> qnormal.TruncatedQNormal:
+    """q = 3/7 on levels -200..200 with two generators and a kernel slot: dim 803."""
+    return qnormal.build_from_generators("3/7", ["1", "5/7"], TruncationWindow(-200, 200),
+                                         zero_mass=1, exact=True)
+
+
+def _cut(rng: random.Random, B: mo.Band, start: int, dim: int) -> mo.Band:
+    """Rows and columns start..start + dim - 1 of B, with about a third of the
+    values replaced by structural zeros, the int 0."""
+    diags = {}
+    for d, v in B.diags.items():
+        if abs(d) < dim:
+            w = np.array(v[start:start + dim])
+            w[[rng.random() < 0.3 for _ in range(dim)]] = 0
+            diags[d] = w
+    return mo.Band(dim, True, diags)
+
+
+def _cut_bands(rng: random.Random, complex_values: bool) -> list[mo.Band]:
+    """7 x 7 bands cut from models: real values past 2**1000 from the top of the
+    wide model's relation operands, or complex values over a kernel slot."""
+    if not complex_values:
+        T = _wide_model()
+        zs = T.zeta_band.adjoint()
+        bands = [T.zeta_band @ zs, zs @ T.zeta_band, T.zeta_band + zs, T.modulus_band]
+        cuts = [_cut(rng, B, start, 7) for B in bands for start in (0, 3)]
+        assert max(abs(x).numerator.bit_length() for B in cuts
+                   for v in B.diags.values() for x in v) > 1000
+        return cuts
+    cuts = []
+    for gens in (["1"], ["1", "3/4"]):
+        T = qnormal.build_from_generators("1/2", gens, TruncationWindow(-3, 3), zero_mass=1,
+                                          exact=True)
+        i_t = RationalComplex(Fraction(1, 3), Fraction(-2)) * T_VAR
+        a = algebra.element(T.q, {0: RationalCoefficient(1 + i_t), 1: RationalCoefficient(i_t),
+                                  -1: RationalCoefficient(1 / (1 + T_VAR * T_VAR))})
+        B = represent.represent_band(a, T) + T.zeta_band.scale(RationalComplex(0, Fraction(1, 5)))
+        cuts += [_cut(rng, B, start, 7) for start in sorted({T.dim - 7, max(T.dim - 10, 0), 0})]
+    return cuts
+
+
 @pytest.mark.parametrize("complex_values", [False, True])
 def test_int_padded_exact_bands_match_fraction_padded_oracle(complex_values):
     rng = random.Random(83)
@@ -262,6 +308,27 @@ def test_int_padded_exact_bands_match_fraction_padded_oracle(complex_values):
               for row in (((0, 2), (-1,)), ((), (0, -3, 3)))]
     _assert_same_entries(mo.Band.from_blocks(blocks).dense(),
                          np.block([[_oracle(b) for b in row] for row in blocks]))
+    # bands cut from models: entries past 2**1000, or complex over a kernel slot
+    cuts = _cut_bands(rng, complex_values)
+    for A, B in zip(cuts, cuts[1:] + cuts[:1]):
+        DA, DB = _oracle(A), _oracle(B)
+        _assert_same_entries(A.dense(), DA)
+        _assert_same_entries((A + B).dense(), DA + DB)
+        _assert_same_entries((A - B).dense(), DA - DB)
+        _assert_same_entries((A @ B).dense(), DA @ DB)
+        _assert_same_entries(A.adjoint().dense(), _oracle_power(DA, -1))
+        _assert_same_entries(A.scale(Fraction(-3, 7)).dense(), DA * Fraction(-3, 7))
+    # an exact model made float is the float-built model, bit for bit
+    exact = _wide_model() if not complex_values else qnormal.build_from_generators(
+        "1/2", ["1", "3/4"], TruncationWindow(-3, 3), zero_mass=1, exact=True)
+    floats = qnormal.build_from_generators(exact.q, exact.grid.generators, exact.window,
+                                           zero_mass=exact.kernel_dim, exact=False)
+    for name in ("zeta_band", "u_band", "modulus_band"):
+        got, want = getattr(exact.as_float(), name), getattr(floats, name)
+        assert not got.exact and got.diags.keys() == want.diags.keys()
+        for d, v in want.diags.items():
+            assert got.diags[d].dtype == v.dtype == complex
+            assert got.diags[d].tobytes() == v.tobytes()
 
 
 def test_exact_measures_of_int_padded_operators_are_fractions():
@@ -283,6 +350,38 @@ def test_exact_measures_of_int_padded_operators_are_fractions():
     real = _int_padded_band(rng, 7, (0, 3), False)
     assert type(real.trace()) is Fraction
     assert real.trace() == sum(_oracle(real).diagonal())
+    # bands cut from models: entries past 2**1000, or complex over a kernel slot
+    for complex_values in (False, True):
+        for A in _cut_bands(rng, complex_values):
+            D = A - A
+            DA = _oracle(A)
+            for got in (D.norm(), D.norm([0, 4]), mo.max_entry_gap(A.dense(), A.dense())):
+                assert type(got) is Fraction and got == 0
+            want = max(exact_magnitude(x) for x in DA.flat)
+            for got in (A.norm(), mo.defect_norm(A.dense()), mo.max_entry_gap(A.dense(), D.dense())):
+                assert type(got) is Fraction and got == want
+            keep = [1, 2, 5]
+            assert A.norm(keep) == max(exact_magnitude(x) for x in mo.compress(DA, keep).flat)
+            assert A.trace() == sum(DA.diagonal())
+            assert type(A.trace()) in (Fraction, RationalComplex)
+    # negative control: one interior entry of zeta moved by 10**-30 gives the
+    # relation defect of the dense oracle, not 0
+    T = qnormal.build_from_generators("3/7", ["1", "5/7"], TruncationWindow(-6, 6), zero_mass=1,
+                                      exact=True)
+    i = T.interior_indices()[5]
+    nudge = np.zeros(T.dim, dtype=object)
+    nudge[i] = Fraction(1, 10 ** 30)
+    bad = dataclasses.replace(T, zeta_band=T.zeta_band + mo.Band(T.dim, True, {T.n_gens: nudge}))
+    Z = bad.zeta
+    Zs = mo.adjoint(Z)
+    q2 = T.q * T.q
+    oracle = Z @ Zs - (Zs @ Z) * q2
+    idx = T.interior_indices()
+    report = qnormal.verify_relation(bad)
+    want = mo.defect_norm(mo.compress(oracle, idx))
+    assert type(report.interior_defect) is Fraction and report.interior_defect == want > 0
+    assert report.boundary_defect == mo.defect_norm(oracle)
+    assert qnormal.verify_relation(T).interior_defect == 0
 
 
 def test_one_offset_float_band_norm_is_the_largest_kept_entry():

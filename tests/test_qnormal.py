@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import qcplane.matrixops as mo
-from qcplane import algebra, qnormal, qspace
+from qcplane import algebra, qnormal, qspace, represent
 from qcplane.algebra import IndicatorCoefficient, RationalCoefficient
 from qcplane.errors import ConfigurationError, DomainError, EvaluationError
 from qcplane.qnormal import TruncationWindow
@@ -473,3 +473,52 @@ def test_float_indicator_band_makes_no_grid_point(monkeypatch):
                 assert got.tolist() == [complex(w) for w in want[i, j, factor]]
         assert qnormal.verify_covariance(T, IndicatorCoefficient(intervals[-1])) == 0.0
         assert qnormal.polar_check(T).kernel_defect == 0.0
+
+
+FRACTION_OPERATORS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                      "__truediv__", "__rtruediv__", "__floordiv__", "__rfloordiv__", "__mod__",
+                      "__rmod__", "__divmod__", "__rdivmod__", "__pow__", "__rpow__", "__neg__",
+                      "__pos__", "__abs__", "__eq__", "__lt__", "__le__", "__gt__", "__ge__")
+
+
+def test_exact_band_work_does_no_fraction_arithmetic(monkeypatch):
+    # exact bands multiply, add and compare integer pairs: the model checks and
+    # an exact representation run with every Fraction operator refusing to run
+    models = [qnormal.build_from_generators("1/2", ["1"], TruncationWindow(-5, 5), zero_mass=1,
+                                            exact=True),
+              qnormal.build_from_generators("3/7", ["1", "5/7"], TruncationWindow(-40, 40),
+                                            exact=True)]
+    lits = ["t@1", "1/(1+t^2)@0", "(1+t)/(2+t^3)@-2", "t^2@3", "(2/3)*t@-1"]
+    work = []
+    for T in models:
+        family = [RationalCoefficient(T_VAR), RationalCoefficient(T_VAR * T_VAR),
+                  IndicatorCoefficient(Interval.open_closed(T.q, 1)),
+                  RationalCoefficient(1 / (1 + T_VAR * T_VAR))]
+        a = algebra.parse_element(T.q, lits)
+        a = algebra.element(T.q, {**dict(a.terms), 2: RationalCoefficient(IM * T_VAR)})
+        work.append((T, family, a))
+
+    def refuse(*args):
+        raise AssertionError("Fraction arithmetic on the exact band path")
+
+    for name in FRACTION_OPERATORS:
+        monkeypatch.setattr(Fraction, name, refuse)
+    results = []
+    for T, family, a in work:
+        results.append((qnormal.verify_relation(T),
+                        [qnormal.verify_covariance(T, f) for f in family],
+                        qnormal.polar_check(T), represent.represent_band(a, T)))
+    monkeypatch.undo()
+
+    for (T, _, a), (rel, cov, pol, band) in zip(work, results):
+        assert rel.interior_defect == 0 and rel.boundary_defect > 0
+        assert cov == [0, 0, 0, 0]
+        assert pol.reconstruction_defect == 0 and pol.kernel_defect == 0
+        # f_k(t_i) at (i, i + k n_gens) on the rows of mode k
+        points, n = [gp.value for gp in T.grid] + [Fraction(0)] * T.kernel_dim, len(T.grid)
+        want = np.zeros((T.dim, T.dim), dtype=object)
+        for k, f in a.terms:
+            d = k * T.n_gens
+            for i in range(T.dim) if k == 0 else range(max(0, -d), min(n, n - d)):
+                want[i, i + d] = f.eval_exact(points[i])
+        assert all(x == y for x, y in zip(band.dense().flat, want.flat))

@@ -512,6 +512,13 @@ def test_evaluate_diagonal_matches_pointwise_evaluation(f, q, which, kernel):
             assert type(v) is RationalComplex
         else:
             assert type(v) is Fraction
+    # the same values as unreduced integer pairs with positive denominators
+    re, im, den = f.evaluate_pairs([factor.numerator * t.numerator * 3 for t in points],
+                                   [factor.denominator * t.denominator * 3 for t in points])
+    assert all(type(x) is int for x in re + den + (im or []))
+    assert min(den) > 0
+    assert [RationalComplex(Fraction(a, c), Fraction(b, c))
+            for a, b, c in zip(re, im or [0] * len(re), den)] == wants
 
 
 def test_evaluate_diagonal_raises_at_a_denominator_root_on_the_diagonal():
