@@ -15,10 +15,8 @@ numerator and denominator once per left mode.  ``AlgebraElement`` and
 ``element`` validate q and the modes; the operations build their results from
 valid operands and only sort the modes and drop syntactic zeros.  They compute
 every output mode on ratfunc's (num, den) pairs and wrap one coefficient per
-output mode.  Element literals are evaluated in integer forms: constants and
-their + - * / fold as reduced integer pairs (n, d), t**k is built as its
-monomial, polynomial sub-expressions stay polynomials, and a (num, den) pair
-arises only at a division by a non-constant or at any other power.
+output mode.  Element literals are evaluated on the same pairs, node by node,
+with t**k for 0 <= k <= MAX_POWER_DEGREE built directly as its monomial.
 """
 
 from __future__ import annotations
@@ -37,8 +35,7 @@ from typing import Callable, Mapping
 from .errors import DomainError, EvaluationError
 from .qspace import Interval, SpectralSet
 from .ratfunc import (_ONE, MAX_POWER_DEGREE, Pair, RationalFunction, _f_add, _f_argscale,
-                      _f_conj, _f_div, _f_mul, _f_neg, _f_pow, _f_sub, _normal, _p_add,
-                      _p_mul, _p_neg, _poly, _rf)
+                      _f_conj, _f_div, _f_mul, _f_neg, _f_pow, _f_sub, _poly, _rf)
 from .scalars import RationalComplex, exact_magnitude, parse_rational
 
 
@@ -243,7 +240,7 @@ class AlgebraElement:
     def __sub__(self, other):
         if not isinstance(other, AlgebraElement):
             return NotImplemented
-        return _subtract(self, other)
+        return add(self, -other)
 
     def __mul__(self, other):
         if not isinstance(other, AlgebraElement):
@@ -320,17 +317,6 @@ def add(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     return _assemble(a.q, out)
 
 
-def _subtract(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    """a - b: b's pairs are negated first, so a leaf of b raises before any check of a."""
-    negated = [(k, _f_neg(_pair(g))) for k, g in b.terms]
-    if a.q != b.q:
-        raise DomainError("cannot add elements over different ratios")
-    out = dict(a.terms)
-    for k, gp in negated:
-        out[k] = _coefficient(_f_add(_pair(out[k]), gp) if k in out else gp)
-    return _assemble(a.q, out)
-
-
 def scale(a: AlgebraElement, s) -> AlgebraElement:
     """s * a for an exact scalar s (int, Fraction or RationalComplex); a float raises TypeError."""
     if not isinstance(s, (int, Fraction, RationalComplex)):
@@ -402,7 +388,7 @@ _OUTSIDE_GRAMMAR = re.compile(r"[^0-9t\s()+\-*/^]|\*\*")
 _LEADING_ZEROS = re.compile(r"(?<![0-9])0+(?=[0-9])")
 _ARITHMETIC = {ast.Add: _f_add, ast.Sub: _f_sub, ast.Mult: _f_mul, ast.Div: _f_div}
 _SIGNS = {ast.UAdd: 1, ast.USub: -1}
-_T = RationalFunction.variable()._num
+_T = RationalFunction.variable()._pair
 
 
 def _exponent(node: ast.AST) -> int:
@@ -413,87 +399,25 @@ def _exponent(node: ast.AST) -> int:
     raise DomainError("exponent must be an integer")
 
 
-def _as_poly(value):
-    """A folded constant (n, d) as its polynomial triple; any other value as it is."""
-    if type(value[0]) is not int:
-        return value
-    n, d = value
-    return ((n,), (0,), d) if n else ((), (), 1)
+def _evaluate(node: ast.AST) -> Pair:
+    """The (num, den) pair of an expression node, built by ratfunc's pair operations.
 
-
-def _as_pair(value):
-    """A folded constant or polynomial as the pair (poly, 1); a pair as it is."""
-    value = _as_poly(value)
-    return value if len(value) == 2 else (value, _ONE)
-
-
-def _folded(pair):
-    """A pair whose den is 1 folds back to its numerator polynomial."""
-    return pair[0] if pair[1] == _ONE else pair
-
-
-def _constant_op(op: type, a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
-    """a op b for two constants n/d in lowest terms with d > 0, in the same form."""
-    (an, ad), (bn, bd) = a, b
-    if op is ast.Add or op is ast.Sub:
-        n, d = an * bd + (bn if op is ast.Add else -bn) * ad, ad * bd
-    elif op is ast.Mult:
-        n, d = an * bn, ad * bd
-    elif not bn:
-        raise DomainError("division by the zero function")
-    else:
-        n, d = (an * bd, ad * bn) if bn > 0 else (-an * bd, -ad * bn)
-    g = math.gcd(n, d)
-    return n // g, d // g
-
-
-def _poly_op(op: type, a, b):
-    """a op b for two polynomials, the same value and form as op on their pairs."""
-    if op is ast.Add:
-        return _p_add(a, b)
-    if op is ast.Sub:
-        return _p_add(a, _p_neg(b))
-    if op is ast.Mult:
-        return _p_mul(a, b)
-    if not b[0]:
-        raise DomainError("division by the zero function")
-    return _folded(_normal(a, b))
-
-
-def _evaluate(node: ast.AST):
-    """The value of an expression node in integer forms.
-
-    An integer constant and the + - * / of constants fold as a reduced pair
-    (n, d) with d > 0.  A polynomial value is a canonical triple (re, im, d),
-    and t**k for 0 <= k <= MAX_POWER_DEGREE is built as its monomial; a
-    (num, den) pair in ratfunc's normal form arises only at a division by a
-    non-constant or at any other power, and folds back to its numerator when
-    its den is 1.  Each form holds the value the RationalFunction operators
-    would give for the node, in the same canonical integers.
+    t**k for 0 <= k <= MAX_POWER_DEGREE is built directly as its monomial;
+    every other node gives the pair the RationalFunction operators would give.
     """
     kind = type(node)
     if kind is ast.BinOp and type(node.op) is ast.Pow:
         base, k = _evaluate(node.left), _exponent(node.right)
         if base == _T and 0 <= k <= MAX_POWER_DEGREE:
-            return (0,) * k + (1,), (0,) * (k + 1), 1
-        return _folded(_f_pow(_as_pair(base), k))
+            return ((0,) * k + (1,), (0,) * (k + 1), 1), _ONE
+        return _f_pow(base, k)
     if kind is ast.BinOp and type(node.op) in _ARITHMETIC:
-        op, a, b = type(node.op), _evaluate(node.left), _evaluate(node.right)
-        if type(a[0]) is int and type(b[0]) is int:
-            return _constant_op(op, a, b)
-        a, b = _as_poly(a), _as_poly(b)
-        if len(a) == len(b) == 3:
-            return _poly_op(op, a, b)
-        return _folded(_ARITHMETIC[op](_as_pair(a), _as_pair(b)))
+        return _ARITHMETIC[type(node.op)](_evaluate(node.left), _evaluate(node.right))
     if kind is ast.UnaryOp and type(node.op) in _SIGNS:
         value = _evaluate(node.operand)
-        if _SIGNS[type(node.op)] > 0:
-            return value
-        if type(value[0]) is int:
-            return -value[0], value[1]
-        return _p_neg(value) if len(value) == 3 else _f_neg(value)
+        return value if _SIGNS[type(node.op)] > 0 else _f_neg(value)
     if kind is ast.Constant and type(node.value) is int:
-        return node.value, 1
+        return (((node.value,), (0,), 1) if node.value else ((), (), 1)), _ONE
     if kind is ast.Name and node.id == "t":
         return _T
     raise DomainError("malformed expression")
@@ -512,7 +436,7 @@ def parse_rational_expression(text: str) -> RationalFunction:
         raise DomainError(f"unexpected {bad.group()!r} in expression")
     source = _LEADING_ZEROS.sub("", " ".join(text.split())).replace("^", "**")
     try:
-        return _rf(_as_pair(_evaluate(ast.parse(source, mode="eval").body)))
+        return _rf(_evaluate(ast.parse(source, mode="eval").body))
     except SyntaxError as exc:
         raise DomainError(f"malformed expression: {exc.msg}") from None
     except (RecursionError, MemoryError):  # MemoryError: "parser stack overflowed"

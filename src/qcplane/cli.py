@@ -78,6 +78,15 @@ def _as_bool(raw) -> bool:
     return raw
 
 
+def _not_bool(convert):
+    """convert, refusing a JSON boolean that Python would read as the number 0 or 1."""
+    def checked(raw):
+        if isinstance(raw, bool):
+            raise TypeError(f"expected a number, got {raw!r}")
+        return convert(raw)
+    return checked
+
+
 def load_config(path: str | None, overrides: argparse.Namespace) -> RunConfig:
     data: dict = {}
     if path is not None:
@@ -109,12 +118,20 @@ def load_config(path: str | None, overrides: argparse.Namespace) -> RunConfig:
             return tuple(convert(x) for x in raw)
         return convert_all
 
-    q = pick("q", "1/2", parse_rational)
-    generators = pick("generators", ["1"], each(parse_rational))
-    zero_mass = pick("zero_mass", "0", parse_rational)
+    # a set flag replaces its key, so it passes the key's conversion
+    for flag, key in (("q", "q"), ("window", "window"), ("tol", "tolerance"),
+                      ("exact", "exact_mode"), ("element", "elements"), ("seed", "seed")):
+        if getattr(overrides, flag, None) is not None:
+            data[key] = getattr(overrides, flag)
+    window_given = "window" in data
+
+    rational = _not_bool(parse_rational)
+    q = pick("q", "1/2", rational)
+    generators = pick("generators", ["1"], each(rational))
+    zero_mass = pick("zero_mass", "0", rational)
     window = pick("window", [-6, 6], _as_window)
     sweep = pick("windows_sweep", None, lambda raw: None if raw is None else each(_as_window)(raw))
-    tolerance = pick("tolerance", 1e-12, float)
+    tolerance = pick("tolerance", 1e-12, _not_bool(float))
     exact_mode = pick("exact_mode", False, _as_bool)
     elements = pick("elements", [], each(str))
     seed = pick("seed", 7, _as_int)
@@ -123,21 +140,6 @@ def load_config(path: str | None, overrides: argparse.Namespace) -> RunConfig:
     sample_range = pick("sample_exponent_range", 25, _as_int)
     limit_pairs = pick("limit_pairs", 20, _as_int)
     limit_grid = pick("limit_grid", 10, _as_int)
-
-    if getattr(overrides, "q", None) is not None:
-        q = parse_rational(overrides.q)
-    window_given = "window" in data
-    if getattr(overrides, "window", None) is not None:
-        window = _as_window(overrides.window)
-        window_given = True
-    if getattr(overrides, "tol", None) is not None:
-        tolerance = float(overrides.tol)
-    if getattr(overrides, "exact", None) is not None:
-        exact_mode = bool(overrides.exact)
-    if getattr(overrides, "element", None):
-        elements = tuple(overrides.element)
-    if getattr(overrides, "seed", None) is not None:
-        seed = int(overrides.seed)
 
     if not 0 < q <= 1:
         raise ConfigurationError(f"q must lie in (0, 1], got {q}")

@@ -354,17 +354,9 @@ class RationalFunction:
     __add__ = __radd__ = _operator(_f_add)
     __sub__ = _operator(_f_sub)
     __rsub__ = _operator(lambda a, b: _f_sub(b, a))
+    __mul__ = __rmul__ = _operator(_f_mul)
     __truediv__ = _operator(_f_div)
     __rtruediv__ = _operator(lambda a, b: _f_div(b, a))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, RationalComplex)):   # a scalar scales num alone
-            return _rf(_normal(_p_mul(self._num, _poly((other,))), self._den))
-        if not isinstance(other, RationalFunction):
-            return NotImplemented
-        return _rf(_f_mul(self._pair, other._pair))
-
-    __rmul__ = __mul__
 
     def __neg__(self):
         return _rf(_f_neg(self._pair))

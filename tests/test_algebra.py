@@ -394,10 +394,10 @@ def test_parser_matches_the_per_node_evaluator():
               "(" * 300 + "t" + ")" * 300, "-" * 5000 + "t", "t" + "*t" * 3000, "(" * 40 + "1+t" + ")" * 40 + "^-3",
               f"t^{bound}", f"t^{bound + 1}", f"(1+t)^-{bound}", f"(1/(1+t))^-{bound + 1}",
               "(1/(2+2*t)+1/(1+t))^600", "2^32768", "2^32769", "(t/2)^-32768",
-              # polynomial sub-expressions fold, a division by a constant stays folded
+              # polynomial sub-expressions, and divisions by a constant
               "0*t/(1+t)", "(7/14)*t", "1/(2/(3*t))", "(2*t)/2", "t/(0*t+3)", "(t-t)/(1+t)",
               "-(6/4)*t^2/(3+t)", "(t^2+1)/(t+1)+t", "((1+t)^2-1)/t", "3/(2-2)", "(4/6)^-2",
-              # constants fold as integer pairs and t^k as a monomial, up to the degree bound
+              # constant arithmetic, and t^k as a monomial up to the degree bound
               "t^0", "t^1000", "t^1001", "(t)^2", "t^(+2)", "t^-2", "0^0", "(2/4)*t^2",
               "-(3/6)*t", "2^-1*t", "(0/5)*t", "1/(2/3)", "3/(4-4)", "-2^2*t"]
     outcomes = set()

@@ -10,6 +10,7 @@ import pytest
 
 import helpers
 from qcplane import algebra, cli
+from qcplane.qnormal import TruncationWindow
 
 
 def run(capsys, *argv):
@@ -193,6 +194,24 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert code == 0
     assert json.loads(out)["q"] == "1/2"
 
+    # every flag replaces the key it names, through the key's own conversion
+    parser = cli._build_parser()
+    for cfg, argv, field, want in (
+            ({"window": [-5, 5]}, ["--window", "-4", "4"], "window", TruncationWindow(-4, 4)),
+            ({"tolerance": 1e-10}, ["--tol", "1e-9"], "tolerance", 1e-9),
+            ({"exact_mode": True}, ["--float"], "exact_mode", False),
+            ({"exact_mode": False}, ["--exact"], "exact_mode", True),
+            ({"elements": ["t@1"]}, ["--element", "t^2@0", "--element", "1@1"], "elements",
+             ("t^2@0", "1@1")),
+            ({"seed": 3}, ["--seed", "11"], "seed", 11)):
+        cfgfile.write_text(json.dumps(cfg))
+        loaded = cli.load_config(str(cfgfile), parser.parse_args(["simulate", *argv]))
+        assert getattr(loaded, field) == want, argv
+    # a bad value that a valid flag replaces is never read
+    cfgfile.write_text(json.dumps({"tolerance": "tight"}))
+    code, out = run(capsys, "simulate", "--config", str(cfgfile), "--tol", "1e-10")
+    assert code == 0 and json.loads(out)["tolerance"] == 1e-10
+
 
 def test_config_validation_errors(tmp_path, capsys):
     bad = tmp_path / "bad.json"
@@ -235,7 +254,12 @@ def test_config_validation_errors(tmp_path, capsys):
                       # list keys take lists: a string is not read character by character
                       (["bott"], {"bott_signs": "+-"}),
                       (["simulate"], {"generators": "1"}),
-                      (["norm"], {"elements": "t@1"})):
+                      (["norm"], {"elements": "t@1"}),
+                      # numbers and rationals are not booleans: true used to run as 1
+                      (["bott", "--perturb"], {"tolerance": True}),
+                      (["limit"], {"q": True}),
+                      (["simulate"], {"zero_mass": True}),
+                      (["simulate"], {"generators": ["1", True]})):
         bad.write_text(json.dumps(cfg))
         assert cli.main([*argv, "--config", str(bad)]) == 2, cfg
         captured = capsys.readouterr()
