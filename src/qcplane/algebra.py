@@ -14,9 +14,11 @@ Each twist a**n(g) is one rescaling of g by q**n = p**n / r**n, read off q's
 numerator and denominator once per left mode.  ``AlgebraElement`` and
 ``element`` validate q and the modes; the operations build their results from
 valid operands and only sort the modes and drop syntactic zeros.  They compute
-every output mode on ratfunc's (num, den) pairs and wrap one coefficient per
-output mode.  Element literals are evaluated on the same pairs, node by node,
-with t**k for 0 <= k <= MAX_POWER_DEGREE built directly as its monomial.
+every output mode on ratfunc's (num, den) pairs and make one
+``RationalCoefficient`` per output mode: a ``RationalFunction`` whose
+denominator was checked when it was made, so results are not checked again.
+Element literals are evaluated on the same pairs, node by node, with t**k for
+0 <= k <= MAX_POWER_DEGREE built directly as its monomial.
 """
 
 from __future__ import annotations
@@ -67,40 +69,31 @@ class CoefficientFunction:
         raise EvaluationError(f"{type(self).__name__} has no exact evaluation")
 
 
-class RationalCoefficient(CoefficientFunction):
+class RationalCoefficient(RationalFunction, CoefficientFunction):
+    """A rational function whose denominator has no root on [0, inf); immutable."""
+
     def __init__(self, rf: RationalFunction):
         rf.check_denominator()
-        self.rf = rf
+        self._set(rf._pair)
 
     @classmethod
     def _from_checked(cls, rf: RationalFunction) -> "RationalCoefficient":
-        """Wrap rf without the denominator test.
+        """rf as a coefficient without the denominator test.
 
         Only for functions built from checked coefficients by products, sums,
         conjugation, scalar multiples and rescaling t -> c t with c > 0: their
         denominators have no root on [0, inf) either.
         """
-        out = cls.__new__(cls)
-        out.rf = rf
-        return out
+        return _coefficient(rf._pair)
 
-    @property
-    def value_at_zero(self) -> RationalComplex:
-        return self.rf.evaluate(0)
-
-    @property
-    def vanishes_at_infinity(self) -> bool:
-        return self.rf.vanishes_at_infinity
-
-    @property
-    def is_zero(self) -> bool:
-        return self.rf.is_zero
-
-    def __call__(self, t: float) -> complex:
-        return self.rf.evaluate_float(t)
+    # rf is the coefficient itself, kept read-only for callers that read it;
+    # evaluate is looked up at each call, so a rebound evaluate is seen
+    rf = property(lambda self: self)
+    value_at_zero = property(lambda self: self.evaluate(0))
+    __call__ = RationalFunction.evaluate_float
 
     def eval_exact(self, t) -> RationalComplex:
-        return self.rf.evaluate(t)
+        return self.evaluate(t)
 
 
 class IndicatorCoefficient(CoefficientFunction):
@@ -170,12 +163,12 @@ def _pair(f: CoefficientFunction) -> Pair:
     """The (num, den) pair of a rational coefficient; a leaf raises DomainError."""
     if not isinstance(f, RationalCoefficient):
         raise _leaf(f)
-    return f.rf._pair
+    return f._pair
 
 
 def _coefficient(pair: Pair) -> RationalCoefficient:
     """The coefficient of a pair computed from checked coefficients."""
-    return RationalCoefficient._from_checked(_rf(pair))
+    return object.__new__(RationalCoefficient)._set(pair)
 
 
 def _twist(q: Fraction, n: int) -> tuple[int, int] | None:
@@ -277,11 +270,11 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     """Sum over modes of f alpha**n(g) U**(n+m), each output mode wrapped once."""
     if a.q != b.q:
         raise DomainError("cannot multiply elements over different ratios")
-    right = [(m, g, g.rf._pair if isinstance(g, RationalCoefficient) else None)
+    right = [(m, g, g._pair if isinstance(g, RationalCoefficient) else None)
              for m, g in b.terms]
     out: dict[int, Pair] = {}
     for n, f in a.terms:
-        fp = f.rf._pair if isinstance(f, RationalCoefficient) else None
+        fp = f._pair if isinstance(f, RationalCoefficient) else None
         w = _twist(a.q, n)
         for m, g, gp in right:
             if fp is None or gp is None:
@@ -376,9 +369,9 @@ def element_residual(a: AlgebraElement, b: AlgebraElement, points) -> Fraction:
     for k in sorted(set(a.modes) | set(b.modes)):
         fa, fb = a.coefficient(k), b.coefficient(k)
         if (isinstance(fa, RationalCoefficient) and isinstance(fb, RationalCoefficient)
-                and fa.rf.equals(fb.rf)):
+                and fa.equals(fb)):
             continue
-        va, vb = (f.rf.evaluate_diagonal(points) if isinstance(f, RationalCoefficient)
+        va, vb = (f.evaluate_diagonal(points) if isinstance(f, RationalCoefficient)
                   else [f.eval_exact(p) for p in points] for f in (fa, fb))
         worst = max([worst, *(exact_magnitude(x - y) for x, y in zip(va, vb))])
     return worst
@@ -461,5 +454,5 @@ def parse_element(q, literals) -> AlgebraElement:
     out: dict[int, CoefficientFunction] = {}
     for lit in literals:
         k, cf = parse_element_term(lit)
-        out[k] = _coefficient(_f_add(out[k].rf._pair, cf.rf._pair)) if k in out else cf
+        out[k] = _coefficient(_f_add(out[k]._pair, cf._pair)) if k in out else cf
     return element(q, out)

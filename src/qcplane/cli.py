@@ -104,11 +104,20 @@ def load_config(path: str | None, overrides: argparse.Namespace) -> RunConfig:
         if unknown:
             raise ConfigurationError(f"unknown config keys {unknown}")
 
+    # a set flag replaces its key, so it passes the key's conversion
+    flags = {}
+    for flag, key in (("q", "q"), ("window", "window"), ("tol", "tolerance"),
+                      ("exact", "exact_mode"), ("element", "elements"), ("seed", "seed")):
+        if getattr(overrides, flag, None) is not None:
+            data[key], flags[key] = getattr(overrides, flag), f"--{flag}"
+    window_given = "window" in data
+
     def pick(key, default, convert):
         try:
             return convert(data.get(key, default))
         except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigurationError(f"config {key!r} has a bad value: {exc}") from exc
+            source = flags.get(key, f"config {key!r}")
+            raise ConfigurationError(f"{source} has a bad value: {exc}") from exc
 
     def each(convert):
         def convert_all(raw):
@@ -117,13 +126,6 @@ def load_config(path: str | None, overrides: argparse.Namespace) -> RunConfig:
                 raise TypeError(f"expected a list, got {raw!r}")
             return tuple(convert(x) for x in raw)
         return convert_all
-
-    # a set flag replaces its key, so it passes the key's conversion
-    for flag, key in (("q", "q"), ("window", "window"), ("tol", "tolerance"),
-                      ("exact", "exact_mode"), ("element", "elements"), ("seed", "seed")):
-        if getattr(overrides, flag, None) is not None:
-            data[key] = getattr(overrides, flag)
-    window_given = "window" in data
 
     rational = _not_bool(parse_rational)
     q = pick("q", "1/2", rational)
@@ -276,7 +278,7 @@ def cmd_norm(cfg: RunConfig) -> tuple[dict, int]:
         row = rep.to_json(lit)
         # denominators have no root on [0, inf), so only growth at infinity
         # can make a coefficient unbounded
-        row["bounded"] = all(f.rf.degree_num <= f.rf.degree_den for _, f in a.terms)
+        row["bounded"] = all(f.degree_num <= f.degree_den for _, f in a.terms)
         row["window_spans"] = [[w.n_min, w.n_max] for w in sweep]
         rows.append(row)
     report = {

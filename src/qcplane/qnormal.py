@@ -334,14 +334,14 @@ def spectral_band(T: TruncatedQNormal, f: CoefficientFunction, factor=1) -> mo.B
             if not isinstance(f, RationalCoefficient):
                 raise EvaluationError(f"{type(f).__name__} has no exact evaluation")
             t, (fp, fr) = T.modulus_band.diagonal(0), factor.as_integer_ratio()
-            re, im, den = f.rf.evaluate_pairs([fp * x for x in t.re.tolist()],
-                                              [fr * x for x in t.den.tolist()])
+            re, im, den = f.evaluate_pairs([fp * x for x in t.re.tolist()],
+                                           [fr * x for x in t.den.tolist()])
             values = mo.ExactDiagonal.written(re, den, im)
         else:
             values = np.empty(T.dim, dtype=complex)
             t = (T.modulus_band.diags[0].real[:n] if factor == 1 else
                  T._q_points if factor == T.q else T.grid.rounded(factor))
-            values[:n] = (f.rf.evaluate_array(t) if isinstance(f, RationalCoefficient)
+            values[:n] = (f.evaluate_array(t) if isinstance(f, RationalCoefficient)
                           else [complex(f(x)) for x in t.tolist()])
             if T.kernel_dim:
                 values[n] = complex(f.value_at_zero)

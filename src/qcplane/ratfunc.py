@@ -333,19 +333,20 @@ class RationalFunction:
     num = cached_property(lambda self: _coeffs(*self._num))
     den = cached_property(lambda self: _coeffs(*self._den))
 
-    @classmethod
-    def constant(cls, c) -> "RationalFunction":
-        return cls((c,), (1,))
+    # plain RationalFunctions, also when called on a subclass
+    @staticmethod
+    def constant(c) -> "RationalFunction":
+        return RationalFunction((c,), (1,))
 
-    @classmethod
-    def variable(cls) -> "RationalFunction":
-        return cls((0, 1), (1,))
+    @staticmethod
+    def variable() -> "RationalFunction":
+        return RationalFunction((0, 1), (1,))
 
-    @classmethod
-    def monomial(cls, k: int, scale=1) -> "RationalFunction":
+    @staticmethod
+    def monomial(k: int, scale=1) -> "RationalFunction":
         if k < 0:
             raise DomainError("monomial exponent must be nonnegative")
-        return cls((0,) * k + (scale,), (1,))
+        return RationalFunction((0,) * k + (scale,), (1,))
 
     @property
     def is_zero(self) -> bool:

@@ -685,3 +685,35 @@ def test_leaf_operands_raise_where_the_per_coefficient_composition_raises():
     for q in (HALF, Fraction(1)):
         for x, y in pairs:
             _assert_operations_match_the_old_composition(algebra.element(q, x), algebra.element(q, y))
+
+
+def test_every_coefficient_is_one_checked_rational_function(monkeypatch):
+    a = parse_element("1/2", ["t@1", "(1+t)/(2+t^2)@0", "1@-1"])
+    b = parse_element("1/2", ["t^2@1", "1/(1+t)@-2"])
+    checks = []
+    check = RationalFunction.check_denominator
+    monkeypatch.setattr(RationalFunction, "check_denominator",
+                        lambda self: checks.append(self) or check(self))
+    results = [algebra.multiply(a, b), algebra.add(a, b), algebra.scale(a, Fraction(-2, 3)),
+               algebra.scale(a, RationalComplex(HALF, HALF)), algebra.adjoint(a), -a, a - b]
+    coefficients = [f for x in results for _, f in x.terms]
+    coefficients += [algebra.cf_alpha(a.coefficient(0), n, HALF) for n in (-2, 1, 3)]
+    assert not checks
+    # parse_element checks each literal once; the sum of a repeated mode is not checked again
+    repeated = parse_element("1/2", ["t@1", "1/(1+t^2)@1", "2@0"])
+    assert len(checks) == 3 and repeated.modes == (0, 1)
+    coefficients += [f for _, f in repeated.terms]
+    for f in coefficients:
+        assert type(f) is RationalCoefficient and isinstance(f, RationalFunction)
+        assert f.rf is f
+    f = repeated.coefficient(1)
+    assert f.equals(T + 1 / (1 + T * T))
+    for name in ("rf", "_pair", "_num", "label"):
+        with pytest.raises(AttributeError):
+            setattr(f, name, 1 / (T - 1))
+    with pytest.raises(EvaluationError):
+        RationalCoefficient(1 / (T - 1))
+    # the constructors build plain, unchecked functions, also on the subclass
+    for g in (RationalCoefficient.constant(2), RationalCoefficient.variable(),
+              RationalCoefficient.monomial(3, HALF)):
+        assert type(g) is RationalFunction

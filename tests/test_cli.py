@@ -264,6 +264,13 @@ def test_config_validation_errors(tmp_path, capsys):
         assert cli.main([*argv, "--config", str(bad)]) == 2, cfg
         captured = capsys.readouterr()
         assert captured.out == "" and next(iter(cfg)) in captured.err, cfg
+    # a bad value names where it came from: the flag, or the config key
+    for argv, cfg, source in ((["--q", "abc"], {}, "--q has a bad value"),
+                              ([], {"q": "abc"}, "config 'q' has a bad value")):
+        bad.write_text(json.dumps(cfg))
+        assert cli.main(["simulate", *argv, "--config", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and source in captured.err, captured.err
     # norm sweeps windows_sweep; a window given to it would have no effect, and
     # an empty sweep is refused rather than replaced by the default
     for argv, cfg in ((["--window", "-600", "600"], {}), ([], {"window": [-600, 600]}),
