@@ -267,25 +267,22 @@ def zero_element(q) -> AlgebraElement:
 
 
 def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    """Sum over modes of f alpha**n(g) U**(n+m), each output mode wrapped once."""
+    """Sum over modes of f alpha**n(g) U**(n+m), each output mode wrapped once.
+
+    A leaf raises DomainError naming the left operand's first leaf, else the
+    right's; a product with the zero element is zero whatever the other holds.
+    """
     if a.q != b.q:
         raise DomainError("cannot multiply elements over different ratios")
-    right = [(m, g, g._pair if isinstance(g, RationalCoefficient) else None)
-             for m, g in b.terms]
     out: dict[int, Pair] = {}
-    for n, f in a.terms:
-        fp = f._pair if isinstance(f, RationalCoefficient) else None
-        w = _twist(a.q, n)
-        for m, g, gp in right:
-            if fp is None or gp is None:
-                # the twist comes first and refuses every leaf but an indicator;
-                # then f is read, then the twisted g
-                g_first = gp is None and (fp is not None or w is not None
-                                          and not isinstance(g, IndicatorCoefficient))
-                raise _leaf(g if g_first else f)
-            term = _f_mul(fp, gp if w is None else _f_argscale(gp, *w))
-            k = n + m
-            out[k] = _f_add(out[k], term) if k in out else term
+    if a.terms and b.terms:
+        left, right = ([(k, _pair(f)) for k, f in x.terms] for x in (a, b))
+        for n, fp in left:
+            w = _twist(a.q, n)
+            for m, gp in right:
+                term = _f_mul(fp, gp if w is None else _f_argscale(gp, *w))
+                k = n + m
+                out[k] = _f_add(out[k], term) if k in out else term
     return _assemble(a.q, {k: _coefficient(p) for k, p in out.items()})
 
 
@@ -328,19 +325,29 @@ def classify(a: AlgebraElement) -> Classification:
     return Classification.VANISHING
 
 
-def classical_eval(a: AlgebraElement, r: float, theta: float) -> complex:
-    """Evaluate at the point with modulus r and argument theta.
+def classical_table(a: AlgebraElement, radii, angles) -> list[list[complex]]:
+    """sum_k f_k(r) e^(i k theta), a row per r in radii and a column per theta in angles.
 
-    For q = 1 this is the Gelfand transform on the plane; multiplicativity
-    fails for q < 1, where the same formula is still available as a symbol map.
+    f_k(0) is the coefficient's value_at_zero; a negative radius raises DomainError.
+    For q = 1 this is the Gelfand transform on the plane; multiplicativity fails
+    for q < 1, where the same formula is still available as a symbol map.
     """
-    if r < 0:
+    if any(r < 0 for r in radii):
         raise DomainError("modulus must be nonnegative")
-    total = 0j
-    for k, f in a.terms:
-        val = complex(f.value_at_zero) if r == 0 else complex(f(r))
-        total += val * complex(math.cos(k * theta), math.sin(k * theta))
-    return total
+    turns = [[complex(math.cos(k * th), math.sin(k * th)) for th in angles] for k in a.modes]
+    table = []
+    for r in radii:
+        row = [0j] * len(angles)
+        for (_, f), turn in zip(a.terms, turns):
+            val = complex(f.value_at_zero) if r == 0 else complex(f(r))
+            row = [total + val * z for total, z in zip(row, turn)]
+        table.append(row)
+    return table
+
+
+def classical_eval(a: AlgebraElement, r: float, theta: float) -> complex:
+    """a at the point with modulus r and argument theta: the one cell of classical_table."""
+    return classical_table(a, [r], [theta])[0][0]
 
 
 def grid_sample_points(X: SpectralSet, n_min: int, n_max: int,

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import matrixops as mo
 from .algebra import (AlgebraElement, RationalCoefficient, add, adjoint, element,
-                      element_residual, multiply, scale, zero_element)
+                      element_residual, multiply, scale)
 from .errors import ConfigurationError, DomainError
 from .qnormal import TruncatedQNormal
 from .ratfunc import RationalFunction
@@ -98,10 +98,6 @@ def m2_mul(A: Entries, B: Entries) -> Entries:
                        for j in range(2)) for i in range(2))
 
 
-def m2_sub(A: Entries, B: Entries) -> Entries:
-    return tuple(tuple(A[i][j] - B[i][j] for j in range(2)) for i in range(2))
-
-
 def m2_adjoint(A: Entries) -> Entries:
     return ((adjoint(A[0][0]), adjoint(A[1][0])),
             (adjoint(A[0][1]), adjoint(A[1][1])))
@@ -128,19 +124,18 @@ class NumericProjectionReport:
 
 
 def verify_projection_exact(P: ProjectionCandidate, sample_points) -> ExactProjectionReport:
-    """Pointwise-exact certificate that P*P - P and P* - P vanish.
+    """Pointwise-exact certificate that P P = P and P* = P.
 
-    Every coefficient of every entry of both residue matrices is evaluated at
-    every rational sample point in exact arithmetic; the report carries the
-    maximum magnitude found, which must be exactly 0 for a true projection.
+    P P and P* are compared with P entry by entry through element_residual, which
+    evaluates each differing coefficient pair at every rational sample point in
+    exact arithmetic; the largest deviation must be exactly 0 for a projection.
     """
     points = [p if type(p) in (int, Fraction) else Fraction(p) for p in sample_points]
     if not points:
         raise DomainError("need at least one sample point")
     A = P.entries
-    residues = [m2_sub(m2_mul(A, A), A), m2_sub(m2_adjoint(A), A)]
-    zero = zero_element(P.q)
-    worst = max(element_residual(x, zero, points) for R in residues for row in R for x in row)
+    worst = max(element_residual(x, a, points) for R in (m2_mul(A, A), m2_adjoint(A))
+                for row, row_a in zip(R, A) for x, a in zip(row, row_a))
     return ExactProjectionReport(worst, len(points))
 
 

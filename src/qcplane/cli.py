@@ -185,6 +185,23 @@ def _provenance(cfg: RunConfig, identity: str, window: TruncationWindow,
     }
 
 
+def _passes(value, tolerance: float) -> bool:
+    """The one pass rule: an exact value passes iff it is 0, a float iff it is at most tolerance."""
+    return value == 0 if isinstance(value, Fraction) else value <= tolerance
+
+
+def _defect_digits(cfg: RunConfig, w: TruncationWindow) -> int:
+    """A bound on the decimal digits of the exact defects of window w.
+
+    The one nonzero exact defect, the relation's at the boundary, is a squared grid
+    value q**n x with n_min < n <= n_max + 1, q = p/r and x = a/b: its numerator and
+    denominator have at most 2 (|n| log10 max(p, r) + log10 max(a, b)) + 1 digits.
+    """
+    reach = max(abs(w.n_min), abs(w.n_max + 1)) * math.log10(max(cfg.q.as_integer_ratio()))
+    widest = max((math.log10(max(x.as_integer_ratio())) for x in cfg.generators), default=0)
+    return math.ceil(2 * (reach + widest)) + 1
+
+
 def _defect_json(value):
     if isinstance(value, Fraction):
         return format_rational(value)
@@ -210,14 +227,18 @@ def _covariance_function(name: str, q: Fraction) -> algebra.CoefficientFunction:
     raise ConfigurationError(f"unknown covariance test function {name!r}")
 
 
-def cmd_simulate(cfg: RunConfig) -> tuple[dict, int]:
+def cmd_simulate(cfg: RunConfig) -> dict:
     """Relation, covariance and polar defects of the truncated model per window."""
     _require_deformed(cfg, "simulate")
-    mu = _measure(cfg)
     windows = cfg.windows_sweep or (cfg.window,)
-    rows = []
+    limit = sys.get_int_max_str_digits()   # 0 when unlimited
+    for w in windows:
+        if cfg.exact_mode and 0 < limit < _defect_digits(cfg, w):
+            raise ConfigurationError(f"window [{w.n_min}, {w.n_max}] is too wide for exact "
+                                     f"mode: its defects pass Python's {limit}-digit int limit")
+    mu = _measure(cfg)
+    rows, failures = [], []
     worst = 0.0
-    failing: str | None = None
     family = {name: _covariance_function(name, cfg.q) for name in COVARIANCE_FAMILY}
     for w in windows:
         T = qnormal.build(mu, None, w, exact=cfg.exact_mode)
@@ -227,11 +248,9 @@ def cmd_simulate(cfg: RunConfig) -> tuple[dict, int]:
         interiors = {"relation": rel.interior_defect, **cov,
                      "polar": pol.reconstruction_defect, "kernel": pol.kernel_defect}
         for name, d in interiors.items():
-            size = float(d)
-            if size > worst:
-                worst = size
-            if size > cfg.tolerance and failing is None:
-                failing = f"{name} defect {size} at window [{w.n_min}, {w.n_max}]"
+            worst = max(worst, float(d))
+            if not _passes(d, cfg.tolerance):
+                failures.append(f"{name} defect {float(d)} at window [{w.n_min}, {w.n_max}]")
         rows.append({
             "window": [w.n_min, w.n_max],
             "dimension": T.dim,
@@ -255,19 +274,21 @@ def cmd_simulate(cfg: RunConfig) -> tuple[dict, int]:
         "tolerance": cfg.tolerance,
         "windows": rows,
         "max_interior_defect": worst,
-        "passed": failing is None,
+        "passed": not failures,
     }
-    if failing is not None:
-        report["failure"] = failing
-    return report, 0 if failing is None else 3
+    if failures:
+        report["failure"] = failures[0]
+    return report
 
 
-def cmd_norm(cfg: RunConfig) -> tuple[dict, int]:
+def cmd_norm(cfg: RunConfig) -> dict:
     """Norm estimates for configured elements over a growing window sweep."""
     _require_deformed(cfg, "norm")
     if cfg.window_given:
         raise ConfigurationError("norm sweeps the windows of windows_sweep; "
                                  "--window and the window key have no effect on it")
+    if cfg.exact_mode:
+        raise ConfigurationError("norm estimates are float; it takes no --exact or exact_mode")
     mu = _measure(cfg)
     sweep = cfg.windows_sweep or tuple(_as_window(w) for w in DEFAULT_SWEEP)
     literals = cfg.elements or ["1/(1+t^2)@0"]
@@ -281,7 +302,7 @@ def cmd_norm(cfg: RunConfig) -> tuple[dict, int]:
         row["bounded"] = all(f.degree_num <= f.degree_den for _, f in a.terms)
         row["window_spans"] = [[w.n_min, w.n_max] for w in sweep]
         rows.append(row)
-    report = {
+    return {
         "command": "norm",
         "provenance": _provenance(cfg, "covariant representation norm sweep "
                                        "(reduced = universal assumed: amenable scaling action)",
@@ -290,14 +311,12 @@ def cmd_norm(cfg: RunConfig) -> tuple[dict, int]:
         "estimates_are_lower_bounds": True,
         "elements": rows,
     }
-    return report, 0
 
 
-def cmd_bott(cfg: RunConfig) -> tuple[dict, int]:
+def cmd_bott(cfg: RunConfig) -> dict:
     """Projection verification, exact or represented, for the configured family."""
     _require_deformed(cfg, "bott")
     rows = []
-    code = 0
     mu = _measure(cfg)
     T = qnormal.build(mu, None, cfg.window, exact=False)
     if cfg.exact_mode:
@@ -312,21 +331,17 @@ def cmd_bott(cfg: RunConfig) -> tuple[dict, int]:
             winding = bott.winding_diagnostic(P, T)
             if cfg.exact_mode:
                 rep = bott.verify_projection_exact(P, points)
-                ok = rep.max_residue == 0
                 rows.append(bott.projection_report(
                     P, "exact", format_rational(rep.max_residue), rep.points_checked,
-                    winding, {"passed": ok}))
+                    winding, {"passed": _passes(rep.max_residue, cfg.tolerance)}))
             else:
                 rep = bott.verify_projection_numeric(P, T)
-                ok = rep.max_defect <= cfg.tolerance
                 rows.append(bott.projection_report(
                     P, "numeric", rep.max_defect, None, winding,
                     {"idempotency_defect": rep.idempotency_defect,
                      "selfadjointness_defect": rep.selfadjointness_defect,
-                     "passed": ok}))
-            if not ok:
-                code = 3
-    report = {
+                     "passed": _passes(rep.max_defect, cfg.tolerance)}))
+    return {
         "command": "bott",
         "provenance": _provenance(cfg, "P P = P = P*", cfg.window,
                                   2 * max(cfg.bott_n)),
@@ -334,9 +349,8 @@ def cmd_bott(cfg: RunConfig) -> tuple[dict, int]:
         "tolerance": cfg.tolerance,
         "perturbed_control": cfg.perturb,
         "projections": rows,
-        "passed": code == 0,
+        "passed": all(row["passed"] for row in rows),
     }
-    return report, code
 
 
 def _random_classical_element(rng: random.Random, q: Fraction,
@@ -345,31 +359,12 @@ def _random_classical_element(rng: random.Random, q: Fraction,
     for k in range(-modes, modes + 1):
         if rng.random() < 0.4:
             continue
-        rf = RationalFunction([Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(3)],
-                              (1,))
-        if not rf.is_zero:
-            coeffs[k] = algebra.RationalCoefficient(rf)
-    return algebra.element(q, coeffs)
+        coeffs[k] = algebra.RationalCoefficient(RationalFunction(
+            [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(3)], (1,)))
+    return algebra.element(q, coeffs)   # which drops the zero coefficients
 
 
-def _classical_table(a: algebra.AlgebraElement, radii, angles) -> list[list[complex]]:
-    """classical_eval(a, r, th) for every r > 0 and th, summed in the same order.
-
-    Each f_k(r) is computed once per radius, each e^(i k th) once per angle.
-    """
-    turns = [[complex(math.cos(k * th), math.sin(k * th)) for th in angles]
-             for k in a.modes]
-    table = []
-    for r in radii:
-        row = [0j] * len(angles)
-        for (_, f), turn in zip(a.terms, turns):
-            val = complex(f(r))
-            row = [total + val * z for total, z in zip(row, turn)]
-        table.append(row)
-    return table
-
-
-def cmd_limit(cfg: RunConfig) -> tuple[dict, int]:
+def cmd_limit(cfg: RunConfig) -> dict:
     """Classical-limit checks at q = 1: commutativity and multiplicative evaluation."""
     if cfg.q != 1:
         raise ConfigurationError("limit requires q = 1")
@@ -386,16 +381,15 @@ def cmd_limit(cfg: RunConfig) -> tuple[dict, int]:
         ab = algebra.multiply(a, b)
         ba = algebra.multiply(b, a)
         commutator_exact = max(commutator_exact, algebra.element_residual(ab, ba, sample))
-        for row_ab, row_a, row_b in zip(*(_classical_table(x, grid_r, grid_th)
+        for row_ab, row_a, row_b in zip(*(algebra.classical_table(x, grid_r, grid_th)
                                           for x in (ab, a, b))):
             for at_ab, at_a, at_b in zip(row_ab, row_a, row_b):
                 mult_residue = max(mult_residue, abs(at_ab - at_a * at_b))
     diag = algebra.parse_element(cfg.q, ["(1+t)/(1+t^2)@0"])
-    at_zero = {algebra.classical_eval(diag, 0.0, th) for th in grid_th}
-    theta_independent = len(at_zero) == 1
-    passed = (commutator_exact == 0 and mult_residue <= cfg.tolerance
+    theta_independent = len(set(algebra.classical_table(diag, [0.0], grid_th)[0])) == 1
+    passed = (_passes(commutator_exact, cfg.tolerance) and _passes(mult_residue, cfg.tolerance)
               and theta_independent)
-    report = {
+    return {
         "command": "limit",
         "provenance": _provenance(cfg, "commutators vanish at q = 1; "
                                        "evaluation multiplicative on the plane",
@@ -408,15 +402,9 @@ def cmd_limit(cfg: RunConfig) -> tuple[dict, int]:
         "tolerance": cfg.tolerance,
         "passed": passed,
     }
-    return report, 0 if passed else 3
 
 
-DISPATCH = {
-    "simulate": cmd_simulate,
-    "norm": cmd_norm,
-    "bott": cmd_bott,
-    "limit": cmd_limit,
-}
+DISPATCH = {"simulate": cmd_simulate, "norm": cmd_norm, "bott": cmd_bott, "limit": cmd_limit}
 
 
 @functools.cache
@@ -494,9 +482,9 @@ def main(argv=None) -> int:
         for path in (cfg.out, cfg.spectra_out):
             if path:
                 _probe_out(path)
-        report, code = DISPATCH[args.command](cfg)
+        report = DISPATCH[args.command](cfg)
         _emit(report, cfg.out)
-        return code
+        return 0 if report.get("passed", True) else 3
     except ConfigurationError as exc:
         sys.stderr.write(f"qcplane: configuration error: {exc}\n")
         return 2

@@ -647,11 +647,20 @@ def _operand(rng: random.Random, q: Fraction, leaves: bool) -> algebra.AlgebraEl
     return algebra.element(q, coeffs)
 
 
+def _old_multiply_naming_the_left_leaf_first(a, b):
+    """_old_multiply, but a leaf is named by multiply's rule: the left operand's first, else the right's."""
+    leaves = [f for x in (a, b) for _, f in x.terms if not isinstance(f, RationalCoefficient)]
+    if a.terms and b.terms and leaves:
+        _old_rational(leaves[0])
+    return _old_multiply(a, b)
+
+
 def _assert_operations_match_the_old_composition(a, b) -> None:
     scalars = (2, -1, Fraction(-1, 3), RationalComplex(HALF, Fraction(-2)), 0, Fraction(0))
-    cases = [(lambda: algebra.multiply(a, b), lambda: _old_multiply(a, b)),
-             (lambda: algebra.multiply(b, a), lambda: _old_multiply(b, a)),
-             (lambda: a * a, lambda: _old_multiply(a, a)),
+    old_multiply = _old_multiply_naming_the_left_leaf_first
+    cases = [(lambda: algebra.multiply(a, b), lambda: old_multiply(a, b)),
+             (lambda: algebra.multiply(b, a), lambda: old_multiply(b, a)),
+             (lambda: a * a, lambda: old_multiply(a, a)),
              (lambda: algebra.add(a, b), lambda: _old_element_add(a, b)),
              (lambda: a - b, lambda: _old_element_add(a, _old_element_scale(b, -1))),
              (lambda: b - a, lambda: _old_element_add(b, _old_element_scale(a, -1))),
@@ -676,15 +685,18 @@ def test_pair_operations_match_the_per_coefficient_composition(seed, q, leaves):
 def test_leaf_operands_raise_where_the_per_coefficient_composition_raises():
     ind, clo = _LEAVES
     rat = RationalCoefficient(T)
-    # which leaf is named depends on the order of the old steps: a twist
-    # refuses a closure before its left factor is read, and a - b negates all
-    # of b before it reads a
+    # a product names the left operand's first leaf, else the right's, and a
+    # product with the zero element raises nothing; a - b negates all of b
+    # before it reads a
     pairs = [({1: ind}, {1: clo}), ({0: ind}, {1: clo}), ({1: clo}, {0: ind}),
              ({1: rat}, {1: ind}), ({1: ind}, {0: rat, 2: clo}), ({0: ind, 1: rat}, {0: rat, 2: clo}),
              ({2: clo, 1: rat}, {}), ({}, {-1: ind}), ({0: ind}, {1: rat}), ({0: rat}, {0: clo, 1: ind})]
     for q in (HALF, Fraction(1)):
         for x, y in pairs:
             _assert_operations_match_the_old_composition(algebra.element(q, x), algebra.element(q, y))
+    # the old steps named the closure here: the twist of mode 1 read it first
+    with pytest.raises(DomainError, match="IndicatorCoefficient"):
+        algebra.multiply(algebra.element(HALF, {1: ind}), algebra.element(HALF, {1: clo}))
 
 
 def test_every_coefficient_is_one_checked_rational_function(monkeypatch):

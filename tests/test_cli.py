@@ -1,6 +1,8 @@
+import argparse
 import json
 import math
 import random
+import sys
 import time
 import warnings
 from fractions import Fraction
@@ -9,7 +11,8 @@ from pathlib import Path
 import pytest
 
 import helpers
-from qcplane import algebra, cli
+from qcplane import algebra, cli, qnormal
+from qcplane.errors import DomainError
 from qcplane.qnormal import TruncationWindow
 
 
@@ -438,39 +441,35 @@ def test_float_simulate_refuses_a_zeta_whose_square_overflows(capsys):
     assert code == 3 and math.isfinite(json.loads(out)["max_interior_defect"])
 
 
-def test_limit_table_matches_classical_eval_bit_for_bit():
-    rng = random.Random(4)
-    radii = [0.1 + 2.9 * i / 9 for i in range(10)]
-    angles = [2 * math.pi * i / 10 for i in range(10)]
-    for _ in range(10):
-        a = cli._random_classical_element(rng, Fraction(1))
-        table = cli._classical_table(a, radii, angles)
-        assert table == [[algebra.classical_eval(a, r, th) for th in angles] for r in radii]
-
-
 def _bits(z: complex) -> tuple[str, str]:
     return z.real.hex(), z.imag.hex()
 
 
-def test_limit_table_matches_the_per_radius_formula_bit_for_bit():
-    # complex(f(r)) per radius and mode, accumulated mode by mode, on real and
-    # complex coefficients with denominators and at radii near the float limits
+def test_classical_table_matches_the_per_point_formula_bit_for_bit():
+    # sum_k f_k(r) e^(i k th) point by point, f_k(0) read as value_at_zero,
+    # accumulated mode by mode, on real and complex coefficients with
+    # denominators, at 0 and at radii near the float limits
     rng = random.Random(9)
-    radii = [0.1 + 2.9 * i / 9 for i in range(10)] + [1e-200, 1e160]
+    radii = [0.0, 0.1 + 2.9 * 4 / 9, 1e-200, 1e160, 0, 2.5]
     angles = [2 * math.pi * i / 7 for i in range(7)]
     for trial in range(20):
         a = (cli._random_classical_element(rng, Fraction(1)) if trial % 2
              else helpers.random_element(rng, Fraction(1)))
-        turns = [[complex(math.cos(k * th), math.sin(k * th)) for th in angles] for k in a.modes]
         want = []
         for r in radii:
-            row = [0j] * len(angles)
-            for (_, f), turn in zip(a.terms, turns):
-                val = complex(f(r))
-                row = [total + val * z for total, z in zip(row, turn)]
+            row = []
+            for th in angles:
+                total = 0j
+                for k, f in a.terms:
+                    val = complex(f.value_at_zero) if r == 0 else complex(f(r))
+                    total += val * complex(math.cos(k * th), math.sin(k * th))
+                row.append(total)
             want.append(row)
-        got = cli._classical_table(a, radii, angles)
+        got = algebra.classical_table(a, radii, angles)
         assert [[_bits(z) for z in row] for row in got] == [[_bits(z) for z in row] for row in want]
+        assert algebra.classical_eval(a, radii[1], angles[3]) == want[1][3]
+        with pytest.raises(DomainError, match="nonnegative"):
+            algebra.classical_table(a, [1.0, -1e-300], angles)
 
 
 def test_float_bott_builds_no_exact_sample_grid(capsys, monkeypatch):
@@ -526,3 +525,48 @@ def test_reports_match_the_recorded_golden_output(capsys, name, argv, want_code)
     code, out = run(capsys, *argv)
     assert code == want_code
     assert out.encode() == (GOLDEN / f"golden_{name}.out").read_bytes()
+
+
+def test_an_exact_defect_passes_only_when_it_is_zero(capsys, monkeypatch):
+    # 1e-20 is below --tol, but an exact defect is not a rounding error
+    real = qnormal.verify_relation
+    monkeypatch.setattr(qnormal, "verify_relation", lambda T: qnormal.RelationReport(
+        Fraction(1, 10 ** 20), real(T).boundary_defect))
+    code, out = run(capsys, "simulate", "--exact", "--tol", "1e-12")
+    report = json.loads(out)
+    assert code == 3 and report["passed"] is False
+    assert report["failure"].startswith("relation defect 1e-20 at window [-6, 6]")
+    assert report["windows"][0]["relation"]["interior"] == "1/100000000000000000000"
+
+
+def test_exact_windows_whose_defects_pass_the_int_printing_limit_exit_2(tmp_path, capsys):
+    limit = sys.get_int_max_str_digits()
+    start = time.perf_counter()
+    assert cli.main(["simulate", "--exact", "--q", "3/7", "--window", "-3200", "3200"]) == 2
+    assert time.perf_counter() - start < 0.5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "[-3200, 3200]" in captured.err and f"{limit}-digit" in captured.err
+    # the bound admits +-1600 at q = 3/7, which runs and prints
+    cfg = cli.load_config(None, argparse.Namespace(q="3/7", exact=True))
+    assert cli._defect_digits(cfg, TruncationWindow(-1600, 1600)) <= limit
+    # and it bounds the digits the report prints, also over generators and a sweep
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"generators": ["1", "5/7"],
+                                   "windows_sweep": [[-40, 40], [3, 60]]}))
+    cfg = cli.load_config(str(cfgfile), argparse.Namespace(q="3/7", exact=True))
+    code, out = run(capsys, "simulate", "--exact", "--q", "3/7", "--config", str(cfgfile))
+    assert code == 0
+    for w, row in zip(cfg.windows_sweep, json.loads(out)["windows"]):
+        digits = max(len(part.lstrip("-")) for part in row["relation"]["boundary"].split("/"))
+        assert 1 < digits <= cli._defect_digits(cfg, w)
+
+
+def test_norm_refuses_exact_mode(tmp_path, capsys):
+    # its estimates come from float models, so "mode": "exact" would claim too much
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"exact_mode": True}))
+    for argv in (["--exact"], ["--config", str(cfgfile)]):
+        assert cli.main(["norm", "--element", "t@1", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "exact" in captured.err
