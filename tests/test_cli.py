@@ -441,33 +441,40 @@ def test_float_simulate_refuses_a_zeta_whose_square_overflows(capsys):
     assert code == 3 and math.isfinite(json.loads(out)["max_interior_defect"])
 
 
+def test_limit_table_matches_classical_eval_bit_for_bit():
+    rng = random.Random(4)
+    radii = [0.1 + 2.9 * i / 9 for i in range(10)]
+    angles = [2 * math.pi * i / 10 for i in range(10)]
+    for _ in range(10):
+        a = cli._random_classical_element(rng, Fraction(1))
+        table = algebra.classical_table(a, radii, angles)
+        assert table == [[algebra.classical_eval(a, r, th) for th in angles] for r in radii]
+
+
 def _bits(z: complex) -> tuple[str, str]:
     return z.real.hex(), z.imag.hex()
 
 
-def test_classical_table_matches_the_per_point_formula_bit_for_bit():
-    # sum_k f_k(r) e^(i k th) point by point, f_k(0) read as value_at_zero,
+def test_limit_table_matches_the_per_radius_formula_bit_for_bit():
+    # complex(f(r)) per radius and mode, f_k(0) read as value_at_zero,
     # accumulated mode by mode, on real and complex coefficients with
     # denominators, at 0 and at radii near the float limits
     rng = random.Random(9)
-    radii = [0.0, 0.1 + 2.9 * 4 / 9, 1e-200, 1e160, 0, 2.5]
+    radii = [0.0, 0] + [0.1 + 2.9 * i / 9 for i in range(10)] + [1e-200, 1e160]
     angles = [2 * math.pi * i / 7 for i in range(7)]
     for trial in range(20):
         a = (cli._random_classical_element(rng, Fraction(1)) if trial % 2
              else helpers.random_element(rng, Fraction(1)))
+        turns = [[complex(math.cos(k * th), math.sin(k * th)) for th in angles] for k in a.modes]
         want = []
         for r in radii:
-            row = []
-            for th in angles:
-                total = 0j
-                for k, f in a.terms:
-                    val = complex(f.value_at_zero) if r == 0 else complex(f(r))
-                    total += val * complex(math.cos(k * th), math.sin(k * th))
-                row.append(total)
+            row = [0j] * len(angles)
+            for (_, f), turn in zip(a.terms, turns):
+                val = complex(f.value_at_zero) if r == 0 else complex(f(r))
+                row = [total + val * z for total, z in zip(row, turn)]
             want.append(row)
         got = algebra.classical_table(a, radii, angles)
         assert [[_bits(z) for z in row] for row in got] == [[_bits(z) for z in row] for row in want]
-        assert algebra.classical_eval(a, radii[1], angles[3]) == want[1][3]
         with pytest.raises(DomainError, match="nonnegative"):
             algebra.classical_table(a, [1.0, -1e-300], angles)
 
