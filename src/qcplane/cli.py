@@ -208,6 +208,14 @@ def _defect_json(value):
     return float(value)
 
 
+def _defect_rows(rel: qnormal.RelationReport, cov: dict, pol: qnormal.PolarReport) -> dict:
+    return {"relation": {"interior": _defect_json(rel.interior_defect),
+                         "boundary": _defect_json(rel.boundary_defect)},
+            "covariance": {name: _defect_json(d) for name, d in cov.items()},
+            "polar": {"reconstruction": _defect_json(pol.reconstruction_defect),
+                      "kernel": _defect_json(pol.kernel_defect)}}
+
+
 def _measure(cfg: RunConfig) -> qspace.QInvariantMeasure:
     return qspace.uniform_measure(cfg.q, cfg.generators, zero_mass=cfg.zero_mass)
 
@@ -243,23 +251,22 @@ def cmd_simulate(cfg: RunConfig) -> dict:
     for w in windows:
         T = qnormal.build(mu, None, w, exact=cfg.exact_mode)
         rel = qnormal.verify_relation(T)
-        cov = {name: qnormal.verify_covariance(T, f) for name, f in family.items()}
+        # gated and absolute defect per member; they differ only on a float model
+        cov, cov_abs = {}, {}
+        for name, f in family.items():
+            cov[name], cov_abs[name] = qnormal.covariance_defects(T, f)
         pol = qnormal.polar_check(T)
         interiors = {"relation": rel.interior_defect, **cov,
                      "polar": pol.reconstruction_defect, "kernel": pol.kernel_defect}
+        measure = "defect" if T.exact else "relative gap"
         for name, d in interiors.items():
             worst = max(worst, float(d))
             if not _passes(d, cfg.tolerance):
-                failures.append(f"{name} defect {float(d)} at window [{w.n_min}, {w.n_max}]")
-        rows.append({
-            "window": [w.n_min, w.n_max],
-            "dimension": T.dim,
-            "relation": {"interior": _defect_json(rel.interior_defect),
-                         "boundary": _defect_json(rel.boundary_defect)},
-            "covariance": {name: _defect_json(d) for name, d in cov.items()},
-            "polar": {"reconstruction": _defect_json(pol.reconstruction_defect),
-                      "kernel": _defect_json(pol.kernel_defect)},
-        })
+                failures.append(f"{name} {measure} {float(d)} at window [{w.n_min}, {w.n_max}]")
+        row = {"window": [w.n_min, w.n_max], "dimension": T.dim, **_defect_rows(rel, cov, pol)}
+        if not T.exact:
+            row["absolute"] = _defect_rows(rel.absolute, cov_abs, pol.absolute)
+        rows.append(row)
         if cfg.spectra_out and w is windows[0]:
             with _open_out(cfg.spectra_out, newline="") as fh:
                 qnormal.spectra_to_csv(T, fh)
@@ -424,7 +431,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--q", help="deformation ratio as p/r")
         p.add_argument("--window", nargs=2, type=int, metavar=("N_MIN", "N_MAX"))
-        p.add_argument("--tol", type=float, help="verification tolerance")
+        p.add_argument("--tol", type=float,
+                       help="verification tolerance on float values (default 1e-12): the "
+                            "relative gap of each identity for simulate, the absolute "
+                            "defect for bott and limit; exact values must be 0")
         p.add_argument("--exact", action="store_const", const=True, default=None,
                        help="exact-rational mode")
         p.add_argument("--float", dest="exact", action="store_const", const=False,

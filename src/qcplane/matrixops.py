@@ -30,6 +30,9 @@ import numpy as np
 from .scalars import RationalComplex, exact_magnitude
 
 
+_TINY = np.finfo(float).smallest_subnormal
+
+
 def _ints(n: int, value: int) -> np.ndarray:
     return np.zeros(n, dtype=object) if value == 0 else np.array([value] * n, dtype=object)
 
@@ -288,6 +291,22 @@ class Band:
         """Rows i whose entry (i, i + d) lies inside the matrix."""
         return np.arange(max(0, -d), min(self.dim, self.dim - d))
 
+    def _kept_rows(self, keep, offsets=None) -> dict:
+        """Offset d -> the rows i of its entries (i, i + d) with i and i + d in keep.
+
+        The offsets are the stored ones unless given.
+        """
+        offsets = self._diags if offsets is None else offsets
+        if keep is None:
+            return {d: self._rows(d) for d in offsets}
+        kept = np.zeros(self.dim, dtype=bool)
+        kept[np.asarray(list(keep), dtype=int)] = True
+        out = {}
+        for d in offsets:
+            r = self._rows(d)
+            out[d] = r[kept[r] & kept[r + d]]
+        return out
+
     def dense(self) -> np.ndarray:
         n = self.dim
         out = np.zeros(n * n, dtype=object if self.exact else complex)
@@ -333,17 +352,15 @@ class Band:
                         if m * scale > best * den:
                             best, scale = m, den
             return Fraction(best, scale)
-        kept = np.ones(self.dim, dtype=bool)
-        if keep is not None:
-            kept[:] = False
-            kept[np.asarray(list(keep), dtype=int)] = True
+        return self._float_norm(self._kept_rows(keep))
+
+    def _float_norm(self, kept: dict) -> float:
+        """2-norm of a float band's entries on the rows of :meth:`_kept_rows`."""
         rows, cols, vals = [], [], []
-        for d, v in self._diags.items():
-            r = self._rows(d)
-            r = r[kept[r] & kept[r + d]]
+        for d, r in kept.items():
             rows.append(r)
             cols.append(r + d)
-            vals.append(v[r])
+            vals.append(self._diags[d][r])
         vals = np.concatenate(vals) if vals else np.zeros(0, dtype=complex)
         if not np.isfinite(vals).all():
             # an overflowed entry: report an unbounded norm, never a small one
@@ -356,6 +373,33 @@ class Band:
             return 0.0
         return _block_norm(np.concatenate(rows)[nonzero], np.concatenate(cols)[nonzero],
                            vals[nonzero], self.dim)
+
+    def gap(self, other: "Band", keep=None) -> tuple[float, float]:
+        """(absolute, relative) gap between float bands L = self and R = other, compressed to keep.
+
+        absolute is (L - R).norm(keep).  relative is the largest |L - R| / (|L| + |R|)
+        over the kept entries, an entry where both sides are 0 counting 0.  When
+        each entry of L and of R is one rounded product, |L| + |R| is the
+        componentwise bound of Higham (Accuracy and Stability of Numerical
+        Algorithms, 2002, 3.5) on its rounding error, so a correct identity reads
+        a few units of roundoff whatever the size of its entries.  A non-finite
+        kept entry of either side, or a scale |L| + |R| past float range, makes
+        both inf, never small, as in :meth:`norm`; no arithmetic warning is raised.
+        """
+        self._check(other)
+        kept = self._kept_rows(keep, self._diags.keys() | other._diags.keys())
+        worst = largest = 0.0
+        for d, r in kept.items():
+            a, b = self.diagonal(d)[r], other.diagonal(d)[r]
+            with np.errstate(over="ignore", invalid="ignore"):   # inf and nan are caught next
+                scale = np.abs(a) + np.abs(b)
+            if not np.isfinite(scale).all():
+                return float("inf"), float("inf")
+            diff = np.abs(a - b)
+            # a zero scale has a zero difference: dividing by the least float keeps it 0
+            worst = max(worst, float((diff / np.maximum(scale, _TINY)).max(initial=0.0)))
+            largest = max(largest, float(diff.max(initial=0.0)))
+        return (largest if len(kept) <= 1 else (self - other)._float_norm(kept)), worst
 
 
 def _block_norm(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, dim: int) -> float:

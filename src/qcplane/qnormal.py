@@ -9,6 +9,8 @@ truncated to a partial isometry.  All three are stored as bands
 (``matrixops.Band``): modulus on offset 0, u and zeta on offset n_gens.  The
 defining identities hold exactly away from the window boundary, and the
 verification ops below compress to that interior before measuring defects.
+A float model's defects are gated as relative gaps (``Band.gap``), since its
+entries grow like (1/q)**|n| across the window; the absolute ones ride along.
 """
 
 from __future__ import annotations
@@ -112,14 +114,20 @@ class LevelGrid(Sequence):
 
 @dataclass(frozen=True)
 class RelationReport:
+    """Gated defects; a float model's are relative gaps, with the absolute ones beside them."""
+
     interior_defect: object
     boundary_defect: object
+    absolute: "RelationReport | None" = None
 
 
 @dataclass(frozen=True)
 class PolarReport:
+    """Gated defects; a float model's are relative gaps, with the absolute ones beside them."""
+
     reconstruction_defect: object
     kernel_defect: object
+    absolute: "PolarReport | None" = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -264,8 +272,24 @@ def build(mu: QInvariantMeasure, X: SpectralSet | None, window: TruncationWindow
     return build_from_generators(mu.q, gens, window, weights, mu.zero_mass, exact)
 
 
+def _defects(T: TruncatedQNormal, lhs: mo.Band, rhs: mo.Band, keep=None) -> tuple:
+    """(gated, absolute) defect of lhs = rhs compressed to keep.
+
+    An exact model's defect is the largest entry of |lhs - rhs|, gated and
+    absolute alike.  A float model is gated on the relative gap of
+    ``Band.gap``: every band of the model has one diagonal, so each entry of
+    either side is a single rounded product, and a correct identity reads a
+    few units of roundoff however large |zeta| grows across the window.
+    """
+    if T.exact:
+        d = (lhs - rhs).norm(keep)
+        return d, d
+    absolute, relative = lhs.gap(rhs, keep)
+    return relative, absolute
+
+
 def verify_relation(T: TruncatedQNormal, pad: int = 1) -> RelationReport:
-    """Defect of zeta zeta* = q**2 zeta* zeta, interior and full-window.
+    """Defect of zeta zeta* = q**2 zeta* zeta, interior and full-window, gated as in _defects.
 
     A float model with an entry of |zeta| above sqrt(float max) is refused
     before any product is formed, since its square leaves float range.
@@ -278,8 +302,10 @@ def verify_relation(T: TruncatedQNormal, pad: int = 1) -> RelationReport:
     zs = T.zeta_band.adjoint()
     p, r = T.q.as_integer_ratio()
     q2 = Fraction(p * p, r * r) if T.exact else float(T.q) ** 2
-    D = T.zeta_band @ zs - (zs @ T.zeta_band).scale(q2)
-    return RelationReport(D.norm(T.interior_indices(pad)), D.norm())
+    lhs, rhs = T.zeta_band @ zs, (zs @ T.zeta_band).scale(q2)
+    inner, inner_abs = _defects(T, lhs, rhs, T.interior_indices(pad))
+    whole, whole_abs = _defects(T, lhs, rhs)
+    return RelationReport(inner, whole, None if T.exact else RelationReport(inner_abs, whole_abs))
 
 
 def _indicator_mask(T: TruncatedQNormal, interval: Interval, factor: Fraction) -> np.ndarray:
@@ -360,11 +386,15 @@ def shift(T: TruncatedQNormal, k: int) -> mo.Band:
     return T.u_band.power(k)
 
 
-def verify_covariance(T: TruncatedQNormal, f: CoefficientFunction, pad: int = 1):
-    """Interior defect of u f(modulus) u* = f(q modulus)."""
+def covariance_defects(T: TruncatedQNormal, f: CoefficientFunction, pad: int = 1) -> tuple:
+    """(gated, absolute) interior defect of u f(modulus) u* = f(q modulus)."""
     lhs = T.u_band @ spectral_band(T, f) @ T.u_band.adjoint()
-    rhs = spectral_band(T, f, T.q)
-    return (lhs - rhs).norm(T.interior_indices(pad))
+    return _defects(T, lhs, spectral_band(T, f, T.q), T.interior_indices(pad))
+
+
+def verify_covariance(T: TruncatedQNormal, f: CoefficientFunction, pad: int = 1):
+    """The gated interior defect of u f(modulus) u* = f(q modulus), as in _defects."""
+    return covariance_defects(T, f, pad)[0]
 
 
 _AT_ORIGIN = IndicatorCoefficient(Interval.point(0))
@@ -372,10 +402,12 @@ _AT_ORIGIN = IndicatorCoefficient(Interval.point(0))
 
 def polar_check(T: TruncatedQNormal) -> PolarReport:
     """zeta = u modulus, with zeta and u built apart; u must kill the kernel slot."""
-    rec = (T.zeta_band - T.u_band @ T.modulus_band).norm()
-    # chi_{0}(modulus) projects onto the kernel slot, if any: u's kernel column
-    kernel = spectral_band(T, _AT_ORIGIN)
-    return PolarReport(rec, (T.u_band @ kernel).norm())
+    rec, rec_abs = _defects(T, T.zeta_band, T.u_band @ T.modulus_band)
+    # chi_{0}(modulus) projects onto the kernel slot, if any: u's kernel column,
+    # against 0, so a float model's relative gap is 1 at any nonzero entry
+    column = T.u_band @ spectral_band(T, _AT_ORIGIN)
+    kernel, kernel_abs = _defects(T, column, mo.Band(T.dim, T.exact))
+    return PolarReport(rec, kernel, None if T.exact else PolarReport(rec_abs, kernel_abs))
 
 
 def spectra_to_csv(T: TruncatedQNormal, stream) -> None:

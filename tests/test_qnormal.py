@@ -1,13 +1,17 @@
 import dataclasses
 import io
+import json
+import math
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import helpers
 import qcplane.matrixops as mo
-from qcplane import algebra, qnormal, qspace, represent
+from qcplane import algebra, cli, qnormal, qspace, represent
 from qcplane.algebra import IndicatorCoefficient, RationalCoefficient
 from qcplane.errors import ConfigurationError, DomainError, EvaluationError
 from qcplane.qnormal import TruncationWindow
@@ -262,7 +266,8 @@ def test_polar_kernel_defect_float_is_column_norm(kernel_measure):
     one[k - 1], two[k - 2] = 3, 4j
     bad_u = T.u_band + mo.Band(T.dim, False, {1: one, 2: two})
     bad = qnormal.polar_check(dataclasses.replace(T, u_band=bad_u))
-    assert bad.kernel_defect == 5.0
+    # gated on the relative gap against 0, which any nonzero entry makes 1
+    assert bad.absolute.kernel_defect == 5.0 and bad.kernel_defect == 1.0
     exact = qnormal.polar_check(dataclasses.replace(
         qnormal.build(kernel_measure, None, TruncationWindow(-3, 3), exact=True),
         u_band=mo.Band(T.dim, True, {1: np.array([Fraction(3) * (i == k - 1)
@@ -522,3 +527,114 @@ def test_exact_band_work_does_no_fraction_arithmetic(monkeypatch):
             for i in range(T.dim) if k == 0 else range(max(0, -d), min(n, n - d)):
                 want[i, i + d] = f.eval_exact(points[i])
         assert all(x == y for x, y in zip(band.dense().flat, want.flat))
+
+
+# u, the unit of roundoff as machine epsilon
+U = np.finfo(float).eps
+GATE = 1e-12
+
+
+def _q_family(q: Fraction) -> list:
+    """The covariance members of ``qcplane simulate``, all of which see q through f(q |zeta|)."""
+    return [RationalCoefficient(T_VAR), RationalCoefficient(T_VAR * T_VAR),
+            IndicatorCoefficient(Interval.open_closed(q, 1)),
+            RationalCoefficient(1 / (1 + T_VAR * T_VAR))]
+
+
+@pytest.mark.parametrize("q", ["1/2", "2/3", "3/7"])
+@pytest.mark.parametrize("h", [8, 30, 150])
+@pytest.mark.parametrize("gens, zero_mass", [(["1"], 0), (["1", "5/7"], 1)])
+def test_a_moved_q_fails_the_float_gate_and_the_true_q_passes(q, h, gens, zero_mass):
+    # |zeta|**2 reaches (1/q)**(2h), up to 1e110 here: the absolute defect of a
+    # correct model is huge, its relative gap a few units of roundoff
+    T = qnormal.build_from_generators(q, gens, TruncationWindow(-h, h), zero_mass=zero_mass)
+    moved = dataclasses.replace(T, q=T.q + Fraction(1, 10 ** 9))
+    rel, rel_moved = qnormal.verify_relation(T), qnormal.verify_relation(moved)
+    assert rel.interior_defect <= 4 * U
+    assert rel_moved.interior_defect > GATE
+    for f in _q_family(T.q):
+        assert qnormal.verify_covariance(T, f) <= 4 * U
+        assert qnormal.verify_covariance(moved, f) > GATE
+    # zeta = u |zeta| does not involve q: it holds exactly either way
+    for pol in (qnormal.polar_check(T), qnormal.polar_check(moved)):
+        assert pol.reconstruction_defect == pol.kernel_defect == 0.0
+
+
+@pytest.mark.parametrize("q", ["1/2", "2/3", "3/7"])
+def test_correct_float_simulate_runs_pass_up_to_wide_windows(q, capsys):
+    for h in (8, 30, 75, 150):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["simulate", "--q", q, "--window", str(-h), str(h)])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 0 and report["passed"] is True, (q, h, report.get("failure"))
+        assert report["max_interior_defect"] <= 4 * U
+        row = report["windows"][0]
+        assert set(row["absolute"]) == {"relation", "covariance", "polar"}
+        assert set(row["absolute"]["covariance"]) == set(row["covariance"])
+
+
+def _float_band(dim: int, values) -> mo.Band:
+    return mo.Band(dim, False, {0: np.array(values, dtype=complex)})
+
+
+def test_gap_is_relative_entry_by_entry_and_warning_free():
+    L = _float_band(4, [0, 1e200, 3, 1])
+    R = _float_band(4, [0, 1e200 * (1 + U), 1, 1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        absolute, relative = L.gap(R)
+        assert L.gap(L) == (0.0, 0.0)
+        # both sides 0 everywhere, also with a band that stores no diagonal
+        assert _float_band(4, [0] * 4).gap(mo.Band(4, False)) == (0.0, 0.0)
+    assert absolute == abs(1e200 - 1e200 * (1 + U))
+    assert relative == 0.5   # |3 - 1| / (3 + 1) beats the 1e200 entries' u / 2
+    assert L.gap(R, [0, 1]) == (absolute, pytest.approx(U / 2, rel=1e-6))
+    # against 0 every nonzero entry is wholly wrong
+    assert L.gap(mo.Band(4, False)) == (1e200, 1.0)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(0, np.inf)])
+def test_gap_of_an_overflowed_side_is_inf(bad):
+    good = _float_band(3, [1, 2, 3])
+    worse = _float_band(3, [1, bad, 3])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for L, R in ((good, worse), (worse, good), (worse, worse)):
+            absolute, relative = L.gap(R)
+            assert relative == math.inf and absolute == math.inf
+        # outside the kept rows the overflow is not seen
+        assert good.gap(worse, [0, 2]) == (0.0, 0.0)
+        # finite sides whose scale |L| + |R| overflows give inf too
+        big = _float_band(3, [1, 1e308, 3])
+        assert big.gap(big)[1] == math.inf
+
+
+def test_float_band_lies_within_a_few_roundoffs_of_the_exact_band_rounded_once():
+    # each float entry f_k(t) is Horner's scheme on the rounded point: it must
+    # lie within a few u |f_k(t)| of the exact value rounded once; a model built
+    # on a q moved by 1e-9 moves its points, and its entries, far past that
+    rng = random.Random(11)
+    bound = 16 * U
+    for q in ("1/2", "2/3", "3/7"):
+        moved_q = Fraction(q) + Fraction(1, 10 ** 9)
+        for h in (8, 30, 60):
+            exact = qnormal.build_from_generators(q, ["1", "5/6"], TruncationWindow(-h, h),
+                                                  zero_mass=1, exact=True)
+            T = qnormal.build_from_generators(q, ["1", "5/6"], TruncationWindow(-h, h),
+                                              zero_mass=1)
+            moved = qnormal.build_from_generators(moved_q, ["1", "5/6"],
+                                                  TruncationWindow(-h, h), zero_mass=1)
+            for _ in range(3):
+                a = helpers.random_element(rng, q)
+                want = represent.represent_band(a, exact).as_float()
+                got = represent.represent_band(a, T)
+                off = represent.represent_band(algebra.element(moved_q, dict(a.terms)), moved)
+                assert sorted(got.diags) == sorted(want.diags)
+                worst_moved = 0.0
+                for d, w in want.diags.items():
+                    assert np.all(np.abs(got.diags[d] - w) <= bound * np.abs(w)), (q, h, d)
+                    nonzero = w != 0
+                    worst_moved = max(worst_moved, float(np.max(
+                        np.abs(off.diags[d] - w)[nonzero] / np.abs(w[nonzero]), initial=0.0)))
+                assert worst_moved > bound, (q, h)
