@@ -254,7 +254,7 @@ def cmd_simulate(cfg: RunConfig) -> dict:
         # gated and absolute defect per member; they differ only on a float model
         cov, cov_abs = {}, {}
         for name, f in family.items():
-            cov[name], cov_abs[name] = qnormal.covariance_defects(T, f)
+            cov[name], cov_abs[name] = qnormal.verify_covariance(T, f, with_absolute=True)
         pol = qnormal.polar_check(T)
         interiors = {"relation": rel.interior_defect, **cov,
                      "polar": pol.reconstruction_defect, "kernel": pol.kernel_defect}

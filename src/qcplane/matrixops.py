@@ -291,18 +291,14 @@ class Band:
         """Rows i whose entry (i, i + d) lies inside the matrix."""
         return np.arange(max(0, -d), min(self.dim, self.dim - d))
 
-    def _kept_rows(self, keep, offsets=None) -> dict:
-        """Offset d -> the rows i of its entries (i, i + d) with i and i + d in keep.
-
-        The offsets are the stored ones unless given.
-        """
-        offsets = self._diags if offsets is None else offsets
+    def _kept_rows(self, keep) -> dict:
+        """Stored offset d -> the rows i of its entries (i, i + d) with i and i + d in keep."""
         if keep is None:
-            return {d: self._rows(d) for d in offsets}
+            return {d: self._rows(d) for d in self._diags}
         kept = np.zeros(self.dim, dtype=bool)
         kept[np.asarray(list(keep), dtype=int)] = True
         out = {}
-        for d in offsets:
+        for d in self._diags:
             r = self._rows(d)
             out[d] = r[kept[r] & kept[r + d]]
         return out
@@ -386,20 +382,20 @@ class Band:
         kept entry of either side, or a scale |L| + |R| past float range, makes
         both inf, never small, as in :meth:`norm`; no arithmetic warning is raised.
         """
-        self._check(other)
-        kept = self._kept_rows(keep, self._diags.keys() | other._diags.keys())
-        worst = largest = 0.0
+        # inf and nan are caught by the scale test below
+        with np.errstate(over="ignore", invalid="ignore"):
+            D = self - other
+        kept = D._kept_rows(keep)
+        worst = 0.0
         for d, r in kept.items():
-            a, b = self.diagonal(d)[r], other.diagonal(d)[r]
-            with np.errstate(over="ignore", invalid="ignore"):   # inf and nan are caught next
-                scale = np.abs(a) + np.abs(b)
+            with np.errstate(over="ignore", invalid="ignore"):
+                scale = np.abs(self.diagonal(d)[r]) + np.abs(other.diagonal(d)[r])
             if not np.isfinite(scale).all():
                 return float("inf"), float("inf")
-            diff = np.abs(a - b)
             # a zero scale has a zero difference: dividing by the least float keeps it 0
+            diff = np.abs(D._diags[d][r])
             worst = max(worst, float((diff / np.maximum(scale, _TINY)).max(initial=0.0)))
-            largest = max(largest, float(diff.max(initial=0.0)))
-        return (largest if len(kept) <= 1 else (self - other)._float_norm(kept)), worst
+        return D._float_norm(kept), worst
 
 
 def _block_norm(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, dim: int) -> float:

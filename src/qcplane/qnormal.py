@@ -272,20 +272,20 @@ def build(mu: QInvariantMeasure, X: SpectralSet | None, window: TruncationWindow
     return build_from_generators(mu.q, gens, window, weights, mu.zero_mass, exact)
 
 
-def _defects(T: TruncatedQNormal, lhs: mo.Band, rhs: mo.Band, keep=None) -> tuple:
-    """(gated, absolute) defect of lhs = rhs compressed to keep.
+def _defects(T: TruncatedQNormal, lhs: mo.Band, rhs: mo.Band, keeps=(None,)) -> list:
+    """(gated, absolute) defect of lhs = rhs compressed to each keep set in keeps.
 
     An exact model's defect is the largest entry of |lhs - rhs|, gated and
-    absolute alike.  A float model is gated on the relative gap of
-    ``Band.gap``: every band of the model has one diagonal, so each entry of
-    either side is a single rounded product, and a correct identity reads a
-    few units of roundoff however large |zeta| grows across the window.
+    absolute alike, with lhs - rhs formed once.  A float model is gated on
+    the relative gap of ``Band.gap``: every band of the model has one
+    diagonal, so each entry of either side is a single rounded product, and a
+    correct identity reads a few units of roundoff however large |zeta| grows
+    across the window.
     """
     if T.exact:
-        d = (lhs - rhs).norm(keep)
-        return d, d
-    absolute, relative = lhs.gap(rhs, keep)
-    return relative, absolute
+        D = lhs - rhs
+        return [(D.norm(keep),) * 2 for keep in keeps]
+    return [lhs.gap(rhs, keep)[::-1] for keep in keeps]   # gap gives (absolute, relative)
 
 
 def verify_relation(T: TruncatedQNormal, pad: int = 1) -> RelationReport:
@@ -303,8 +303,8 @@ def verify_relation(T: TruncatedQNormal, pad: int = 1) -> RelationReport:
     p, r = T.q.as_integer_ratio()
     q2 = Fraction(p * p, r * r) if T.exact else float(T.q) ** 2
     lhs, rhs = T.zeta_band @ zs, (zs @ T.zeta_band).scale(q2)
-    inner, inner_abs = _defects(T, lhs, rhs, T.interior_indices(pad))
-    whole, whole_abs = _defects(T, lhs, rhs)
+    keeps = (T.interior_indices(pad), None)
+    (inner, inner_abs), (whole, whole_abs) = _defects(T, lhs, rhs, keeps)
     return RelationReport(inner, whole, None if T.exact else RelationReport(inner_abs, whole_abs))
 
 
@@ -386,15 +386,15 @@ def shift(T: TruncatedQNormal, k: int) -> mo.Band:
     return T.u_band.power(k)
 
 
-def covariance_defects(T: TruncatedQNormal, f: CoefficientFunction, pad: int = 1) -> tuple:
-    """(gated, absolute) interior defect of u f(modulus) u* = f(q modulus)."""
+def verify_covariance(T: TruncatedQNormal, f: CoefficientFunction, pad: int = 1,
+                      with_absolute: bool = False):
+    """Gated interior defect of u f(modulus) u* = f(q modulus), as in _defects.
+
+    with_absolute returns the pair (gated, absolute) from the same two sides.
+    """
     lhs = T.u_band @ spectral_band(T, f) @ T.u_band.adjoint()
-    return _defects(T, lhs, spectral_band(T, f, T.q), T.interior_indices(pad))
-
-
-def verify_covariance(T: TruncatedQNormal, f: CoefficientFunction, pad: int = 1):
-    """The gated interior defect of u f(modulus) u* = f(q modulus), as in _defects."""
-    return covariance_defects(T, f, pad)[0]
+    (gated, absolute), = _defects(T, lhs, spectral_band(T, f, T.q), (T.interior_indices(pad),))
+    return (gated, absolute) if with_absolute else gated
 
 
 _AT_ORIGIN = IndicatorCoefficient(Interval.point(0))
@@ -402,11 +402,11 @@ _AT_ORIGIN = IndicatorCoefficient(Interval.point(0))
 
 def polar_check(T: TruncatedQNormal) -> PolarReport:
     """zeta = u modulus, with zeta and u built apart; u must kill the kernel slot."""
-    rec, rec_abs = _defects(T, T.zeta_band, T.u_band @ T.modulus_band)
+    (rec, rec_abs), = _defects(T, T.zeta_band, T.u_band @ T.modulus_band)
     # chi_{0}(modulus) projects onto the kernel slot, if any: u's kernel column,
     # against 0, so a float model's relative gap is 1 at any nonzero entry
     column = T.u_band @ spectral_band(T, _AT_ORIGIN)
-    kernel, kernel_abs = _defects(T, column, mo.Band(T.dim, T.exact))
+    (kernel, kernel_abs), = _defects(T, column, mo.Band(T.dim, T.exact))
     return PolarReport(rec, kernel, None if T.exact else PolarReport(rec_abs, kernel_abs))
 
 
