@@ -44,6 +44,7 @@ class RunConfig:
     window_given: bool
     windows_sweep: tuple[TruncationWindow, ...] | None
     tolerance: float
+    tolerance_given: bool
     exact_mode: bool
     elements: tuple[str, ...]
     seed: int
@@ -110,7 +111,7 @@ def load_config(path: str | None, overrides: argparse.Namespace) -> RunConfig:
                       ("exact", "exact_mode"), ("element", "elements"), ("seed", "seed")):
         if getattr(overrides, flag, None) is not None:
             data[key], flags[key] = getattr(overrides, flag), f"--{flag}"
-    window_given = "window" in data
+    window_given, tolerance_given = "window" in data, "tolerance" in data
 
     def pick(key, default, convert):
         try:
@@ -164,8 +165,8 @@ def load_config(path: str | None, overrides: argparse.Namespace) -> RunConfig:
         raise ConfigurationError("zero_mass must be nonnegative")
 
     return RunConfig(q, generators, zero_mass, window, window_given, sweep, tolerance,
-                     exact_mode, elements, seed, bott_n, bott_signs, sample_range,
-                     bool(getattr(overrides, "perturb", False)), limit_pairs,
+                     tolerance_given, exact_mode, elements, seed, bott_n, bott_signs,
+                     sample_range, bool(getattr(overrides, "perturb", False)), limit_pairs,
                      limit_grid, getattr(overrides, "out", None),
                      getattr(overrides, "spectra_out", None))
 
@@ -294,6 +295,9 @@ def cmd_norm(cfg: RunConfig) -> dict:
     if cfg.window_given:
         raise ConfigurationError("norm sweeps the windows of windows_sweep; "
                                  "--window and the window key have no effect on it")
+    if cfg.tolerance_given:
+        raise ConfigurationError("norm reports estimates and gates nothing; "
+                                 "--tol and the tolerance key have no effect on it")
     if cfg.exact_mode:
         raise ConfigurationError("norm estimates are float; it takes no --exact or exact_mode")
     mu = _measure(cfg)
@@ -434,7 +438,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=float,
                        help="verification tolerance on float values (default 1e-12): the "
                             "relative gap of each identity for simulate, the absolute "
-                            "defect for bott and limit; exact values must be 0")
+                            "defect for bott and limit; exact values must be 0; norm "
+                            "takes none")
         p.add_argument("--exact", action="store_const", const=True, default=None,
                        help="exact-rational mode")
         p.add_argument("--float", dest="exact", action="store_const", const=False,

@@ -8,9 +8,12 @@ part of its lead positive; exactly ``_ONE`` if constant), its content in num.
 The two are not reduced against each other; ``equals`` compares cross
 products.  The variable is real, and ``evaluate`` takes a rational point.
 
-A product by a constant scales coefficients and two real factors make one
-convolution.  The rescaling f(p/r t) multiplies num and den by one weight
-table p^k r^(n-k), n the larger degree, whose common r^n cancels.
+A real polynomial keeps an all-zero im of re's length.  Each kernel step
+tests once whether its operands are real and then skips im, writing back that
+zero tuple: two real factors make one convolution, a real pair is its own
+conjugate.  A product by a constant scales coefficients.  The rescaling
+f(p/r t) multiplies num and den by one weight table p^k r^(n-k), n the larger
+degree, whose common r^n cancels.
 """
 
 from __future__ import annotations
@@ -37,16 +40,16 @@ MAX_POWER_DEGREE = 1000
 MAX_POWER_BITS = 1 << 16
 
 
-def _canon(re: list[int], im: list[int], d: int) -> Poly:
-    """The canonical triple of (re + i im) / d, for d > 0."""
-    n = len(re)
-    while n and not re[n - 1] and not im[n - 1]:
+def _canon(re: list[int], im: list[int] | tuple[int, ...], d: int) -> Poly:
+    """The canonical triple of (re + i im) / d, for d > 0; an all-zero im may be ()."""
+    n, real = len(re), not any(im)
+    while n and not re[n - 1] and (real or not im[n - 1]):
         n -= 1
-    re, im = re[:n], im[:n]
-    g = math.gcd(d, *re, *im)
+    re, im = re[:n], (0,) * n if real else tuple(im[:n])
+    g = math.gcd(d, *re) if real else math.gcd(d, *re, *im)
     if g > 1:
-        return tuple([c // g for c in re]), tuple([c // g for c in im]), d // g
-    return tuple(re), tuple(im), d
+        return tuple([c // g for c in re]), im if real else tuple([c // g for c in im]), d // g
+    return tuple(re), im, d
 
 
 def _poly(raw) -> Poly:
@@ -68,8 +71,10 @@ def _p_add(a: Poly, b: Poly) -> Poly:
     (ar, ai, da), (br, bi, db) = a, b
     g = math.gcd(da, db)
     sa, sb = db // g, da // g
-    return _canon([x * sa + y * sb for x, y in zip_longest(ar, br, fillvalue=0)],
-                  [x * sa + y * sb for x, y in zip_longest(ai, bi, fillvalue=0)], da * sa)
+    re = [x * sa + y * sb for x, y in zip_longest(ar, br, fillvalue=0)]
+    if not any(ai) and not any(bi):
+        return _canon(re, (), da * sa)
+    return _canon(re, [x * sa + y * sb for x, y in zip_longest(ai, bi, fillvalue=0)], da * sa)
 
 
 def _conv(out: list[int], x: tuple[int, ...], y: tuple[int, ...]) -> list[int]:
@@ -93,14 +98,20 @@ def _p_mul(a: Poly, b: Poly) -> Poly:
     if len(a[0]) > len(b[0]):
         a, b = b, a
     (ar, ai, da), (br, bi, db) = a, b
+    real = not any(ai) and not any(bi)
     if len(ar) <= 1:   # a is a constant, or zero
         if not ar:
             return a
         cr, ci = ar[0], ai[0]
+        if real:
+            return _canon([cr * x for x in br], (), da * db)
         return _canon([cr * x - ci * y for x, y in zip(br, bi)],
                       [cr * y + ci * x for x, y in zip(br, bi)], da * db)
     size = len(ar) + len(br) - 1
-    re, im = _conv([0] * size, ar, br), [0] * size
+    re = _conv([0] * size, ar, br)
+    if real:
+        return _canon(re, (), da * db)
+    im = [0] * size
     if any(ai):
         _conv(im, ai, br)
         if any(bi):
@@ -125,15 +136,18 @@ def _f_argscale(a: Pair, p: int, r: int) -> Pair:
     (nr, ni, d), (dr, di, _) = a
     if not nr:
         return a
-    n = max(len(nr), len(dr)) - 1
-    w = [p ** k * r ** (n - k) for k in range(n + 1)]
+    n, real = max(len(nr), len(dr)) - 1, not any(ni) and not any(di)
+    w = [r ** n]
+    for _ in range(n):   # p^k r^(n-k) from its predecessor
+        w.append(w[-1] // r * p)
 
     def scaled(cs: tuple[int, ...]) -> tuple[int, ...]:
         return tuple([c * x for c, x in zip(cs, w)])
 
+    num_im = () if real else scaled(ni)
     if a[1] == _ONE:
-        return _canon(scaled(nr), scaled(ni), d * w[0]), _ONE
-    return _normal(_canon(scaled(nr), scaled(ni), d), (scaled(dr), scaled(di), 1))
+        return _canon(scaled(nr), num_im, d * w[0]), _ONE
+    return _normal(_canon(scaled(nr), num_im, d), (scaled(dr), di if real else scaled(di), 1))
 
 
 def _normal(num: Poly, den: Poly) -> Pair:
@@ -141,14 +155,19 @@ def _normal(num: Poly, den: Poly) -> Pair:
     re, im, d = den
     if not num[0] or den == _ONE:
         return num, _ONE
-    if len(re) == 1:
-        return _p_mul(num, _canon([d * re[0]], [-d * im[0]], re[0] ** 2 + im[0] ** 2)), _ONE
-    g, s = math.gcd(*re, *im), 1 if (re[-1] or im[-1]) > 0 else -1
+    real = not any(im)
+    if len(re) == 1:   # 1 / den is d / c, canonical as sign(c) d / |c| when c is real
+        c = re[0]
+        if real:
+            return _p_mul(num, ((d if c > 0 else -d,), (0,), abs(c))), _ONE
+        return _p_mul(num, _canon([d * c], [-d * im[0]], c ** 2 + im[0] ** 2)), _ONE
+    g = math.gcd(*re) if real else math.gcd(*re, *im)
+    s = 1 if (re[-1] or im[-1]) > 0 else -1
     if g == s == d == 1:
         return num, den
     sg = s * g
     return (_p_mul(num, ((s * d,), (0,), g)),
-            (tuple([c // sg for c in re]), tuple([c // sg for c in im]), 1))
+            (tuple([c // sg for c in re]), im if real else tuple([c // sg for c in im]), 1))
 
 
 def _f_add(a: Pair, b: Pair) -> Pair:
@@ -164,6 +183,8 @@ def _f_neg(a: Pair) -> Pair:
 
 def _f_conj(a: Pair) -> Pair:
     (nr, ni, dn), (dr, di, dd) = a
+    if not any(ni) and not any(di):
+        return a
     return _normal((nr, tuple([-c for c in ni]), dn), (dr, tuple([-c for c in di]), dd))
 
 

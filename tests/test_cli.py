@@ -219,6 +219,19 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert code == 0 and json.loads(out)["tolerance"] == 1e-10
 
 
+def test_norm_refuses_a_tolerance_it_would_not_read(tmp_path, capsys):
+    # norm gates nothing, so --tol or the tolerance key would have no effect
+    cfgfile = tmp_path / "cfg.json"
+    for argv, cfg in ((["--tol", "1e-9"], {}), ([], {"tolerance": 1e-9}),
+                      (["--tol", "1e-300"], {"windows_sweep": [[-3, 3]]})):
+        cfgfile.write_text(json.dumps(cfg))
+        assert cli.main(["norm", "--element", "t@1", "--config", str(cfgfile), *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--tol and the tolerance key" in captured.err, argv
+    cfgfile.write_text(json.dumps({"windows_sweep": [[-3, 3]]}))
+    assert cli.main(["norm", "--element", "t@1", "--config", str(cfgfile)]) == 0
+
+
 def test_config_validation_errors(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"generators": ["1/3"]}))

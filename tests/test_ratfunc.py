@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -9,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcplane import qnormal, ratfunc
+import helpers
+from qcplane import algebra, qnormal, ratfunc
 from qcplane.errors import DomainError, EvaluationError
 from qcplane.qnormal import TruncationWindow
 from qcplane.ratfunc import RationalFunction
@@ -591,3 +593,172 @@ def test_p_mul_paths_match_the_schoolbook_product():
         assert got == _p_mul_oracle(a, b) == ratfunc._p_mul(b, a), (a, b)
         seen.add((min(len(a[0]), len(b[0])) <= 1, not any(a[1]) and not any(b[1])))
     assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+# The pair kernel as it was before its real path: every step carries im
+# through, zero or not.  The kernel must return the very same pairs.
+
+def _ref_canon(re, im, d):
+    n = len(re)
+    while n and not re[n - 1] and not im[n - 1]:
+        n -= 1
+    re, im = re[:n], im[:n]
+    g = math.gcd(d, *re, *im)
+    if g > 1:
+        return tuple([c // g for c in re]), tuple([c // g for c in im]), d // g
+    return tuple(re), tuple(im), d
+
+
+def _ref_p_add(a, b):
+    (ar, ai, da), (br, bi, db) = a, b
+    g = math.gcd(da, db)
+    sa, sb = db // g, da // g
+    return _ref_canon([x * sa + y * sb for x, y in itertools.zip_longest(ar, br, fillvalue=0)],
+                      [x * sa + y * sb for x, y in itertools.zip_longest(ai, bi, fillvalue=0)],
+                      da * sa)
+
+
+def _ref_p_mul(a, b):
+    if a == ratfunc._ONE or b == ratfunc._ONE:
+        return b if a == ratfunc._ONE else a
+    if len(a[0]) > len(b[0]):
+        a, b = b, a
+    (ar, ai, da), (br, bi, db) = a, b
+    if len(ar) <= 1:
+        if not ar:
+            return a
+        cr, ci = ar[0], ai[0]
+        return _ref_canon([cr * x - ci * y for x, y in zip(br, bi)],
+                          [cr * y + ci * x for x, y in zip(br, bi)], da * db)
+    size = len(ar) + len(br) - 1
+    re, im = ratfunc._conv([0] * size, ar, br), [0] * size
+    if any(ai):
+        ratfunc._conv(im, ai, br)
+        if any(bi):
+            ratfunc._conv(re, [-c for c in ai], bi)
+    if any(bi):
+        ratfunc._conv(im, ar, bi)
+    return _ref_canon(re, im, da * db)
+
+
+def _ref_normal(num, den):
+    re, im, d = den
+    if not num[0] or den == ratfunc._ONE:
+        return num, ratfunc._ONE
+    if len(re) == 1:
+        return (_ref_p_mul(num, _ref_canon([d * re[0]], [-d * im[0]], re[0] ** 2 + im[0] ** 2)),
+                ratfunc._ONE)
+    g, s = math.gcd(*re, *im), 1 if (re[-1] or im[-1]) > 0 else -1
+    if g == s == d == 1:
+        return num, den
+    sg = s * g
+    return (_ref_p_mul(num, ((s * d,), (0,), g)),
+            (tuple([c // sg for c in re]), tuple([c // sg for c in im]), 1))
+
+
+def _ref_argscale(a, p, r):
+    (nr, ni, d), (dr, di, _) = a
+    if not nr:
+        return a
+    n = max(len(nr), len(dr)) - 1
+    w = [p ** k * r ** (n - k) for k in range(n + 1)]
+
+    def scaled(cs):
+        return tuple([c * x for c, x in zip(cs, w)])
+
+    if a[1] == ratfunc._ONE:
+        return _ref_canon(scaled(nr), scaled(ni), d * w[0]), ratfunc._ONE
+    return _ref_normal(_ref_canon(scaled(nr), scaled(ni), d), (scaled(dr), scaled(di), 1))
+
+
+def _ref_conj(a):
+    (nr, ni, dn), (dr, di, dd) = a
+    return _ref_normal((nr, tuple([-c for c in ni]), dn), (dr, tuple([-c for c in di]), dd))
+
+
+def _ref_add(a, b):
+    (an, ad), (bn, bd) = a, b
+    if ad == bd:
+        return _ref_normal(_ref_p_add(an, bn), ad)
+    return _ref_normal(_ref_p_add(_ref_p_mul(an, bd), _ref_p_mul(bn, ad)), _ref_p_mul(ad, bd))
+
+
+def _ref_mul(a, b):
+    return _ref_normal(_ref_p_mul(a[0], b[0]), _ref_p_mul(a[1], b[1]))
+
+
+def _ref_div(a, b):
+    return _ref_normal(_ref_p_mul(a[0], b[1]), _ref_p_mul(a[1], b[0]))
+
+
+def _ref_neg(a):
+    (re, im, d), den = a
+    return (tuple([-c for c in re]), tuple([-c for c in im]), d), den
+
+
+def _ref_pow(a, k):
+    if k < 0:
+        a, k = (a[1], a[0]), -k
+    (num, den), (bn, bd) = (ratfunc._ONE, ratfunc._ONE), a
+    while k:
+        if k & 1:
+            num, den = _ref_p_mul(num, bn), _ref_p_mul(den, bd)
+        k >>= 1
+        if k:
+            bn, bd = _ref_p_mul(bn, bn), _ref_p_mul(bd, bd)
+    return _ref_normal(num, den)
+
+
+def _is_real_pair(pair) -> bool:
+    return all(im == (0,) * len(re) for re, im, _ in pair)
+
+
+def _kernel_inputs() -> list:
+    """Random real and complex pairs, constants, zero, and real pairs whose sums
+    and products with one another cancel to a constant."""
+    rng = random.Random(2028)
+    fs = [_random_pair(rng, trial)[0] for trial in range(60)]
+    fs += [RationalFunction.constant(c) for c in
+           (0, 1, -1, Fraction(-3, 4), Fraction(6, 5), RationalComplex(Fraction(2), Fraction(-1, 3)))]
+    for f in (1 + T) / (2 - 3 * T * T), (T * T - 1) / (4 * T + 2), 3 * T - Fraction(1, 2):
+        fs += [f, 5 - f, -f, Fraction(-2, 7) / f]
+    return [f._pair for f in fs]
+
+
+def test_pair_kernel_returns_the_pairs_of_the_general_path():
+    fs = _kernel_inputs()
+    rng = random.Random(2029)
+    seen = set()
+    for i, a in enumerate(fs):
+        assert ratfunc._f_conj(a) == _ref_conj(a)
+        for p, r in ((1, 1), (1, 2), (3, 7), (9, 4), (rng.randint(1, 30), rng.randint(1, 30))):
+            assert ratfunc._f_argscale(a, p, r) == _ref_argscale(a, p, r), (a, p, r)
+        for k in range(-3 if a[0][0] else 0, 4):
+            assert ratfunc._f_pow(a, k) == _ref_pow(a, k), (a, k)
+        for b in fs[i:]:
+            for op, ref in ((ratfunc._f_add, _ref_add), (ratfunc._f_mul, _ref_mul),
+                            (ratfunc._f_sub, lambda x, y: _ref_add(x, _ref_neg(y)))):
+                got = op(a, b)
+                assert got == ref(a, b) and op(b, a) == ref(b, a), (op, a, b)
+                seen.add((_is_real_pair(a) and _is_real_pair(b), got[1] == ratfunc._ONE))
+            if b[0][0]:
+                assert ratfunc._f_div(a, b) == _ref_div(a, b), (a, b)
+    # real and complex operands, with constant and non-constant results
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_real_elements_keep_an_all_zero_im_of_re_length():
+    rng = random.Random(2030)
+    for trial in range(40):
+        q = rng.choice([Fraction(1, 2), Fraction(2, 3), Fraction(3, 7), Fraction(1)])
+        a, b = (helpers.random_element(rng, q, complex_coeffs=False) for _ in range(2))
+        results = [algebra.multiply(a, b), algebra.adjoint(a), algebra.multiply(algebra.adjoint(b), a)]
+        results += [algebra.element(q, {k: algebra.cf_alpha(f, n, q) for k, f in a.terms})
+                    for n in (-2, 1, 3)]
+        literals = [f"({rng.randint(-5, 5)} + {rng.randint(-3, 3)}*t - t^2/{rng.randint(1, 4)})"
+                    f"/({rng.randint(1, 6)} + t^{rng.randint(1, 3)})@{rng.randint(-2, 2)}"
+                    for _ in range(rng.randint(1, 4))]
+        results.append(algebra.parse_element(q, literals))
+        for x in results:
+            for _, f in x.terms:
+                assert _is_real_pair(f._pair), (trial, f._pair)
