@@ -35,10 +35,11 @@ from itertools import accumulate, groupby, repeat
 from typing import Callable, Mapping
 
 from .errors import DomainError, EvaluationError
+from .matrixops import Band, ExactDiagonal
 from .qspace import Interval, SpectralSet
 from .ratfunc import (_ONE, MAX_POWER_DEGREE, Pair, RationalFunction, _f_add, _f_argscale,
                       _f_conj, _f_div, _f_mul, _f_neg, _f_pow, _f_sub, _poly, _rf)
-from .scalars import RationalComplex, exact_magnitude, parse_rational
+from .scalars import RationalComplex, parse_rational
 
 
 class Classification(enum.Enum):
@@ -363,11 +364,22 @@ def grid_sample_points(X: SpectralSet, n_min: int, n_max: int,
     return tuple(pts)
 
 
+def _exact_values(f: CoefficientFunction, points) -> ExactDiagonal:
+    """f at the rational points as one exact diagonal."""
+    if isinstance(f, RationalCoefficient):
+        re, im, den = f.evaluate_pairs([p.numerator for p in points],
+                                       [p.denominator for p in points])
+        return ExactDiagonal.written(re, den, im)
+    return ExactDiagonal.of([f.eval_exact(p) for p in points])
+
+
 def element_residual(a: AlgebraElement, b: AlgebraElement, points) -> Fraction:
     """Exact max coefficient deviation |a_k - b_k| over modes and rational sample points.
 
     A mode whose two coefficients are the same rational function contributes
-    exactly 0 without evaluation.  A closure has no exact evaluation and
+    exactly 0 without evaluation.  Otherwise both are evaluated into exact
+    diagonals and their difference is measured by the exact ``Band.norm``:
+    max(|re|, |im|) of each value.  A closure has no exact evaluation and
     raises EvaluationError.
     """
     if a.q != b.q:
@@ -378,9 +390,8 @@ def element_residual(a: AlgebraElement, b: AlgebraElement, points) -> Fraction:
         if (isinstance(fa, RationalCoefficient) and isinstance(fb, RationalCoefficient)
                 and fa.equals(fb)):
             continue
-        va, vb = (f.evaluate_diagonal(points) if isinstance(f, RationalCoefficient)
-                  else [f.eval_exact(p) for p in points] for f in (fa, fb))
-        worst = max([worst, *(exact_magnitude(x - y) for x, y in zip(va, vb))])
+        gap = _exact_values(fa, points) - _exact_values(fb, points)
+        worst = max(worst, Band(len(gap), True, {0: gap}).norm())
     return worst
 
 

@@ -10,10 +10,10 @@ for no gcd (Knuth, TAOCP vol. 2, 4.5.1: reduction can wait until the value
 leaves); an exact norm or trace makes one Fraction at the end.  Both kinds of
 diagonal take the same indexing and elementwise arithmetic, so one code path
 serves both regimes.  Values leave an exact band only through :meth:`Band.dense`
-and the read-only :attr:`Band.diags`: a written value as a Fraction, or a
-RationalComplex where its imaginary part is nonzero, and a structural zero, an
-entry no value was written to, as the int 0.  :meth:`Band.norm` measures a
-band without making it dense.  Model paths never densify: dense matrices are
+and the read-only :attr:`Band.diags`, by value: a zero as the int 0, wherever
+it came from, any other real value as a Fraction, and a value with a nonzero
+imaginary part as a RationalComplex.  :meth:`Band.norm` measures a band
+without making it dense.  Model paths never densify: dense matrices are
 made only for the public dense results, and the helpers below act on those,
 exactly.
 """
@@ -52,47 +52,36 @@ class ExactDiagonal:
     """One exact diagonal: value i is (re[i] + i im[i]) / den[i], all Python ints.
 
     re, im and den are object arrays; den > 0, and no pair is reduced.  im is
-    None while every value is real.  placed marks the rows a value was written
-    to; the others are structural zeros, 0 / 1.  Arithmetic marks a row placed
-    when either operand's row is, as 0 * x and 0 + x of a Fraction x are
-    Fractions too.  Indexing and item assignment take numpy row indices.
+    None while every value is real.  Indexing and item assignment take numpy
+    row indices.
     """
 
-    __slots__ = ("re", "im", "den", "placed")
+    __slots__ = ("re", "im", "den")
 
-    def __init__(self, re: np.ndarray, im: np.ndarray | None, den: np.ndarray,
-                 placed: np.ndarray):
-        self.re, self.im, self.den, self.placed = re, im, den, placed
+    def __init__(self, re: np.ndarray, im: np.ndarray | None, den: np.ndarray):
+        self.re, self.im, self.den = re, im, den
 
     @classmethod
     def written(cls, re, den, im=None) -> "ExactDiagonal":
-        """Values (re[i] + i im[i]) / den[i] (den > 0) from int sequences, written to every row."""
+        """Values (re[i] + i im[i]) / den[i] (den > 0) from int sequences."""
         return cls(np.array(re, dtype=object), None if im is None else np.array(im, dtype=object),
-                   np.array(den, dtype=object), np.ones(len(re), dtype=bool))
+                   np.array(den, dtype=object))
 
     @classmethod
     def of(cls, values) -> "ExactDiagonal":
-        """From Fraction, RationalComplex and int values; an int 0 is a structural zero."""
-        n = len(values)
-        out = cls(_ints(n, 0), _ints(n, 0), _ints(n, 1), np.zeros(n, dtype=bool))
-        for i, x in enumerate(values):
-            if type(x) is int and x == 0:
-                continue
-            out.re[i], out.im[i], out.den[i] = _scalar_pair(x)
-            out.placed[i] = True
-        if not out.im.any():
-            out.im = None
-        return out
+        """From int, Fraction and RationalComplex values."""
+        re, im, den = zip(*map(_scalar_pair, values)) if len(values) else ((), (), ())
+        return cls.written(re, den, im if any(im) else None)
 
     def __len__(self) -> int:
         return len(self.re)
 
     def __getitem__(self, rows) -> "ExactDiagonal":
         return ExactDiagonal(self.re[rows], None if self.im is None else self.im[rows],
-                             self.den[rows], self.placed[rows])
+                             self.den[rows])
 
     def __setitem__(self, rows, v: "ExactDiagonal") -> None:
-        self.re[rows], self.den[rows], self.placed[rows] = v.re, v.den, v.placed
+        self.re[rows], self.den[rows] = v.re, v.den
         if v.im is not None and self.im is None:
             self.im = _ints(len(self), 0)
         if self.im is not None:
@@ -105,8 +94,7 @@ class ExactDiagonal:
         a, b = self, other
         im = (None if a.im is None and b.im is None
               else op(a._imag() * b.den, b._imag() * a.den))
-        return ExactDiagonal(op(a.re * b.den, b.re * a.den), im, a.den * b.den,
-                             a.placed | b.placed)
+        return ExactDiagonal(op(a.re * b.den, b.re * a.den), im, a.den * b.den)
 
     def __add__(self, other: "ExactDiagonal") -> "ExactDiagonal":
         return self._sum(other, operator.add)
@@ -121,17 +109,16 @@ class ExactDiagonal:
             re, im = re - a.im * b.im, a.re * b.im + a.im * b.re
         elif a.im is not None or b.im is not None:
             im = a.im * b.re if b.im is None else a.re * b.im
-        return ExactDiagonal(re, im, a.den * b.den, a.placed | b.placed)
+        return ExactDiagonal(re, im, a.den * b.den)
 
     def scaled(self, s) -> "ExactDiagonal":
         """s times every value, for an int, Fraction or RationalComplex s."""
         re, im, den = _scalar_pair(s)
         # s as a diagonal of plain ints, which broadcast over the rows
-        return self * ExactDiagonal(re, im or None, den, False)
+        return self * ExactDiagonal(re, im or None, den)
 
     def conj(self) -> "ExactDiagonal":
-        return ExactDiagonal(self.re, None if self.im is None else -self.im, self.den,
-                             self.placed)
+        return ExactDiagonal(self.re, None if self.im is None else -self.im, self.den)
 
     def to_complex(self) -> np.ndarray:
         """Each value rounded once: integer true division of each part by den."""
@@ -141,24 +128,24 @@ class ExactDiagonal:
         return out
 
     def values(self) -> np.ndarray:
-        """Object array: Fraction, RationalComplex where im != 0, int 0 where not placed."""
+        """Object array: the int 0 for a zero value, else a Fraction, or a
+        RationalComplex where im != 0."""
         ims = repeat(0) if self.im is None else self.im.tolist()
         out = np.empty(len(self), dtype=object)
         out[:] = [(RationalComplex(Fraction(a, d), Fraction(b, d)) if b else Fraction(a, d))
-                  if p else 0 for a, b, d, p in zip(self.re.tolist(), ims, self.den.tolist(),
-                                                    self.placed.tolist())]
+                  if a or b else 0 for a, b, d in zip(self.re.tolist(), ims, self.den.tolist())]
         return out
 
 
 def zeros(n: int, exact: bool):
-    """A diagonal of n structural zeros: exact, or complex128."""
+    """A diagonal of n zeros: exact, or complex128."""
     if exact:
-        return ExactDiagonal(_ints(n, 0), None, _ints(n, 1), np.zeros(n, dtype=bool))
+        return ExactDiagonal(_ints(n, 0), None, _ints(n, 1))
     return np.zeros(n, dtype=complex)
 
 
 def ones(n: int, exact: bool):
-    """A diagonal of n written ones: exact, or complex128."""
+    """A diagonal of n ones: exact, or complex128."""
     return ExactDiagonal.written([1] * n, [1] * n) if exact else np.full(n, 1.0 + 0j)
 
 
@@ -168,8 +155,10 @@ class Band:
     Diagonals have length dim and are indexed by row; entries whose column
     falls outside the matrix are zero, and offsets with |d| >= dim are dropped.
     An exact band stores :class:`ExactDiagonal` s and accepts, besides those,
-    object arrays of Fraction, RationalComplex and the int 0; exact norms are
-    Fractions, exact traces Fractions or RationalComplex.
+    object arrays of int, Fraction and RationalComplex.  Its entries leave as
+    the int 0 when they are 0, as Fractions when real, and as RationalComplex
+    otherwise; exact norms are Fractions, exact traces Fractions or
+    RationalComplex, also when they are 0.
     """
 
     def __init__(self, dim: int, exact: bool, diags: dict | None = None):
@@ -190,7 +179,7 @@ class Band:
         return MappingProxyType(out)
 
     def diagonal(self, d: int):
-        """The stored diagonal at offset d (structural zeros if there is none)."""
+        """The stored diagonal at offset d (zeros if there is none)."""
         return self._diags[d] if d in self._diags else zeros(self.dim, self.exact)
 
     @classmethod
@@ -219,7 +208,7 @@ class Band:
         return out
 
     def _shifted(self, v, d: int):
-        """w[i] = v[i + d], a structural zero where i + d leaves the matrix."""
+        """w[i] = v[i + d], 0 where i + d leaves the matrix."""
         out = zeros(self.dim, self.exact)
         if d >= 0:
             out[:self.dim - d] = v[d:]

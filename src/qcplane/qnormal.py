@@ -243,7 +243,7 @@ def build_from_generators(q, generators, window: TruncationWindow, weights=None,
             raise DomainError(f"level {window.n_min} leaves float range; use --exact") from None
     # e_{j,n} -> e_{j,n-1}: levels come in ascending blocks of n_gens, so entry
     # (i, i + n_gens) moves grid point i + n_gens one level down; the rows of
-    # the lowest level and the kernel slot hold structural zeros
+    # the lowest level and the kernel slot hold zeros
     top = len(grid) - n_gens
     u, zeta = mo.zeros(dim, exact), mo.zeros(dim, exact)
     u[:top] = mo.ones(top, exact)

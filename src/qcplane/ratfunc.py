@@ -123,7 +123,7 @@ def _p_mul(a: Poly, b: Poly) -> Poly:
 
 def _p_neg(a: Poly) -> Poly:
     re, im, d = a
-    return tuple([-c for c in re]), tuple([-c for c in im]), d
+    return tuple([-c for c in re]), im if not any(im) else tuple([-c for c in im]), d
 
 
 def _f_argscale(a: Pair, p: int, r: int) -> Pair:
@@ -401,18 +401,8 @@ class RationalFunction:
         t = x.re if isinstance(x, RationalComplex) and not x.im else x
         if not isinstance(t, (int, Fraction)):
             raise TypeError(f"evaluate needs a real rational point, got {x!r}")
-        return RationalComplex.coerce(self.evaluate_diagonal((t,))[0])
-
-    def evaluate_diagonal(self, points, factor: Fraction = Fraction(1)) -> list:
-        """Exact f(factor * t) at rational points t: one Fraction each, or a
-        RationalComplex if its im != 0, from the integers of :meth:`evaluate_pairs`."""
-        fp, fr = factor.numerator, factor.denominator
-        re, im, den = self.evaluate_pairs([fp * t.numerator for t in points],
-                                          [fr * t.denominator for t in points])
-        if im is None:
-            return list(map(Fraction, re, den))
-        return [RationalComplex(Fraction(a, c), Fraction(b, c)) if b else Fraction(a, c)
-                for a, b, c in zip(re, im, den)]
+        (a,), im, (c,) = self.evaluate_pairs((t.numerator,), (t.denominator,))
+        return RationalComplex(Fraction(a, c), Fraction(im[0] if im else 0, c))
 
     def evaluate_pairs(self, nums, dens) -> tuple[list[int], list[int] | None, list[int]]:
         """(re, im, den) with f(p / r) = (re + i im) / den and den > 0, at each point p / r.

@@ -68,7 +68,8 @@ def represent_band(a: AlgebraElement, T: TruncatedQNormal) -> mo.Band:
 
     u**k (k != 0) is 1 at offset d = k n_gens on the grid rows from max(0, -d) to
     min(len(grid), len(grid) - d), u**0 is the identity; f_k(t_i) goes on those rows,
-    and the other rows of the diagonal are structural zeros.
+    and the other rows of the diagonal hold 0.  An exact band's entries leave it
+    by value, as :meth:`represent` states.
     """
     # the ratios are compared as integer pairs: exact band work does no Fraction arithmetic
     if a.q.as_integer_ratio() != T.q.as_integer_ratio():
@@ -88,9 +89,10 @@ def represent_band(a: AlgebraElement, T: TruncatedQNormal) -> mo.Band:
 def represent(a: AlgebraElement, T: TruncatedQNormal) -> np.ndarray:
     """Matrix of sum_k f_k(modulus) u**k; exact when T and all f_k are.
 
-    An exact matrix holds each value f_k(t_i) as a Fraction, or as a
-    RationalComplex where its imaginary part is nonzero, at (i, i + k n_gens)
-    on the rows of mode k; every other entry is the int 0.
+    An exact matrix holds each value f_k(t_i) at (i, i + k n_gens) on the rows
+    of mode k, and 0 elsewhere.  Every entry is given by its value: the int 0
+    when it is 0, a Fraction when it is real, and a RationalComplex when its
+    imaginary part is nonzero.
     """
     return represent_band(a, T).dense()
 

@@ -47,3 +47,11 @@ def random_element(rng: random.Random, q, max_modes: int = 5,
 def sample_fractions() -> list[Fraction]:
     return [Fraction(0), Fraction(1, 8), Fraction(1, 3), Fraction(1, 2),
             Fraction(1), Fraction(3, 2), Fraction(2), Fraction(4)]
+
+
+def follows_value_rule(x) -> bool:
+    """An exact band entry as it leaves the band: the int 0 when it is 0, a
+    Fraction when it is real, else a RationalComplex with a nonzero imaginary part."""
+    if x == 0:
+        return type(x) is int
+    return type(x) is Fraction or (type(x) is RationalComplex and x.im != 0)

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from qcplane import algebra, qspace, ratfunc
+from qcplane import algebra, bott, qspace, ratfunc
 from qcplane.algebra import (Classification, ClosureCoefficient,
                              IndicatorCoefficient, RationalCoefficient,
                              classify, element_residual, grid_sample_points,
@@ -19,7 +19,7 @@ from qcplane.algebra import (Classification, ClosureCoefficient,
 from qcplane.errors import DomainError, EvaluationError
 from qcplane.qspace import Interval
 from qcplane.ratfunc import RationalFunction
-from qcplane.scalars import RationalComplex
+from qcplane.scalars import RationalComplex, exact_magnitude
 
 HALF = Fraction(1, 2)
 T = RationalFunction.variable()
@@ -484,6 +484,56 @@ def test_element_residual_is_a_fraction_for_indicators_and_refuses_closures():
     for a, b in ((clo, zero), (zero, clo), (clo, clo), (clo, ind)):
         with pytest.raises(EvaluationError):
             element_residual(a, b, pts)
+
+
+def _pointwise_residual(a, b, points) -> Fraction:
+    """element_residual by the per-point formula: each coefficient evaluated at
+    each point, a real value as a Fraction, and the largest exact_magnitude of
+    the differences.  Equal coefficients are evaluated too; they differ by 0."""
+    def value(f, p):
+        v = f.evaluate(p) if isinstance(f, RationalCoefficient) else f.eval_exact(p)
+        return v if v.im else v.re
+    worst = Fraction(0)
+    for k in sorted(set(a.modes) | set(b.modes)):
+        fa, fb = a.coefficient(k), b.coefficient(k)
+        worst = max([worst, *(exact_magnitude(value(fa, p) - value(fb, p)) for p in points)])
+    return worst
+
+
+def test_element_residual_matches_the_pointwise_formula():
+    rng = random.Random(97)
+    ind = IndicatorCoefficient(Interval.open_closed(Fraction(1, 3), 2))
+    for trial in range(40):
+        q = rng.choice([HALF, Fraction(3, 7), Fraction(2, 3)])
+        points = (helpers.sample_fractions() if trial % 2 else
+                  algebra.grid_sample_points(qspace.SpectralSet(q, (Fraction(1), Fraction(5, 6))),
+                                             -4, 4))
+        real = trial % 3 == 0
+        a = helpers.random_element(rng, q, complex_coeffs=not real)
+        b = helpers.random_element(rng, q, complex_coeffs=not real)
+        # an indicator coefficient in one mode of an otherwise rational element
+        with_ind = algebra.element(q, {**dict(a.terms), 2: ind})
+        pairs = [(a, b), (b, a), (a, a), (algebra.multiply(a, b), algebra.multiply(b, a)),
+                 (algebra.add(a, b), a), (with_ind, a), (with_ind, with_ind),
+                 (with_ind, algebra.zero_element(q))]
+        for x, y in pairs:
+            got = element_residual(x, y, points)
+            assert type(got) is Fraction
+            assert got == _pointwise_residual(x, y, points)
+    # 2P against its square and its adjoint, as the perturbed Bott check measures it
+    points = [Fraction(0)] + [Fraction(2) ** k for k in range(-12, 13)]
+    for n, sign in ((1, 1), (1, -1), (2, 1), (3, -1)):
+        A = bott.m2_scale(bott.bott_projection(n, sign, HALF).entries, 2)
+        residues = [element_residual(x, a, points) for R in (bott.m2_mul(A, A), bott.m2_adjoint(A))
+                    for row, row_a in zip(R, A) for x, a in zip(row, row_a)]
+        assert residues == [_pointwise_residual(x, a, points)
+                            for R in (bott.m2_mul(A, A), bott.m2_adjoint(A))
+                            for row, row_a in zip(R, A) for x, a in zip(row, row_a)]
+        assert max(residues) > 0
+    clo = ClosureCoefficient(lambda t: math.exp(-t), 1.0, True)
+    for x in (algebra.element(HALF, {0: clo}), algebra.element(HALF, {1: clo, 0: ind})):
+        with pytest.raises(EvaluationError):
+            element_residual(x, algebra.zero_element(HALF), helpers.sample_fractions())
 
 
 def _old_cf_alpha(f, n: int, q: Fraction):

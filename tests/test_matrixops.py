@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import helpers
 import qcplane.matrixops as mo
 from qcplane import algebra, qnormal, qspace, represent
 from qcplane.algebra import RationalCoefficient
@@ -240,9 +241,7 @@ def _oracle_power(D: np.ndarray, k: int) -> np.ndarray:
 def _assert_same_entries(M: np.ndarray, D: np.ndarray) -> None:
     assert M.shape == D.shape
     assert all(x == y for x, y in zip(M.flat, D.flat))
-    # values are Fraction or RationalComplex; a structural zero is the int 0
-    assert all(type(x) in (Fraction, RationalComplex) or (type(x) is int and x == 0)
-               for x in M.flat)
+    assert all(helpers.follows_value_rule(x) for x in M.flat)
 
 
 def _wide_model() -> qnormal.TruncatedQNormal:
@@ -253,7 +252,7 @@ def _wide_model() -> qnormal.TruncatedQNormal:
 
 def _cut(rng: random.Random, B: mo.Band, start: int, dim: int) -> mo.Band:
     """Rows and columns start..start + dim - 1 of B, with about a third of the
-    values replaced by structural zeros, the int 0."""
+    values replaced by the int 0."""
     diags = {}
     for d, v in B.diags.items():
         if abs(d) < dim:
@@ -329,6 +328,47 @@ def test_int_padded_exact_bands_match_fraction_padded_oracle(complex_values):
         for d, v in want.diags.items():
             assert got.diags[d].dtype == v.dtype == complex
             assert got.diags[d].tobytes() == v.tobytes()
+
+
+def _assert_value_rule(B: mo.Band) -> None:
+    """Every entry of dense() and diags: the int 0 when it is 0, a Fraction when
+    real, else a RationalComplex with a nonzero imaginary part."""
+    assert all(helpers.follows_value_rule(x) for x in B.dense().flat)
+    assert all(helpers.follows_value_rule(x) for v in B.diags.values() for x in v)
+
+
+@pytest.mark.parametrize("complex_values", [False, True])
+def test_exact_band_entries_follow_the_value_rule(complex_values):
+    rng = random.Random(101)
+    half_i = RationalComplex(0, Fraction(1, 2))
+    for offs_a in OFFSETS:
+        for offs_b in OFFSETS:
+            # values written as Fraction(0) or RationalComplex(0), and int-padded ones
+            A = (_random_band(rng, 7, True, offs_a) if complex_values
+                 else _int_padded_band(rng, 7, offs_a, False))
+            B = _int_padded_band(rng, 7, offs_b, complex_values)
+            for C in (A, A + B, A - B, A @ B, A @ A.adjoint(), A.adjoint(),
+                      A.scale(Fraction(-3, 7)), A.scale(half_i), A.scale(0)):
+                _assert_value_rule(C)
+            # a difference that cancels holds the int 0 everywhere
+            assert all(type(x) is int and x == 0 for x in (A - A).dense().flat)
+            assert all(type(x) is int for v in (A - A).diags.values() for x in v)
+    for d in (0, 1, -2, 3, 6):
+        A = _int_padded_band(rng, 7, (d,), complex_values)
+        for k in range(-4, 5):
+            _assert_value_rule(A.power(k))
+    blocks = [[_int_padded_band(rng, 4, offs, complex_values) for offs in row]
+              for row in (((0, 2), (-1,)), ((), (0, -3, 3)))]
+    _assert_value_rule(mo.Band.from_blocks(blocks))
+    # a kernel-slot model: its bands, a represented element and the relation defect
+    T = qnormal.build_from_generators("1/2", ["1", "3/4"], TruncationWindow(-3, 3), zero_mass=1,
+                                      exact=True)
+    zs = T.zeta_band.adjoint()
+    a = algebra.element(T.q, {0: RationalCoefficient(1 + half_i * T_VAR),
+                              1: RationalCoefficient(T_VAR), -1: RationalCoefficient(RationalFunction.constant(half_i))})
+    for C in (T.zeta_band, T.u_band, T.modulus_band, represent.represent_band(a, T),
+              T.zeta_band @ zs - (zs @ T.zeta_band).scale(T.q * T.q), *_cut_bands(rng, True)):
+        _assert_value_rule(C)
 
 
 def test_exact_measures_of_int_padded_operators_are_fractions():

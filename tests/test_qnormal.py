@@ -63,7 +63,10 @@ def test_exact_shift_bands_have_int_tails(gens, zero_mass):
         assert all(type(x) is Fraction for x in v[:top])
         assert all(type(x) is int and x == 0 for x in v[top:])
     assert all(T.u_band.diags[T.n_gens][:top] == 1)
-    assert all(type(t) is Fraction for t in T.modulus_band.diags[0])
+    # grid points are nonzero Fractions; the kernel slot's point 0 is the int 0
+    modulus = T.modulus_band.diags[0]
+    assert all(type(t) is Fraction and t > 0 for t in modulus[:len(T.grid)])
+    assert all(helpers.follows_value_rule(t) for t in modulus)
 
 
 def test_build_zero_only_support():
@@ -188,11 +191,12 @@ def test_exact_spectral_band_stores_real_values_as_fractions(zero_mass):
     for f in real:
         for factor in (1, T.q):
             values = qnormal.spectral_band(T, f, factor).diags[0]
-            assert all(type(v) is Fraction for v in values)
+            assert all(type(v) is (Fraction if v else int) for v in values)
             assert list(values) == [f.eval_exact(factor * t) for t in points]
     f = RationalCoefficient(IM * T_VAR)
     values = qnormal.spectral_band(T, f).diags[0]
     assert all(type(v) is RationalComplex and v.im for v in values[:len(T.grid)])
+    assert all(helpers.follows_value_rule(v) for v in values)
     assert list(values) == [f.eval_exact(t) for t in points]
 
 
@@ -351,7 +355,7 @@ def test_indicator_bisection_matches_pointwise_membership(q, gens, window, zero_
             want += [interval.contains(0)] * T.kernel_dim
             exact = qnormal.spectral_band(T, f, factor).diags[0]
             assert list(exact) == [Fraction(int(w)) for w in want], (interval, factor)
-            assert all(type(v) is Fraction for v in exact)
+            assert all(type(v) is (Fraction if v else int) for v in exact)
             floats = qnormal.spectral_band(T.as_float(), f, factor).diags[0]
             assert floats.dtype == complex
             assert list(floats) == [complex(w) for w in want]

@@ -491,39 +491,39 @@ def test_normal_form_holds_after_every_operation(drawn_f, drawn_g, s, lam, k):
 @settings(max_examples=150, deadline=None)
 @given(_exact_rational_functions(), st.sampled_from(["1/2", "3/7", "2/3"]),
        st.sampled_from(["1", "q", "1/q"]), st.booleans())
-def test_evaluate_diagonal_matches_pointwise_evaluation(f, q, which, kernel):
+def test_evaluate_pairs_matches_pointwise_evaluation(f, q, which, kernel):
     gens = ["1", "5/6"] if q == "2/3" else ["1"]
     model = qnormal.build_from_generators(q, gens, TruncationWindow(-4, 4),
                                       zero_mass=int(kernel), exact=True)
     factor = {"1": Fraction(1), "q": model.q, "1/q": 1 / model.q}[which]
     points = model.modulus_band.diags[0]
+    nums = [factor.numerator * t.numerator for t in points]
+    dens = [factor.denominator * t.denominator for t in points]
     wants = []
     for t in points:
         den = _value(f.den, factor * t)
         wants.append(None if den.is_zero else _value(f.num, factor * t) / den)
     if None in wants:
         with pytest.raises(EvaluationError, match="denominator vanishes"):
-            f.evaluate_diagonal(points, factor)
+            f.evaluate_pairs(nums, dens)
         return
-    values = f.evaluate_diagonal(points, factor)
-    assert len(values) == len(points)
-    for t, v, want in zip(points, values, wants):
-        assert v == want
-        assert v == f.evaluate(factor * t)
-        if want.im:
-            assert type(v) is RationalComplex
-        else:
-            assert type(v) is Fraction
-    # the same values as unreduced integer pairs with positive denominators
-    re, im, den = f.evaluate_pairs([factor.numerator * t.numerator * 3 for t in points],
-                                   [factor.denominator * t.denominator * 3 for t in points])
+    re, im, den = f.evaluate_pairs(nums, dens)
+    assert len(re) == len(den) == len(points)
+    # im is None exactly when f has real coefficients
+    assert (im is None) == all(not c.im for c in f.num + f.den)
+    for t, a, b, c, want in zip(points, re, im or [0] * len(re), den, wants):
+        v = f.evaluate(factor * t)
+        assert type(v) is RationalComplex
+        assert v == want == RationalComplex(Fraction(a, c), Fraction(b, c))
+    # the same values from unreduced integer pairs: ints with positive denominators
+    re, im, den = f.evaluate_pairs([3 * p for p in nums], [3 * r for r in dens])
     assert all(type(x) is int for x in re + den + (im or []))
     assert min(den) > 0
     assert [RationalComplex(Fraction(a, c), Fraction(b, c))
             for a, b, c in zip(re, im or [0] * len(re), den)] == wants
 
 
-def test_evaluate_diagonal_raises_at_a_denominator_root_on_the_diagonal():
+def test_evaluate_pairs_raises_at_a_denominator_root_on_the_diagonal():
     model = qnormal.build_from_generators("1/2", ["1"], TruncationWindow(-3, 3),
                                       zero_mass=1, exact=True)
     points = model.modulus_band.diags[0]   # 8, 4, ..., 1/8 and the kernel's 0
@@ -531,10 +531,16 @@ def test_evaluate_diagonal_raises_at_a_denominator_root_on_the_diagonal():
                             (1 / (T - 1), Fraction(1, 2), "1"),
                             (1 / ((T - 4) * (T - IM)), Fraction(2), "4"),
                             (1 / T, Fraction(1), "0")):
+        nums = [factor.numerator * t.numerator for t in points]
+        dens = [factor.denominator * t.denominator for t in points]
         with pytest.raises(EvaluationError, match=f"denominator vanishes at t={root}$"):
-            f.evaluate_diagonal(points, factor)
+            f.evaluate_pairs(nums, dens)
+        with pytest.raises(EvaluationError, match=f"denominator vanishes at t={root}$"):
+            f.evaluate(Fraction(root))
     # a root between the points is no root on the diagonal
-    assert len((1 / (3 * T - 1)).evaluate_diagonal(points)) == model.dim
+    re, _, den = (1 / (3 * T - 1)).evaluate_pairs([t.numerator for t in points],
+                                                  [t.denominator for t in points])
+    assert len(re) == len(den) == model.dim
 
 
 def _two_table_argscale(f: RationalFunction, p: int, r: int) -> tuple:

@@ -65,8 +65,8 @@ def test_represent_matches_pointwise_oracle(kernel_measure):
         for a in (real, mixed):
             M = represent.represent(a, T)
             assert mo.max_entry_gap(M, _represent_oracle(a, T)) == 0
-        # the values of a real element's modes are Fractions, at (i, i + k n_gens)
-        # on the rows of mode k; every other entry is a structural zero, the int 0
+        # the values of this real element's modes are nonzero, so Fractions, at
+        # (i, i + k n_gens) on the rows of mode k; every other entry is the int 0
         M, n = represent.represent(real, T), len(T.grid)
         written = np.zeros(M.shape, dtype=bool)
         for k, _ in real.terms:
