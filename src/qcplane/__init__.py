@@ -8,16 +8,14 @@ explicit Bott-type projections over the compactified algebra.
 
 from .errors import (ConfigurationError, DomainError, EvaluationError,
                      QcplaneError, SingularityError)
-from .qspace import (DeformationParameter, Interval, QInvariantMeasure,
-                     SpectralSet, atomic_measure, contains, make_spectral_set,
-                     measure_of, mu0_from_nu, uniform_measure,
-                     verify_q_invariance)
+from .qspace import (Interval, QInvariantMeasure, SpectralSet, atomic_measure,
+                     contains, make_spectral_set, measure_of, mu0_from_nu,
+                     uniform_measure, verify_q_invariance)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ConfigurationError",
-    "DeformationParameter",
     "DomainError",
     "EvaluationError",
     "Interval",

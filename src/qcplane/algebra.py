@@ -127,11 +127,10 @@ class ClosureCoefficient(CoefficientFunction):
     """Arbitrary callable with declared behaviour at 0 and infinity."""
 
     def __init__(self, fn: Callable[[float], complex], value_at_zero,
-                 vanishes_at_infinity: bool, label: str = ""):
+                 vanishes_at_infinity: bool):
         self.fn = fn
         self._zero = value_at_zero
         self._vanishes = bool(vanishes_at_infinity)
-        self.label = label
 
     @property
     def value_at_zero(self):
@@ -351,15 +350,14 @@ def classical_eval(a: AlgebraElement, r: float, theta: float) -> complex:
     return classical_table(a, [r], [theta])[0][0]
 
 
-def grid_sample_points(X: SpectralSet, n_min: int, n_max: int,
-                       include_zero: bool = True) -> tuple[Fraction, ...]:
-    """Grid values q**n * x over the level range, ascending, optionally with 0."""
+def grid_sample_points(X: SpectralSet, n_min: int, n_max: int) -> tuple[Fraction, ...]:
+    """Grid values q**n * x over the level range, ascending, after 0 when X holds it."""
     # each generator's run q**n_min x, q**(n_min + 1) x, ... descends: reversed, they merge
     steps = n_max - n_min
     runs = [list(accumulate(repeat(X.q, steps), operator.mul, initial=X.q ** n_min * x))[::-1]
             for x in X.generators] if steps >= 0 else []
     pts = [v for v, _ in groupby(heapq.merge(*runs))]
-    if include_zero and X.includes_zero:
+    if X.includes_zero:
         pts.insert(0, Fraction(0))
     return tuple(pts)
 

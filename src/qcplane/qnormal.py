@@ -69,19 +69,19 @@ class GridPoint:
     gen: int
     level: int
     value: Fraction
-    weight: Fraction
 
 
 @dataclass(frozen=True)
 class LevelGrid(Sequence):
     """The points t_{j,n} = q**n x_j, ascending levels in blocks of n_gens points.
 
-    Stores ratio, generators, weights and levels; a GridPoint is made only when indexed.
+    Stores ratio, generators and levels; a GridPoint is made only when indexed.
+    The atom weights of a measure are not kept: the model acts in the basis of
+    normalized atom indicators, so it does not depend on them.
     """
 
     q: Fraction
     generators: tuple[Fraction, ...]
-    weights: tuple[Fraction, ...]
     levels: range
 
     def __len__(self) -> int:
@@ -90,7 +90,7 @@ class LevelGrid(Sequence):
     def __getitem__(self, i):
         n, j = divmod(range(len(self))[i], len(self.generators))
         qn, x = self.q ** self.levels[n], self.generators[j]
-        return GridPoint(j, self.levels[n], qn if x == 1 else qn * x, self.weights[j])
+        return GridPoint(j, self.levels[n], qn if x == 1 else qn * x)
 
     def pairs(self, factor: Fraction = Fraction(1)) -> tuple[list[int], list[int]]:
         """Integers (nums, dens) with factor * t_{j,n} == nums[i] / dens[i], for every point.
@@ -199,12 +199,14 @@ def _validate_generators(q: Fraction, generators: Sequence[Fraction]) -> tuple[F
     return gens
 
 
-def build_from_generators(q, generators, window: TruncationWindow, weights=None,
-                          zero_mass=0, exact: bool = False) -> TruncatedQNormal:
+def build_from_generators(q, generators, window: TruncationWindow, zero_mass=0,
+                          exact: bool = False) -> TruncatedQNormal:
     """Assemble the truncation directly from generator values.
 
-    Accepts q = 1 (classical mode), where every level carries the same values
-    and the model is an ordinary normal operator.
+    Takes no atom weights: the model acts on the normalized atom indicators,
+    so a measure's weights do not change it; only whether the origin carries
+    mass (a kernel slot) does.  Accepts q = 1 (classical mode), where every
+    level carries the same values and the model is an ordinary normal operator.
     """
     q = parse_rational(q)
     if not 0 < q <= 1:
@@ -212,21 +214,14 @@ def build_from_generators(q, generators, window: TruncationWindow, weights=None,
     gens = _validate_generators(q, generators)
     zero_mass = parse_rational(zero_mass)
     if zero_mass < 0:
-        raise DomainError("zero_mass must be nonnegative")
-    if weights is None:
-        weights = [Fraction(1)] * len(gens)
-    weights = [parse_rational(w) for w in weights]
-    if len(weights) != len(gens):
-        raise DomainError("one weight per generator required")
-    if any(w <= 0 for w in weights):
-        raise DomainError("weights must be positive")
+        raise DomainError(f"zero_mass must be nonnegative, got {zero_mass}")
     if gens and window.size < 3:
         raise ConfigurationError("window too small: need at least 3 levels")
     if not gens and zero_mass == 0:
         # support {0} carries unit mass by convention
         zero_mass = Fraction(1)
 
-    grid = LevelGrid(q, gens, tuple(weights), window.levels)
+    grid = LevelGrid(q, gens, window.levels)
     kernel_dim = 1 if zero_mass > 0 else 0
     n_gens = len(gens)
     dim = len(grid) + kernel_dim
@@ -255,10 +250,8 @@ def build_from_generators(q, generators, window: TruncationWindow, weights=None,
 
 
 def build(mu: QInvariantMeasure, X: SpectralSet | None, window: TruncationWindow,
-          q=None, exact: bool = False) -> TruncatedQNormal:
+          exact: bool = False) -> TruncatedQNormal:
     """Build the truncated model of the measure's L2 multiplication-shift pair."""
-    if q is not None and parse_rational(q) != mu.q:
-        raise DomainError("explicit q disagrees with the measure")
     if X is not None:
         if X.q != mu.q:
             raise DomainError("spectral set ratio disagrees with the measure")
@@ -267,9 +260,8 @@ def build(mu: QInvariantMeasure, X: SpectralSet | None, window: TruncationWindow
             raise DomainError("spectral set does not match the measure support")
     if mu.is_trivial:
         raise DomainError("measure has empty support")
-    gens = [p for p, _ in mu.base_atoms]
-    weights = [w for _, w in mu.base_atoms]
-    return build_from_generators(mu.q, gens, window, weights, mu.zero_mass, exact)
+    return build_from_generators(mu.q, [p for p, _ in mu.base_atoms], window,
+                                 mu.zero_mass, exact)
 
 
 def _defects(T: TruncatedQNormal, lhs: mo.Band, rhs: mo.Band, keeps=(None,)) -> list:
@@ -288,7 +280,7 @@ def _defects(T: TruncatedQNormal, lhs: mo.Band, rhs: mo.Band, keeps=(None,)) -> 
     return [lhs.gap(rhs, keep)[::-1] for keep in keeps]   # gap gives (absolute, relative)
 
 
-def verify_relation(T: TruncatedQNormal, pad: int = 1) -> RelationReport:
+def verify_relation(T: TruncatedQNormal) -> RelationReport:
     """Defect of zeta zeta* = q**2 zeta* zeta, interior and full-window, gated as in _defects.
 
     A float model with an entry of |zeta| above sqrt(float max) is refused
@@ -303,7 +295,7 @@ def verify_relation(T: TruncatedQNormal, pad: int = 1) -> RelationReport:
     p, r = T.q.as_integer_ratio()
     q2 = Fraction(p * p, r * r) if T.exact else float(T.q) ** 2
     lhs, rhs = T.zeta_band @ zs, (zs @ T.zeta_band).scale(q2)
-    keeps = (T.interior_indices(pad), None)
+    keeps = (T.interior_indices(), None)
     (inner, inner_abs), (whole, whole_abs) = _defects(T, lhs, rhs, keeps)
     return RelationReport(inner, whole, None if T.exact else RelationReport(inner_abs, whole_abs))
 
@@ -386,14 +378,14 @@ def shift(T: TruncatedQNormal, k: int) -> mo.Band:
     return T.u_band.power(k)
 
 
-def verify_covariance(T: TruncatedQNormal, f: CoefficientFunction, pad: int = 1,
+def verify_covariance(T: TruncatedQNormal, f: CoefficientFunction,
                       with_absolute: bool = False):
     """Gated interior defect of u f(modulus) u* = f(q modulus), as in _defects.
 
     with_absolute returns the pair (gated, absolute) from the same two sides.
     """
     lhs = T.u_band @ spectral_band(T, f) @ T.u_band.adjoint()
-    (gated, absolute), = _defects(T, lhs, spectral_band(T, f, T.q), (T.interior_indices(pad),))
+    (gated, absolute), = _defects(T, lhs, spectral_band(T, f, T.q), (T.interior_indices(),))
     return (gated, absolute) if with_absolute else gated
 
 

@@ -9,7 +9,6 @@ interval (q, 1] plus a point mass at 0, and that is how it is stored here.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,30 +21,6 @@ INFINITE = float("inf")
 # ladder refuses a level k once |k| times the bit length of q's denominator
 # passes this: a point far from 1 on a ratio next to 1 cannot ask for a huge power
 MAX_LADDER_BITS = 1 << 16
-
-
-@dataclass(frozen=True)
-class DeformationParameter:
-    """Scaling ratio q with 0 < q <= 1; q = 1 only for the classical limit."""
-
-    q: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "q", Fraction(self.q))
-        if not 0 < self.q <= 1:
-            raise DomainError(f"q must lie in (0, 1], got {self.q}")
-
-    @property
-    def classical(self) -> bool:
-        return self.q == 1
-
-
-def as_ratio(q) -> Fraction:
-    """Validate and return a strict deformation ratio q in (0, 1)."""
-    qq = DeformationParameter(parse_rational(q)).q
-    if qq == 1:
-        raise DomainError("q = 1 is admitted only in classical-limit mode")
-    return qq
 
 
 @dataclass(frozen=True)
@@ -104,12 +79,6 @@ class Interval:
             raise DomainError("scale factor must be positive")
         upper = None if self.upper is None else c * self.upper
         return Interval(c * self.lower, upper, self.lower_closed, self.upper_closed)
-
-    def __str__(self):
-        left = "[" if self.lower_closed else "("
-        right = "]" if self.upper_closed else ")"
-        hi = "inf" if self.upper is None else format_rational(self.upper)
-        return f"{left}{format_rational(self.lower)}, {hi}{right}"
 
 
 def _flog(x: Fraction) -> float:
@@ -213,24 +182,10 @@ class SpectralSet:
     def is_zero_only(self) -> bool:
         return not self.generators and self.includes_zero
 
-    def to_json(self) -> dict:
-        return {
-            "q": format_rational(self.q),
-            "generators": [format_rational(g) for g in self.generators],
-            "includes_zero": self.includes_zero,
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "SpectralSet":
-        return cls(parse_rational(data["q"]),
-                   tuple(parse_rational(g) for g in data["generators"]),
-                   bool(data.get("includes_zero", True)))
-
 
 def make_spectral_set(q, generators) -> SpectralSet:
     """Build the closed scaling-invariant set generated by points of (q, 1]."""
-    qq = as_ratio(q)
-    return SpectralSet(qq, tuple(parse_rational(g) for g in generators), True)
+    return SpectralSet(parse_rational(q), tuple(parse_rational(g) for g in generators), True)
 
 
 def contains(X: SpectralSet, t) -> bool:
@@ -286,34 +241,20 @@ class QInvariantMeasure:
             return SpectralSet(self.q, positions, True)
         return SpectralSet(self.q, (), self.zero_mass > 0)
 
-    def to_json(self) -> dict:
-        return {
-            "q": format_rational(self.q),
-            "atoms": [[format_rational(p), format_rational(w)] for p, w in self.base_atoms],
-            "zero_mass": format_rational(self.zero_mass),
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "QInvariantMeasure":
-        return cls(parse_rational(data["q"]),
-                   tuple((parse_rational(p), parse_rational(w)) for p, w in data["atoms"]),
-                   parse_rational(data.get("zero_mass", 0)))
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), indent=2, sort_keys=True)
-
 
 def atomic_measure(q, atoms, zero_mass=0) -> QInvariantMeasure:
-    qq = as_ratio(q)
-    return QInvariantMeasure(qq,
+    return QInvariantMeasure(parse_rational(q),
                              tuple((parse_rational(p), parse_rational(w)) for p, w in atoms),
                              parse_rational(zero_mass))
 
 
-def uniform_measure(q, generators, weight=1, zero_mass=0) -> QInvariantMeasure:
-    """One atom of the given weight on each generator."""
-    w = parse_rational(weight)
-    return atomic_measure(q, [(g, w) for g in generators], zero_mass)
+def uniform_measure(q, generators, zero_mass=0) -> QInvariantMeasure:
+    """One atom of weight 1 on each generator.
+
+    The truncated model does not depend on the atom weights, so one weight
+    serves every caller.
+    """
+    return atomic_measure(q, [(g, 1) for g in generators], zero_mass)
 
 
 def mu0_from_nu(q, nu_atoms) -> QInvariantMeasure:
@@ -322,7 +263,7 @@ def mu0_from_nu(q, nu_atoms) -> QInvariantMeasure:
     Endpoints q and 1 coincide on the quotient circle, so mass sitting at q is
     moved to 1 before restricting to the half-open fundamental interval.
     """
-    qq = as_ratio(q)
+    qq = parse_rational(q)
     mass: dict[Fraction, Fraction] = {}
     for p, w in nu_atoms:
         p = parse_rational(p)

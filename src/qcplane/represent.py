@@ -25,7 +25,7 @@ from .algebra import (AlgebraElement, Classification, ClosureCoefficient,
                       CoefficientFunction, classify)
 from .errors import ConfigurationError, DomainError, SingularityError
 from .qnormal import TruncatedQNormal, build, shift, spectral_band
-from .qspace import QInvariantMeasure, SpectralSet
+from .qspace import QInvariantMeasure
 
 REL_CONVERGENCE_TOL = 1e-8
 NONDECREASING_SLACK = 1e-12
@@ -121,8 +121,7 @@ def psi_check(a: AlgebraElement, T: TruncatedQNormal) -> float:
     return abs(B.norm() - B.norm(range(len(T.grid))))
 
 
-def norm_estimate(a: AlgebraElement, windows, mu: QInvariantMeasure,
-                  X: SpectralSet | None = None) -> NormReport:
+def norm_estimate(a: AlgebraElement, windows, mu: QInvariantMeasure) -> NormReport:
     """Largest singular value of the represented element per window."""
     windows = list(windows)
     if not windows:
@@ -130,7 +129,7 @@ def norm_estimate(a: AlgebraElement, windows, mu: QInvariantMeasure,
     sizes = [w.size for w in windows]
     if sizes != sorted(sizes):
         raise DomainError("windows must be increasing")
-    estimates = [represent_band(a, build(mu, X, w, exact=False)).norm() for w in windows]
+    estimates = [represent_band(a, build(mu, None, w)).norm() for w in windows]
     converged = (len(estimates) >= 2 and
                  abs(estimates[-1] - estimates[-2]) <= REL_CONVERGENCE_TOL * estimates[-1])
     return NormReport(tuple(sizes), tuple(estimates), converged, estimates[-1])
@@ -203,7 +202,7 @@ def rapid_decay_family(n: int, q) -> CoefficientFunction:
             return 0.0
         return math.exp(-qn * (t + 1.0 / t))
 
-    return ClosureCoefficient(phi, 0.0, True, label=f"rapid_decay_{n}")
+    return ClosureCoefficient(phi, 0.0, True)
 
 
 def verify_z_factorization(T: TruncatedQNormal, f: CoefficientFunction,

@@ -172,6 +172,13 @@ def test_classify_vanishing_and_full():
     full = algebra.element(HALF, {1: ClosureCoefficient(lambda t: math.exp(-t), 1.0, True)})
     assert classify(full) is Classification.FULL
 
+    # an indicator mode is decided by whether its interval holds 0
+    away = IndicatorCoefficient(Interval.open_closed(HALF, 1))
+    at_zero = IndicatorCoefficient(Interval(Fraction(0), Fraction(1), True, True))
+    assert (away.value_at_zero, at_zero.value_at_zero) == (0, 1)
+    assert classify(algebra.element(HALF, {1: away})) is Classification.VANISHING
+    assert classify(algebra.element(HALF, {-1: at_zero})) is Classification.FULL
+
 
 def test_vanishing_closed_under_products():
     rng = random.Random(31)
@@ -291,8 +298,11 @@ def test_denominator_vanishing_on_half_line_rejected():
 def test_vanishes_at_infinity_flags():
     lor = parse_element("1/2", ["1/(1+t^2)@0"]).coefficient(0)
     assert lor.vanishes_at_infinity
+    assert lor.limit_at_infinity() == 0
     poly = parse_element("1/2", ["t^2@0"]).coefficient(0)
     assert not poly.vanishes_at_infinity
+    with pytest.raises(DomainError, match="unbounded"):
+        poly.limit_at_infinity()
     ind = IndicatorCoefficient(Interval.open_closed(HALF, 1))
     assert ind.vanishes_at_infinity
 
@@ -304,6 +314,8 @@ def test_mismatched_ratios_rejected():
         algebra.multiply(a, b)
     with pytest.raises(DomainError):
         algebra.add(a, b)
+    with pytest.raises(DomainError):
+        algebra.element_residual(a, b, [Fraction(1)])
 
 
 def test_indicator_float_call_at_deep_levels_and_endpoints():
@@ -325,10 +337,8 @@ def test_grid_sample_points_match_the_pointwise_formula():
     for q, gens in (("1/2", ["1"]), ("3/7", ["1", "2/3"]), ("9/10", ["19/20", "1"])):
         X = qspace.make_spectral_set(q, gens)
         for lo, hi in ((-12, 12), (0, 0), (3, 2), (-30, 5), (4, 9)):
-            for include_zero in (True, False):
-                want = sorted({X.q ** n * x for n in range(lo, hi + 1) for x in X.generators})
-                want = ([Fraction(0)] if include_zero else []) + want
-                assert grid_sample_points(X, lo, hi, include_zero) == tuple(want)
+            want = sorted({X.q ** n * x for n in range(lo, hi + 1) for x in X.generators})
+            assert grid_sample_points(X, lo, hi) == (Fraction(0), *want)
 
 
 # The parser as it was before it computed on (num, den) pairs: one
@@ -422,12 +432,11 @@ def test_grid_sample_points_equal_the_sorted_set_of_grid_values():
              SimpleNamespace(q=Fraction(1), generators=(Fraction(3, 4),), includes_zero=False)]
     for X in cases:
         for lo, hi in ((-25, 25), (0, 0), (2, 1), (-3, 8)):
-            for include_zero in (True, False):
-                want = sorted(set(X.q ** n * x for n in range(lo, hi + 1) for x in X.generators))
-                if include_zero and X.includes_zero:
-                    want.insert(0, Fraction(0))
-                got = grid_sample_points(X, lo, hi, include_zero)
-                assert got == tuple(want) and all(type(v) is Fraction for v in got)
+            want = sorted(set(X.q ** n * x for n in range(lo, hi + 1) for x in X.generators))
+            if X.includes_zero:
+                want.insert(0, Fraction(0))
+            got = grid_sample_points(X, lo, hi)
+            assert got == tuple(want) and all(type(v) is Fraction for v in got)
 
 
 def _leaf_elements():

@@ -311,6 +311,10 @@ def test_config_validation_errors(tmp_path, capsys):
     code, _ = run(capsys, "simulate", "--config", str(bad))
     assert code == 2
 
+    bad.write_text(json.dumps([{"q": "1/2"}]))
+    code, out = run(capsys, "simulate", "--config", str(bad))
+    assert code == 2 and out == ""
+
     code, _ = run(capsys, "simulate", "--config", str(tmp_path / "missing.json"))
     assert code == 2
 

@@ -94,6 +94,18 @@ def test_build_rejects_trivial_measure():
                       TruncationWindow(-2, 2))
 
 
+def test_build_from_generators_refuses_values_outside_its_domain():
+    window = TruncationWindow(-2, 2)
+    for q, gens, zero_mass, named in (("0", ["1"], 0, "got 0"), ("3/2", ["1"], 0, "got 3/2"),
+                                      ("1/2", ["1/2"], 0, "generator 1/2 "),
+                                      ("1/2", ["5/4"], 0, "generator 5/4 "),
+                                      ("1/1", ["0"], 0, "generator 0 "),
+                                      ("1/1", ["3/2"], 0, "generator 3/2 "),
+                                      ("1/2", ["1"], "-1/3", "got -1/3")):
+        with pytest.raises(DomainError, match=named):
+            qnormal.build_from_generators(q, gens, window, zero_mass)
+
+
 def test_relation_interior_exact_zero(dyadic_measure, dyadic_set):
     T = qnormal.build(dyadic_measure, dyadic_set, TruncationWindow(-4, 4), exact=True)
     rep = qnormal.verify_relation(T)
@@ -384,11 +396,18 @@ def test_build_grid_and_modulus_match_the_direct_formula(q, gens, zero_mass):
                                                if gp.level in keep]
 
 
-def test_weights_metadata_retained():
-    mu = qspace.atomic_measure("1/2", [("1", "2"), ("3/4", "1/3")])
-    T = qnormal.build(mu, None, TruncationWindow(-2, 2), exact=True)
-    by_gen = {gp.gen: gp.weight for gp in T.grid}
-    assert by_gen == {0: Fraction(1, 3), 1: Fraction(2)}
+def test_weights_do_not_change_the_model():
+    # the model acts on the normalized atom indicators, so only the atoms'
+    # positions and whether 0 carries mass enter it
+    atoms = [("1", "2"), ("3/4", "1/3")]
+    weighted = qspace.atomic_measure("1/2", atoms, zero_mass="1")
+    unit = qspace.atomic_measure("1/2", [(p, "1") for p, _ in atoms], zero_mass="1")
+    for exact in (True, False):
+        T, U = (qnormal.build(mu, None, TruncationWindow(-4, 4), exact=exact)
+                for mu in (weighted, unit))
+        for name in ("zeta", "u", "modulus"):
+            a, b = getattr(T, name), getattr(U, name)
+            assert a.dtype == b.dtype and a.tolist() == b.tolist()
 
 
 def test_spectra_csv_and_summary(kernel_measure):
@@ -414,14 +433,12 @@ def test_level_grid_rounded_matches_the_exact_points(q, gens, window):
     assert T.grid.rounded().tolist() == T.modulus_band.diags[0].real.tolist()
 
 
-@pytest.mark.parametrize("q, gens, weights", [
-    ("3/7", ["1", "2/3"], ["2", "1/3"]), ("1/2", ["1"], ["5"]), ("1/1", ["1", "1/4"], None),
-    ("1/2", [], [])])
-def test_level_grid_reads_as_the_tuple_of_grid_points(q, gens, weights):
+@pytest.mark.parametrize("q, gens", [
+    ("3/7", ["1", "2/3"]), ("1/2", ["1"]), ("1/1", ["1", "1/4"]), ("1/2", [])])
+def test_level_grid_reads_as_the_tuple_of_grid_points(q, gens):
     window = TruncationWindow(-4, 3)
-    T = qnormal.build_from_generators(q, gens, window, weights, zero_mass="1")
-    ws = [Fraction(w) for w in weights] if weights is not None else [Fraction(1)] * len(gens)
-    want = tuple(qnormal.GridPoint(j, n, Fraction(q) ** n * Fraction(x), ws[j])
+    T = qnormal.build_from_generators(q, gens, window, zero_mass="1")
+    want = tuple(qnormal.GridPoint(j, n, Fraction(q) ** n * Fraction(x))
                  for n in window.levels for j, x in enumerate(gens))
     grid = T.grid
     assert len(grid) == len(want)

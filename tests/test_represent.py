@@ -293,7 +293,7 @@ def test_rapid_decay_profile():
 
 
 def _decaying_coefficient():
-    return ClosureCoefficient(lambda t: t * math.exp(-t), 0.0, True, label="t e^-t")
+    return ClosureCoefficient(lambda t: t * math.exp(-t), 0.0, True)
 
 
 def test_z_factorization_small_defect(dyadic_measure):
