@@ -14,6 +14,7 @@ import math
 import os
 import random
 import sys
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -22,11 +23,6 @@ from .errors import ConfigurationError, DomainError, EvaluationError, QcplaneErr
 from .qnormal import TruncationWindow
 from .ratfunc import RationalFunction
 from .scalars import format_rational, parse_rational
-
-CONFIG_KEYS = frozenset({"q", "generators", "zero_mass", "window", "windows_sweep",
-                         "tolerance", "exact_mode", "elements", "seed", "bott_n",
-                         "bott_signs", "sample_exponent_range", "limit_pairs",
-                         "limit_grid"})
 
 BOTT_SIGNS = {"+": 1, "-": -1, "1": 1, "-1": -1}
 
@@ -41,19 +37,17 @@ class RunConfig:
     generators: tuple[Fraction, ...]
     zero_mass: Fraction
     window: TruncationWindow
-    window_given: bool
     windows_sweep: tuple[TruncationWindow, ...] | None
     tolerance: float
-    tolerance_given: bool
     exact_mode: bool
     elements: tuple[str, ...]
     seed: int
     bott_n: tuple[int, ...]
     bott_signs: tuple[int, ...]
     sample_exponent_range: int
-    perturb: bool
     limit_pairs: int
     limit_grid: int
+    perturb: bool
     out: str | None
     spectra_out: str | None
 
@@ -88,7 +82,74 @@ def _not_bool(convert):
     return checked
 
 
+def _each(convert):
+    def convert_all(raw):
+        # a JSON string is iterable too, by character: refuse it
+        if not isinstance(raw, list):
+            raise TypeError(f"expected a list, got {raw!r}")
+        return tuple(convert(x) for x in raw)
+    return convert_all
+
+
+_RATIONAL = _not_bool(parse_rational)
+_EVERY = ("simulate", "norm", "bott", "limit")
+
+# One row of the option table.  name is the RunConfig field and, when keyed, the
+# config key.  Each flag is (flag, argparse keywords); its value, when set, lands
+# in dest and replaces the key before conversion.  Only the commands in readers
+# take the flags and the key.
+Option = namedtuple("Option", "name readers default convert dest flags keyed",
+                    defaults=(None, lambda raw: raw, None, (), True))
+
+OPTIONS = (
+    Option("q", _EVERY, "1/2", _RATIONAL, "q",
+           (("--q", dict(help="deformation ratio as p/r")),)),
+    Option("generators", ("simulate", "norm", "bott"), ["1"], _each(_RATIONAL)),
+    Option("zero_mass", ("simulate", "norm", "bott"), "0", _RATIONAL),
+    Option("window", ("simulate", "bott"), [-6, 6], _as_window, "window",
+           (("--window", dict(nargs=2, type=int, metavar=("N_MIN", "N_MAX"))),)),
+    Option("windows_sweep", ("simulate", "norm"), None,
+           lambda raw: None if raw is None else _each(_as_window)(raw)),
+    Option("tolerance", ("simulate", "bott", "limit"), 1e-12, _not_bool(float), "tol",
+           (("--tol", dict(type=float,
+                           help="tolerance on float values (default 1e-12): the relative "
+                                "gaps of simulate, the absolute defects of bott and limit; "
+                                "exact values must be 0")),)),
+    Option("exact_mode", ("simulate", "bott"), False, _as_bool, "exact",
+           (("--exact", dict(action="store_const", const=True, help="exact-rational mode")),
+            ("--float", dict(action="store_const", const=False, help="floating mode")))),
+    Option("elements", ("norm",), [], _each(str), "element",
+           (("--element", dict(action="append", metavar="EXPR@K",
+                               help="algebra element literal (repeatable)")),)),
+    Option("seed", ("limit",), 7, _as_int, "seed",
+           (("--seed", dict(type=int, help="PRNG seed")),)),
+    Option("bott_n", ("bott",), [1, 2, 3], _each(_as_int)),
+    Option("bott_signs", ("bott",), ["+", "-"], _each(lambda s: BOTT_SIGNS[str(s)])),
+    Option("sample_exponent_range", ("bott",), 25, _as_int),
+    Option("limit_pairs", ("limit",), 20, _as_int),
+    Option("limit_grid", ("limit",), 10, _as_int),
+    Option("perturb", ("bott",), False, dest="perturb", keyed=False,
+           flags=(("--perturb", dict(action="store_true",
+                                     help="negative control: scale the projection by 2")),)),
+    Option("out", _EVERY, dest="out", keyed=False,
+           flags=(("--out", dict(help="write the JSON report here instead of stdout")),)),
+    Option("spectra_out", ("simulate",), dest="spectra_out", keyed=False,
+           flags=(("--spectra-out", dict(help="write grid spectra CSV here")),)),
+)
+
+# the config keys each command reads; None, a caller that names no command, may give any
+_KEYS = {command: frozenset(o.name for o in OPTIONS
+                            if o.keyed and (command is None or command in o.readers))
+         for command in (*_EVERY, None)}
+
+
 def load_config(path: str | None, overrides: argparse.Namespace) -> RunConfig:
+    """The RunConfig of one run: each option from its flag, else its config key, else its default.
+
+    overrides.command, when present, names the command; a config key that command
+    does not read is refused.
+    """
+    command = getattr(overrides, "command", None)
     data: dict = {}
     if path is not None:
         try:
@@ -101,74 +162,45 @@ def load_config(path: str | None, overrides: argparse.Namespace) -> RunConfig:
         if not isinstance(data, dict):
             raise ConfigurationError("config root must be a JSON object")
 
-        unknown = sorted(set(data) - CONFIG_KEYS)
-        if unknown:
-            raise ConfigurationError(f"unknown config keys {unknown}")
+        unread = sorted(set(data) - _KEYS[command])
+        if unread:
+            raise ConfigurationError(f"{command or 'qcplane'} reads no config key {unread}; "
+                                     f"it reads {sorted(_KEYS[command])}")
 
-    # a set flag replaces its key, so it passes the key's conversion
-    flags = {}
-    for flag, key in (("q", "q"), ("window", "window"), ("tol", "tolerance"),
-                      ("exact", "exact_mode"), ("element", "elements"), ("seed", "seed")):
-        if getattr(overrides, flag, None) is not None:
-            data[key], flags[key] = getattr(overrides, flag), f"--{flag}"
-    window_given, tolerance_given = "window" in data, "tolerance" in data
-
-    def pick(key, default, convert):
+    values = {}
+    for o in OPTIONS:
+        flag = getattr(overrides, o.dest, None) if o.dest else None
         try:
-            return convert(data.get(key, default))
+            values[o.name] = o.convert(data.get(o.name, o.default) if flag is None else flag)
         except (KeyError, TypeError, ValueError) as exc:
-            source = flags.get(key, f"config {key!r}")
+            source = f"config {o.name!r}" if flag is None else o.flags[0][0]
             raise ConfigurationError(f"{source} has a bad value: {exc}") from exc
+    cfg = RunConfig(**values)
 
-    def each(convert):
-        def convert_all(raw):
-            # a JSON string is iterable too, by character: refuse it
-            if not isinstance(raw, list):
-                raise TypeError(f"expected a list, got {raw!r}")
-            return tuple(convert(x) for x in raw)
-        return convert_all
-
-    rational = _not_bool(parse_rational)
-    q = pick("q", "1/2", rational)
-    generators = pick("generators", ["1"], each(rational))
-    zero_mass = pick("zero_mass", "0", rational)
-    window = pick("window", [-6, 6], _as_window)
-    sweep = pick("windows_sweep", None, lambda raw: None if raw is None else each(_as_window)(raw))
-    tolerance = pick("tolerance", 1e-12, _not_bool(float))
-    exact_mode = pick("exact_mode", False, _as_bool)
-    elements = pick("elements", [], each(str))
-    seed = pick("seed", 7, _as_int)
-    bott_n = pick("bott_n", [1, 2, 3], each(_as_int))
-    bott_signs = pick("bott_signs", ["+", "-"], each(lambda s: BOTT_SIGNS[str(s)]))
-    sample_range = pick("sample_exponent_range", 25, _as_int)
-    limit_pairs = pick("limit_pairs", 20, _as_int)
-    limit_grid = pick("limit_grid", 10, _as_int)
-
-    if not 0 < q <= 1:
-        raise ConfigurationError(f"q must lie in (0, 1], got {q}")
-    if not 0 < tolerance < math.inf:
-        raise ConfigurationError(f"tolerance must be positive and finite, got {tolerance}")
-    if sample_range < 1:
+    if command == "simulate" and cfg.windows_sweep is not None and (
+            "window" in data or getattr(overrides, "window", None) is not None):
+        raise ConfigurationError("simulate runs windows_sweep in place of window: "
+                                 "give --window or a window key, or windows_sweep")
+    if not 0 < cfg.q <= 1:
+        raise ConfigurationError(f"q must lie in (0, 1], got {cfg.q}")
+    if not 0 < cfg.tolerance < math.inf:
+        raise ConfigurationError(f"tolerance must be positive and finite, got {cfg.tolerance}")
+    if cfg.sample_exponent_range < 1:
         raise ConfigurationError("sample_exponent_range must be at least 1")
-    if limit_pairs < 1 or limit_grid < 2:
+    if cfg.limit_pairs < 1 or cfg.limit_grid < 2:
         raise ConfigurationError("limit needs limit_pairs >= 1 and limit_grid >= 2")
-    if sweep == ():
+    if cfg.windows_sweep == ():
         raise ConfigurationError("windows_sweep must list at least one window")
-    if not bott_n or not bott_signs or min(bott_n) < 1:
+    if not cfg.bott_n or not cfg.bott_signs or min(cfg.bott_n) < 1:
         raise ConfigurationError("bott needs nonempty bott_n and bott_signs, "
                                  "and every bott_n entry at least 1")
-    low = q if q < 1 else 0
-    for g in generators:
+    low = cfg.q if cfg.q < 1 else 0
+    for g in cfg.generators:
         if not low < g <= 1:
             raise ConfigurationError(f"generator {g} outside ({low}, 1]")
-    if zero_mass < 0:
+    if cfg.zero_mass < 0:
         raise ConfigurationError("zero_mass must be nonnegative")
-
-    return RunConfig(q, generators, zero_mass, window, window_given, sweep, tolerance,
-                     tolerance_given, exact_mode, elements, seed, bott_n, bott_signs,
-                     sample_range, bool(getattr(overrides, "perturb", False)), limit_pairs,
-                     limit_grid, getattr(overrides, "out", None),
-                     getattr(overrides, "spectra_out", None))
+    return cfg
 
 
 def _require_deformed(cfg: RunConfig, command: str) -> None:
@@ -176,14 +208,12 @@ def _require_deformed(cfg: RunConfig, command: str) -> None:
         raise ConfigurationError(f"q = 1 is only valid for the limit command, not {command}")
 
 
-def _provenance(cfg: RunConfig, identity: str, window: TruncationWindow,
-                margin: int) -> dict:
-    return {
-        "identity_checked": identity,
-        "mode": "exact" if cfg.exact_mode else "float",
-        "window": [window.n_min, window.n_max],
-        "interior_margin": margin,
-    }
+def _provenance(cfg: RunConfig, identity: str, window: TruncationWindow | None = None,
+                margin: int = 0) -> dict:
+    prov = {"identity_checked": identity, "mode": "exact" if cfg.exact_mode else "float"}
+    if window is not None:
+        prov.update(window=[window.n_min, window.n_max], interior_margin=margin)
+    return prov
 
 
 def _passes(value, tolerance: float) -> bool:
@@ -290,14 +320,6 @@ def cmd_simulate(cfg: RunConfig) -> dict:
 def cmd_norm(cfg: RunConfig) -> dict:
     """Norm estimates for configured elements over a growing window sweep."""
     _require_deformed(cfg, "norm")
-    if cfg.window_given:
-        raise ConfigurationError("norm sweeps the windows of windows_sweep; "
-                                 "--window and the window key have no effect on it")
-    if cfg.tolerance_given:
-        raise ConfigurationError("norm reports estimates and gates nothing; "
-                                 "--tol and the tolerance key have no effect on it")
-    if cfg.exact_mode:
-        raise ConfigurationError("norm estimates are float; it takes no --exact or exact_mode")
     mu = _measure(cfg)
     sweep = cfg.windows_sweep or tuple(_as_window(w) for w in DEFAULT_SWEEP)
     literals = cfg.elements or ["1/(1+t^2)@0"]
@@ -400,8 +422,7 @@ def cmd_limit(cfg: RunConfig) -> dict:
     return {
         "command": "limit",
         "provenance": _provenance(cfg, "commutators vanish at q = 1; "
-                                       "evaluation multiplicative on the plane",
-                                  cfg.window, 0),
+                                       "evaluation multiplicative on the plane"),
         "q": format_rational(cfg.q),
         "pairs": cfg.limit_pairs,
         "commutator_max_residue": format_rational(commutator_exact),
@@ -430,27 +451,10 @@ def _build_parser() -> argparse.ArgumentParser:
             ("limit", "classical-limit checks at q = 1")):
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", help="JSON config file")
-        p.add_argument("--q", help="deformation ratio as p/r")
-        p.add_argument("--window", nargs=2, type=int, metavar=("N_MIN", "N_MAX"))
-        p.add_argument("--tol", type=float,
-                       help="verification tolerance on float values (default 1e-12): the "
-                            "relative gap of each identity for simulate, the absolute "
-                            "defect for bott and limit; exact values must be 0; norm "
-                            "takes none")
-        p.add_argument("--exact", action="store_const", const=True, default=None,
-                       help="exact-rational mode")
-        p.add_argument("--float", dest="exact", action="store_const", const=False,
-                       help="floating mode")
-        p.add_argument("--element", action="append", metavar="EXPR@K",
-                       help="algebra element literal (repeatable)")
-        p.add_argument("--seed", type=int, help="PRNG seed")
-        p.add_argument("--out", help="write the JSON report here instead of stdout")
-        if name == "simulate":
-            p.add_argument("--spectra-out", dest="spectra_out",
-                           help="write grid spectra CSV here")
-        if name == "bott":
-            p.add_argument("--perturb", action="store_true",
-                           help="negative control: scale the projection by 2")
+        for o in OPTIONS:
+            if name in o.readers:
+                for flag, details in o.flags:
+                    p.add_argument(flag, dest=o.dest, **details)
     return parser
 
 

@@ -101,18 +101,8 @@ class RationalComplex:
         return RationalComplex((self.re * o.re + self.im * o.im) / d,
                                (self.im * o.re - self.re * o.im) / d)
 
-    def __rtruediv__(self, other):
-        try:
-            o = RationalComplex.coerce(other)
-        except TypeError:
-            return NotImplemented
-        return o / self
-
     def __neg__(self):
         return RationalComplex(-self.re, -self.im)
-
-    def __pos__(self):
-        return self
 
     def __eq__(self, other):
         if isinstance(other, RationalComplex):
@@ -131,9 +121,6 @@ class RationalComplex:
 
     def __complex__(self):
         return complex(self.re) + 1j * float(self.im)
-
-    def __abs__(self) -> float:
-        return abs(complex(self))
 
     def __repr__(self):
         return f"RationalComplex({self.re!r}, {self.im!r})"

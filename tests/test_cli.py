@@ -9,6 +9,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import helpers
 from qcplane import algebra, cli, qnormal
@@ -203,33 +205,21 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     # every flag replaces the key it names, through the key's own conversion
     parser = cli._build_parser()
     for cfg, argv, field, want in (
-            ({"window": [-5, 5]}, ["--window", "-4", "4"], "window", TruncationWindow(-4, 4)),
-            ({"tolerance": 1e-10}, ["--tol", "1e-9"], "tolerance", 1e-9),
-            ({"exact_mode": True}, ["--float"], "exact_mode", False),
-            ({"exact_mode": False}, ["--exact"], "exact_mode", True),
-            ({"elements": ["t@1"]}, ["--element", "t^2@0", "--element", "1@1"], "elements",
-             ("t^2@0", "1@1")),
-            ({"seed": 3}, ["--seed", "11"], "seed", 11)):
+            ({"window": [-5, 5]}, ["simulate", "--window", "-4", "4"], "window",
+             TruncationWindow(-4, 4)),
+            ({"tolerance": 1e-10}, ["simulate", "--tol", "1e-9"], "tolerance", 1e-9),
+            ({"exact_mode": True}, ["simulate", "--float"], "exact_mode", False),
+            ({"exact_mode": False}, ["bott", "--exact"], "exact_mode", True),
+            ({"elements": ["t@1"]}, ["norm", "--element", "t^2@0", "--element", "1@1"],
+             "elements", ("t^2@0", "1@1")),
+            ({"seed": 3}, ["limit", "--seed", "11"], "seed", 11)):
         cfgfile.write_text(json.dumps(cfg))
-        loaded = cli.load_config(str(cfgfile), parser.parse_args(["simulate", *argv]))
+        loaded = cli.load_config(str(cfgfile), parser.parse_args(argv))
         assert getattr(loaded, field) == want, argv
     # a bad value that a valid flag replaces is never read
     cfgfile.write_text(json.dumps({"tolerance": "tight"}))
     code, out = run(capsys, "simulate", "--config", str(cfgfile), "--tol", "1e-10")
     assert code == 0 and json.loads(out)["tolerance"] == 1e-10
-
-
-def test_norm_refuses_a_tolerance_it_would_not_read(tmp_path, capsys):
-    # norm gates nothing, so --tol or the tolerance key would have no effect
-    cfgfile = tmp_path / "cfg.json"
-    for argv, cfg in ((["--tol", "1e-9"], {}), ([], {"tolerance": 1e-9}),
-                      (["--tol", "1e-300"], {"windows_sweep": [[-3, 3]]})):
-        cfgfile.write_text(json.dumps(cfg))
-        assert cli.main(["norm", "--element", "t@1", "--config", str(cfgfile), *argv]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == "" and "--tol and the tolerance key" in captured.err, argv
-    cfgfile.write_text(json.dumps({"windows_sweep": [[-3, 3]]}))
-    assert cli.main(["norm", "--element", "t@1", "--config", str(cfgfile)]) == 0
 
 
 def test_config_validation_errors(tmp_path, capsys):
@@ -268,7 +258,7 @@ def test_config_validation_errors(tmp_path, capsys):
                       (["simulate"], {"windows_sweep": [[-4, 4], [-8.5, 8]]}),
                       (["limit", "--q", "1/1"], {"limit_pairs": True}),
                       (["limit", "--q", "1/1"], {"limit_grid": 2.5}),
-                      (["simulate"], {"seed": 2.5}),
+                      (["limit", "--q", "1/1"], {"seed": 2.5}),
                       (["bott", "--exact"], {"sample_exponent_range": "25"}),
                       # list keys take lists: a string is not read character by character
                       (["bott"], {"bott_signs": "+-"}),
@@ -290,12 +280,11 @@ def test_config_validation_errors(tmp_path, capsys):
         assert cli.main(["simulate", *argv, "--config", str(bad)]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and source in captured.err, captured.err
-    # norm sweeps windows_sweep; a window given to it would have no effect, and
-    # an empty sweep is refused rather than replaced by the default
-    for argv, cfg in ((["--window", "-600", "600"], {}), ([], {"window": [-600, 600]}),
-                      ([], {"windows_sweep": []})):
+    # norm sweeps windows_sweep: a window key is refused with the keys norm reads,
+    # and an empty sweep is refused rather than replaced by the default
+    for cfg in ({"window": [-600, 600]}, {"windows_sweep": []}):
         bad.write_text(json.dumps(cfg))
-        assert cli.main(["norm", "--element", "t@1", "--config", str(bad), *argv]) == 2
+        assert cli.main(["norm", "--element", "t@1", "--config", str(bad)]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "windows_sweep" in captured.err
     bad.write_text(json.dumps({"exact_mode": True}))
@@ -592,11 +581,107 @@ def test_exact_windows_whose_defects_pass_the_int_printing_limit_exit_2(tmp_path
         assert 1 < digits <= cli._defect_digits(cfg, w)
 
 
-def test_norm_refuses_exact_mode(tmp_path, capsys):
-    # its estimates come from float models, so "mode": "exact" would claim too much
+# who reads what; the option table in cli must agree with it
+READS = {
+    "simulate": {"q", "generators", "zero_mass", "window", "windows_sweep", "tolerance",
+                 "exact_mode", "out", "spectra_out"},
+    "norm": {"q", "generators", "zero_mass", "windows_sweep", "elements", "out"},
+    "bott": {"q", "generators", "zero_mass", "window", "tolerance", "exact_mode", "bott_n",
+             "bott_signs", "sample_exponent_range", "perturb", "out"},
+    "limit": {"q", "tolerance", "seed", "limit_pairs", "limit_grid", "out"},
+}
+
+# a small valid value per option; limit runs only at q = 1
+VALUES = {"q": "2/3", "generators": ["1"], "zero_mass": "1/3", "window": [-7, 7],
+          "windows_sweep": [[-3, 3], [-5, 5]], "tolerance": 1e-9, "exact_mode": True,
+          "elements": ["t@1"], "seed": 3, "bott_n": [1], "bott_signs": ["-"],
+          "sample_exponent_range": 4, "limit_pairs": 2, "limit_grid": 3}
+
+
+def _flag_argv(flag, value, tmp_path):
+    if flag in ("--exact", "--float", "--perturb"):
+        return [flag]
+    if flag in ("--out", "--spectra-out"):
+        return [flag, str(tmp_path / flag.strip("-"))]
+    if flag == "--window":
+        return [flag, *map(str, value)]
+    if flag == "--element":
+        return [flag, value[0]]
+    return [flag, str(value)]
+
+
+def _exit_code(argv):
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:    # argparse refuses an unknown flag this way
+        return exc.code
+
+
+TABLE_CASES = [(command, o, flag) for command in READS for o in cli.OPTIONS
+               for flag in [f for f, _ in o.flags] + ([None] if o.keyed else [])]
+
+
+@pytest.mark.parametrize("command, option, flag", TABLE_CASES,
+                         ids=[f"{c}:{flag or o.name}" for c, o, flag in TABLE_CASES])
+def test_each_command_takes_exactly_the_options_it_reads(tmp_path, capsys, command, option,
+                                                         flag):
+    assert (command in option.readers) == (option.name in READS[command])
+    value = "1/1" if option.name == "q" and command == "limit" else VALUES.get(option.name)
+    if flag is None:
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({option.name: value}))
+        named, argv = option.name, ["--config", str(cfgfile)]
+    else:
+        named, argv = flag, _flag_argv(flag, value, tmp_path)
+    if command == "limit" and option.name != "q":
+        argv = ["--q", "1/1", *argv]
+    code = _exit_code([command, *argv])
+    captured = capsys.readouterr()
+    if option.name in READS[command]:
+        assert code in (0, 3), captured.err
+    else:
+        assert code == 2 and captured.out == "" and named in captured.err, captured.err
+
+
+@pytest.mark.parametrize("argv, cfg", [
+    (["--window", "-9", "9"], {"windows_sweep": [[-3, 3]]}),
+    ([], {"window": [-9, 9], "windows_sweep": [[-3, 3]]}),
+])
+def test_simulate_refuses_a_window_beside_a_sweep(tmp_path, capsys, argv, cfg):
+    # simulate runs the sweep in place of the window, which would have no effect
     cfgfile = tmp_path / "cfg.json"
-    cfgfile.write_text(json.dumps({"exact_mode": True}))
-    for argv in (["--exact"], ["--config", str(cfgfile)]):
-        assert cli.main(["norm", "--element", "t@1", *argv]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == "" and "exact" in captured.err
+    cfgfile.write_text(json.dumps(cfg))
+    assert cli.main(["simulate", "--config", str(cfgfile), *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "window" in captured.err and "windows_sweep" in captured.err
+
+
+DRAWN = {"q": st.sampled_from(["1/2", "2/3", "3/7", "1/1"]),
+         "window": st.lists(st.integers(-8, 8), min_size=2, max_size=2),
+         "limit_pairs": st.integers(1, 3)}
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_random_invocations_exit_0_2_or_3_without_a_traceback(tmp_path, capsys, data):
+    # any subset of the table's options, as a flag or a config key, on any command
+    command = data.draw(st.sampled_from(sorted(READS)))
+    rows = data.draw(st.lists(st.sampled_from(cli.OPTIONS), max_size=4,
+                                  unique_by=lambda o: o.name))
+    argv, cfg = [command], {}
+    for o in rows:
+        value = data.draw(DRAWN.get(o.name, st.just(VALUES.get(o.name))))
+        form = data.draw(st.sampled_from([f for f, _ in o.flags] + ([None] if o.keyed else [])))
+        if form is None:
+            cfg[o.name] = value
+        else:
+            argv += _flag_argv(form, value, tmp_path)
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps(cfg))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = _exit_code([*argv, "--config", str(cfgfile)])
+    captured = capsys.readouterr()
+    assert code in (0, 2, 3)
+    assert "Traceback" not in captured.err
