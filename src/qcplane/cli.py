@@ -118,7 +118,7 @@ OPTIONS = (
     Option("exact_mode", ("simulate", "bott"), False, _as_bool, "exact",
            (("--exact", dict(action="store_const", const=True, help="exact-rational mode")),
             ("--float", dict(action="store_const", const=False, help="floating mode")))),
-    Option("elements", ("norm",), [], _each(str), "element",
+    Option("elements", ("norm",), ["1/(1+t^2)@0"], _each(str), "element",
            (("--element", dict(action="append", metavar="EXPR@K",
                                help="algebra element literal (repeatable)")),)),
     Option("seed", ("limit",), 7, _as_int, "seed",
@@ -191,6 +191,8 @@ def load_config(path: str | None, overrides: argparse.Namespace) -> RunConfig:
         raise ConfigurationError("limit needs limit_pairs >= 1 and limit_grid >= 2")
     if cfg.windows_sweep == ():
         raise ConfigurationError("windows_sweep must list at least one window")
+    if not cfg.elements:
+        raise ConfigurationError("elements must list at least one element")
     if not cfg.bott_n or not cfg.bott_signs or min(cfg.bott_n) < 1:
         raise ConfigurationError("bott needs nonempty bott_n and bott_signs, "
                                  "and every bott_n entry at least 1")
@@ -208,12 +210,9 @@ def _require_deformed(cfg: RunConfig, command: str) -> None:
         raise ConfigurationError(f"q = 1 is only valid for the limit command, not {command}")
 
 
-def _provenance(cfg: RunConfig, identity: str, window: TruncationWindow | None = None,
-                margin: int = 0) -> dict:
-    prov = {"identity_checked": identity, "mode": "exact" if cfg.exact_mode else "float"}
-    if window is not None:
-        prov.update(window=[window.n_min, window.n_max], interior_margin=margin)
-    return prov
+def _provenance(cfg: RunConfig, identity: str, window: TruncationWindow, margin: int) -> dict:
+    return {"identity_checked": identity, "mode": "exact" if cfg.exact_mode else "float",
+            "window": [window.n_min, window.n_max], "interior_margin": margin}
 
 
 def _passes(value, tolerance: float) -> bool:
@@ -322,9 +321,8 @@ def cmd_norm(cfg: RunConfig) -> dict:
     _require_deformed(cfg, "norm")
     mu = _measure(cfg)
     sweep = cfg.windows_sweep or tuple(_as_window(w) for w in DEFAULT_SWEEP)
-    literals = cfg.elements or ["1/(1+t^2)@0"]
     rows = []
-    for lit in literals:
+    for lit in cfg.elements:
         a = algebra.parse_element(cfg.q, [lit])
         rep = represent.norm_estimate(a, sweep, mu)
         row = rep.to_json(lit)
@@ -421,8 +419,8 @@ def cmd_limit(cfg: RunConfig) -> dict:
               and theta_independent)
     return {
         "command": "limit",
-        "provenance": _provenance(cfg, "commutators vanish at q = 1; "
-                                       "evaluation multiplicative on the plane"),
+        "provenance": {"identity_checked": "commutators vanish at q = 1; "
+                                           "evaluation multiplicative on the plane"},
         "q": format_rational(cfg.q),
         "pairs": cfg.limit_pairs,
         "commutator_max_residue": format_rational(commutator_exact),

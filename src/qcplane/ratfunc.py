@@ -291,46 +291,36 @@ def _reversed_value(cs: tuple[tuple[float, ...], ...], t):
     return re * monomial, im * monomial
 
 
-def _q_trim(a: list) -> list:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _q_rem(a: list, b: list) -> list:
-    """Remainder of a on division by the nonzero b."""
-    a = list(a)
-    while len(a) >= len(b):
-        c = Fraction(a[-1], b[-1])
-        s = len(a) - len(b)
-        for i, bc in enumerate(b[:-1]):
-            a[s + i] -= c * bc
-        a.pop()
-        _q_trim(a)
-    return a
-
-
-def _q_gcd(a: list, b: list) -> list:
-    while b:
-        a, b = b, _q_rem(a, b)
-    return a
-
-
 def _sign_changes(values) -> int:
     signs = [v > 0 for v in values if v != 0]
     return sum(x != y for x, y in zip(signs, signs[1:]))
 
 
-def _positive_root_count(g: list) -> int:
-    """Distinct roots of g in (0, inf) by Sturm's theorem; needs g(0) != 0."""
+def _positive_root_count(g: list[int] | tuple[int, ...]) -> int:
+    """Distinct roots in (0, inf) of the integer polynomial g by Sturm's theorem; needs g(0) != 0.
+
+    The sequence is g, g' and the negated remainders.  Each remainder is a
+    pseudo-remainder whose every step multiplies by |lc b| > 0, divided by its
+    positive content: a positive multiple of the remainder over Q, so the signs
+    that Sturm's theorem reads are those over Q, and no Fraction is formed.
+    """
     if len(g) < 2:
         return 0
     seq = [g, [k * c for k, c in enumerate(g)][1:]]
     while True:
-        r = _q_rem(seq[-2], seq[-1])
-        if not r:
+        a, b = list(seq[-2]), seq[-1]
+        m, s = abs(b[-1]), 1 if b[-1] > 0 else -1
+        while len(a) >= len(b):   # a <- |lc b| a - sign(lc b) lc(a) t^k b, lead dropped
+            c = s * a.pop()
+            a = [m * x for x in a]
+            for i, y in enumerate(b[:-1], len(a) + 1 - len(b)):
+                a[i] -= c * y
+            while a and not a[-1]:
+                a.pop()
+        if not a:
             break
-        seq.append([-c for c in r])
+        h = math.gcd(*a)
+        seq.append([-x // h for x in a])
     return _sign_changes(p[0] for p in seq) - _sign_changes(p[-1] for p in seq)
 
 
@@ -509,17 +499,17 @@ class RationalFunction:
     def check_denominator(self) -> None:
         """Raise EvaluationError unless the denominator has no root on [0, inf).
 
-        A real t is a root of the denominator exactly when it is a common root
-        of its real and imaginary parts, that is a root of their gcd g over Q.
-        A root at t = 0 shows in g's constant term; Sturm's theorem counts the
-        distinct roots in (0, inf), which real coefficients >= 0 rule out at
-        once.  The answer is decided, not sampled.
+        A real t is a root of the denominator exactly when it is a root of the
+        integer polynomial g = |den|^2 = Re^2 + Im^2, or g = den when den is
+        real.  A root at t = 0 shows in g's constant term; Sturm's theorem
+        counts the distinct roots in (0, inf), which coefficients >= 0 rule out
+        at once.  The answer is decided, not sampled.
         """
         re, im, _ = self._den
-        g = _q_gcd(_q_trim(list(re)), _q_trim(list(im)))
+        g = _conv(_conv([0] * (2 * len(re) - 1), re, re), im, im) if any(im) else re
         if g[0] == 0:
             raise EvaluationError("denominator vanishes at t=0")
-        roots = _positive_root_count(g) if any(im) or min(re) < 0 else 0
+        roots = _positive_root_count(g) if min(g) < 0 else 0
         if roots:
             raise EvaluationError(f"denominator has {roots} distinct root(s) in (0, inf)")
 

@@ -250,6 +250,7 @@ def test_config_validation_errors(tmp_path, capsys):
                       (["bott", "--exact"], {"bott_n": [0, 1]}),
                       (["bott"], {"bott_signs": []}),
                       (["simulate"], {"windows_sweep": []}),
+                      (["norm"], {"elements": []}),
                       # integer keys take integers: no rounding, truncation or booleans
                       (["bott"], {"bott_n": [1.5]}),
                       (["simulate"], {"window": [-6.9, 6.9]}),

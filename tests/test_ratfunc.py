@@ -96,11 +96,70 @@ def test_check_denominator_matches_sympy_on_random_denominators():
         expected = _sympy_roots_on_half_line(f.den)
         assert _rejected(f) == (expected > 0), den
         rejected += expected > 0
-        g = ratfunc._q_gcd(ratfunc._q_trim([c.re for c in f.den]),
-                           ratfunc._q_trim([c.im for c in f.den]))
+        p = _poly_rf(f.den)   # integer coefficients: the denominator is primitive
+        g = [int(c.re) for c in (p * p.conjugate()).num]   # |den|^2
         if g[0] != 0:
             assert ratfunc._positive_root_count(g) == expected
     assert 20 < rejected < 130  # both verdicts are exercised
+
+
+def _int_mul(a: list[int], b: list[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+@st.composite
+def _integer_polys(draw) -> list[int]:
+    """Integer polynomials with g(0) != 0: a random factor times planted real roots p/r.
+
+    A planted root may be simple or double, positive or negative, and may be
+    planted twice, so g is square-free or not.
+    """
+    g = draw(st.lists(st.integers(-30, 30), min_size=1, max_size=7))
+    g[0] = g[0] or 1
+    g[-1] = g[-1] or 1
+    for p, r, twice in draw(st.lists(st.tuples(st.integers(-8, 8).filter(bool),
+                                               st.integers(1, 5), st.booleans()),
+                                     max_size=4)):
+        factor = [-p, r]   # r t - p
+        g = _int_mul(g, _int_mul(factor, factor) if twice else factor)
+    return g
+
+
+@settings(max_examples=300, deadline=None)
+@given(_integer_polys())
+def test_positive_root_count_matches_sympy(g):
+    sp = pytest.importorskip("sympy")
+    t = sp.symbols("t")
+    # count_roots counts distinct roots, here those in [0, oo) with 0 not a root
+    assert ratfunc._positive_root_count(g) == sp.Poly(g[::-1], t).count_roots(0, sp.oo)
+
+
+def test_sturm_remainders_stay_small(monkeypatch):
+    # every value Sturm's theorem reads is a lead or constant coefficient of a
+    # remainder divided by its content, which is at most a subresultant of g and
+    # g': a determinant of order <= 2n - 1 with entries <= n max|g|, bounded by
+    # Hadamard.  Pseudo-remainders that keep their content pass the bound by
+    # orders of magnitude at degree 14.
+    read, count = [], ratfunc._sign_changes
+
+    def spy(values):
+        values = list(values)
+        read.extend(values)
+        return count(values)
+
+    monkeypatch.setattr(ratfunc, "_sign_changes", spy)
+    rng, n = random.Random(14), 14
+    order = 2 * n - 1
+    for _ in range(20):
+        g = [rng.choice([-1, 1]) * rng.randint(1, 9) for _ in range(n + 1)]
+        read.clear()
+        ratfunc._positive_root_count(g)
+        bound = (math.isqrt(order) + 1) ** order * (n * max(map(abs, g))) ** order
+        assert len(read) > 4 and max(map(abs, read)) <= bound
 
 
 def _schoolbook(a, b) -> tuple:
