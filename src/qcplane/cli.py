@@ -210,9 +210,14 @@ def _require_deformed(cfg: RunConfig, command: str) -> None:
         raise ConfigurationError(f"q = 1 is only valid for the limit command, not {command}")
 
 
-def _provenance(cfg: RunConfig, identity: str, window: TruncationWindow, margin: int) -> dict:
-    return {"identity_checked": identity, "mode": "exact" if cfg.exact_mode else "float",
-            "window": [window.n_min, window.n_max], "interior_margin": margin}
+def _provenance(identity: str, window: TruncationWindow, margin: int,
+                exact: bool | None = None) -> dict:
+    """The run's provenance; a mode only from a command that reads exact_mode."""
+    out = {"identity_checked": identity, "window": [window.n_min, window.n_max],
+           "interior_margin": margin}
+    if exact is not None:
+        out["mode"] = "exact" if exact else "float"
+    return out
 
 
 def _passes(value, tolerance: float) -> bool:
@@ -300,9 +305,9 @@ def cmd_simulate(cfg: RunConfig) -> dict:
                 qnormal.spectra_to_csv(T, fh)
     report = {
         "command": "simulate",
-        "provenance": _provenance(cfg, "zeta zeta* = q^2 zeta* zeta; "
-                                       "u f(|zeta|) u* = f(q |zeta|); zeta = u |zeta|",
-                                  windows[0], 1),
+        "provenance": _provenance("zeta zeta* = q^2 zeta* zeta; "
+                                  "u f(|zeta|) u* = f(q |zeta|); zeta = u |zeta|",
+                                  windows[0], 1, cfg.exact_mode),
         "q": format_rational(cfg.q),
         "generators": [format_rational(g) for g in cfg.generators],
         "zero_mass": format_rational(cfg.zero_mass),
@@ -333,8 +338,8 @@ def cmd_norm(cfg: RunConfig) -> dict:
         rows.append(row)
     return {
         "command": "norm",
-        "provenance": _provenance(cfg, "covariant representation norm sweep "
-                                       "(reduced = universal assumed: amenable scaling action)",
+        "provenance": _provenance("covariant representation norm sweep "
+                                  "(reduced = universal assumed: amenable scaling action)",
                                   sweep[-1], 0),
         "q": format_rational(cfg.q),
         "estimates_are_lower_bounds": True,
@@ -372,8 +377,8 @@ def cmd_bott(cfg: RunConfig) -> dict:
                      "passed": _passes(rep.max_defect, cfg.tolerance)}))
     return {
         "command": "bott",
-        "provenance": _provenance(cfg, "P P = P = P*", cfg.window,
-                                  2 * max(cfg.bott_n)),
+        "provenance": _provenance("P P = P = P*", cfg.window, 2 * max(cfg.bott_n),
+                                  cfg.exact_mode),
         "q": format_rational(cfg.q),
         "tolerance": cfg.tolerance,
         "perturbed_control": cfg.perturb,

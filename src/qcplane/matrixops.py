@@ -13,13 +13,15 @@ serves both regimes.  Values leave an exact band only through :meth:`Band.dense`
 and the read-only :attr:`Band.diags`, by value: a zero as the int 0, wherever
 it came from, any other real value as a Fraction, and a value with a nonzero
 imaginary part as a RationalComplex.  :meth:`Band.norm` measures a band
-without making it dense.  Model paths never densify: dense matrices are
-made only for the public dense results, and the helpers below act on those,
-exactly.
+without making it dense; a float band's offsets decide its blocks, the
+entries of one row class modulo the gcd of the offset differences.  Model
+paths never densify: dense matrices are made only for the public dense
+results, and the helpers below act on those, exactly.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from fractions import Fraction
 from itertools import repeat
@@ -317,12 +319,14 @@ class Band:
 
         Exact bands give the largest entry magnitude, found by comparing
         integer cross products, as one Fraction.  Float bands give the
-        2-norm: the kept nonzero entries split into blocks that share no row
-        and no column, the matrix is (up to permutations) their direct sum, and
-        its 2-norm is the largest block norm, so only blocks of two or more
-        entries need an SVD.  Every block of a one-diagonal band is a single
-        entry, so its norm is its largest kept |entry|.  A non-finite kept
-        entry gives inf.
+        2-norm.  Let d0 + hZ be the least coset holding every offset with a
+        nonzero kept entry.  The band maps rows c mod h to columns c + d0 mod h,
+        so the entries of each row class mod h form a block that shares no row
+        and no column with the others, and the 2-norm is the largest block
+        norm.  A block of one entry gives its |entry|; the rest are stacked as
+        ceil(dim/h)-square matrices at (row // h, col // h) for one batched
+        SVD.  One offset leaves every entry its own block, so the norm is the
+        largest kept |entry|.  A non-finite kept entry gives inf.
         """
         if self.exact:
             # max(|re|, |im|) / den is the exact size proxy of a value; the
@@ -341,23 +345,35 @@ class Band:
 
     def _float_norm(self, kept: dict) -> float:
         """2-norm of a float band's entries on the rows of :meth:`_kept_rows`."""
-        rows, cols, vals = [], [], []
+        offsets, rows, cols, vals = [], [], [], []
         for d, r in kept.items():
-            rows.append(r)
-            cols.append(r + d)
-            vals.append(self._diags[d][r])
-        vals = np.concatenate(vals) if vals else np.zeros(0, dtype=complex)
-        if not np.isfinite(vals).all():
-            # an overflowed entry: report an unbounded norm, never a small one
-            return float("inf")
-        if len(self._diags) == 1:
-            # one diagonal: no two entries share a row or a column
-            return float(np.max(np.abs(vals), initial=0.0))
-        nonzero = vals != 0
-        if not nonzero.any():
+            v = self._diags[d][r]
+            if not np.isfinite(v).all():
+                # an overflowed entry: report an unbounded norm, never a small one
+                return float("inf")
+            nonzero = v != 0
+            if nonzero.any():
+                offsets.append(d)
+                rows.append(r[nonzero])
+                cols.append(r[nonzero] + d)
+                vals.append(v[nonzero])
+        if not offsets:
             return 0.0
-        return _block_norm(np.concatenate(rows)[nonzero], np.concatenate(cols)[nonzero],
-                           vals[nonzero], self.dim)
+        # the offsets lie in d0 + hZ, so row classes mod h are the blocks; one
+        # offset (h = 0) makes every row its own block, as h = dim does
+        h = math.gcd(*(d - offsets[0] for d in offsets)) or self.dim
+        rows, cols, vals = map(np.concatenate, (rows, cols, vals))
+        block = rows % h
+        single = np.bincount(block)[block] == 1
+        best = float(np.max(np.abs(vals[single]), initial=0.0))
+        if not single.all():
+            n = -(-self.dim // h)
+            shared = ~single
+            members, slot = np.unique(block[shared], return_inverse=True)
+            stack = np.zeros((len(members), n, n), dtype=complex)
+            stack[slot, rows[shared] // h, cols[shared] // h] = vals[shared]
+            best = max(best, float(np.max(np.linalg.norm(stack, 2, axis=(1, 2)))))
+        return best
 
     def gap(self, other: "Band", keep=None) -> tuple[float, float]:
         """(absolute, relative) gap between float bands L = self and R = other, compressed to keep.
@@ -385,46 +401,6 @@ class Band:
             diff = np.abs(D._diags[d][r])
             worst = max(worst, float((diff / np.maximum(scale, _TINY)).max(initial=0.0)))
         return D._float_norm(kept), worst
-
-
-def _block_norm(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, dim: int) -> float:
-    """2-norm of the dim x dim matrix with the given distinct nonzero entries."""
-    # row i is node i, column j node dim + j; an entry links its row and column.
-    # Min-label propagation with pointer jumping labels the connected blocks.
-    a, b = rows, cols + dim
-    label = np.arange(2 * dim)
-    while True:
-        low = np.minimum(label[a], label[b])
-        new = label.copy()
-        np.minimum.at(new, a, low)
-        np.minimum.at(new, b, low)
-        new = new[new]
-        if np.array_equal(new, label):
-            break
-        label = new
-    # number the nodes of each block in order, its rows before its columns
-    seen = np.zeros(2 * dim, dtype=bool)
-    seen[a] = seen[b] = True
-    nodes = np.flatnonzero(seen)
-    order = np.argsort(label[nodes], kind="stable")
-    ranked = label[nodes][order]
-    pos = np.empty(2 * dim, dtype=int)
-    pos[nodes[order]] = np.arange(len(nodes)) - np.searchsorted(ranked, ranked)
-    n_rows = np.bincount(label[nodes[nodes < dim]], minlength=2 * dim)
-    n_nodes = np.bincount(label[nodes], minlength=2 * dim)
-    block = label[a]
-    height, width = n_rows[block], n_nodes[block] - n_rows[block]
-    best = 0.0
-    for h, w in set(zip(height.tolist(), width.tolist())):
-        sel = (height == h) & (width == w)
-        if h == w == 1:
-            best = max(best, float(np.max(np.abs(vals[sel]))))
-            continue
-        members, slot = np.unique(block[sel], return_inverse=True)
-        stack = np.zeros((len(members), h, w), dtype=complex)
-        stack[slot, pos[a[sel]], pos[b[sel]] - h] = vals[sel]
-        best = max(best, float(np.max(np.linalg.norm(stack, 2, axis=(1, 2)))))
-    return best
 
 
 def adjoint(M: np.ndarray) -> np.ndarray:

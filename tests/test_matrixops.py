@@ -127,19 +127,29 @@ def _dense_norm(M: np.ndarray, keep) -> float:
     return float(np.linalg.norm(C, 2)) if C.size else 0.0
 
 
-FLOAT_OFFSETS = [(0,), (3,), (0, 5, -5), (2, -7, 11), (-1, 0, 1), (1, -1), (), (40, -40, 0)]
+# (3, -9, 15), (6, 18) and (-4, 8, 20) lie in a coset d0 + hZ with d0 != 0 and blocks
+# of several rows; (-30, 30) at dim 40 has h = 60 >= dim, so every block is one entry
+FLOAT_OFFSETS = [(0,), (3,), (0, 5, -5), (2, -7, 11), (-1, 0, 1), (1, -1), (), (40, -40, 0),
+                 (3, -9, 15), (6, 18), (-4, 8, 20), (-30, 30)]
 
 
 def test_float_band_norm_matches_dense_svd():
     rng = np.random.default_rng(61)
-    for dim in (1, 2, 9, 24):
+    for dim in (1, 2, 9, 24, 40, 61):
         for offsets in FLOAT_OFFSETS:
             for density in (0.3, 1.0):
                 B = _float_band(rng, dim, offsets, density)
+                # an all-zero diagonal at offset 7 adds no entry, so it must not join blocks
+                Z = mo.Band(dim, False, {**B.diags, 7: np.zeros(dim, dtype=complex)})
                 keeps = [None, [], sorted(rng.choice(dim, size=dim // 2, replace=False))]
                 for keep in keeps:
                     want = _dense_norm(B.dense(), keep)
                     assert abs(B.norm(keep) - want) <= 1e-12 * max(1.0, want)
+                    assert Z.norm(keep) == B.norm(keep)
+    # no two entries of (-30, 30) at dim 40 share a row class mod 60: the norm is
+    # the largest |entry|, bit for bit
+    B = _float_band(rng, 40, (-30, 30), 1.0)
+    assert B.norm() == float(np.max(np.abs(B.dense())))
 
 
 def test_float_band_norm_single_chain_and_zero_bands():
@@ -438,10 +448,5 @@ def test_one_offset_float_band_norm_is_the_largest_kept_entry():
                     entries = B.diags[d][rows] if d in B.diags else np.zeros(0)
                     got = B.norm(keep)
                     assert got == (float(np.max(np.abs(entries))) if entries.any() else 0.0)
-                    # the same bits as the general path, whose blocks are all single entries
-                    nz = entries != 0
-                    general = (mo._block_norm(rows[nz], rows[nz] + d, entries[nz], dim)
-                               if nz.any() else 0.0)
-                    assert got == general
                     want = _dense_norm(B.dense(), keep)
                     assert abs(got - want) <= 1e-12 * max(1.0, want)

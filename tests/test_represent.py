@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 import qcplane.matrixops as mo
-from qcplane import algebra, qnormal, qspace, represent
+from qcplane import algebra, bott, qnormal, qspace, represent
 from qcplane.algebra import ClosureCoefficient, parse_element
 from qcplane.errors import ConfigurationError, DomainError, SingularityError
 from qcplane.qnormal import TruncationWindow
@@ -210,6 +211,39 @@ def test_norm_window_ordering_enforced(dyadic_measure):
                       dyadic_measure)
     with pytest.raises(DomainError):
         norm_estimate(a, [], dyadic_measure)
+
+
+@pytest.mark.parametrize("q, generators", [("1/2", ["1", "3/4", "5/8"]),
+                                           ("2/3", ["1", "3/4", "5/6"]),
+                                           ("3/7", ["1", "1/2", "5/7"])])
+def test_a_union_of_orbits_measures_its_largest_orbit(q, generators):
+    # the model of m generators is the direct sum of the m one-generator models
+    # (rows g, g + m, g + 2m, ... for generator g), so every float norm of it is
+    # the largest one-generator norm, bit for bit
+    windows = [TruncationWindow(-n, n) for n in (10, 25, 40)]
+    elements = [["1/(1+t^2)@0", "t/(1+t^2)@1"],
+                ["1@0", "t/(2+t)@2", "1/(1+t)@-1"],
+                ["(1+t)/(1+t^2)@-2", "t^2/(3+t^2)@3"]]
+    for m in (2, 3):
+        for gens in itertools.combinations(generators, m):
+            for literals in elements:
+                a = parse_element(q, literals)
+                whole = norm_estimate(a, windows, qspace.uniform_measure(q, gens)).estimates
+                parts = [norm_estimate(a, windows, qspace.uniform_measure(q, [g])).estimates
+                         for g in gens]
+                assert whole == tuple(map(max, zip(*parts)))
+            for w in (TruncationWindow(-14, 14), TruncationWindow(-40, 40)):
+                T = qnormal.build_from_generators(q, gens, w)
+                Ts = [qnormal.build_from_generators(q, [g], w) for g in gens]
+                for n in (1, 2, 3):
+                    for sign in (1, -1):
+                        P = bott.bott_projection(n, sign, q)
+                        whole = bott.verify_projection_numeric(P, T)
+                        parts = [bott.verify_projection_numeric(P, t) for t in Ts]
+                        assert whole.idempotency_defect == max(r.idempotency_defect
+                                                               for r in parts)
+                        assert whole.selfadjointness_defect == max(r.selfadjointness_defect
+                                                                   for r in parts)
 
 
 def test_norm_report_rejects_decreasing_estimates():
