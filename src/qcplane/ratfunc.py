@@ -13,7 +13,17 @@ tests once whether its operands are real and then skips im, writing back that
 zero tuple: two real factors make one convolution, a real pair is its own
 conjugate.  A product by a constant scales coefficients.  The rescaling
 f(p/r t) multiplies num and den by one weight table p^k r^(n-k), n the larger
-degree, whose common r^n cancels.
+degree, whose common r^n cancels; the weights are positive, so it moves only
+den's content, into num's d.
+
+Sums, products and nonnegative powers need no normal-form pass when their den
+is one shared den or a product of real dens: by Gauss's lemma a product of
+primitive integer polynomials is primitive, and its lead is a product of
+positive leads, so only a zero num changes the pair (to den ``_ONE``).
+``_normal`` still runs where that fails: on products of complex dens, which
+can gain a content or a negative lead ((it+1)(it-1) = -t^2-1), on quotients
+and negative powers, whose den comes from a numerator, on conjugates, whose
+lead may flip sign, and on construction.
 """
 
 from __future__ import annotations
@@ -131,7 +141,9 @@ def _f_argscale(a: Pair, p: int, r: int) -> Pair:
 
     Coefficient k of num and den is multiplied by p^k r^(n-k), n the larger
     degree: that is num(p/r t) and den(p/r t) times the same r^n, which
-    cancels in the quotient.  A constant den stays 1, and r^n goes into num's d.
+    cancels in the quotient.  Every weight is positive, so den keeps d = 1 and
+    the sign of its lead; only its content g moves, into num's d.  A constant
+    den stays 1, and r^n goes into num's d.
     """
     (nr, ni, d), (dr, di, _) = a
     if not nr:
@@ -147,7 +159,12 @@ def _f_argscale(a: Pair, p: int, r: int) -> Pair:
     num_im = () if real else scaled(ni)
     if a[1] == _ONE:
         return _canon(scaled(nr), num_im, d * w[0]), _ONE
-    return _normal(_canon(scaled(nr), num_im, d), (scaled(dr), di if real else scaled(di), 1))
+    den_re, den_im = scaled(dr), di if real else scaled(di)
+    g = math.gcd(*den_re) if real else math.gcd(*den_re, *den_im)
+    if g > 1:
+        den_re = tuple([c // g for c in den_re])
+        den_im = di if real else tuple([c // g for c in den_im])
+    return _canon(scaled(nr), num_im, d * g), (den_re, den_im, 1)
 
 
 def _normal(num: Poly, den: Poly) -> Pair:
@@ -170,11 +187,36 @@ def _normal(num: Poly, den: Poly) -> Pair:
             (tuple([c // sg for c in re]), im if real else tuple([c // sg for c in im]), 1))
 
 
+def _over(num: Poly, den: Poly) -> Pair:
+    """num / den for a den already in the normal form: only a zero num moves it to ``_ONE``."""
+    return (num, den) if num[0] else (num, _ONE)
+
+
+def _over_product(num: Poly, ad: Poly, bd: Poly) -> Pair:
+    """num / (ad bd) for normal ad and bd.
+
+    Real ones multiply to a normal den by Gauss's lemma: a product of
+    primitive integer polynomials is primitive, its lead is a product of
+    positive leads, and its d is 1.  Complex ones can lose both (content 2 in
+    ((1+i)t+1+i)((1-i)t+1-i), lead -1 in (it+1)(it-1)), so their product goes
+    through _normal.  The real product needs no _canon either: d is 1 and the
+    lead, a product of nonzero integers, is nonzero.
+    """
+    if any(ad[1]) or any(bd[1]):
+        return _normal(num, _p_mul(ad, bd))
+    if not num[0]:
+        return num, _ONE
+    if ad == _ONE or bd == _ONE:
+        return num, bd if ad == _ONE else ad
+    re = _conv([0] * (len(ad[0]) + len(bd[0]) - 1), ad[0], bd[0])
+    return num, (tuple(re), (0,) * len(re), 1)
+
+
 def _f_add(a: Pair, b: Pair) -> Pair:
     (an, ad), (bn, bd) = a, b
     if ad == bd:
-        return _normal(_p_add(an, bn), ad)
-    return _normal(_p_add(_p_mul(an, bd), _p_mul(bn, ad)), _p_mul(ad, bd))
+        return _over(_p_add(an, bn), ad)
+    return _over_product(_p_add(_p_mul(an, bd), _p_mul(bn, ad)), ad, bd)
 
 
 def _f_neg(a: Pair) -> Pair:
@@ -193,7 +235,7 @@ def _f_sub(a: Pair, b: Pair) -> Pair:
 
 
 def _f_mul(a: Pair, b: Pair) -> Pair:
-    return _normal(_p_mul(a[0], b[0]), _p_mul(a[1], b[1]))
+    return _over_product(_p_mul(a[0], b[0]), a[1], b[1])
 
 
 def _f_div(a: Pair, b: Pair) -> Pair:
@@ -203,8 +245,13 @@ def _f_div(a: Pair, b: Pair) -> Pair:
 
 
 def _f_pow(a: Pair, k: int) -> Pair:
-    """a ** k by squaring, refused before any expansion past the power bounds."""
-    if k < 0:
+    """a ** k by squaring, refused before any expansion past the power bounds.
+
+    For k >= 0 and a real den, den ** k is normal by Gauss's lemma, as in
+    _over_product; an inverse or a complex den goes through _normal.
+    """
+    inverse = k < 0
+    if inverse:
         if not a[0][0]:
             raise DomainError("negative power of the zero function")
         a, k = (a[1], a[0]), -k
@@ -221,7 +268,7 @@ def _f_pow(a: Pair, k: int) -> Pair:
         k >>= 1
         if k:
             bn, bd = _p_mul(bn, bn), _p_mul(bd, bd)
-    return _normal(num, den)
+    return _normal(num, den) if inverse or any(di) else _over(num, den)
 
 
 def _operator(op):

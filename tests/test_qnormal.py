@@ -433,6 +433,23 @@ def test_level_grid_rounded_matches_the_exact_points(q, gens, window):
     assert T.grid.rounded().tolist() == T.modulus_band.diags[0].real.tolist()
 
 
+@pytest.mark.parametrize("q", ["1/2", "3/7", "5/3"])
+@pytest.mark.parametrize("gens", [["1"], ["1", "5/6"], ["1", "2/3", "9/7"]])
+@pytest.mark.parametrize("levels", [range(-9, -3), range(-1, 0), range(-4, 3), range(0, 1),
+                                    range(2, 8)])
+def test_level_grid_pairs_are_the_points_times_the_factor(q, gens, levels):
+    # windows wholly below, across and wholly above level 0, against
+    # factor * q**n * x formed from Fractions, not from the grid's points
+    qq, xs = Fraction(q), [Fraction(x) for x in gens]
+    grid = qnormal.LevelGrid(qq, tuple(xs), levels)
+    for f in (Fraction(1), qq, Fraction(7, 3)):
+        want = [f * qq ** n * x for n in levels for x in xs]
+        nums, dens = grid.pairs(f)
+        assert all(type(a) is int and type(b) is int and b > 0 for a, b in zip(nums, dens))
+        assert [Fraction(a, b) for a, b in zip(nums, dens)] == want
+        assert grid.rounded(f).tolist() == [float(w) for w in want]
+
+
 @pytest.mark.parametrize("q, gens", [
     ("3/7", ["1", "2/3"]), ("1/2", ["1"]), ("1/1", ["1", "1/4"]), ("1/2", [])])
 def test_level_grid_reads_as_the_tuple_of_grid_points(q, gens):

@@ -812,6 +812,25 @@ def test_pair_kernel_returns_the_pairs_of_the_general_path():
     assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
 
+def test_every_kernel_step_returns_a_normal_pair():
+    # complex dens whose products are real: content 2 from (1+i)(1-i), lead -1 from i * i
+    fs = _kernel_inputs() + [(1 / d)._pair for d in (IM * T + 1, IM * T - 1,
+                                                      (1 + IM) * (T + 1), (1 - IM) * (T + 1))]
+    rng = random.Random(2031)
+    for i, a in enumerate(fs):
+        results = [ratfunc._f_conj(a)]
+        results += [ratfunc._f_argscale(a, p, r)
+                    for p, r in ((1, 1), (3, 7), (9, 4), (rng.randint(1, 30), rng.randint(1, 30)))]
+        results += [ratfunc._f_pow(a, k) for k in range(-3 if a[0][0] else 0, 4)]
+        for b in fs[i:]:
+            for x, y in ((a, b), (b, a)):
+                results += [op(x, y) for op in (ratfunc._f_add, ratfunc._f_sub, ratfunc._f_mul)]
+                if y[0][0]:
+                    results.append(ratfunc._f_div(x, y))
+        for pair in results:
+            _assert_normal(ratfunc._rf(pair))
+
+
 def test_real_elements_keep_an_all_zero_im_of_re_length():
     rng = random.Random(2030)
     for trial in range(40):
