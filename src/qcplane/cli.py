@@ -484,8 +484,60 @@ def _probe_out(path: str) -> None:
         raise ConfigurationError(f"cannot write {path}: {why}")
 
 
+_JSON_STR = json.encoder.encode_basestring_ascii
+
+
+def _json_parts(o, parts: list, pad: str) -> None:
+    """Append the text of json.dumps(o, indent=2, sort_keys=True) to parts, nested
+    lines indented by pad.
+
+    The stdlib takes its pure-Python encoder whenever an indent is asked for;
+    this writer makes the same bytes with the same string and number
+    conversions: ASCII string escapes, float.__repr__ with NaN and ±Infinity,
+    and bool and None tested before int.  Tuples are written as lists.  Keys
+    must be str.
+    """
+    if isinstance(o, str):
+        parts.append(_JSON_STR(o))
+    elif o is None:
+        parts.append("null")
+    elif o is True:
+        parts.append("true")
+    elif o is False:
+        parts.append("false")
+    elif isinstance(o, int):
+        parts.append(int.__repr__(o))
+    elif isinstance(o, float):
+        parts.append(float.__repr__(o) if math.isfinite(o) else
+                     "NaN" if o != o else "Infinity" if o > 0 else "-Infinity")
+    elif isinstance(o, (list, tuple, dict)) and not o:
+        parts.append("{}" if isinstance(o, dict) else "[]")
+    elif isinstance(o, (list, tuple)):
+        inner = pad + "  "
+        sep = "[\n" + inner
+        for v in o:
+            parts.append(sep)
+            _json_parts(v, parts, inner)
+            sep = ",\n" + inner
+        parts.append("\n" + pad + "]")
+    elif isinstance(o, dict):
+        inner = pad + "  "
+        sep = "{\n" + inner
+        for k in sorted(o):
+            parts.append(sep + _JSON_STR(k) + ": ")
+            _json_parts(o[k], parts, inner)
+            sep = ",\n" + inner
+        parts.append("\n" + pad + "}")
+    else:
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
 def _emit(report: dict, out: str | None) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    """Write the report as json.dumps(report, indent=2, sort_keys=True) does, plus a newline."""
+    parts = []
+    _json_parts(report, parts, "")
+    parts.append("\n")
+    text = "".join(parts)
     if out:
         with _open_out(out) as fh:
             fh.write(text)

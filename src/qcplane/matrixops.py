@@ -287,7 +287,10 @@ class Band:
         if keep is None:
             return {d: self._rows(d) for d in self._diags}
         kept = np.zeros(self.dim, dtype=bool)
-        kept[np.asarray(list(keep), dtype=int)] = True
+        if isinstance(keep, range) and keep.step == 1 and keep.start >= 0:
+            kept[keep.start:keep.stop] = True
+        else:
+            kept[np.asarray(list(keep), dtype=int)] = True
         out = {}
         for d in self._diags:
             r = self._rows(d)

@@ -75,7 +75,8 @@ class GridPoint:
 class LevelGrid(Sequence):
     """The points t_{j,n} = q**n x_j, ascending levels in blocks of n_gens points.
 
-    Stores ratio, generators and levels; a GridPoint is made only when indexed.
+    Stores ratio, generators and levels (a range of step 1); a GridPoint is
+    made only when indexed.
     The atom weights of a measure are not kept: the model acts in the basis of
     normalized atom indicators, so it does not depend on them.
     """
@@ -96,20 +97,28 @@ class LevelGrid(Sequence):
         """Integers (nums, dens) with factor * t_{j,n} == nums[i] / dens[i], for every point.
 
         q = p/r, so q**n is p**n / r**n, and r**|n| / p**|n| below level 0: each
-        pair is a product of integer powers, never reduced.
+        pair is a product of integer powers, never reduced.  The level pairs are
+        slices of the two power tables, read backwards below level 0, and a
+        generator's pair (factor * x_j) multiplies them only where it is not 1.
         """
-        top = max(abs(self.levels.start), abs(self.levels[-1]))
-        ps, rs = ([*accumulate(repeat(b, top), operator.mul, initial=1)]
-                  for b in (self.q.numerator, self.q.denominator))
-        powers = [(ps[n], rs[n]) if n >= 0 else (rs[-n], ps[-n]) for n in self.levels]
-        scaled = [(factor.numerator * x.numerator, factor.denominator * x.denominator)
-                  for x in self.generators]
-        return ([a * pn for pn, _ in powers for a, _ in scaled],
-                [b * rn for _, rn in powers for _, b in scaled])
+        lo, hi = self.levels.start, self.levels.stop
+        ps, rs = ([*accumulate(repeat(b, max(-lo, hi - 1)), operator.mul, initial=1)]
+                  for b in self.q.as_integer_ratio())
+        below, above = slice(max(-lo, 0), max(-hi, 0), -1), slice(max(lo, 0), max(hi, 0))
+        level_nums, level_dens = rs[below] + ps[above], ps[below] + rs[above]
+        fp, fr = factor.as_integer_ratio()
+        g = len(self.generators)
+        nums, dens = [0] * len(self), [0] * len(self)
+        for j, x in enumerate(self.generators):
+            a, b = fp * x.numerator, fr * x.denominator
+            nums[j::g] = level_nums if a == 1 else [a * v for v in level_nums]
+            dens[j::g] = level_dens if b == 1 else [b * v for v in level_dens]
+        return nums, dens
 
     def rounded(self, factor: Fraction = Fraction(1)) -> np.ndarray:
-        """float(factor * t_{j,n}) for every point: one integer true division each."""
-        return np.array(list(map(operator.truediv, *self.pairs(factor))), dtype=float)
+        """float(factor * t_{j,n}) for every point: one integer true division each,
+        so each float is the correctly rounded one that float(Fraction) gives."""
+        return np.fromiter(map(operator.truediv, *self.pairs(factor)), float, count=len(self))
 
 
 @dataclass(frozen=True)
@@ -170,16 +179,33 @@ class TruncatedQNormal:
     def n_gens(self) -> int:
         return len(self.grid) // self.window.size
 
-    def interior_indices(self, pad: int = 1) -> list[int]:
+    def interior_range(self, pad: int = 1) -> range:
+        """Grid indices of the levels at distance >= pad from both window ends."""
         # the grid holds ascending levels in blocks of n_gens points
         levels = self.window.interior_levels(pad)
         start = (levels.start - self.window.n_min) * self.n_gens
-        return list(range(start, start + len(levels) * self.n_gens))
+        return range(start, start + len(levels) * self.n_gens)
+
+    def interior_indices(self, pad: int = 1) -> list[int]:
+        """The indices of :meth:`interior_range` as a list."""
+        return list(self.interior_range(pad))
 
     @functools.cached_property
     def _q_points(self) -> np.ndarray:
-        """float(q * t_{j,n}) for every grid point: each product rounded once."""
-        return self.grid.rounded(self.q)
+        """float(q * t_{j,n}) for every grid point: each product rounded once.
+
+        When q is the grid's ratio, q * t_{j,n} is t_{j,n+1}: the float modulus
+        one level up, then the level above the window, each point float() of
+        its Fraction.  Every float is the correctly rounded value of the same
+        rational, so the floats are those of ``grid.rounded(q)``.  A model whose
+        q is not its grid's ratio rounds q * t_{j,n} itself.
+        """
+        grid = self.grid
+        if self.q != grid.q:
+            return grid.rounded(self.q)
+        qn = grid.q ** (self.window.n_max + 1)
+        modulus = self.modulus_band.diagonal(0).real[self.n_gens:len(grid)]
+        return np.concatenate((modulus, [float(qn * x) for x in grid.generators]))
 
     def as_float(self) -> "TruncatedQNormal":
         if not self.exact:
@@ -295,7 +321,7 @@ def verify_relation(T: TruncatedQNormal) -> RelationReport:
     p, r = T.q.as_integer_ratio()
     q2 = Fraction(p * p, r * r) if T.exact else float(T.q) ** 2
     lhs, rhs = T.zeta_band @ zs, (zs @ T.zeta_band).scale(q2)
-    keeps = (T.interior_indices(), None)
+    keeps = (T.interior_range(), None)
     (inner, inner_abs), (whole, whole_abs) = _defects(T, lhs, rhs, keeps)
     return RelationReport(inner, whole, None if T.exact else RelationReport(inner_abs, whole_abs))
 
@@ -385,7 +411,7 @@ def verify_covariance(T: TruncatedQNormal, f: CoefficientFunction,
     with_absolute returns the pair (gated, absolute) from the same two sides.
     """
     lhs = T.u_band @ spectral_band(T, f) @ T.u_band.adjoint()
-    (gated, absolute), = _defects(T, lhs, spectral_band(T, f, T.q), (T.interior_indices(),))
+    (gated, absolute), = _defects(T, lhs, spectral_band(T, f, T.q), (T.interior_range(),))
     return (gated, absolute) if with_absolute else gated
 
 

@@ -231,4 +231,4 @@ def verify_z_factorization(T: TruncatedQNormal, f: CoefficientFunction,
     for i in np.flatnonzero(phi_f.diags[0]):
         coef[i] = phi_f.diags[0][i] / math.prod(scalar_z(s * t[i]) for s in scales)
     D = phi_f @ shift(Tf, k) - mo.Band(Tf.dim, False, {0: coef}) @ Zk
-    return D.norm(Tf.interior_indices(pad))
+    return D.norm(Tf.interior_range(pad))

@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import json
 import math
 import random
@@ -545,6 +547,30 @@ def test_reports_match_the_recorded_golden_output(capsys, name, argv, want_code)
     code, out = run(capsys, *argv)
     assert code == want_code
     assert out.encode() == (GOLDEN / f"golden_{name}.out").read_bytes()
+
+
+JSON_LEAVES = (st.none() | st.booleans() | st.integers() | st.integers(-10 ** 400, 10 ** 400)
+               | st.floats() | st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan,
+                                                5e-324, -2.2250738585072014e-308])
+               | st.text() | st.text('"\\/\x00\x1f\x7f\u00e9\u2028\ud800\U0001f600'))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.recursive(JSON_LEAVES, lambda inner: st.lists(inner) | st.lists(inner).map(tuple)
+                    | st.dictionaries(st.text(), inner), max_leaves=40))
+def test_report_writer_makes_the_bytes_of_json_dumps(doc):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._emit(doc, None)
+    assert out.getvalue() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def test_report_writer_refuses_what_json_dumps_refuses():
+    for doc in ({"a": {1, 2}}, [Fraction(1, 2)]):
+        with pytest.raises(TypeError):
+            json.dumps(doc, indent=2, sort_keys=True)
+        with pytest.raises(TypeError):
+            cli._emit(doc, None)
 
 
 def test_an_exact_defect_passes_only_when_it_is_zero(capsys, monkeypatch):

@@ -141,7 +141,9 @@ def test_float_band_norm_matches_dense_svd():
                 B = _float_band(rng, dim, offsets, density)
                 # an all-zero diagonal at offset 7 adds no entry, so it must not join blocks
                 Z = mo.Band(dim, False, {**B.diags, 7: np.zeros(dim, dtype=complex)})
-                keeps = [None, [], sorted(rng.choice(dim, size=dim // 2, replace=False))]
+                # a range of rows is marked by one slice, any other iterable by its indices
+                keeps = [None, [], sorted(rng.choice(dim, size=dim // 2, replace=False)),
+                         range(1, dim - 1), range(dim // 3, dim), range(0, dim, 2)]
                 for keep in keeps:
                     want = _dense_norm(B.dense(), keep)
                     assert abs(B.norm(keep) - want) <= 1e-12 * max(1.0, want)

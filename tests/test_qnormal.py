@@ -319,8 +319,8 @@ def test_float_spectral_points_are_the_exact_points_rounded():
 
 
 def test_covariance_defect_sees_a_q_that_does_not_match_the_grid():
-    # f(q modulus) is evaluated at q * t_{j,n}, not read off the grid one level
-    # up, so a model whose q is not its grid's level ratio shows a defect
+    # f(q modulus) is evaluated at q * t_{j,n}, which is the grid one level up
+    # only when q is the grid's level ratio, so a model whose q is not shows a defect
     T = qnormal.build(qspace.uniform_measure("3/7", ["1", "2/3"], zero_mass="1"), None,
                       TruncationWindow(-4, 4), exact=True)
     wrong = dataclasses.replace(T, q=Fraction(1, 2))
@@ -436,7 +436,7 @@ def test_level_grid_rounded_matches_the_exact_points(q, gens, window):
 @pytest.mark.parametrize("q", ["1/2", "3/7", "5/3"])
 @pytest.mark.parametrize("gens", [["1"], ["1", "5/6"], ["1", "2/3", "9/7"]])
 @pytest.mark.parametrize("levels", [range(-9, -3), range(-1, 0), range(-4, 3), range(0, 1),
-                                    range(2, 8)])
+                                    range(2, 8), range(-200, 201), range(-3, -2)])
 def test_level_grid_pairs_are_the_points_times_the_factor(q, gens, levels):
     # windows wholly below, across and wholly above level 0, against
     # factor * q**n * x formed from Fractions, not from the grid's points
@@ -448,6 +448,24 @@ def test_level_grid_pairs_are_the_points_times_the_factor(q, gens, levels):
         assert all(type(a) is int and type(b) is int and b > 0 for a, b in zip(nums, dens))
         assert [Fraction(a, b) for a, b in zip(nums, dens)] == want
         assert grid.rounded(f).tolist() == [float(w) for w in want]
+
+
+@pytest.mark.parametrize("q", ["1/2", "2/3", "3/7", "1/1"])
+@pytest.mark.parametrize("gens", [["1"], ["1", "5/6"], ["1", "5/6", "3/4"]])
+@pytest.mark.parametrize("window", [(-9, -3), (-3, -1), (-4, 5), (-1, 1), (0, 2), (2, 9),
+                                    (-40, 40)])
+@pytest.mark.parametrize("zero_mass", ["0", "1"])
+def test_q_points_are_the_grid_rounded_at_q(q, gens, window, zero_mass):
+    # read off the modulus one level up; a model relabelled with another q
+    # rounds the products of its own q with the grid points
+    w = TruncationWindow(*window)
+    for T in (qnormal.build_from_generators(q, gens, w, zero_mass),
+              qnormal.build_from_generators(q, gens, w, zero_mass, exact=True).as_float()):
+        assert T._q_points.dtype == np.float64
+        assert T._q_points.tobytes() == T.grid.rounded(T.q).tobytes()
+        other = Fraction(1, 3)
+        relabelled = dataclasses.replace(T, q=other)
+        assert relabelled._q_points.tobytes() == T.grid.rounded(other).tobytes()
 
 
 @pytest.mark.parametrize("q, gens", [
