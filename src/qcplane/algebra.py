@@ -77,16 +77,6 @@ class RationalCoefficient(RationalFunction, CoefficientFunction):
         rf.check_denominator()
         self._set(rf._pair)
 
-    @classmethod
-    def _from_checked(cls, rf: RationalFunction) -> "RationalCoefficient":
-        """rf as a coefficient without the denominator test.
-
-        Only for functions built from checked coefficients by products, sums,
-        conjugation, scalar multiples and rescaling t -> c t with c > 0: their
-        denominators have no root on [0, inf) either.
-        """
-        return _coefficient(rf._pair)
-
     # rf is the coefficient itself, kept read-only for callers that read it;
     # evaluate is looked up at each call, so a rebound evaluate is seen
     rf = property(lambda self: self)

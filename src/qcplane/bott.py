@@ -22,7 +22,7 @@ from .errors import ConfigurationError, DomainError
 from .qnormal import TruncatedQNormal
 from .ratfunc import RationalFunction
 from .represent import represent_band
-from .scalars import parse_rational
+from .scalars import format_rational, parse_rational
 
 Entries = tuple[tuple[AlgebraElement, AlgebraElement],
                 tuple[AlgebraElement, AlgebraElement]]
@@ -183,7 +183,7 @@ def projection_report(P: ProjectionCandidate, mode: str, max_residue,
     data = {
         "n": P.n,
         "sign": "+" if P.sign > 0 else "-",
-        "q": f"{P.q.numerator}/{P.q.denominator}",
+        "q": format_rational(P.q),
         "mode": mode,
         "max_residue": max_residue,
         "points_checked": points_checked,

@@ -181,8 +181,6 @@ def load_config(path: str | None, overrides: argparse.Namespace) -> RunConfig:
             "window" in data or getattr(overrides, "window", None) is not None):
         raise ConfigurationError("simulate runs windows_sweep in place of window: "
                                  "give --window or a window key, or windows_sweep")
-    if not 0 < cfg.q <= 1:
-        raise ConfigurationError(f"q must lie in (0, 1], got {cfg.q}")
     if not 0 < cfg.tolerance < math.inf:
         raise ConfigurationError(f"tolerance must be positive and finite, got {cfg.tolerance}")
     if cfg.sample_exponent_range < 1:
@@ -196,12 +194,6 @@ def load_config(path: str | None, overrides: argparse.Namespace) -> RunConfig:
     if not cfg.bott_n or not cfg.bott_signs or min(cfg.bott_n) < 1:
         raise ConfigurationError("bott needs nonempty bott_n and bott_signs, "
                                  "and every bott_n entry at least 1")
-    low = cfg.q if cfg.q < 1 else 0
-    for g in cfg.generators:
-        if not low < g <= 1:
-            raise ConfigurationError(f"generator {g} outside ({low}, 1]")
-    if cfg.zero_mass < 0:
-        raise ConfigurationError("zero_mass must be nonnegative")
     return cfg
 
 

@@ -167,17 +167,17 @@ class TruncatedQNormal:
     def modulus(self) -> np.ndarray:
         return self.modulus_band.dense()
 
-    @property
+    @functools.cached_property
     def dim(self) -> int:
         return len(self.grid) + self.kernel_dim
 
-    @property
+    @functools.cached_property
     def kernel_index(self) -> int | None:
         return len(self.grid) if self.kernel_dim else None
 
     @property
     def n_gens(self) -> int:
-        return len(self.grid) // self.window.size
+        return len(self.grid.generators)
 
     def interior_range(self, pad: int = 1) -> range:
         """Grid indices of the levels at distance >= pad from both window ends."""

@@ -225,11 +225,11 @@ class QInvariantMeasure:
             raise DomainError(f"measures need q in (0, 1), got {self.q}")
         for p, w in atoms:
             if not self.q < p <= 1:
-                raise DomainError(f"atom position {p} outside ({self.q}, 1]")
+                raise DomainError(f"generator (atom position) {p} outside ({self.q}, 1]")
             if w <= 0:
                 raise DomainError(f"atom weight must be positive, got {w}")
         if self.zero_mass < 0:
-            raise DomainError("zero_mass must be nonnegative")
+            raise DomainError(f"zero_mass must be nonnegative, got {self.zero_mass}")
 
     @property
     def is_trivial(self) -> bool:

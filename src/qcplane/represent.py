@@ -135,30 +135,38 @@ def norm_estimate(a: AlgebraElement, windows, mu: QInvariantMeasure) -> NormRepo
     return NormReport(tuple(sizes), tuple(estimates), converged, estimates[-1])
 
 
-def _hermitian_inv_sqrt(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """H^(-1/2), with eigenvalues clamped away from 0, and H's eigenvalues."""
-    vals, vecs = np.linalg.eigh(H)
+def _bounded(M: np.ndarray, sign: int) -> tuple[np.ndarray, np.ndarray]:
+    """Complex A (1 + sign A*A)^(-1/2) of a square M, sign = +-1, and the ascending
+    eigenvalues of 1 + sign A*A, clamped away from 0 only in the root.
+
+    A is M's real part when M has no nonzero imaginary part, so that the work
+    runs in real arithmetic, and M otherwise.
+    """
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise DomainError("transform needs a square matrix")
+    A = M.real if not M.imag.any() else M
+    gram = A.conj().T @ A
+    vals, vecs = np.linalg.eigh(np.eye(M.shape[0], dtype=A.dtype) + (gram if sign > 0 else -gram))
     if not np.all(np.isfinite(vals)):
         raise ArithmeticError("eigendecomposition produced non-finite values")
-    return (vecs * (np.clip(vals, EIGENVALUE_CLAMP, None) ** -0.5)) @ vecs.conj().T, vals
+    root = (vecs * (np.clip(vals, EIGENVALUE_CLAMP, None) ** -0.5)) @ vecs.conj().T
+    return (A @ root).astype(complex, copy=False), vals
 
 
 def z_transform(M: np.ndarray) -> ZTransformPair:
-    """Bounded transform M (1 + M*M)^(-1/2), always of norm < 1.
+    """Bounded transform M (1 + M*M)^(-1/2); both matrices of the pair are complex.
 
-    Both matrices of the pair are complex.  When M has no nonzero imaginary
-    part the transform is computed in real arithmetic (a real symmetric eigh
-    and real products), as every represented element with real coefficients
-    allows; otherwise in complex arithmetic.
+    Its norm ||M|| / sqrt(1 + ||M||^2) is below 1 in exact arithmetic.  The
+    computed one stays below 1 while ||M||^2 is far below 1/eps (4.5e15): the
+    eigendecomposition of 1 + M*M is off by about eps (1 + ||M||^2) in each
+    eigenvalue.  `1@0 + t@2` at q = 1/2 on levels -30..30, of norm 1.1e9,
+    comes out at 1.0e7.  An M with no nonzero imaginary part is transformed in
+    real arithmetic.
     """
     M = np.asarray(M, dtype=complex)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise DomainError("bounded transform needs a square matrix")
     if not np.all(np.isfinite(M)):
         raise ArithmeticError("matrix has non-finite entries")
-    A = M.real if not M.imag.any() else M
-    H = np.eye(M.shape[0], dtype=A.dtype) + A.conj().T @ A
-    return ZTransformPair(M, (A @ _hermitian_inv_sqrt(H)[0]).astype(complex, copy=False))
+    return ZTransformPair(M, _bounded(M, 1)[0])
 
 
 def pi_image(z: np.ndarray) -> np.ndarray:
@@ -170,17 +178,13 @@ def pi_image(z: np.ndarray) -> np.ndarray:
     imaginary part is inverted in real arithmetic.
     """
     z = np.asarray(z, dtype=complex)
-    if z.ndim != 2 or z.shape[0] != z.shape[1]:
-        raise DomainError("inverse transform needs a square matrix")
-    if z.size == 0:
+    if z.shape == (0, 0):
         return z
-    A = z.real if not z.imag.any() else z
-    G = np.eye(z.shape[0], dtype=A.dtype) - A.conj().T @ A
-    root, vals = _hermitian_inv_sqrt(G)
+    image, vals = _bounded(z, -1)
     norm = math.sqrt(max(0.0, 1.0 - float(vals[0])))
     if norm >= 1.0 - UNIT_NORM_GUARD:
         raise SingularityError(f"operator norm {norm} too close to 1; image unbounded")
-    return (A @ root).astype(complex, copy=False)
+    return image
 
 
 def scalar_z(tau: float) -> float:

@@ -614,25 +614,25 @@ def _old_alpha(f, n: int, q: Fraction):
         return f
     if isinstance(f, IndicatorCoefficient):
         return IndicatorCoefficient(f.interval.scaled(1 / q ** n))
-    return RationalCoefficient._from_checked(_old_rational(f).substitute_scale(q ** n))
+    return algebra._coefficient(_old_rational(f).substitute_scale(q ** n)._pair)
 
 
 def _old_conj(f):
     if isinstance(f, IndicatorCoefficient):
         return f
-    return RationalCoefficient._from_checked(_old_rational(f).conjugate())
+    return algebra._coefficient(_old_rational(f).conjugate()._pair)
 
 
 def _old_mul(f, g):
-    return RationalCoefficient._from_checked(_old_rational(f) * _old_rational(g))
+    return algebra._coefficient((_old_rational(f) * _old_rational(g))._pair)
 
 
 def _old_add(f, g):
-    return RationalCoefficient._from_checked(_old_rational(f) + _old_rational(g))
+    return algebra._coefficient((_old_rational(f) + _old_rational(g))._pair)
 
 
 def _old_scale_cf(f, s):
-    return RationalCoefficient._from_checked(_old_rational(f) * s)
+    return algebra._coefficient((_old_rational(f) * s)._pair)
 
 
 def _old_multiply(a, b):

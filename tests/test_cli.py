@@ -67,6 +67,24 @@ def test_simulate_rejects_degenerate_ratio(capsys):
     assert code == 2
 
 
+def test_the_measure_refuses_a_q_generator_or_zero_mass_out_of_range(tmp_path, capsys):
+    # the config loader leaves these to qspace.QInvariantMeasure; limit reads
+    # only q, and refuses every q but 1 itself
+    cfg = tmp_path / "cfg.json"
+    for argv, data, want in ((["simulate"], {"zero_mass": "-1"}, "invalid input: zero_mass"),
+                             (["bott"], {"zero_mass": "-1"}, "invalid input: zero_mass"),
+                             (["norm", "--q=-1/2"], {}, "-1/2"),
+                             (["simulate"], {"generators": ["3/2"]}, "3/2"),
+                             (["norm"], {"generators": ["1", "1/2"]}, "1/2 outside (1/2, 1]"),
+                             (["simulate", "--exact"], {"generators": ["0"]}, "invalid input"),
+                             (["limit", "--q", "5/4"], {}, "limit requires q = 1"),
+                             (["limit", "--q", "0/1"], {}, "limit requires q = 1")):
+        cfg.write_text(json.dumps(data))
+        assert cli.main([*argv, "--config", str(cfg)]) == 2, (argv, data)
+        captured = capsys.readouterr()
+        assert captured.out == "" and want in captured.err, captured.err
+
+
 def test_simulate_rejects_classical_ratio(capsys):
     code, _ = run(capsys, "simulate", "--q", "1/1")
     assert code == 2

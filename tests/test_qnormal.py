@@ -694,3 +694,26 @@ def test_float_band_lies_within_a_few_roundoffs_of_the_exact_band_rounded_once()
                     worst_moved = max(worst_moved, float(np.max(
                         np.abs(off.diags[d] - w)[nonzero] / np.abs(w[nonzero]), initial=0.0)))
                 assert worst_moved > bound, (q, h)
+
+
+def test_a_support_of_0_alone_is_one_kernel_slot():
+    T = qnormal.build_from_generators("1/2", [], TruncationWindow(-3, 3))
+    assert (T.dim, T.kernel_dim, T.kernel_index, T.n_gens, len(T.grid)) == (1, 1, 0, 0, 0)
+
+
+def test_model_sizes_are_counted_once(monkeypatch):
+    T = qnormal.build_from_generators("3/7", ["1", "2/3"], TruncationWindow(-4, 4),
+                                      zero_mass=1)
+    counted = []
+    count = qnormal.LevelGrid.__len__
+    monkeypatch.setattr(qnormal.LevelGrid, "__len__",
+                        lambda grid: counted.append(grid) or count(grid))
+    for _ in range(3):
+        assert (T.dim, T.kernel_index, T.n_gens) == (19, 18, 2)
+    assert len(counted) == 2
+
+
+def test_float_spectral_band_refuses_a_factor_past_the_float_range():
+    T = qnormal.build_from_generators("1/2", ["1"], TruncationWindow(-3, 3))
+    with pytest.raises(EvaluationError, match="coefficient undefined on the grid"):
+        qnormal.spectral_band(T, RationalCoefficient(T_VAR), Fraction(10) ** 400)
