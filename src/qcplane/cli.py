@@ -15,7 +15,7 @@ import os
 import random
 import sys
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import make_dataclass
 from fractions import Fraction
 
 from . import algebra, bott, qnormal, qspace, represent
@@ -29,27 +29,6 @@ BOTT_SIGNS = {"+": 1, "-": -1, "1": 1, "-1": -1}
 COVARIANCE_FAMILY = ("t", "t^2", "indicator", "lorentzian")
 
 DEFAULT_SWEEP = ((-4, 4), (-8, 8), (-12, 12))
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    q: Fraction
-    generators: tuple[Fraction, ...]
-    zero_mass: Fraction
-    window: TruncationWindow
-    windows_sweep: tuple[TruncationWindow, ...] | None
-    tolerance: float
-    exact_mode: bool
-    elements: tuple[str, ...]
-    seed: int
-    bott_n: tuple[int, ...]
-    bott_signs: tuple[int, ...]
-    sample_exponent_range: int
-    limit_pairs: int
-    limit_grid: int
-    perturb: bool
-    out: str | None
-    spectra_out: str | None
 
 
 def _as_int(raw) -> int:
@@ -136,6 +115,9 @@ OPTIONS = (
     Option("spectra_out", ("simulate",), dest="spectra_out", keyed=False,
            flags=(("--spectra-out", dict(help="write grid spectra CSV here")),)),
 )
+
+RunConfig = make_dataclass("RunConfig", [o.name for o in OPTIONS], frozen=True,
+                           namespace={"__module__": __name__})   # so that it pickles
 
 # the config keys each command reads; None, a caller that names no command, may give any
 _KEYS = {command: frozenset(o.name for o in OPTIONS
@@ -476,60 +458,8 @@ def _probe_out(path: str) -> None:
         raise ConfigurationError(f"cannot write {path}: {why}")
 
 
-_JSON_STR = json.encoder.encode_basestring_ascii
-
-
-def _json_parts(o, parts: list, pad: str) -> None:
-    """Append the text of json.dumps(o, indent=2, sort_keys=True) to parts, nested
-    lines indented by pad.
-
-    The stdlib takes its pure-Python encoder whenever an indent is asked for;
-    this writer makes the same bytes with the same string and number
-    conversions: ASCII string escapes, float.__repr__ with NaN and ±Infinity,
-    and bool and None tested before int.  Tuples are written as lists.  Keys
-    must be str.
-    """
-    if isinstance(o, str):
-        parts.append(_JSON_STR(o))
-    elif o is None:
-        parts.append("null")
-    elif o is True:
-        parts.append("true")
-    elif o is False:
-        parts.append("false")
-    elif isinstance(o, int):
-        parts.append(int.__repr__(o))
-    elif isinstance(o, float):
-        parts.append(float.__repr__(o) if math.isfinite(o) else
-                     "NaN" if o != o else "Infinity" if o > 0 else "-Infinity")
-    elif isinstance(o, (list, tuple, dict)) and not o:
-        parts.append("{}" if isinstance(o, dict) else "[]")
-    elif isinstance(o, (list, tuple)):
-        inner = pad + "  "
-        sep = "[\n" + inner
-        for v in o:
-            parts.append(sep)
-            _json_parts(v, parts, inner)
-            sep = ",\n" + inner
-        parts.append("\n" + pad + "]")
-    elif isinstance(o, dict):
-        inner = pad + "  "
-        sep = "{\n" + inner
-        for k in sorted(o):
-            parts.append(sep + _JSON_STR(k) + ": ")
-            _json_parts(o[k], parts, inner)
-            sep = ",\n" + inner
-        parts.append("\n" + pad + "}")
-    else:
-        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
-
-
 def _emit(report: dict, out: str | None) -> None:
-    """Write the report as json.dumps(report, indent=2, sort_keys=True) does, plus a newline."""
-    parts = []
-    _json_parts(report, parts, "")
-    parts.append("\n")
-    text = "".join(parts)
+    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if out:
         with _open_out(out) as fh:
             fh.write(text)

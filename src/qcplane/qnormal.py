@@ -241,6 +241,12 @@ def build_from_generators(q, generators, window: TruncationWindow, zero_mass=0,
     zero_mass = parse_rational(zero_mass)
     if zero_mass < 0:
         raise DomainError(f"zero_mass must be nonnegative, got {zero_mass}")
+    return _assemble(q, gens, window, zero_mass, exact)
+
+
+def _assemble(q: Fraction, gens: tuple[Fraction, ...], window: TruncationWindow,
+              zero_mass: Fraction, exact: bool) -> TruncatedQNormal:
+    """The truncation of checked values: q in (0, 1], gens in (q, 1], zero_mass >= 0."""
     if gens and window.size < 3:
         raise ConfigurationError("window too small: need at least 3 levels")
     if not gens and zero_mass == 0:
@@ -286,8 +292,7 @@ def build(mu: QInvariantMeasure, X: SpectralSet | None, window: TruncationWindow
             raise DomainError("spectral set does not match the measure support")
     if mu.is_trivial:
         raise DomainError("measure has empty support")
-    return build_from_generators(mu.q, [p for p, _ in mu.base_atoms], window,
-                                 mu.zero_mass, exact)
+    return _assemble(mu.q, tuple(p for p, _ in mu.base_atoms), window, mu.zero_mass, exact)
 
 
 def _defects(T: TruncatedQNormal, lhs: mo.Band, rhs: mo.Band, keeps=(None,)) -> list:

@@ -476,7 +476,16 @@ class RationalFunction:
         if not any(ni) and not any(di):
             parts = parts[::2]
         # integer true division rounds once, as float(Fraction(c, d)) does
-        return tuple(tuple(c / d for c in cs) for cs, d in parts)
+        try:
+            return tuple(tuple(c / d for c in cs) for cs, d in parts)
+        except OverflowError:
+            pass
+        # a bounded function can have coefficients past float range.  One common
+        # 2**s on num and den leaves the quotient and puts each part's sum of
+        # |c| / d below 2**1023, so Horner stays finite at |t| <= 1 and, on the
+        # reversed polynomials, at |t| >= 1
+        s = max(sum(map(abs, cs)).bit_length() - d.bit_length() for cs, d in parts) - 1022
+        return tuple(tuple(c / (d << s) for c in cs) for cs, d in parts)
 
     def evaluate_float(self, t: float) -> complex:
         """Value at a float point: Horner on real and imaginary parts, one division.

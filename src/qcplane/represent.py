@@ -142,6 +142,8 @@ def _bounded(M: np.ndarray, sign: int) -> tuple[np.ndarray, np.ndarray]:
     A is M's real part when M has no nonzero imaginary part, so that the work
     runs in real arithmetic, and M otherwise.
     """
+    if not np.all(np.isfinite(M)):
+        raise ArithmeticError("matrix has non-finite entries")
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise DomainError("transform needs a square matrix")
     A = M.real if not M.imag.any() else M
@@ -164,8 +166,6 @@ def z_transform(M: np.ndarray) -> ZTransformPair:
     real arithmetic.
     """
     M = np.asarray(M, dtype=complex)
-    if not np.all(np.isfinite(M)):
-        raise ArithmeticError("matrix has non-finite entries")
     return ZTransformPair(M, _bounded(M, 1)[0])
 
 

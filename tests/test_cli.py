@@ -132,6 +132,13 @@ def test_norm_reports_boundedness(capsys):
         assert [row["bounded"] for row in json.loads(out)["elements"]] == bounded
 
 
+def test_norm_of_a_bounded_element_with_coefficients_past_float_range(capsys):
+    code, out = run(capsys, "norm", "--element", "1/(1+2*t)^700@0")
+    assert code == 0
+    row = json.loads(out)["elements"][0]
+    assert row["bounded"] is True and 0 < row["final"] <= 1
+
+
 def test_norm_zero_element(capsys):
     code, out = run(capsys, "norm", "--element", "0@0")
     assert code == 0

@@ -489,6 +489,18 @@ def test_values_where_only_the_denominator_overflows():
         assert values[4] == pytest.approx(want * 1e27, rel=1e-15, abs=0)
 
 
+def test_bounded_functions_with_coefficients_past_float_range_evaluate():
+    # the largest coefficient of (1+2t)^700 is about 1e332; the values lie in [0, 1]
+    b = (1 + 2 * T) ** 700
+    points = [Fraction(1, 2) ** n for n in range(-12, 13)]
+    for f in (1 / b, b / b):
+        values = f.evaluate_array(np.array([float(x) for x in points]))
+        assert _same_bits(values, np.array([f.evaluate_float(float(x)) for x in points]))
+        for x, v in zip(points, values.tolist()):
+            want = float(f.evaluate(x).re)   # 0.0 where the exact value underflows
+            assert abs(v - want) <= 1e-12 * abs(want)
+
+
 def _forward(cs, t: float) -> complex:
     acc = 0j
     for c in reversed(cs):

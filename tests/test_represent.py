@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -301,6 +302,16 @@ def test_z_transform_refuses_non_finite_entries():
     M[1, 2] = np.inf
     with pytest.raises(ArithmeticError, match="non-finite entries"):
         z_transform(M)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_pi_image_refuses_non_finite_entries_without_a_warning(bad):
+    z = np.zeros((3, 3))
+    z[0, 1] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ArithmeticError, match="non-finite entries"):
+            pi_image(z)
 
 
 def test_pi_image_returns_an_empty_square_and_refuses_an_empty_rectangle():
