@@ -25,14 +25,14 @@ from __future__ import annotations
 
 import ast
 import enum
-import heapq
 import math
-import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, groupby, repeat
+from itertools import zip_longest
 from typing import Callable, Mapping
+
+import numpy as np
 
 from .errors import DomainError, EvaluationError
 from .matrixops import Band, ExactDiagonal
@@ -315,6 +315,66 @@ def classify(a: AlgebraElement) -> Classification:
     return Classification.VANISHING
 
 
+def classical_tables(elements, radii, angles) -> tuple[np.ndarray, np.ndarray]:
+    """(Re, Im) of classical_table for each element, shaped (elements, radii, angles).
+
+    Every value rounds as in the per-radius formula: f_k(r) times the turn
+    (cos k theta, sin k theta), in the product and sum order of Python's complex
+    arithmetic, summed mode by mode from +0.0.  The real rational coefficients
+    of all elements are evaluated in one Horner pass over their float
+    coefficients, zero-padded at the high end; a value that pass cannot give
+    bit for bit (radius 0, a leaf, a complex coefficient, a non-finite or
+    undefined value) comes from the scalar evaluator, which raises as the
+    per-radius loop raises: at the first element, radius and mode that fails.
+    """
+    if any(r < 0 for r in radii):
+        raise DomainError("modulus must be nonnegative")
+    t = np.array(radii, dtype=float)
+    # mode slot s of element e is row e * S + s; an element with fewer modes leaves rows empty
+    S = max((len(a.terms) for a in elements), default=0)
+    cells = [None] * (len(elements) * S)
+    for e, a in enumerate(elements):
+        cells[e * S:e * S + len(a.terms)] = a.terms
+    fast, parts, empty = [], [], []
+    for i, cell in enumerate(cells):
+        cs = cell[1]._float_coeffs if cell and isinstance(cell[1], RationalCoefficient) else ()
+        if len(cs) == 2:
+            fast.append(i)
+            parts += cs
+        elif cell is None:
+            empty.append(i)
+    vr, vi = np.zeros((2, len(cells), len(t)))
+    ok = np.zeros((len(cells), len(t)), dtype=bool)
+    ok[empty] = True
+    with np.errstate(all="ignore"):
+        acc = np.zeros((len(t), len(parts)))
+        for c in np.array(list(zip_longest(*parts, fillvalue=0.0)))[::-1]:
+            acc = acc * t[:, None] + c   # _p_eval_float's order
+        num, den = acc[:, 0::2], acc[:, 1::2]
+        v = num / den
+        vr[fast] = v.T
+        ok[fast] = ((den != 0) & np.isfinite(den) & np.isfinite(v) & (t != 0)[:, None]).T
+    for i, j in sorted(zip(*np.nonzero(~ok)), key=lambda ij: (ij[0] // S, ij[1], ij[0])):
+        f, r = cells[i][1], radii[j]
+        z = complex(f.value_at_zero) if r == 0 else complex(f(r))
+        vr[i, j], vi[i, j] = z.real, z.imag
+    # each mode's turn from math.cos and math.sin, once
+    modes = sorted({cell[0] for cell in cells if cell})
+    zr, zi = (np.array([[fn(k * th) for th in angles] for k in modes])
+              .reshape(len(modes), len(angles)) for fn in (math.cos, math.sin))
+    at = [modes.index(cell[0]) if cell else 0 for cell in cells]
+    ar, ai, br, bi = vr[:, :, None], vi[:, :, None], zr[at][:, None, :], zi[at][:, None, :]
+    with np.errstate(all="ignore"):
+        pr, pi = ar * br - ai * bi, ar * bi + ai * br   # Python's complex product
+        pr[empty] = pi[empty] = -0.0   # x + -0.0 is x, also for x = +0.0 and -0.0
+        table_re = np.zeros((len(elements), len(t), len(angles)))
+        table_im = np.zeros_like(table_re)
+        for s in range(S):
+            table_re += pr[s::S]
+            table_im += pi[s::S]
+    return table_re, table_im
+
+
 def classical_table(a: AlgebraElement, radii, angles) -> list[list[complex]]:
     """sum_k f_k(r) e^(i k theta), a row per r in radii and a column per theta in angles.
 
@@ -322,17 +382,9 @@ def classical_table(a: AlgebraElement, radii, angles) -> list[list[complex]]:
     For q = 1 this is the Gelfand transform on the plane; multiplicativity fails
     for q < 1, where the same formula is still available as a symbol map.
     """
-    if any(r < 0 for r in radii):
-        raise DomainError("modulus must be nonnegative")
-    turns = [[complex(math.cos(k * th), math.sin(k * th)) for th in angles] for k in a.modes]
-    table = []
-    for r in radii:
-        row = [0j] * len(angles)
-        for (_, f), turn in zip(a.terms, turns):
-            val = complex(f.value_at_zero) if r == 0 else complex(f(r))
-            row = [total + val * z for total, z in zip(row, turn)]
-        table.append(row)
-    return table
+    (table_re,), (table_im,) = classical_tables([a], radii, angles)
+    return [[complex(x, y) for x, y in zip(row_re, row_im)]
+            for row_re, row_im in zip(table_re.tolist(), table_im.tolist())]
 
 
 def classical_eval(a: AlgebraElement, r: float, theta: float) -> complex:
@@ -342,14 +394,12 @@ def classical_eval(a: AlgebraElement, r: float, theta: float) -> complex:
 
 def grid_sample_points(X: SpectralSet, n_min: int, n_max: int) -> tuple[Fraction, ...]:
     """Grid values q**n * x over the level range, ascending, after 0 when X holds it."""
-    # each generator's run q**n_min x, q**(n_min + 1) x, ... descends: reversed, they merge
-    steps = n_max - n_min
-    runs = [list(accumulate(repeat(X.q, steps), operator.mul, initial=X.q ** n_min * x))[::-1]
-            for x in X.generators] if steps >= 0 else []
-    pts = [v for v, _ in groupby(heapq.merge(*runs))]
-    if X.includes_zero:
-        pts.insert(0, Fraction(0))
-    return tuple(pts)
+    from .qnormal import LevelGrid   # qnormal imports this module
+    nums, dens = LevelGrid(X.q, tuple(X.generators), range(n_min, n_max + 1)).pairs()
+    # over one common denominator, the points sort and deduplicate as ints
+    common = math.lcm(*dens)
+    pts = [Fraction(n, common) for n in sorted({n * (common // d) for n, d in zip(nums, dens)})]
+    return (Fraction(0), *pts) if X.includes_zero else tuple(pts)
 
 
 def _exact_values(f: CoefficientFunction, points) -> ExactDiagonal:

@@ -18,6 +18,8 @@ from collections import namedtuple
 from dataclasses import make_dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from . import algebra, bott, qnormal, qspace, represent
 from .errors import ConfigurationError, DomainError, EvaluationError, QcplaneError
 from .qnormal import TruncationWindow
@@ -119,6 +121,9 @@ OPTIONS = (
 RunConfig = make_dataclass("RunConfig", [o.name for o in OPTIONS], frozen=True,
                            namespace={"__module__": __name__})   # so that it pickles
 
+# each option's default, converted once: immutable, so every run may share it
+_DEFAULTS = {o.name: o.convert(o.default) for o in OPTIONS}
+
 # the config keys each command reads; None, a caller that names no command, may give any
 _KEYS = {command: frozenset(o.name for o in OPTIONS
                             if o.keyed and (command is None or command in o.readers))
@@ -128,6 +133,7 @@ _KEYS = {command: frozenset(o.name for o in OPTIONS
 def load_config(path: str | None, overrides: argparse.Namespace) -> RunConfig:
     """The RunConfig of one run: each option from its flag, else its config key, else its default.
 
+    Only the values a flag or a key sets are converted; the defaults were at import.
     overrides.command, when present, names the command; a config key that command
     does not read is refused.
     """
@@ -149,11 +155,13 @@ def load_config(path: str | None, overrides: argparse.Namespace) -> RunConfig:
             raise ConfigurationError(f"{command or 'qcplane'} reads no config key {unread}; "
                                      f"it reads {sorted(_KEYS[command])}")
 
-    values = {}
+    values = dict(_DEFAULTS)
     for o in OPTIONS:
         flag = getattr(overrides, o.dest, None) if o.dest else None
+        if flag is None and o.name not in data:
+            continue
         try:
-            values[o.name] = o.convert(data.get(o.name, o.default) if flag is None else flag)
+            values[o.name] = o.convert(data[o.name] if flag is None else flag)
         except (KeyError, TypeError, ValueError) as exc:
             source = f"config {o.name!r}" if flag is None else o.flags[0][0]
             raise ConfigurationError(f"{source} has a bad value: {exc}") from exc
@@ -381,17 +389,20 @@ def cmd_limit(cfg: RunConfig) -> dict:
     grid_r = [0.1 + 2.9 * i / (cfg.limit_grid - 1) for i in range(cfg.limit_grid)]
     grid_th = [2 * math.pi * i / cfg.limit_grid for i in range(cfg.limit_grid)]
     commutator_exact = Fraction(0)
-    mult_residue = 0.0
+    elements = []
     for _ in range(cfg.limit_pairs):
         a = _random_classical_element(rng, cfg.q)
         b = _random_classical_element(rng, cfg.q)
         ab = algebra.multiply(a, b)
         ba = algebra.multiply(b, a)
         commutator_exact = max(commutator_exact, algebra.element_residual(ab, ba, sample))
-        for row_ab, row_a, row_b in zip(*(algebra.classical_table(x, grid_r, grid_th)
-                                          for x in (ab, a, b))):
-            for at_ab, at_a, at_b in zip(row_ab, row_a, row_b):
-                mult_residue = max(mult_residue, abs(at_ab - at_a * at_b))
+        elements += (ab, a, b)
+    re, im = algebra.classical_tables(elements, grid_r, grid_th)
+    (ab_re, a_re, b_re), (ab_im, a_im, b_im) = ((x[0::3], x[1::3], x[2::3]) for x in (re, im))
+    # |ab - a b| per cell, a b as Python's complex product; fmax passes over a NaN
+    # as the scalar max(residue, gap) did
+    gap = np.hypot(ab_re - (a_re * b_re - a_im * b_im), ab_im - (a_re * b_im + a_im * b_re))
+    mult_residue = float(np.fmax.reduce(gap, axis=None, initial=0.0))
     diag = algebra.parse_element(cfg.q, ["(1+t)/(1+t^2)@0"])
     theta_independent = len(set(algebra.classical_table(diag, [0.0], grid_th)[0])) == 1
     passed = (_passes(commutator_exact, cfg.tolerance) and _passes(mult_residue, cfg.tolerance)

@@ -22,8 +22,8 @@ primitive integer polynomials is primitive, and its lead is a product of
 positive leads, so only a zero num changes the pair (to den ``_ONE``).
 ``_normal`` still runs where that fails: on products of complex dens, which
 can gain a content or a negative lead ((it+1)(it-1) = -t^2-1), on quotients
-and negative powers, whose den comes from a numerator, on conjugates, whose
-lead may flip sign, and on construction.
+and negative powers, whose den comes from a numerator, on conjugates whose
+lead is purely imaginary, which flips sign, and on construction.
 """
 
 from __future__ import annotations
@@ -224,10 +224,13 @@ def _f_neg(a: Pair) -> Pair:
 
 
 def _f_conj(a: Pair) -> Pair:
+    """The conjugate pair: a den whose lead has a real part keeps that lead, so
+    stays normal; only a purely imaginary lead turns negative and goes through _normal."""
     (nr, ni, dn), (dr, di, dd) = a
     if not any(ni) and not any(di):
         return a
-    return _normal((nr, tuple([-c for c in ni]), dn), (dr, tuple([-c for c in di]), dd))
+    num, den = (nr, tuple([-c for c in ni]), dn), (dr, tuple([-c for c in di]), dd)
+    return (num, den) if dr[-1] else _normal(num, den)
 
 
 def _f_sub(a: Pair, b: Pair) -> Pair:

@@ -1,9 +1,9 @@
 import argparse
-import contextlib
-import io
+import dataclasses
 import json
 import math
 import random
+import re
 import sys
 import time
 import warnings
@@ -15,9 +15,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import helpers
-from qcplane import algebra, cli, qnormal
-from qcplane.errors import DomainError
+from qcplane import algebra, cli, qnormal, qspace
+from qcplane.errors import DomainError, EvaluationError
 from qcplane.qnormal import TruncationWindow
+from qcplane.ratfunc import RationalFunction
 
 
 def run(capsys, *argv):
@@ -498,13 +499,26 @@ def _bits(z: complex) -> tuple[str, str]:
 def test_limit_table_matches_the_per_radius_formula_bit_for_bit():
     # complex(f(r)) per radius and mode, f_k(0) read as value_at_zero,
     # accumulated mode by mode, on real and complex coefficients with
-    # denominators, at 0 and at radii near the float limits
+    # denominators, leaves and the empty element, at 0, at radii near the
+    # float limits and at inf
     rng = random.Random(9)
-    radii = [0.0, 0] + [0.1 + 2.9 * i / 9 for i in range(10)] + [1e-200, 1e160]
+    grid = [0.0, 0] + [0.1 + 2.9 * i / 9 for i in range(10)] + [1e-200, 1e160]
     angles = [2 * math.pi * i / 7 for i in range(7)]
-    for trial in range(20):
-        a = (cli._random_classical_element(rng, Fraction(1)) if trial % 2
-             else helpers.random_element(rng, Fraction(1)))
+    cases = [(cli._random_classical_element(rng, Fraction(1)) if trial % 2
+              else helpers.random_element(rng, Fraction(1)), grid) for trial in range(20)]
+    T = RationalFunction.variable()
+    rational = algebra.RationalCoefficient((1 + T) / (1 + T * T))
+    indicator = algebra.IndicatorCoefficient(qspace.Interval.open_closed(Fraction(1, 2), 1))
+    closure = algebra.ClosureCoefficient(lambda t: math.exp(-t), 1.0, True)
+    vanishing_at_1 = algebra.RationalCoefficient(T - 1)
+    beyond = grid + [0.5, 1.0, 2.0, math.inf]
+    cases += [(algebra.element(1, {-1: rational, 0: indicator, 2: vanishing_at_1}), grid[:-1]),
+              (algebra.element(1, {0: closure, 1: rational}), beyond),
+              (algebra.element(1, {3: vanishing_at_1}), beyond),
+              (algebra.zero_element(1), beyond),
+              (helpers.random_element(rng, Fraction(1)), beyond),
+              (cli._random_classical_element(rng, Fraction(1)), beyond)]
+    for a, radii in cases:
         turns = [[complex(math.cos(k * th), math.sin(k * th)) for th in angles] for k in a.modes]
         want = []
         for r in radii:
@@ -517,6 +531,72 @@ def test_limit_table_matches_the_per_radius_formula_bit_for_bit():
         assert [[_bits(z) for z in row] for row in got] == [[_bits(z) for z in row] for row in want]
         with pytest.raises(DomainError, match="nonnegative"):
             algebra.classical_table(a, [1.0, -1e-300], angles)
+    # the elements of one grid in one call: each table as alone
+    alone = [a for a, radii in cases if radii is grid]
+    tables_re, tables_im = algebra.classical_tables(alone, grid, angles)
+    for a, table_re, table_im in zip(alone, tables_re, tables_im):
+        assert [[_bits(complex(x, y)) for x, y in zip(*rows)] for rows in zip(table_re, table_im)] \
+            == [[_bits(z) for z in row] for row in algebra.classical_table(a, grid, angles)]
+
+
+def test_limit_table_raises_where_the_per_radius_formula_raises():
+    # the exact root check accepts 1/((t-1)^2 + 10^-400), but its float
+    # denominator vanishes at 1.0; a closure that fails raises too.  The
+    # first failure in the order of elements, radii and modes is the one raised
+    angles = [0.0, 1.0]
+    vanishing = algebra.parse_element(1, ["1/((t-1)^2+1/10^400)@1"]).coefficient(1)
+    failing = algebra.ClosureCoefficient(lambda t: 1 / (t < 0.75), 1.0, True)
+    both = algebra.element(1, {0: vanishing, 1: failing})
+    for elements, radii, message in (
+            ([algebra.element(1, {1: vanishing})], [0.5, 1.0, 1 + 2 ** -52, 2.0],
+             "denominator vanishes at t=1.0"),
+            ([both], [0.5, 0.8, 1.0], "coefficient undefined at t=0.8"),
+            ([both], [0.5, 1.0, 0.8], "denominator vanishes at t=1.0"),
+            ([algebra.element(1, {1: vanishing}), algebra.element(1, {0: failing})],
+             [0.5, 0.8, 1.0], "denominator vanishes at t=1.0")):
+        with pytest.raises(EvaluationError) as exc:
+            for a in elements:
+                for r in radii:
+                    for _, f in a.terms:
+                        complex(f(r))
+        assert str(exc.value) == message
+        with pytest.raises(EvaluationError, match=f"^{re.escape(message)}$"):
+            algebra.classical_tables(elements, radii, angles)
+        if len(elements) == 1:
+            with pytest.raises(EvaluationError, match=f"^{re.escape(message)}$"):
+                algebra.classical_table(elements[0], radii, angles)
+
+
+def _per_radius_table(a, radii, angles):
+    """classical_table by the per-radius formula: complex arithmetic, cell by cell."""
+    turns = [[complex(math.cos(k * th), math.sin(k * th)) for th in angles] for k in a.modes]
+    table = []
+    for r in radii:
+        row = [0j] * len(angles)
+        for (_, f), turn in zip(a.terms, turns):
+            val = complex(f.value_at_zero) if r == 0 else complex(f(r))
+            row = [total + val * z for total, z in zip(row, turn)]
+        table.append(row)
+    return table
+
+
+@pytest.mark.parametrize("grid", [10, 7])
+def test_limit_residue_equals_the_per_cell_scalar_residue_bit_for_bit(grid):
+    base = cli.load_config(None, argparse.Namespace(command="limit", q="1/1"))
+    radii = [0.1 + 2.9 * i / (grid - 1) for i in range(grid)]
+    angles = [2 * math.pi * i / grid for i in range(grid)]
+    for seed in range(30):
+        cfg = dataclasses.replace(base, seed=seed, limit_grid=grid)
+        rng = random.Random(seed)
+        want = 0.0
+        for _ in range(cfg.limit_pairs):
+            a = cli._random_classical_element(rng, cfg.q)
+            b = cli._random_classical_element(rng, cfg.q)
+            tables = (_per_radius_table(x, radii, angles) for x in (algebra.multiply(a, b), a, b))
+            for row_ab, row_a, row_b in zip(*tables):
+                for at_ab, at_a, at_b in zip(row_ab, row_a, row_b):
+                    want = max(want, abs(at_ab - at_a * at_b))
+        assert cli.cmd_limit(cfg)["eval_multiplicativity_residue"].hex() == want.hex(), seed
 
 
 def test_float_bott_builds_no_exact_sample_grid(capsys, monkeypatch):
@@ -574,28 +654,26 @@ def test_reports_match_the_recorded_golden_output(capsys, name, argv, want_code)
     assert out.encode() == (GOLDEN / f"golden_{name}.out").read_bytes()
 
 
-JSON_LEAVES = (st.none() | st.booleans() | st.integers() | st.integers(-10 ** 400, 10 ** 400)
-               | st.floats() | st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan,
-                                                5e-324, -2.2250738585072014e-308])
-               | st.text() | st.text('"\\/\x00\x1f\x7f\u00e9\u2028\ud800\U0001f600'))
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.recursive(JSON_LEAVES, lambda inner: st.lists(inner) | st.lists(inner).map(tuple)
-                    | st.dictionaries(st.text(), inner), max_leaves=40))
-def test_report_writer_makes_the_bytes_of_json_dumps(doc):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+def test_report_writer_makes_the_bytes_of_json_dumps(tmp_path, capsys):
+    # json.dumps plus a newline, to stdout and to --out
+    dest = tmp_path / "report.json"
+    for doc in ({"b": [1, -2.5, -0.0, math.inf, math.nan, 10 ** 400, None, True],
+                 "a": {"\u00e9\u2028\ud800\U0001f600": '"\\/\x00\x1f', "": (1, [])}}, [], "x"):
+        want = json.dumps(doc, indent=2, sort_keys=True) + "\n"
         cli._emit(doc, None)
-    assert out.getvalue() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        assert capsys.readouterr().out == want
+        cli._emit(doc, str(dest))
+        assert dest.read_text(encoding="utf-8") == want
 
 
-def test_report_writer_refuses_what_json_dumps_refuses():
+def test_report_writer_refuses_what_json_dumps_refuses(tmp_path):
+    dest = tmp_path / "report.json"
     for doc in ({"a": {1, 2}}, [Fraction(1, 2)]):
         with pytest.raises(TypeError):
             json.dumps(doc, indent=2, sort_keys=True)
-        with pytest.raises(TypeError):
-            cli._emit(doc, None)
+        for out in (None, str(dest)):
+            with pytest.raises(TypeError):
+                cli._emit(doc, out)
 
 
 def test_an_exact_defect_passes_only_when_it_is_zero(capsys, monkeypatch):
