@@ -102,6 +102,8 @@ class IndicatorCoefficient(CoefficientFunction):
         return self.interval.upper is not None
 
     def __call__(self, t: float) -> complex:
+        if not math.isfinite(t):
+            raise EvaluationError(f"coefficient undefined at t={t}")
         # a float equal to a rounded endpoint stands for that endpoint; any
         # other float is decided by its exact value
         ends = [e for e in (self.interval.lower, self.interval.upper)

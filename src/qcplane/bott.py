@@ -5,9 +5,10 @@ coordinate has 2x2 entries that are rational functions of the modulus times
 canonical shift powers.  The entries live in the unitization of the
 subalgebra, whose unit is the constant element ``1@0``, so each is a plain
 crossed-product element (the lower diagonal one tends to 1 at infinity).
-Idempotency and self-adjointness are verified two ways: exactly, coefficient
-by coefficient at rational sample points, and numerically through the
-truncated matrix representation.
+Idempotency and self-adjointness are verified two ways: exactly by
+``element_residual``, which decides equal coefficients as rational functions
+and evaluates only a differing pair, at rational sample points; and
+numerically through the truncated matrix representation.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .errors import ConfigurationError, DomainError
 from .qnormal import TruncatedQNormal
 from .ratfunc import RationalFunction
 from .represent import represent_band
-from .scalars import format_rational, parse_rational
+from .scalars import parse_rational
 
 Entries = tuple[tuple[AlgebraElement, AlgebraElement],
                 tuple[AlgebraElement, AlgebraElement]]
@@ -175,21 +176,3 @@ def winding_diagnostic(P: ProjectionCandidate, T: TruncatedQNormal) -> float:
     trace = sum(represent_band(P.entries[i][i], Tf).trace() for i in range(2))
     # the flat projection diag(1, 0) has trace dim
     return float((trace - Tf.dim).real)
-
-
-def projection_report(P: ProjectionCandidate, mode: str, max_residue,
-                      points_checked: int | None, winding: float | None,
-                      extra: dict | None = None) -> dict:
-    data = {
-        "n": P.n,
-        "sign": "+" if P.sign > 0 else "-",
-        "q": format_rational(P.q),
-        "mode": mode,
-        "max_residue": max_residue,
-        "points_checked": points_checked,
-        "winding_diagnostic": None if winding is None else {"value": winding,
-                                                            "unverified": True},
-    }
-    if extra:
-        data.update(extra)
-    return data

@@ -312,12 +312,11 @@ def cmd_norm(cfg: RunConfig) -> dict:
     for lit in cfg.elements:
         a = algebra.parse_element(cfg.q, [lit])
         rep = represent.norm_estimate(a, sweep, mu)
-        row = rep.to_json(lit)
-        # denominators have no root on [0, inf), so only growth at infinity
-        # can make a coefficient unbounded
-        row["bounded"] = all(f.degree_num <= f.degree_den for _, f in a.terms)
-        row["window_spans"] = [[w.n_min, w.n_max] for w in sweep]
-        rows.append(row)
+        # no denominator has a root on [0, inf): only growth at infinity is unbounded
+        rows.append({"element": lit, "windows": list(rep.window_sizes),
+                     "estimates": list(rep.estimates), "converged": rep.converged,
+                     "final": rep.final, "window_spans": [[w.n_min, w.n_max] for w in sweep],
+                     "bounded": all(f.degree_num <= f.degree_den for _, f in a.terms)})
     return {
         "command": "norm",
         "provenance": _provenance("covariant representation norm sweep "
@@ -347,16 +346,17 @@ def cmd_bott(cfg: RunConfig) -> dict:
             winding = bott.winding_diagnostic(P, T)
             if cfg.exact_mode:
                 rep = bott.verify_projection_exact(P, points)
-                rows.append(bott.projection_report(
-                    P, "exact", format_rational(rep.max_residue), rep.points_checked,
-                    winding, {"passed": _passes(rep.max_residue, cfg.tolerance)}))
+                row = {"mode": "exact", "max_residue": format_rational(rep.max_residue),
+                       "points_checked": rep.points_checked,
+                       "passed": _passes(rep.max_residue, cfg.tolerance)}
             else:
                 rep = bott.verify_projection_numeric(P, T)
-                rows.append(bott.projection_report(
-                    P, "numeric", rep.max_defect, None, winding,
-                    {"idempotency_defect": rep.idempotency_defect,
-                     "selfadjointness_defect": rep.selfadjointness_defect,
-                     "passed": _passes(rep.max_defect, cfg.tolerance)}))
+                row = {"mode": "numeric", "max_residue": rep.max_defect, "points_checked": None,
+                       "idempotency_defect": rep.idempotency_defect,
+                       "selfadjointness_defect": rep.selfadjointness_defect,
+                       "passed": _passes(rep.max_defect, cfg.tolerance)}
+            rows.append({"n": n, "sign": "+" if sign > 0 else "-", "q": format_rational(cfg.q),
+                         "winding_diagnostic": {"value": winding, "unverified": True}, **row})
     return {
         "command": "bott",
         "provenance": _provenance("P P = P = P*", cfg.window, 2 * max(cfg.bott_n),

@@ -248,19 +248,13 @@ class Band:
         return Band(self.dim, self.exact, out)
 
     def power(self, k: int) -> "Band":
-        """self**k of a one-diagonal band as one band; (self*)**|k| for k < 0."""
+        """self**k as band products taken left to right; (self*)**|k| for k < 0."""
         if k < 0:
             return self.power(-k).adjoint()
-        if k == 0:
-            return Band.identity(self.dim, self.exact)
-        # with v at offset n, row i of self**k is v[i] v[i + n] ... v[i + (k - 1) n]
-        (n, v), = self._diags.items()
-        if k * abs(n) >= self.dim:
-            return Band(self.dim, self.exact)
-        row = v
-        for j in range(1, k):
-            row = row * self._shifted(v, j * n)
-        return Band(self.dim, self.exact, {k * n: row})
+        out = self if k else Band.identity(self.dim, self.exact)
+        for _ in range(1, k):
+            out = out @ self
+        return out
 
     def scale(self, s) -> "Band":
         if self.exact:

@@ -172,7 +172,7 @@ class SpectralSet:
             raise DomainError(f"spectral sets need q in (0, 1), got {self.q}")
         for g in gens:
             if not self.q < g <= 1:
-                raise DomainError(f"generator {g} outside the fundamental interval ({self.q}, 1]")
+                raise DomainError(f"generator {g} outside ({self.q}, 1]")
         if len(set(gens)) != len(gens):
             raise DomainError("duplicate generators")
         if gens and not self.includes_zero:
@@ -217,15 +217,11 @@ class QInvariantMeasure:
 
     def __post_init__(self):
         object.__setattr__(self, "q", Fraction(self.q))
-        atoms = tuple((Fraction(p), Fraction(w)) for p, w in self.base_atoms)
-        atoms = tuple(sorted(atoms))
+        atoms = tuple(sorted((Fraction(p), Fraction(w)) for p, w in self.base_atoms))
         object.__setattr__(self, "base_atoms", atoms)
         object.__setattr__(self, "zero_mass", Fraction(self.zero_mass))
-        if not 0 < self.q < 1:
-            raise DomainError(f"measures need q in (0, 1), got {self.q}")
-        for p, w in atoms:
-            if not self.q < p <= 1:
-                raise DomainError(f"generator (atom position) {p} outside ({self.q}, 1]")
+        self.support()   # the spectral set checks q and the positions
+        for _, w in atoms:
             if w <= 0:
                 raise DomainError(f"atom weight must be positive, got {w}")
         if self.zero_mass < 0:

@@ -47,15 +47,6 @@ class NormReport:
             if b < a - NONDECREASING_SLACK * max(1.0, a):
                 raise DomainError("estimates must be nondecreasing in window size")
 
-    def to_json(self, element_label: str) -> dict:
-        return {
-            "element": element_label,
-            "windows": list(self.window_sizes),
-            "estimates": list(self.estimates),
-            "converged": self.converged,
-            "final": self.final,
-        }
-
 
 @dataclass(frozen=True, eq=False)
 class ZTransformPair:

@@ -7,6 +7,7 @@ exact path; mixing one in raises ``TypeError`` rather than silently degrading.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -29,6 +30,18 @@ def format_rational(value: Fraction) -> str:
     """Render a rational as ``p/r`` (denominator always shown)."""
     f = Fraction(value)
     return f"{f.numerator}/{f.denominator}"
+
+
+def _coerced(op):
+    """op with its other operand coerced to RationalComplex; NotImplemented if it will not."""
+    @functools.wraps(op)
+    def method(self, other):
+        try:
+            o = RationalComplex.coerce(other)
+        except TypeError:
+            return NotImplemented
+        return op(self, o)
+    return method
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,44 +70,27 @@ class RationalComplex:
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
 
-    def __add__(self, other):
-        try:
-            o = RationalComplex.coerce(other)
-        except TypeError:
-            return NotImplemented
+    @_coerced
+    def __add__(self, o):
         return RationalComplex(self.re + o.re, self.im + o.im)
-
     __radd__ = __add__
 
-    def __sub__(self, other):
-        try:
-            o = RationalComplex.coerce(other)
-        except TypeError:
-            return NotImplemented
+    @_coerced
+    def __sub__(self, o):
         return RationalComplex(self.re - o.re, self.im - o.im)
 
-    def __rsub__(self, other):
-        try:
-            o = RationalComplex.coerce(other)
-        except TypeError:
-            return NotImplemented
+    @_coerced
+    def __rsub__(self, o):
         return RationalComplex(o.re - self.re, o.im - self.im)
 
-    def __mul__(self, other):
-        try:
-            o = RationalComplex.coerce(other)
-        except TypeError:
-            return NotImplemented
+    @_coerced
+    def __mul__(self, o):
         return RationalComplex(self.re * o.re - self.im * o.im,
                                self.re * o.im + self.im * o.re)
-
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        try:
-            o = RationalComplex.coerce(other)
-        except TypeError:
-            return NotImplemented
+    @_coerced
+    def __truediv__(self, o):
         d = o.re * o.re + o.im * o.im
         if d == 0:
             raise ZeroDivisionError("division by zero RationalComplex")

@@ -788,3 +788,14 @@ def test_every_coefficient_is_one_checked_rational_function(monkeypatch):
     for g in (RationalCoefficient.constant(2), RationalCoefficient.variable(),
               RationalCoefficient.monomial(3, HALF)):
         assert type(g) is RationalFunction
+
+
+@pytest.mark.parametrize("t", [math.inf, math.nan])
+def test_an_indicator_at_a_non_finite_point_raises_evaluation_error(t):
+    for interval in (Interval.open_closed("1/2", 1), Interval(Fraction(1, 2), None, False, False)):
+        f = IndicatorCoefficient(interval)
+        with pytest.raises(EvaluationError, match=f"^coefficient undefined at t={t}$"):
+            f(t)
+        a = algebra.element(1, {0: f, 1: RationalCoefficient(RationalFunction.variable())})
+        with pytest.raises(EvaluationError, match=f"^coefficient undefined at t={t}$"):
+            algebra.classical_table(a, [0.5, 1.0, t], [0.0, 1.0])

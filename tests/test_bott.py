@@ -158,19 +158,6 @@ def test_projection_constructor_guards():
         bott.bott_projection(1, 1, "3/2")
 
 
-def test_projection_report_shape():
-    P = bott.bott_projection(2, -1, "1/2")
-    data = bott.projection_report(P, "exact", "0/1", 26, None)
-    assert data["n"] == 2
-    assert data["sign"] == "-"
-    assert data["q"] == "1/2"
-    assert data["winding_diagnostic"] is None
-    data = bott.projection_report(P, "numeric", 0.0, None, 0.5,
-                                  extra={"window": "[-8, 8]"})
-    assert data["winding_diagnostic"] == {"value": 0.5, "unverified": True}
-    assert data["window"] == "[-8, 8]"
-
-
 def test_block_band_matches_dense_blocks():
     for q, n, sign, window in (("1/2", 1, 1, (-6, 6)), ("2/3", 2, -1, (-8, 8))):
         T = qnormal.build_from_generators(q, ["1", "3/4"], TruncationWindow(*window),

@@ -452,3 +452,33 @@ def test_one_offset_float_band_norm_is_the_largest_kept_entry():
                     assert got == (float(np.max(np.abs(entries))) if entries.any() else 0.0)
                     want = _dense_norm(B.dense(), keep)
                     assert abs(got - want) <= 1e-12 * max(1.0, want)
+
+
+@pytest.mark.parametrize("complex_values", [False, True])
+def test_power_of_a_multi_diagonal_band_matches_the_dense_oracle(complex_values):
+    rng = random.Random(89)
+    for offs in ((0, 1), (-1, 2), (0, 2, -1), (3, -3), (1, 8), ()):
+        A = _int_padded_band(rng, 7, offs, complex_values)
+        for k in range(-3, 4):
+            _assert_same_entries(A.power(k).dense(), _oracle_power(_oracle(A), k))
+
+
+def test_float_power_of_one_diagonal_is_the_product_of_its_shifted_diagonals():
+    # row i of A**k, A = diag(v) S**n, is v[i] v[i + n] ... v[i + (k - 1) n],
+    # multiplied left to right in complex128
+    rng = np.random.default_rng(17)
+    dim = 9
+    for n in (0, 1, -1, 2, -3, 5):
+        v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        A = mo.Band(dim, False, {n: v})
+        for k in range(1, 6):
+            got = A.power(k)
+            if k * abs(n) >= dim:
+                assert not got.diags
+                continue
+            want = v
+            for j in range(1, k):
+                want = want * np.roll(v, -j * n)
+            rows = A._rows(k * n)
+            assert list(got.diags) == [k * n]
+            assert got.diags[k * n][rows].tobytes() == want[rows].tobytes()

@@ -717,3 +717,17 @@ def test_float_spectral_band_refuses_a_factor_past_the_float_range():
     T = qnormal.build_from_generators("1/2", ["1"], TruncationWindow(-3, 3))
     with pytest.raises(EvaluationError, match="coefficient undefined on the grid"):
         qnormal.spectral_band(T, RationalCoefficient(T_VAR), Fraction(10) ** 400)
+
+
+def test_an_exact_model_refuses_a_closure_coefficient():
+    T = qnormal.build_from_generators("1/2", ["1", "3/4"], TruncationWindow(-3, 3), zero_mass=1,
+                                      exact=True)
+    closure = algebra.ClosureCoefficient(lambda t: 1 / (1 + t), 1, True)
+    message = "^ClosureCoefficient has no exact evaluation$"
+    with pytest.raises(EvaluationError, match=message):
+        qnormal.spectral_band(T, closure)
+    a = algebra.element(T.q, {0: RationalCoefficient(RationalFunction.variable()), 1: closure})
+    with pytest.raises(EvaluationError, match=message):
+        represent.represent(a, T)
+    # the float model evaluates it
+    assert represent.represent(a, T.as_float()).shape == (T.dim, T.dim)

@@ -342,3 +342,22 @@ def test_weights_must_be_positive():
         qspace.atomic_measure("1/2", [("1", "0")])
     with pytest.raises(DomainError):
         qspace.atomic_measure("1/2", [("1", "-1")])
+
+
+@pytest.mark.parametrize("q, position, message", [
+    ("1/1", "1", "q in (0, 1), got 1"),
+    ("0", "1", "q in (0, 1), got 0"),
+    ("1/2", "3/2", "generator 3/2 outside (1/2, 1]"),
+    ("1/2", "1/2", "generator 1/2 outside (1/2, 1]"),
+])
+def test_atomic_measure_refuses_q_or_a_position_outside_its_domain(q, position, message):
+    with pytest.raises(DomainError) as info:
+        qspace.atomic_measure(q, [(position, "1")])
+    assert message in str(info.value)
+
+
+def test_a_measure_with_a_repeated_position_builds():
+    mu = qspace.atomic_measure("1/2", [("3/4", "1"), ("1", "2"), ("3/4", "5")])
+    assert mu.base_atoms == ((Fraction(3, 4), Fraction(1)), (Fraction(3, 4), Fraction(5)),
+                             (Fraction(1), Fraction(2)))
+    assert mu.support().generators == (Fraction(3, 4), Fraction(1))
