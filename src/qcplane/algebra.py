@@ -35,8 +35,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .errors import DomainError, EvaluationError
-from .matrixops import Band, ExactDiagonal
-from .qspace import Interval, SpectralSet
+from .qspace import Interval, SpectralSet, _grid_pairs
 from .ratfunc import (_ONE, MAX_POWER_DEGREE, Pair, RationalFunction, _f_add, _f_argscale,
                       _f_conj, _f_div, _f_mul, _f_neg, _f_pow, _f_sub, _poly, _rf)
 from .scalars import RationalComplex, parse_rational
@@ -396,42 +395,36 @@ def classical_eval(a: AlgebraElement, r: float, theta: float) -> complex:
 
 def grid_sample_points(X: SpectralSet, n_min: int, n_max: int) -> tuple[Fraction, ...]:
     """Grid values q**n * x over the level range, ascending, after 0 when X holds it."""
-    from .qnormal import LevelGrid   # qnormal imports this module
-    nums, dens = LevelGrid(X.q, tuple(X.generators), range(n_min, n_max + 1)).pairs()
+    nums, dens = _grid_pairs(X.q, X.generators, range(n_min, n_max + 1))
     # over one common denominator, the points sort and deduplicate as ints
     common = math.lcm(*dens)
     pts = [Fraction(n, common) for n in sorted({n * (common // d) for n, d in zip(nums, dens)})]
     return (Fraction(0), *pts) if X.includes_zero else tuple(pts)
 
 
-def _exact_values(f: CoefficientFunction, points) -> ExactDiagonal:
-    """f at the rational points as one exact diagonal."""
-    if isinstance(f, RationalCoefficient):
-        re, im, den = f.evaluate_pairs([p.numerator for p in points],
-                                       [p.denominator for p in points])
-        return ExactDiagonal.written(re, den, im)
-    return ExactDiagonal.of([f.eval_exact(p) for p in points])
-
-
 def element_residual(a: AlgebraElement, b: AlgebraElement, points) -> Fraction:
     """Exact max coefficient deviation |a_k - b_k| over modes and rational sample points.
 
     A mode whose two coefficients are the same rational function contributes
-    exactly 0 without evaluation.  Otherwise both are evaluated into exact
-    diagonals and their difference is measured by the exact ``Band.norm``:
-    max(|re|, |im|) of each value.  A closure has no exact evaluation and
-    raises EvaluationError.
+    exactly 0 without evaluation.  A differing rational pair is measured on
+    its difference, one rational function evaluated at each point; a leaf on
+    the differences of the two sides' exact values.  Each value is sized by
+    max(|re|, |im|).  A closure has no exact evaluation and raises
+    EvaluationError.
     """
     if a.q != b.q:
         raise DomainError("cannot compare elements over different ratios")
     worst = Fraction(0)
     for k in sorted(set(a.modes) | set(b.modes)):
         fa, fb = a.coefficient(k), b.coefficient(k)
-        if (isinstance(fa, RationalCoefficient) and isinstance(fb, RationalCoefficient)
-                and fa.equals(fb)):
-            continue
-        gap = _exact_values(fa, points) - _exact_values(fb, points)
-        worst = max(worst, Band(len(gap), True, {0: gap}).norm())
+        if isinstance(fa, RationalCoefficient) and isinstance(fb, RationalCoefficient):
+            if fa.equals(fb):
+                continue
+            gap = fa - fb
+            sizes = (gap.evaluate(p).magnitude() for p in points)
+        else:
+            sizes = ((fa.eval_exact(p) - fb.eval_exact(p)).magnitude() for p in points)
+        worst = max([worst, *sizes])
     return worst
 
 

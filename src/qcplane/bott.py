@@ -61,10 +61,6 @@ class ProjectionCandidate:
     q: Fraction
     entries: Entries
 
-    @property
-    def mode_span(self) -> int:
-        return self.n
-
 
 def bott_projection(n: int, sign: int, q) -> ProjectionCandidate:
     """Entries of the rank-one projection onto the graph of the n-th power.

@@ -22,14 +22,13 @@ import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, repeat
 
 import numpy as np
 
 from . import matrixops as mo
 from .algebra import CoefficientFunction, IndicatorCoefficient, RationalCoefficient
 from .errors import ConfigurationError, DomainError, EvaluationError
-from .qspace import Interval, QInvariantMeasure, SpectralSet, level_run
+from .qspace import Interval, QInvariantMeasure, SpectralSet, _grid_pairs, level_run
 from .scalars import format_rational, parse_rational
 
 _SQRT_FLOAT_MAX = np.sqrt(np.finfo(float).max)
@@ -94,26 +93,9 @@ class LevelGrid(Sequence):
         return GridPoint(j, self.levels[n], qn if x == 1 else qn * x)
 
     def pairs(self, factor: Fraction = Fraction(1)) -> tuple[list[int], list[int]]:
-        """Integers (nums, dens) with factor * t_{j,n} == nums[i] / dens[i], for every point.
-
-        q = p/r, so q**n is p**n / r**n, and r**|n| / p**|n| below level 0: each
-        pair is a product of integer powers, never reduced.  The level pairs are
-        slices of the two power tables, read backwards below level 0, and a
-        generator's pair (factor * x_j) multiplies them only where it is not 1.
-        """
-        lo, hi = self.levels.start, self.levels.stop
-        ps, rs = ([*accumulate(repeat(b, max(-lo, hi - 1)), operator.mul, initial=1)]
-                  for b in self.q.as_integer_ratio())
-        below, above = slice(max(-lo, 0), max(-hi, 0), -1), slice(max(lo, 0), max(hi, 0))
-        level_nums, level_dens = rs[below] + ps[above], ps[below] + rs[above]
-        fp, fr = factor.as_integer_ratio()
-        g = len(self.generators)
-        nums, dens = [0] * len(self), [0] * len(self)
-        for j, x in enumerate(self.generators):
-            a, b = fp * x.numerator, fr * x.denominator
-            nums[j::g] = level_nums if a == 1 else [a * v for v in level_nums]
-            dens[j::g] = level_dens if b == 1 else [b * v for v in level_dens]
-        return nums, dens
+        """Integers (nums, dens) with factor * t_{j,n} == nums[i] / dens[i], for every point,
+        from ``qspace``'s tables of integer powers; no pair is reduced."""
+        return _grid_pairs(self.q, self.generators, self.levels, factor)
 
     def rounded(self, factor: Fraction = Fraction(1)) -> np.ndarray:
         """float(factor * t_{j,n}) for every point: one integer true division each,
@@ -284,12 +266,8 @@ def _assemble(q: Fraction, gens: tuple[Fraction, ...], window: TruncationWindow,
 def build(mu: QInvariantMeasure, X: SpectralSet | None, window: TruncationWindow,
           exact: bool = False) -> TruncatedQNormal:
     """Build the truncated model of the measure's L2 multiplication-shift pair."""
-    if X is not None:
-        if X.q != mu.q:
-            raise DomainError("spectral set ratio disagrees with the measure")
-        support = mu.support()
-        if X.generators != support.generators or X.includes_zero != support.includes_zero:
-            raise DomainError("spectral set does not match the measure support")
+    if X is not None and X != mu.support():
+        raise DomainError("spectral set does not match the measure support")
     if mu.is_trivial:
         raise DomainError("measure has empty support")
     return _assemble(mu.q, tuple(p for p, _ in mu.base_atoms), window, mu.zero_mass, exact)
@@ -394,7 +372,7 @@ def spectral_band(T: TruncatedQNormal, f: CoefficientFunction, factor=1) -> mo.B
                           else [complex(f(x)) for x in t.tolist()])
             if T.kernel_dim:
                 values[n] = complex(f.value_at_zero)
-    except (ArithmeticError, OverflowError) as exc:
+    except ArithmeticError as exc:
         raise EvaluationError(f"coefficient undefined on the grid: {exc}") from exc
     return mo.Band(T.dim, T.exact, {0: values})
 

@@ -10,8 +10,10 @@ interval (q, 1] plus a point mass at 0, and that is how it is stored here.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, repeat
 
 from .errors import DomainError
 from .scalars import format_rational, parse_rational
@@ -156,6 +158,31 @@ def orbit_exponents(q: Fraction, x: Fraction, interval: Interval) -> range:
     return range(*level_run(q, x, interval))
 
 
+def _grid_pairs(q: Fraction, generators, levels: range,
+                factor: Fraction = Fraction(1)) -> tuple[list[int], list[int]]:
+    """Integers (nums, dens) with factor * q**n * x_j == nums[i] / dens[i], the
+    points in ascending levels, one block of generators per level.
+
+    q = p/r, so q**n is p**n / r**n, and r**|n| / p**|n| below level 0: each
+    pair is a product of integer powers, never reduced.  The level pairs are
+    slices of the two power tables, read backwards below level 0, and a
+    generator's pair (factor * x_j) multiplies them only where it is not 1.
+    """
+    lo, hi = levels.start, levels.stop
+    ps, rs = ([*accumulate(repeat(b, max(-lo, hi - 1)), operator.mul, initial=1)]
+              for b in q.as_integer_ratio())
+    below, above = slice(max(-lo, 0), max(-hi, 0), -1), slice(max(lo, 0), max(hi, 0))
+    level_nums, level_dens = rs[below] + ps[above], ps[below] + rs[above]
+    fp, fr = factor.as_integer_ratio()
+    g = len(generators)
+    nums, dens = ([0] * (len(levels) * g) for _ in range(2))
+    for j, x in enumerate(generators):
+        a, b = fp * x.numerator, fr * x.denominator
+        nums[j::g] = level_nums if a == 1 else [a * v for v in level_nums]
+        dens[j::g] = level_dens if b == 1 else [b * v for v in level_dens]
+    return nums, dens
+
+
 @dataclass(frozen=True)
 class SpectralSet:
     """Union of scaling orbits of finitely many generators in (q, 1], plus 0."""
@@ -220,7 +247,9 @@ class QInvariantMeasure:
         atoms = tuple(sorted((Fraction(p), Fraction(w)) for p, w in self.base_atoms))
         object.__setattr__(self, "base_atoms", atoms)
         object.__setattr__(self, "zero_mass", Fraction(self.zero_mass))
-        self.support()   # the spectral set checks q and the positions
+        # the spectral set checks q and the positions; it is the support
+        object.__setattr__(self, "_support", SpectralSet(
+            self.q, tuple({p for p, _ in atoms}), bool(atoms) or self.zero_mass > 0))
         for _, w in atoms:
             if w <= 0:
                 raise DomainError(f"atom weight must be positive, got {w}")
@@ -232,10 +261,7 @@ class QInvariantMeasure:
         return not self.base_atoms and self.zero_mass == 0
 
     def support(self) -> SpectralSet:
-        positions = tuple(sorted({p for p, _ in self.base_atoms}))
-        if positions:
-            return SpectralSet(self.q, positions, True)
-        return SpectralSet(self.q, (), self.zero_mass > 0)
+        return self._support
 
 
 def atomic_measure(q, atoms, zero_mass=0) -> QInvariantMeasure:

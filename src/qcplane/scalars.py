@@ -97,6 +97,10 @@ class RationalComplex:
         return RationalComplex((self.re * o.re + self.im * o.im) / d,
                                (self.im * o.re - self.re * o.im) / d)
 
+    @_coerced
+    def __rtruediv__(self, o):
+        return o / self
+
     def __neg__(self):
         return RationalComplex(-self.re, -self.im)
 

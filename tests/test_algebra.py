@@ -545,6 +545,40 @@ def test_element_residual_matches_the_pointwise_formula():
             element_residual(x, algebra.zero_element(HALF), helpers.sample_fractions())
 
 
+def test_refutation_residues_equal_the_two_sided_reference():
+    # element_residual evaluates a differing rational pair as one difference;
+    # the reference evaluates each side apart, so the two must agree exactly
+    rng = random.Random(45)
+    ind = IndicatorCoefficient(Interval.open_closed(Fraction(0), Fraction(1, 2)))
+    point_lists = ([], [Fraction(0)], [0, Fraction(1, 3), 2], helpers.sample_fractions())
+    for trial in range(24):
+        q = rng.choice([HALF, Fraction(3, 7)])
+        a = helpers.random_element(rng, q, complex_coeffs=trial % 2 == 0)
+        b = helpers.random_element(rng, q, complex_coeffs=trial % 3 == 0)
+        leafy = algebra.element(q, {**dict(b.terms), 0: ind})
+        for x, y in ((a, b), (algebra.multiply(a, b), algebra.multiply(b, a)), (leafy, a)):
+            for points in point_lists:
+                got = element_residual(x, y, points)
+                assert type(got) is Fraction
+                assert got == _pointwise_residual(x, y, points)
+                assert points or got == 0
+    # the six doubled Bott projections of ``bott --exact --perturb``
+    mu = qspace.uniform_measure(HALF, ["1"])
+    points = grid_sample_points(mu.support(), -8, 8)
+    for n in (1, 2, 3):
+        for sign in (1, -1):
+            P = bott.bott_projection(n, sign, HALF)
+            A = bott.m2_scale(P.entries, 2)
+            rep = bott.verify_projection_exact(bott.ProjectionCandidate(n, sign, HALF, A), points)
+            want = max(_pointwise_residual(x, a, points)
+                       for R in (bott.m2_mul(A, A), bott.m2_adjoint(A))
+                       for row, row_a in zip(R, A) for x, a in zip(row, row_a))
+            assert rep.max_residue == want > 0
+    clo = algebra.element(HALF, {1: ClosureCoefficient(lambda t: 1 / (1 + t), 1.0, True)})
+    with pytest.raises(EvaluationError):
+        element_residual(clo, algebra.element(HALF, {1: RationalCoefficient(T)}), [HALF])
+
+
 def _old_cf_alpha(f, n: int, q: Fraction):
     """The former scaling action: one q**n, then substitute_scale or a scaled interval."""
     qn = q ** n

@@ -70,7 +70,7 @@ def test_projection_mode_layout():
         assert e12.modes == (n,)
         assert e21.modes == (-n,)
         assert e22.modes == (0,)
-        assert P.mode_span == n
+        assert max(e.mode_span for row in P.entries for e in row) == n
     Pm = bott.bott_projection(2, -1, "2/3")
     assert Pm.entries[0][1].modes == (-2,)
 

@@ -482,3 +482,12 @@ def test_float_power_of_one_diagonal_is_the_product_of_its_shifted_diagonals():
             rows = A._rows(k * n)
             assert list(got.diags) == [k * n]
             assert got.diags[k * n][rows].tobytes() == want[rows].tobytes()
+
+
+def test_exact_scaling_refuses_a_float():
+    band = mo.Band(3, True, {0: mo.ExactDiagonal.written([1, 2, 3], [1, 1, 1])})
+    for s in (0.5, 1j):
+        with pytest.raises(TypeError, match="not an exact scalar"):
+            band.scale(s)
+    with pytest.raises(TypeError, match="not an exact scalar"):
+        exact_magnitude(0.5)

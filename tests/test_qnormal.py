@@ -83,9 +83,14 @@ def test_build_rejects_short_window(dyadic_measure):
 
 
 def test_build_rejects_mismatched_set(dyadic_measure):
-    other = qspace.make_spectral_set("1/2", ["3/4"])
-    with pytest.raises(DomainError):
-        qnormal.build(dyadic_measure, other, TruncationWindow(-2, 2))
+    window = TruncationWindow(-2, 2)
+    for other in (qspace.make_spectral_set("1/2", ["3/4"]),
+                  qspace.make_spectral_set("1/2", ["1", "3/4"]),
+                  qspace.make_spectral_set("2/3", ["1"])):
+        with pytest.raises(DomainError, match="does not match"):
+            qnormal.build(dyadic_measure, other, window)
+    same = qnormal.build(dyadic_measure, qspace.make_spectral_set("1/2", ["1"]), window)
+    assert same.grid == qnormal.build(dyadic_measure, None, window).grid
 
 
 def test_build_rejects_trivial_measure():

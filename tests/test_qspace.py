@@ -255,6 +255,9 @@ def test_far_levels_of_a_ratio_next_to_one_are_refused(call):
                           timeout=10, env=env)
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("refused:"), done.stdout
+    # refused apart, so the same call in this process cannot hang: refused here too
+    with pytest.raises(DomainError, match="bits"):
+        exec(NEXT_TO_ONE + call, {"Fraction": Fraction, "qspace": qspace, "Interval": Interval})
 
 
 def test_measure_infinite_cases(dyadic_measure):
@@ -361,3 +364,34 @@ def test_a_measure_with_a_repeated_position_builds():
     assert mu.base_atoms == ((Fraction(3, 4), Fraction(1)), (Fraction(3, 4), Fraction(5)),
                              (Fraction(1), Fraction(2)))
     assert mu.support().generators == (Fraction(3, 4), Fraction(1))
+
+
+def test_refusals_and_edges_of_sets_orbits_and_measures():
+    q = Fraction(1, 2)
+    with pytest.raises(DomainError, match="positive"):
+        Interval.open_closed(1, 2).scaled(Fraction(0))
+    for bad in (Interval(Fraction(1), None, False, False), Interval.open_closed(1, 1)):
+        with pytest.raises(DomainError, match="bounded nonempty"):
+            qspace.orbit_exponents(q, Fraction(1), bad)
+    assert qspace.orbit_exponents(q, Fraction(1), Interval.point(0)) == range(0)
+    with pytest.raises(DomainError, match="neighbourhood of 0"):
+        qspace.orbit_exponents(q, Fraction(1), Interval.open_closed(0, 1))
+    with pytest.raises(DomainError, match="includes_zero is forced"):
+        qspace.SpectralSet(q, (Fraction(1),), False)
+    with pytest.raises(DomainError, match="weights must be positive"):
+        qspace.mu0_from_nu(q, [("3/4", "0")])
+    # a measure with no atoms weighs an interval by its mass at 0 alone
+    origin = qspace.uniform_measure(q, [], zero_mass="3/2")
+    assert qspace.measure_of(origin, Interval(Fraction(0), Fraction(5), True, True)) == Fraction(3, 2)
+    assert qspace.measure_of(origin, Interval.open_closed(0, 5)) == 0
+
+
+def test_a_measure_keeps_the_support_it_checked():
+    half, two_thirds = Fraction(1, 2), Fraction(2, 3)
+    for mu, X in ((qspace.atomic_measure(half, [("1", "2"), ("3/4", "1"), ("1", "1")]),
+                   qspace.SpectralSet(half, (Fraction(3, 4), Fraction(1)))),
+                  (qspace.uniform_measure(two_thirds, [], zero_mass="1"),
+                   qspace.SpectralSet(two_thirds, ())),
+                  (qspace.QInvariantMeasure(half, ()), qspace.SpectralSet(half, (), False))):
+        assert mu.support() is mu.support()
+        assert mu.support() == X

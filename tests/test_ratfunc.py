@@ -858,3 +858,13 @@ def test_real_elements_keep_an_all_zero_im_of_re_length():
         for x in results:
             for _, f in x.terms:
                 assert _is_real_pair(f._pair), (trial, f._pair)
+
+
+def test_constructors_and_rescaling_refuse_values_outside_their_domain():
+    with pytest.raises(DomainError, match="zero denominator"):
+        RationalFunction((1,), (0, 0))
+    with pytest.raises(DomainError, match="nonnegative"):
+        RationalFunction.monomial(-1)
+    for lam in (Fraction(0), Fraction(-1, 2)):
+        with pytest.raises(DomainError, match="positive"):
+            T.substitute_scale(lam)

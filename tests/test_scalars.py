@@ -47,3 +47,21 @@ def test_division_by_zero_raises():
     for zero in (0, Fraction(0), RationalComplex()):
         with pytest.raises(ZeroDivisionError):
             RationalComplex(Fraction(1), Fraction(1)) / zero
+
+
+def test_reflected_division_takes_an_int_or_fraction_dividend():
+    z = RationalComplex(Fraction(1, 3), Fraction(-2, 5))
+    assert z.__rtruediv__(0.5) is NotImplemented
+    with pytest.raises(TypeError):
+        0.5 / z
+    for a, b in ((Fraction(-7, 3), Fraction(0)), (Fraction(5), Fraction(2, 9)),
+                 (Fraction(0), Fraction(-1, 4))):
+        for x in (3, -1, 0, Fraction(4, 7), Fraction(-5, 2)):
+            got, d = x / RationalComplex(a, b), a * a + b * b
+            assert type(got) is RationalComplex
+            # x / (a + ib) = x (a - ib) / (a^2 + b^2)
+            assert (got.re, got.im) == (x * a / d, -x * b / d)
+            assert got * RationalComplex(a, b) == x
+    for x in (2, Fraction(1, 2)):
+        with pytest.raises(ZeroDivisionError):
+            x / RationalComplex()
