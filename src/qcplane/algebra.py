@@ -407,25 +407,32 @@ def element_residual(a: AlgebraElement, b: AlgebraElement, points) -> Fraction:
 
     A mode whose two coefficients are the same rational function contributes
     exactly 0 without evaluation.  A differing rational pair is measured on
-    its difference, one rational function evaluated at each point; a leaf on
-    the differences of the two sides' exact values.  Each value is sized by
-    max(|re|, |im|).  A closure has no exact evaluation and raises
-    EvaluationError.
+    its difference, one rational function evaluated at every point by one
+    ``evaluate_pairs`` call; a leaf on the differences of the two sides' exact
+    values.  Each value is sized by max(|re|, |im|), sizes are compared as
+    integer cross products, and one Fraction is made at the end.  A closure
+    has no exact evaluation and raises EvaluationError.
     """
     if a.q != b.q:
         raise DomainError("cannot compare elements over different ratios")
-    worst = Fraction(0)
+    best, scale, pairs = 0, 1, None   # the largest size so far is best / scale
     for k in sorted(set(a.modes) | set(b.modes)):
         fa, fb = a.coefficient(k), b.coefficient(k)
         if isinstance(fa, RationalCoefficient) and isinstance(fb, RationalCoefficient):
             if fa.equals(fb):
                 continue
-            gap = fa - fb
-            sizes = (gap.evaluate(p).magnitude() for p in points)
+            if pairs is None:
+                pairs = [p.numerator for p in points], [p.denominator for p in points]
+            re, im, den = (fa - fb).evaluate_pairs(*pairs)
+            sizes = (zip(map(abs, re), den) if im is None else
+                     ((max(abs(x), abs(y)), d) for x, y, d in zip(re, im, den)))
         else:
-            sizes = ((fa.eval_exact(p) - fb.eval_exact(p)).magnitude() for p in points)
-        worst = max([worst, *sizes])
-    return worst
+            sizes = ((fa.eval_exact(p) - fb.eval_exact(p)).magnitude().as_integer_ratio()
+                     for p in points)
+        for m, d in sizes:
+            if m * scale > best * d:
+                best, scale = m, d
+    return Fraction(best, scale)
 
 
 _OUTSIDE_GRAMMAR = re.compile(r"[^0-9t\s()+\-*/^]|\*\*")

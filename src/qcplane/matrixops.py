@@ -227,7 +227,7 @@ class Band:
         out = dict(self._diags)
         for d, v in other._diags.items():
             out[d] = op(out[d] if d in out else zeros(self.dim, self.exact), v)
-        return Band(self.dim, self.exact, out)
+        return _band(self.dim, self.exact, out)
 
     def __add__(self, other: "Band") -> "Band":
         return self._combine(other, operator.add)
@@ -245,7 +245,7 @@ class Band:
                     continue
                 term = a * self._shifted(b, d)
                 out[d + e] = out[d + e] + term if d + e in out else term
-        return Band(self.dim, self.exact, out)
+        return _band(self.dim, self.exact, out)
 
     def power(self, k: int) -> "Band":
         """self**k as band products taken left to right; (self*)**|k| for k < 0."""
@@ -258,35 +258,38 @@ class Band:
 
     def scale(self, s) -> "Band":
         if self.exact:
-            return Band(self.dim, True, {d: v.scaled(s) for d, v in self._diags.items()})
+            return _band(self.dim, True, {d: v.scaled(s) for d, v in self._diags.items()})
         s = complex(s)
-        return Band(self.dim, False, {d: s * v for d, v in self._diags.items()})
+        return _band(self.dim, False, {d: s * v for d, v in self._diags.items()})
 
     def adjoint(self) -> "Band":
         # (A*)[i, i - d] = conj(a_d[i - d])
-        return Band(self.dim, self.exact,
-                    {-d: self._shifted(v, -d).conj() for d, v in self._diags.items()})
+        return _band(self.dim, self.exact,
+                     {-d: self._shifted(v, -d).conj() for d, v in self._diags.items()})
 
     def as_float(self) -> "Band":
         if not self.exact:
             return self
-        return Band(self.dim, False, {d: v.to_complex() for d, v in self._diags.items()})
+        return _band(self.dim, False, {d: v.to_complex() for d, v in self._diags.items()})
 
     def _rows(self, d: int) -> np.ndarray:
         """Rows i whose entry (i, i + d) lies inside the matrix."""
         return np.arange(max(0, -d), min(self.dim, self.dim - d))
 
-    def _kept_rows(self, keep) -> dict:
-        """Stored offset d -> the rows i of its entries (i, i + d) with i and i + d in keep."""
+    def _kept_rows(self, keep, offsets) -> dict:
+        """Offset d of offsets -> the rows i of entries (i, i + d) with i and i + d in keep.
+
+        A step-1 range from 0 up keeps one run of rows at each offset.
+        """
         if keep is None:
-            return {d: self._rows(d) for d in self._diags}
-        kept = np.zeros(self.dim, dtype=bool)
+            return {d: self._rows(d) for d in offsets}
         if isinstance(keep, range) and keep.step == 1 and keep.start >= 0:
-            kept[keep.start:keep.stop] = True
-        else:
-            kept[np.asarray(list(keep), dtype=int)] = True
+            a, b = keep.start, min(keep.stop, self.dim)
+            return {d: np.arange(max(a, a - d), min(b, b - d)) for d in offsets}
+        kept = np.zeros(self.dim, dtype=bool)
+        kept[np.asarray(list(keep), dtype=int)] = True
         out = {}
-        for d in self._diags:
+        for d in offsets:
             r = self._rows(d)
             out[d] = r[kept[r] & kept[r + d]]
         return out
@@ -338,28 +341,31 @@ class Band:
                         if m * scale > best * den:
                             best, scale = m, den
             return Fraction(best, scale)
-        return self._float_norm(self._kept_rows(keep))
+        kept = self._kept_rows(keep, self._diags)
+        return self._float_norm({d: (r, self._diags[d][r]) for d, r in kept.items()})
 
     def _float_norm(self, kept: dict) -> float:
-        """2-norm of a float band's entries on the rows of :meth:`_kept_rows`."""
+        """2-norm of float entries; kept maps an offset d to (rows i, entries (i, i + d))."""
+        if len(kept) == 1:
+            # one offset makes every entry its own block
+            (_, v), = kept.values()
+            return _largest(v)
         offsets, rows, cols, vals = [], [], [], []
-        for d, r in kept.items():
-            v = self._diags[d][r]
-            if not np.isfinite(v).all():
-                # an overflowed entry: report an unbounded norm, never a small one
-                return float("inf")
+        for d, (r, v) in kept.items():
             nonzero = v != 0
             if nonzero.any():
                 offsets.append(d)
                 rows.append(r[nonzero])
                 cols.append(r[nonzero] + d)
                 vals.append(v[nonzero])
-        if not offsets:
-            return 0.0
-        # the offsets lie in d0 + hZ, so row classes mod h are the blocks; one
-        # offset (h = 0) makes every row its own block, as h = dim does
-        h = math.gcd(*(d - offsets[0] for d in offsets)) or self.dim
+        if len(offsets) <= 1:
+            return _largest(vals[0]) if vals else 0.0
         rows, cols, vals = map(np.concatenate, (rows, cols, vals))
+        if not np.isfinite(vals).all():
+            # an overflowed entry: report an unbounded norm, never a small one
+            return math.inf
+        # the offsets lie in d0 + hZ, so row classes mod h are the blocks
+        h = math.gcd(*(d - offsets[0] for d in offsets))
         block = rows % h
         single = np.bincount(block)[block] == 1
         best = float(np.max(np.abs(vals[single]), initial=0.0))
@@ -383,21 +389,40 @@ class Band:
         a few units of roundoff whatever the size of its entries.  A non-finite
         kept entry of either side, or a scale |L| + |R| past float range, makes
         both inf, never small, as in :meth:`norm`; no arithmetic warning is raised.
+        Both are measured in one pass over the kept entries, without forming L - R
+        as a band.
         """
-        # inf and nan are caught by the scale test below
+        self._check(other)
+        L, R = self._diags, other._diags
+        kept, worst = {}, 0.0
+        # inf and nan are caught by the scale test
         with np.errstate(over="ignore", invalid="ignore"):
-            D = self - other
-        kept = D._kept_rows(keep)
-        worst = 0.0
-        for d, r in kept.items():
-            with np.errstate(over="ignore", invalid="ignore"):
-                scale = np.abs(self.diagonal(d)[r]) + np.abs(other.diagonal(d)[r])
-            if not np.isfinite(scale).all():
-                return float("inf"), float("inf")
-            # a zero scale has a zero difference: dividing by the least float keeps it 0
-            diff = np.abs(D._diags[d][r])
-            worst = max(worst, float((diff / np.maximum(scale, _TINY)).max(initial=0.0)))
-        return D._float_norm(kept), worst
+            for d, r in self._kept_rows(keep, {**L, **R}).items():
+                a, b = L[d][r] if d in L else 0j, R[d][r] if d in R else 0j
+                scale = np.abs(a) + np.abs(b)
+                if not math.isfinite(scale.max(initial=0.0)):
+                    return math.inf, math.inf
+                v = a - b
+                kept[d], diff = (r, v), np.abs(v)
+                # a zero scale has a zero difference: dividing by the least float keeps it 0
+                worst = max(worst, float((diff / np.maximum(scale, _TINY)).max(initial=0.0)))
+            # one offset makes each entry its own block, and finite sides give no nan
+            absolute = float(diff.max(initial=0.0)) if len(kept) == 1 else self._float_norm(kept)
+        return absolute, worst
+
+
+def _band(dim: int, exact: bool, diags: dict) -> Band:
+    """A Band holding diags as given, for operations whose diagonals are already in
+    stored form at offsets |d| < dim; skips the conversion and filter of ``Band(...)``."""
+    out = object.__new__(Band)
+    out.dim, out.exact, out._diags = dim, exact, diags
+    return out
+
+
+def _largest(v: np.ndarray) -> float:
+    """max |v| over float entries, 0 for none; inf if any entry is not finite."""
+    best = float(np.max(np.abs(v), initial=0.0))
+    return math.inf if math.isnan(best) else best
 
 
 def adjoint(M: np.ndarray) -> np.ndarray:

@@ -350,7 +350,7 @@ def spectral_band(T: TruncatedQNormal, f: CoefficientFunction, factor=1) -> mo.B
     evaluated on the whole diagonal by one array Horner scheme; other
     callables per point.
     """
-    factor = Fraction(factor)
+    factor = factor if isinstance(factor, (int, Fraction)) else Fraction(factor)
     n = len(T.grid)
     try:
         if isinstance(f, IndicatorCoefficient):
@@ -366,7 +366,7 @@ def spectral_band(T: TruncatedQNormal, f: CoefficientFunction, factor=1) -> mo.B
             values = mo.ExactDiagonal.written(re, den, im)
         else:
             values = np.empty(T.dim, dtype=complex)
-            t = (T.modulus_band.diags[0].real[:n] if factor == 1 else
+            t = (T.modulus_band.diagonal(0).real[:n] if factor == 1 else
                  T._q_points if factor == T.q else T.grid.rounded(factor))
             values[:n] = (f.evaluate_array(t) if isinstance(f, RationalCoefficient)
                           else [complex(f(x)) for x in t.tolist()])

@@ -31,7 +31,6 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
-from functools import cached_property
 from itertools import zip_longest
 
 import numpy as np
@@ -374,6 +373,24 @@ def _positive_root_count(g: list[int] | tuple[int, ...]) -> int:
     return _sign_changes(p[0] for p in seq) - _sign_changes(p[-1] for p in seq)
 
 
+class _once:
+    """A value computed from the instance on first access and stored in its __dict__,
+    which then shadows this descriptor; unlike ``functools.cached_property`` on
+    Python 3.11, it takes no lock."""
+
+    def __init__(self, compute):
+        self.compute = compute
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.compute(obj)
+        return value
+
+
 class RationalFunction:
     """Quotient of two polynomials with Gaussian-rational coefficients; immutable."""
 
@@ -391,8 +408,8 @@ class RationalFunction:
         raise AttributeError(f"RationalFunction is immutable; cannot set {name!r}")
 
     # read-only views: RationalComplex coefficients, ascending powers, trimmed
-    num = cached_property(lambda self: _coeffs(*self._num))
-    den = cached_property(lambda self: _coeffs(*self._den))
+    num = _once(lambda self: _coeffs(*self._num))
+    den = _once(lambda self: _coeffs(*self._den))
 
     # plain RationalFunctions, also when called on a subclass
     @staticmethod
@@ -471,9 +488,10 @@ class RationalFunction:
                 im.append(b * s)
         return re, im, den
 
-    @cached_property
+    @_once
     def _float_coeffs(self) -> tuple[tuple[float, ...], ...]:
-        """Rounded (Re num, Im num, Re den, Im den), or (Re num, Re den) if all real."""
+        """Rounded (Re num, Im num, Re den, Im den), or (Re num, Re den) if all real;
+        made on the first float evaluation."""
         (nr, ni, dn), (dr, di, dd) = self._num, self._den
         parts = [(nr, dn), (ni, dn), (dr, dd), (di, dd)]
         if not any(ni) and not any(di):
@@ -516,15 +534,17 @@ class RationalFunction:
         """
         with np.errstate(all="ignore"):
             parts = [_p_eval_float(cs, t) for cs in self._float_coeffs]
-            c, e = (parts[1], 0.0) if len(parts) == 2 else parts[2:]
-            bad = (c == 0) & (e == 0)
-            if np.any(bad):
-                raise EvaluationError(f"denominator vanishes at t={t[bad][0]}")
-            if len(parts) == 2:
+            real = len(parts) == 2
+            c, e = (parts[1], 0.0) if real else parts[2:]
+            if not (c != 0 if real else (c != 0) | (e != 0)).all():
+                raise EvaluationError(f"denominator vanishes at t={t[(c == 0) & (e == 0)][0]}")
+            if real:
                 v = (parts[0] / c).astype(complex)
             else:
                 v = np.empty(np.shape(t), dtype=complex)
                 v.real, v.imag = _smith(*parts)
+            if np.isfinite(v).all() and np.isfinite(c).all() and (real or np.isfinite(e).all()):
+                return v
             finite = np.isfinite(v) & np.isfinite(c) & np.isfinite(e)
             redo = ~finite & np.isfinite(t) & (t != 0)
             if np.any(redo):

@@ -645,10 +645,12 @@ GOLDEN = Path(__file__).parent / "data"
     ("bott", ["bott"], 0),
     ("norm", ["norm"], 0),
     ("limit_q1", ["limit", "--q", "1/1"], 0),
+    ("simulate_q3_7_w150", ["simulate", "--q", "3/7", "--window", "-150", "150"], 0),
 ])
 def test_reports_match_the_recorded_golden_output(capsys, name, argv, want_code):
     # tests/data/golden_<name>.out is the byte-exact stdout of
-    # `python -m qcplane.cli <argv>` recorded before the exact diagonal evaluator
+    # `python -m qcplane.cli <argv>` recorded before the exact diagonal evaluator;
+    # simulate_q3_7_w150, the one float simulate report, before the one-pass Band.gap
     code, out = run(capsys, *argv)
     assert code == want_code
     assert out.encode() == (GOLDEN / f"golden_{name}.out").read_bytes()

@@ -1,5 +1,7 @@
 import dataclasses
+import math
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -442,16 +444,129 @@ def test_one_offset_float_band_norm_is_the_largest_kept_entry():
         for d in (0, 1, -3, 7, dim - 1):
             for density in (0.0, 0.3, 1.0):
                 B = _float_band(rng, dim, (d,), density)
-                for keep in (None, [], sorted(rng.choice(dim, size=dim // 2, replace=False))):
+                for keep in (None, [], sorted(rng.choice(dim, size=dim // 2, replace=False)),
+                             range(0), range(1, dim - 1), range(dim // 2, dim + 3)):
+                    inside = [i for i in range(dim) if keep is None or i in keep]
                     kept = np.zeros(dim, dtype=bool)
-                    kept[range(dim) if keep is None else keep] = True
+                    kept[inside] = True
                     rows = B._rows(d)
                     rows = rows[kept[rows] & kept[rows + d]]
                     entries = B.diags[d][rows] if d in B.diags else np.zeros(0)
                     got = B.norm(keep)
                     assert got == (float(np.max(np.abs(entries))) if entries.any() else 0.0)
-                    want = _dense_norm(B.dense(), keep)
+                    want = _dense_norm(B.dense(), inside)
                     assert abs(got - want) <= 1e-12 * max(1.0, want)
+
+
+def _reference_kept_rows(B: mo.Band, keep) -> dict:
+    """Band._kept_rows as it was before the one-pass gap: keep marked in one row mask."""
+    if keep is None:
+        return {d: B._rows(d) for d in B._diags}
+    kept = np.zeros(B.dim, dtype=bool)
+    if isinstance(keep, range) and keep.step == 1 and keep.start >= 0:
+        kept[keep.start:keep.stop] = True
+    else:
+        kept[np.asarray(list(keep), dtype=int)] = True
+    out = {}
+    for d in B._diags:
+        r = B._rows(d)
+        out[d] = r[kept[r] & kept[r + d]]
+    return out
+
+
+def _reference_float_norm(B: mo.Band, kept: dict) -> float:
+    """Band._float_norm as it was before the one-pass gap, on the rows of kept."""
+    offsets, rows, cols, vals = [], [], [], []
+    for d, r in kept.items():
+        v = B._diags[d][r]
+        if not np.isfinite(v).all():
+            return float("inf")
+        nonzero = v != 0
+        if nonzero.any():
+            offsets.append(d)
+            rows.append(r[nonzero])
+            cols.append(r[nonzero] + d)
+            vals.append(v[nonzero])
+    if not offsets:
+        return 0.0
+    h = math.gcd(*(d - offsets[0] for d in offsets)) or B.dim
+    rows, cols, vals = map(np.concatenate, (rows, cols, vals))
+    block = rows % h
+    single = np.bincount(block)[block] == 1
+    best = float(np.max(np.abs(vals[single]), initial=0.0))
+    if not single.all():
+        n = -(-B.dim // h)
+        shared = ~single
+        members, slot = np.unique(block[shared], return_inverse=True)
+        stack = np.zeros((len(members), n, n), dtype=complex)
+        stack[slot, rows[shared] // h, cols[shared] // h] = vals[shared]
+        best = max(best, float(np.max(np.linalg.norm(stack, 2, axis=(1, 2)))))
+    return best
+
+
+def _reference_gap(L: mo.Band, R: mo.Band, keep) -> tuple[float, float]:
+    """Band.gap as it was before the one-pass gap: L - R formed as a band, then measured."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        D = L - R
+    kept = _reference_kept_rows(D, keep)
+    worst = 0.0
+    for d, r in kept.items():
+        with np.errstate(over="ignore", invalid="ignore"):
+            scale = np.abs(L.diagonal(d)[r]) + np.abs(R.diagonal(d)[r])
+        if not np.isfinite(scale).all():
+            return float("inf"), float("inf")
+        diff = np.abs(D._diags[d][r])
+        worst = max(worst, float((diff / np.maximum(scale, np.finfo(float).smallest_subnormal))
+                                 .max(initial=0.0)))
+    return _reference_float_norm(D, kept), worst
+
+
+def _edge_band(rng: np.random.Generator, dim: int, offsets) -> mo.Band:
+    """A float band whose entries mix normal values over 60 decades with 0, +-inf, nan
+    and +-1e308, each special value in about one band of two."""
+    special = np.array([0.0, np.inf, -np.inf, np.nan, 1e308, -1e308])
+    diags = {}
+    for d in offsets:
+        v = (rng.normal(size=dim) + 1j * rng.normal(size=dim)) * 10.0 ** rng.integers(-30, 30, dim)
+        v[rng.random(dim) < 0.3] = 0
+        for part in (v.real, v.imag):
+            hit = rng.random(dim) < (0.15 if rng.random() < 0.5 else 0.0)
+            part[hit] = rng.choice(special, hit.sum())
+        diags[d] = v
+    return mo.Band(dim, False, diags)
+
+
+def _bits(values) -> list[str]:
+    return [float(x).hex() for x in values]
+
+
+def test_one_pass_gap_and_norm_keep_the_bits_of_the_band_difference():
+    # gap and norm against the copies above, on the same bands and keeps, bit for bit
+    # and raising no warning
+    rng = np.random.default_rng(48)
+    for trial in range(400):
+        dim = int(rng.integers(1, 41))
+        offsets = [int(d) for d in rng.integers(-dim, dim + 1, size=rng.integers(0, 4))]
+        L = _edge_band(rng, dim, offsets)
+        if rng.random() < 0.5:
+            # R equal to L on most entries, so that many differences are 0
+            with np.errstate(all="ignore"):
+                R = mo.Band(dim, False, {d: np.where(rng.random(dim) < 0.7, v, 0.5 * v)
+                                         for d, v in L.diags.items()})
+        else:
+            others = [int(d) for d in rng.integers(-dim, dim + 1, size=rng.integers(0, 4))]
+            R = _edge_band(rng, dim, others)
+        a, b = sorted(int(x) for x in rng.integers(0, dim + 1, size=2))
+        keeps = [None, range(0), range(a, a), range(a, b), range(0, dim), range(b, dim + 5), [],
+                 sorted(int(i) for i in rng.choice(dim, size=rng.integers(1, dim + 1),
+                                                   replace=False))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for keep in keeps:
+                assert _bits(L.gap(R, keep)) == _bits(_reference_gap(L, R, keep)), (trial, keep)
+                for B in (L, R):
+                    want = _reference_float_norm(B, _reference_kept_rows(B, keep))
+                    assert _bits([B.norm(keep)]) == _bits([want]), (trial, keep)
 
 
 @pytest.mark.parametrize("complex_values", [False, True])

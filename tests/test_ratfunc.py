@@ -210,6 +210,22 @@ def test_evaluate_float_is_plain_horner():
             assert f.evaluate_float(t) == num / den   # cached coefficients agree
 
 
+def test_float_coefficients_are_made_once_on_the_first_float_use():
+    # exact work never rounds the coefficients; the first float evaluation makes
+    # them once, and every later float evaluation reads the same tuple
+    f = (1 + IM * T) / (2 + T * T)
+    g = f * f - f.substitute_scale(Fraction(1, 3))
+    assert g.evaluate(Fraction(1, 2)) == g.evaluate(Fraction(1, 2))
+    assert g.num and g.den and g.equals(g)
+    assert "_float_coeffs" not in vars(g)
+    value = g.evaluate_float(0.5)
+    made = vars(g)["_float_coeffs"]
+    assert g.evaluate_array(np.array([0.5]))[0] == value
+    assert g._float_coeffs is made and g.num is vars(g)["num"]
+    with pytest.raises(AttributeError):
+        g._float_coeffs = ()
+
+
 def _model_points(q: str, h: int) -> list[np.ndarray]:
     """The float points a model evaluates at: its grid at factor 1 and at factor q."""
     T = qnormal.build_from_generators(q, ["1", "5/6"], TruncationWindow(-h, h))
