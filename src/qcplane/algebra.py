@@ -17,8 +17,11 @@ valid operands and only sort the modes and drop syntactic zeros.  They compute
 every output mode on ratfunc's (num, den) pairs and make one
 ``RationalCoefficient`` per output mode: a ``RationalFunction`` whose
 denominator was checked when it was made, so results are not checked again.
-Element literals are evaluated on the same pairs, node by node, with t**k for
-0 <= k <= MAX_POWER_DEGREE built directly as its monomial.
+Element literals are evaluated on the same pairs, with t**k for
+0 <= k <= MAX_POWER_DEGREE built directly as its monomial.  A direct reader
+takes a literal token by token; one it refuses or meets an error on goes to
+Python's expression parser and a walk of its tree, which define the grammar
+and every error message.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ import numpy as np
 from .errors import DomainError, EvaluationError
 from .qspace import Interval, SpectralSet, _grid_pairs
 from .ratfunc import (_ONE, MAX_POWER_DEGREE, Pair, RationalFunction, _f_add, _f_argscale,
-                      _f_conj, _f_div, _f_mul, _f_neg, _f_pow, _f_sub, _poly, _rf)
+                      _f_conj, _f_div, _f_mul, _f_neg, _f_pow, _f_sub, _once, _poly, _rf)
 from .scalars import RationalComplex, parse_rational
 
 
@@ -77,9 +80,10 @@ class RationalCoefficient(RationalFunction, CoefficientFunction):
         self._set(rf._pair)
 
     # rf is the coefficient itself, kept read-only for callers that read it;
-    # evaluate is looked up at each call, so a rebound evaluate is seen
+    # value_at_zero is stored on its first read, which looks evaluate up, so a
+    # rebound evaluate is seen
     rf = property(lambda self: self)
-    value_at_zero = property(lambda self: self.evaluate(0))
+    value_at_zero = _once(lambda self: self.evaluate(0))
     __call__ = RationalFunction.evaluate_float
 
     def eval_exact(self, t) -> RationalComplex:
@@ -440,6 +444,23 @@ _LEADING_ZEROS = re.compile(r"(?<![0-9])0+(?=[0-9])")
 _ARITHMETIC = {ast.Add: _f_add, ast.Sub: _f_sub, ast.Mult: _f_mul, ast.Div: _f_div}
 _SIGNS = {ast.UAdd: 1, ast.USub: -1}
 _T = RationalFunction.variable()._pair
+_TOKEN = re.compile(r"[0-9]+|\*\*|\S")
+_MODE_TAG = re.compile(r"[+-]?[0-9]+")
+_READ_OPS = {"+": _f_add, "-": _f_sub, "*": _f_mul, "/": _f_div}
+_BINDING = {"(": 0, "+": 1, "-": 1, "*": 2, "/": 2, "neg": 3}
+# a longer text goes to the ast path, which keeps Python's nesting and recursion limits
+_MAX_READ_TOKENS = 400
+
+
+def _constant(value: int) -> Pair:
+    return (((value,), (0,), 1) if value else ((), (), 1)), _ONE
+
+
+def _power(base: Pair, k: int) -> Pair:
+    """base ** k; t**k for 0 <= k <= MAX_POWER_DEGREE is built directly as its monomial."""
+    if base == _T and 0 <= k <= MAX_POWER_DEGREE:
+        return ((0,) * k + (1,), (0,) * (k + 1), 1), _ONE
+    return _f_pow(base, k)
 
 
 def _exponent(node: ast.AST) -> int:
@@ -453,39 +474,106 @@ def _exponent(node: ast.AST) -> int:
 def _evaluate(node: ast.AST) -> Pair:
     """The (num, den) pair of an expression node, built by ratfunc's pair operations.
 
-    t**k for 0 <= k <= MAX_POWER_DEGREE is built directly as its monomial;
-    every other node gives the pair the RationalFunction operators would give.
+    Every node gives the pair the RationalFunction operators would give, but
+    for the monomial rule of ``_power``.
     """
     kind = type(node)
     if kind is ast.BinOp and type(node.op) is ast.Pow:
-        base, k = _evaluate(node.left), _exponent(node.right)
-        if base == _T and 0 <= k <= MAX_POWER_DEGREE:
-            return ((0,) * k + (1,), (0,) * (k + 1), 1), _ONE
-        return _f_pow(base, k)
+        return _power(_evaluate(node.left), _exponent(node.right))
     if kind is ast.BinOp and type(node.op) in _ARITHMETIC:
         return _ARITHMETIC[type(node.op)](_evaluate(node.left), _evaluate(node.right))
     if kind is ast.UnaryOp and type(node.op) in _SIGNS:
         value = _evaluate(node.operand)
         return value if _SIGNS[type(node.op)] > 0 else _f_neg(value)
     if kind is ast.Constant and type(node.value) is int:
-        return (((node.value,), (0,), 1) if node.value else ((), (), 1)), _ONE
+        return _constant(node.value)
     if kind is ast.Name and node.id == "t":
         return _T
     raise DomainError("malformed expression")
 
 
+def _read(source: str) -> Pair | None:
+    """The pair of a cleaned literal read token by token, or None where the reader refuses it.
+
+    Precedence is Python's: ``+ -`` below ``* /``, below unary signs, below
+    ``**`` whose exponent is an integer literal with optional signs.  Each
+    operator is applied when ``_evaluate`` would apply it, on the same pairs,
+    so a text read whole gets the pair of the ast path.  Adjacent operands, a
+    parenthesized or chained exponent, unbalanced parentheses and texts of
+    more than _MAX_READ_TOKENS tokens are refused.
+    """
+    tokens = _TOKEN.findall(source)
+    if len(tokens) > _MAX_READ_TOKENS:
+        return None
+    values: list[Pair] = []
+    ops: list[str] = []   # "(", binary operators, and "neg" for a unary minus
+
+    def reduce(binding: int) -> None:   # apply the stacked operators binding at least this tightly
+        while ops and _BINDING[ops[-1]] >= binding:
+            op = ops.pop()
+            if op == "neg":
+                values[-1] = _f_neg(values[-1])
+            else:
+                right = values.pop()
+                values[-1] = _READ_OPS[op](values[-1], right)
+
+    it = iter(tokens)
+    tok = next(it, "")   # "" ends the text
+    while True:
+        while tok in ("+", "-", "("):   # an operand: its signs and open parentheses first
+            if tok != "+":
+                ops.append("neg" if tok == "-" else tok)
+            tok = next(it, "")
+        if tok != "t" and not tok.isdigit():
+            return None
+        values.append(_T if tok == "t" else _constant(int(tok)))
+        tok = next(it, "")
+        while tok in ("**", ")"):   # then its powers and closing parentheses
+            if tok == ")":
+                reduce(1)
+                if not ops:
+                    return None
+                ops.pop()
+                tok = next(it, "")
+            else:
+                k, tok = 1, next(it, "")
+                while tok in ("+", "-"):
+                    k, tok = -k if tok == "-" else k, next(it, "")
+                if not tok.isdigit():
+                    return None
+                values[-1] = _power(values[-1], k * int(tok))
+                if (tok := next(it, "")) == "**":   # t**2**3 is t**(2**3), whose exponent is no literal
+                    return None
+        if tok not in _READ_OPS:
+            break
+        reduce(_BINDING[tok])
+        ops.append(tok)
+        tok = next(it, "")
+    reduce(1)
+    return None if tok or ops else values[0]
+
+
 def parse_rational_expression(text: str) -> RationalFunction:
     """Parse an expression in t with integer literals and + - * / ^ ( ).
 
-    Python's expression parser reads the text once it is confined to that
-    grammar.  Whitespace runs become single spaces and the ends are trimmed
-    (Python reads indentation and newlines as syntax), integer literals lose
-    leading zeros (Python refuses ``007``) and ``^`` is spelled ``**``.
+    The text is confined to that grammar and cleaned: whitespace runs become
+    single spaces and the ends are trimmed (Python reads indentation and
+    newlines as syntax), integer literals lose leading zeros (Python refuses
+    ``007``) and ``^`` is spelled ``**``.  ``_read`` then reads it token by
+    token.  A text it refuses, or on which it meets an error, is read by
+    Python's expression parser and walked by ``_evaluate``: that path defines
+    the grammar and gives every error message.
     """
     bad = _OUTSIDE_GRAMMAR.search(text)
     if bad:
         raise DomainError(f"unexpected {bad.group()!r} in expression")
     source = _LEADING_ZEROS.sub("", " ".join(text.split())).replace("^", "**")
+    try:
+        pair = _read(source)
+    except (ArithmeticError, ValueError):   # DomainError, and int() past 4300 digits
+        pair = None
+    if pair is not None:
+        return _rf(pair)
     try:
         return _rf(_evaluate(ast.parse(source, mode="eval").body))
     except SyntaxError as exc:
@@ -500,7 +588,9 @@ def parse_element_term(text: str) -> tuple[int, RationalCoefficient]:
         raise DomainError(f"element term {text!r} lacks a mode tag expr@k")
     expr, _, mode = text.rpartition("@")
     try:
-        k = int(mode.strip())
+        if not _MODE_TAG.fullmatch(mode.strip()):   # int() also takes 1_0 and non-ASCII digits
+            raise ValueError
+        k = int(mode)   # and refuses more than 4300
     except ValueError as exc:
         raise DomainError(f"mode tag must be an integer, got {mode!r}") from exc
     return k, RationalCoefficient(parse_rational_expression(expr))

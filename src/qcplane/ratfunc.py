@@ -243,6 +243,11 @@ def _f_mul(a: Pair, b: Pair) -> Pair:
 def _f_div(a: Pair, b: Pair) -> Pair:
     if not b[0][0]:
         raise DomainError("division by the zero function")
+    (an, ad), (bn, bd) = a, b
+    if ad == bd == _ONE and len(an[0]) <= 1 == len(bn[0]) and not any(an[1]) and not bn[1][0]:
+        # real constants x / da and y / db: one fraction, as _normal's constant branch makes it
+        x, (y,) = an[0][0] if an[0] else 0, bn[0]
+        return _canon([(x if y > 0 else -x) * bn[2]], (), an[2] * abs(y)), _ONE
     return _normal(_p_mul(a[0], b[1]), _p_mul(a[1], b[0]))
 
 

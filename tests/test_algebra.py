@@ -282,6 +282,12 @@ def test_parse_element_terms():
         parse_element("1/2", ["t"])
     with pytest.raises(DomainError):
         parse_element("1/2", ["t@one"])
+    # a mode tag is an optional sign and ASCII digits, as an integer in EXPR is
+    for bad in ("t@1_0", "t@\u0663", "t@1.0", "t@1 0", "t@", "t@+-1", "t@" + "1" * 4301):
+        with pytest.raises(DomainError, match="mode tag must be an integer"):
+            parse_element_term(bad)
+    for tag, k in ((" -2 ", -2), ("+3", 3), ("007", 7), ("\t0\n", 0)):
+        assert parse_element_term("t@" + tag)[0] == k
 
 
 def test_division_by_zero_function_rejected():
@@ -305,6 +311,16 @@ def test_vanishes_at_infinity_flags():
         poly.limit_at_infinity()
     ind = IndicatorCoefficient(Interval.open_closed(HALF, 1))
     assert ind.vanishes_at_infinity
+
+
+def test_value_at_zero_is_evaluated_on_the_first_read_only(monkeypatch):
+    f = parse_element_term("(3+t)/(2+t^2)@1")[1]
+    calls = []
+    exact = RationalFunction.evaluate
+    monkeypatch.setattr(RationalFunction, "evaluate", lambda self, x: calls.append(x) or exact(self, x))
+    assert "value_at_zero" not in vars(f)
+    assert f.value_at_zero == Fraction(3, 2) and f.value_at_zero is vars(f)["value_at_zero"]
+    assert calls == [0]
 
 
 def test_mismatched_ratios_rejected():
@@ -396,10 +412,32 @@ def _random_literal(rng: random.Random, depth: int) -> str:
     return f"({_random_literal(rng, depth - 1)}){op}({_random_literal(rng, depth - 1)})"
 
 
+def _benchmark_shapes(rng: random.Random) -> list[str]:
+    """EXPR texts shaped as the benchmark's element literals: a degree-2 polynomial with
+    coefficients n/(d + 2), over 1 + c t^2 or not; (a0 + a1 t)/(b0 + b2 t^2); a pole 1/(r t - p)
+    at t = p/r = q**-k for q = 1/2 or 3/7."""
+    def c():
+        return rng.choice((-3, -2, -1, 1, 2, 3))
+    texts = []
+    for _ in range(20):
+        num = f"({c()}/2)+({c()}/3)*t^1+({c()}/4)*t^2"
+        (p, r), k = rng.choice(((2, 1), (7, 3))), rng.randint(1, 12)
+        texts += [f"({num})", f"({num})/(1+{rng.randint(1, 3)}*t^2)",
+                  f"({c()}+({c()})*t)/({rng.randint(1, 4)}+{rng.randint(1, 4)}*t^2)",
+                  f"1/({r ** k}*t-{p ** k})"]
+    return texts
+
+
 def test_parser_matches_the_per_node_evaluator():
     rng = random.Random(5)
     bound = ratfunc.MAX_POWER_DEGREE
     texts = [_random_literal(rng, rng.randint(1, 5)) for _ in range(400)]
+    # random strings over the grammar's characters, which the reader mostly refuses
+    # (** is refused before either path runs)
+    texts += [text for text in ("".join(rng.choice("0123456789tt  ()()++--**//^^")
+                                        for _ in range(rng.randint(1, 20))) for _ in range(300))
+              if "**" not in text]
+    texts += _benchmark_shapes(rng)
     texts += ["1/0", "t/(t-t)", "(t-t)^-2", "0^-1", "(0)^0", "t^-0", "-t^--2",
               "(" * 300 + "t" + ")" * 300, "-" * 5000 + "t", "t" + "*t" * 3000, "(" * 40 + "1+t" + ")" * 40 + "^-3",
               f"t^{bound}", f"t^{bound + 1}", f"(1+t)^-{bound}", f"(1/(1+t))^-{bound + 1}",
@@ -409,7 +447,11 @@ def test_parser_matches_the_per_node_evaluator():
               "-(6/4)*t^2/(3+t)", "(t^2+1)/(t+1)+t", "((1+t)^2-1)/t", "3/(2-2)", "(4/6)^-2",
               # constant arithmetic, and t^k as a monomial up to the degree bound
               "t^0", "t^1000", "t^1001", "(t)^2", "t^(+2)", "t^-2", "0^0", "(2/4)*t^2",
-              "-(3/6)*t", "2^-1*t", "(0/5)*t", "1/(2/3)", "3/(4-4)", "-2^2*t"]
+              "-(3/6)*t", "2^-1*t", "(0/5)*t", "1/(2/3)", "3/(4-4)", "-2^2*t",
+              # adjacent operands, exponent forms, the reader's token cap (400 tokens read,
+              # 401 handed on), an integer past Python's 4300 digits
+              "2t", "t 2", "(t)(t)", "2 (t)", "t^(2)", "t^--2", "t^2^3", "t^+2",
+              "-t" + "+t" * 199, "--t" + "+t" * 199, "1" * 4301]
     outcomes = set()
     for text in texts:
         want = _per_node_parse(text)
@@ -423,6 +465,17 @@ def test_parser_matches_the_per_node_evaluator():
             assert str(exc.value) == want[1], text
             outcomes.add(want[1].split()[0])
     assert outcomes >= {"value", "division", "negative", "power", "expression", "malformed"}
+
+
+def test_the_reader_reads_the_benchmark_literal_shapes_whole(monkeypatch):
+    def ast_path(node):
+        raise AssertionError("the text went to the ast path")
+
+    monkeypatch.setattr(algebra, "_evaluate", ast_path)
+    for text in _benchmark_shapes(random.Random(6)) + ["-t" + "+t" * 199]:
+        parse_rational_expression(text)
+    with pytest.raises(AssertionError):
+        parse_rational_expression("--t" + "+t" * 199)
 
 
 def test_grid_sample_points_equal_the_sorted_set_of_grid_values():

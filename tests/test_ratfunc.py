@@ -857,6 +857,14 @@ def test_every_kernel_step_returns_a_normal_pair():
                     results.append(ratfunc._f_div(x, y))
         for pair in results:
             _assert_normal(ratfunc._rf(pair))
+    # real constant over real constant, which _f_div makes as one fraction
+    constants = [RationalFunction.constant(c)._pair
+                 for c in (0, 1, -1, 2, -3, 4, 6, -12, Fraction(-3, 4), Fraction(6, 5), Fraction(2, 3))]
+    for x in constants:
+        for y in constants[1:]:
+            quotient = ratfunc._f_div(x, y)
+            assert quotient == _ref_div(x, y), (x, y)
+            _assert_normal(ratfunc._rf(quotient))
 
 
 def test_real_elements_keep_an_all_zero_im_of_re_length():
