@@ -18,18 +18,16 @@ every output mode on ratfunc's (num, den) pairs and make one
 ``RationalCoefficient`` per output mode: a ``RationalFunction`` whose
 denominator was checked when it was made, so results are not checked again.
 Element literals are evaluated on the same pairs, with t**k for
-0 <= k <= MAX_POWER_DEGREE built directly as its monomial.  A direct reader
-takes a literal token by token; one it refuses or meets an error on goes to
-Python's expression parser and a walk of its tree, which define the grammar
-and every error message.
+0 <= k <= MAX_POWER_DEGREE built directly as its monomial, by one reader that
+defines their grammar and gives every error message.
 """
 
 from __future__ import annotations
 
-import ast
 import enum
 import math
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
@@ -439,17 +437,14 @@ def element_residual(a: AlgebraElement, b: AlgebraElement, points) -> Fraction:
     return Fraction(best, scale)
 
 
-_OUTSIDE_GRAMMAR = re.compile(r"[^0-9t\s()+\-*/^]|\*\*")
-_LEADING_ZEROS = re.compile(r"(?<![0-9])0+(?=[0-9])")
-_ARITHMETIC = {ast.Add: _f_add, ast.Sub: _f_sub, ast.Mult: _f_mul, ast.Div: _f_div}
-_SIGNS = {ast.UAdd: 1, ast.USub: -1}
 _T = RationalFunction.variable()._pair
-_TOKEN = re.compile(r"[0-9]+|\*\*|\S")
+_TOKEN = re.compile(r"[0-9]+|\S")
 _MODE_TAG = re.compile(r"[+-]?[0-9]+")
 _READ_OPS = {"+": _f_add, "-": _f_sub, "*": _f_mul, "/": _f_div}
-_BINDING = {"(": 0, "+": 1, "-": 1, "*": 2, "/": 2, "neg": 3}
-# a longer text goes to the ast path, which keeps Python's nesting and recursion limits
-_MAX_READ_TOKENS = 400
+_PREFIX = {"+": "pos", "-": "neg", "(": "("}
+_BINDING = {"(": 0, "+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "pos": 3, "^": 4}
+_HELD = set(_PREFIX.values())
+MAX_NESTING = 200   # open parentheses and unary signs held at once
 
 
 def _constant(value: int) -> Pair:
@@ -463,123 +458,85 @@ def _power(base: Pair, k: int) -> Pair:
     return _f_pow(base, k)
 
 
-def _exponent(node: ast.AST) -> int:
-    if isinstance(node, ast.UnaryOp) and type(node.op) in _SIGNS:
-        return _SIGNS[type(node.op)] * _exponent(node.operand)
-    if isinstance(node, ast.Constant) and type(node.value) is int:
-        return node.value
-    raise DomainError("exponent must be an integer")
+def parse_rational_expression(text: str) -> RationalFunction:
+    """Parse an expression in t with ASCII integer literals and + - * / ^ ( ).
 
-
-def _evaluate(node: ast.AST) -> Pair:
-    """The (num, den) pair of an expression node, built by ratfunc's pair operations.
-
-    Every node gives the pair the RationalFunction operators would give, but
-    for the monomial rule of ``_power``.
+    The text is read whole into postfix order before any arithmetic, and a
+    malformed one is refused at the token where reading stops.  Precedence is
+    Python's: ``+ -`` below ``* /``, below unary signs, below ``^``, which
+    groups to the right and whose exponent must be an integer literal under
+    signs and parentheses.  The operators are then applied in post-order, so
+    the first value error is the one a walk of the expression tree meets.
     """
-    kind = type(node)
-    if kind is ast.BinOp and type(node.op) is ast.Pow:
-        return _power(_evaluate(node.left), _exponent(node.right))
-    if kind is ast.BinOp and type(node.op) in _ARITHMETIC:
-        return _ARITHMETIC[type(node.op)](_evaluate(node.left), _evaluate(node.right))
-    if kind is ast.UnaryOp and type(node.op) in _SIGNS:
-        value = _evaluate(node.operand)
-        return value if _SIGNS[type(node.op)] > 0 else _f_neg(value)
-    if kind is ast.Constant and type(node.value) is int:
-        return _constant(node.value)
-    if kind is ast.Name and node.id == "t":
-        return _T
-    raise DomainError("malformed expression")
+    tokens = iter(_TOKEN.findall(text))
+    program: list = []   # postfix: "t", ints, "neg", binary operators, (k,) powers, None
+    ops: list[str] = []   # "(", "neg", "pos" and operators waiting for their right operand
+    exponents: list[int] = []   # where the exponent of each stacked ^ begins in program
 
-
-def _read(source: str) -> Pair | None:
-    """The pair of a cleaned literal read token by token, or None where the reader refuses it.
-
-    Precedence is Python's: ``+ -`` below ``* /``, below unary signs, below
-    ``**`` whose exponent is an integer literal with optional signs.  Each
-    operator is applied when ``_evaluate`` would apply it, on the same pairs,
-    so a text read whole gets the pair of the ast path.  Adjacent operands, a
-    parenthesized or chained exponent, unbalanced parentheses and texts of
-    more than _MAX_READ_TOKENS tokens are refused.
-    """
-    tokens = _TOKEN.findall(source)
-    if len(tokens) > _MAX_READ_TOKENS:
-        return None
-    values: list[Pair] = []
-    ops: list[str] = []   # "(", binary operators, and "neg" for a unary minus
-
-    def reduce(binding: int) -> None:   # apply the stacked operators binding at least this tightly
+    def reduce(binding: int) -> None:   # pop the stacked operators binding at least this tightly
         while ops and _BINDING[ops[-1]] >= binding:
             op = ops.pop()
-            if op == "neg":
-                values[-1] = _f_neg(values[-1])
-            else:
-                right = values.pop()
-                values[-1] = _READ_OPS[op](values[-1], right)
+            if op == "^":   # its exponent becomes one item: (k,), or None if it is no literal
+                k, *signs = program[exponents[-1]:]
+                del program[exponents.pop():]
+                program.append((k * (-1) ** len(signs),) if type(k) is int and
+                               signs.count("neg") == len(signs) else None)
+            elif op != "pos":
+                program.append(op)
 
-    it = iter(tokens)
-    tok = next(it, "")   # "" ends the text
+    tok = next(tokens, "")   # "" ends the text
     while True:
-        while tok in ("+", "-", "("):   # an operand: its signs and open parentheses first
-            if tok != "+":
-                ops.append("neg" if tok == "-" else tok)
-            tok = next(it, "")
-        if tok != "t" and not tok.isdigit():
-            return None
-        values.append(_T if tok == "t" else _constant(int(tok)))
-        tok = next(it, "")
-        while tok in ("**", ")"):   # then its powers and closing parentheses
-            if tok == ")":
-                reduce(1)
-                if not ops:
-                    return None
-                ops.pop()
-                tok = next(it, "")
-            else:
-                k, tok = 1, next(it, "")
-                while tok in ("+", "-"):
-                    k, tok = -k if tok == "-" else k, next(it, "")
-                if not tok.isdigit():
-                    return None
-                values[-1] = _power(values[-1], k * int(tok))
-                if (tok := next(it, "")) == "**":   # t**2**3 is t**(2**3), whose exponent is no literal
-                    return None
-        if tok not in _READ_OPS:
+        while tok in _PREFIX:   # an operand: its signs and open parentheses first
+            ops.append(_PREFIX[tok])
+            if len(ops) > MAX_NESTING and sum(op in _HELD for op in ops) > MAX_NESTING:
+                raise DomainError("expression nests too deeply")
+            tok = next(tokens, "")
+        if tok.isascii() and tok.isdigit():
+            try:
+                program.append(int(tok.lstrip("0") or 0))
+            except ValueError:   # past the interpreter's limit, 4300 digits by default
+                raise DomainError("malformed expression: integer literal of more than "
+                                  f"{sys.get_int_max_str_digits()} digits") from None
+        elif tok == "t":
+            program.append(tok)
+        else:
+            raise DomainError(f"malformed expression: unexpected {repr(tok) if tok else 'end of text'}")
+        tok = next(tokens, "")
+        while tok == ")":   # then its closing parentheses
+            reduce(1)
+            if not ops:
+                raise DomainError("malformed expression: unmatched ')'")
+            ops.pop()
+            tok = next(tokens, "")
+        if tok == "^":
+            exponents.append(len(program))
+        elif tok in _READ_OPS:
+            reduce(_BINDING[tok])
+        elif tok:
+            raise DomainError(f"malformed expression: unexpected {tok!r}")
+        else:
             break
-        reduce(_BINDING[tok])
         ops.append(tok)
-        tok = next(it, "")
+        tok = next(tokens, "")
     reduce(1)
-    return None if tok or ops else values[0]
-
-
-def parse_rational_expression(text: str) -> RationalFunction:
-    """Parse an expression in t with integer literals and + - * / ^ ( ).
-
-    The text is confined to that grammar and cleaned: whitespace runs become
-    single spaces and the ends are trimmed (Python reads indentation and
-    newlines as syntax), integer literals lose leading zeros (Python refuses
-    ``007``) and ``^`` is spelled ``**``.  ``_read`` then reads it token by
-    token.  A text it refuses, or on which it meets an error, is read by
-    Python's expression parser and walked by ``_evaluate``: that path defines
-    the grammar and gives every error message.
-    """
-    bad = _OUTSIDE_GRAMMAR.search(text)
-    if bad:
-        raise DomainError(f"unexpected {bad.group()!r} in expression")
-    source = _LEADING_ZEROS.sub("", " ".join(text.split())).replace("^", "**")
-    try:
-        pair = _read(source)
-    except (ArithmeticError, ValueError):   # DomainError, and int() past 4300 digits
-        pair = None
-    if pair is not None:
-        return _rf(pair)
-    try:
-        return _rf(_evaluate(ast.parse(source, mode="eval").body))
-    except SyntaxError as exc:
-        raise DomainError(f"malformed expression: {exc.msg}") from None
-    except (RecursionError, MemoryError):  # MemoryError: "parser stack overflowed"
-        raise DomainError("expression nests too deeply") from None
+    if ops:
+        raise DomainError("malformed expression: '(' is never closed")
+    values: list[Pair] = []
+    for item in program:
+        if type(item) is int:
+            values.append(_constant(item))
+        elif item == "t":
+            values.append(_T)
+        elif item in _READ_OPS:
+            right = values.pop()
+            values[-1] = _READ_OPS[item](values[-1], right)
+        elif item == "neg":
+            values[-1] = _f_neg(values[-1])
+        elif item is None:
+            raise DomainError("exponent must be an integer")
+        else:
+            values[-1] = _power(values[-1], item[0])
+    return _rf(values[0])
 
 
 def parse_element_term(text: str) -> tuple[int, RationalCoefficient]:
