@@ -17,9 +17,8 @@ valid operands and only sort the modes and drop syntactic zeros.  They compute
 every output mode on ratfunc's (num, den) pairs and make one
 ``RationalCoefficient`` per output mode: a ``RationalFunction`` whose
 denominator was checked when it was made, so results are not checked again.
-Element literals are evaluated on the same pairs, with t**k for
-0 <= k <= MAX_POWER_DEGREE built directly as its monomial, by one reader that
-defines their grammar and gives every error message.
+Element literals are evaluated on the same pairs, each step bounded in
+degree, by one reader that defines their grammar and gives every error message.
 """
 
 from __future__ import annotations
@@ -30,6 +29,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import zip_longest
 from typing import Callable, Mapping
 
@@ -37,8 +37,8 @@ import numpy as np
 
 from .errors import DomainError, EvaluationError
 from .qspace import Interval, SpectralSet, _grid_pairs
-from .ratfunc import (_ONE, MAX_POWER_DEGREE, Pair, RationalFunction, _f_add, _f_argscale,
-                      _f_conj, _f_div, _f_mul, _f_neg, _f_pow, _f_sub, _once, _poly, _rf)
+from .ratfunc import (_STEPS, _T, Pair, RationalFunction, _f_add, _f_argscale, _f_conj,
+                      _f_const, _f_mul, _f_neg, _f_pow, _f_step, _rf)
 from .scalars import RationalComplex, parse_rational
 
 
@@ -81,7 +81,7 @@ class RationalCoefficient(RationalFunction, CoefficientFunction):
     # value_at_zero is stored on its first read, which looks evaluate up, so a
     # rebound evaluate is seen
     rf = property(lambda self: self)
-    value_at_zero = _once(lambda self: self.evaluate(0))
+    value_at_zero = cached_property(lambda self: self.evaluate(0))
     __call__ = RationalFunction.evaluate_float
 
     def eval_exact(self, t) -> RationalComplex:
@@ -306,7 +306,7 @@ def scale(a: AlgebraElement, s) -> AlgebraElement:
         raise TypeError(f"scale needs an exact scalar, got {type(s).__name__}")
     if s == 0:
         return zero_element(a.q)
-    c = (_poly((s,)), _ONE)
+    c = _f_const(s)
     return _assemble(a.q, {k: _coefficient(_f_mul(_pair(f), c)) for k, f in a.terms})
 
 
@@ -327,7 +327,7 @@ def classical_tables(elements, radii, angles) -> tuple[np.ndarray, np.ndarray]:
     of all elements are evaluated in one Horner pass over their float
     coefficients, zero-padded at the high end; a value that pass cannot give
     bit for bit (radius 0, a leaf, a complex coefficient, a non-finite or
-    undefined value) comes from the scalar evaluator, which raises as the
+    undefined value) comes from the coefficient's own call, which raises as the
     per-radius loop raises: at the first element, radius and mode that fails.
     """
     if any(r < 0 for r in radii):
@@ -437,25 +437,12 @@ def element_residual(a: AlgebraElement, b: AlgebraElement, points) -> Fraction:
     return Fraction(best, scale)
 
 
-_T = RationalFunction.variable()._pair
 _TOKEN = re.compile(r"[0-9]+|\S")
 _MODE_TAG = re.compile(r"[+-]?[0-9]+")
-_READ_OPS = {"+": _f_add, "-": _f_sub, "*": _f_mul, "/": _f_div}
 _PREFIX = {"+": "pos", "-": "neg", "(": "("}
 _BINDING = {"(": 0, "+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "pos": 3, "^": 4}
 _HELD = set(_PREFIX.values())
 MAX_NESTING = 200   # open parentheses and unary signs held at once
-
-
-def _constant(value: int) -> Pair:
-    return (((value,), (0,), 1) if value else ((), (), 1)), _ONE
-
-
-def _power(base: Pair, k: int) -> Pair:
-    """base ** k; t**k for 0 <= k <= MAX_POWER_DEGREE is built directly as its monomial."""
-    if base == _T and 0 <= k <= MAX_POWER_DEGREE:
-        return ((0,) * k + (1,), (0,) * (k + 1), 1), _ONE
-    return _f_pow(base, k)
 
 
 def parse_rational_expression(text: str) -> RationalFunction:
@@ -510,7 +497,7 @@ def parse_rational_expression(text: str) -> RationalFunction:
             tok = next(tokens, "")
         if tok == "^":
             exponents.append(len(program))
-        elif tok in _READ_OPS:
+        elif tok in _STEPS:
             reduce(_BINDING[tok])
         elif tok:
             raise DomainError(f"malformed expression: unexpected {tok!r}")
@@ -524,18 +511,18 @@ def parse_rational_expression(text: str) -> RationalFunction:
     values: list[Pair] = []
     for item in program:
         if type(item) is int:
-            values.append(_constant(item))
+            values.append(_f_const(item))
         elif item == "t":
             values.append(_T)
-        elif item in _READ_OPS:
+        elif item in _STEPS:
             right = values.pop()
-            values[-1] = _READ_OPS[item](values[-1], right)
+            values[-1] = _f_step(item, values[-1], right)
         elif item == "neg":
             values[-1] = _f_neg(values[-1])
         elif item is None:
             raise DomainError("exponent must be an integer")
         else:
-            values[-1] = _power(values[-1], item[0])
+            values[-1] = _f_pow(values[-1], item[0])
     return _rf(values[0])
 
 

@@ -28,9 +28,9 @@ lead is purely imaginary, which flips sign, and on construction.
 
 from __future__ import annotations
 
-import cmath
 import math
 from fractions import Fraction
+from functools import cached_property
 from itertools import zip_longest
 
 import numpy as np
@@ -42,9 +42,11 @@ Coeffs = tuple[RationalComplex, ...]
 Poly = tuple[tuple[int, ...], tuple[int, ...], int]
 Pair = tuple[Poly, Poly]   # (num, den) in the normal form of the module docstring
 _ONE: Poly = ((1,), (0,), 1)
+_T: Pair = ((0, 1), (0, 0), 1), _ONE   # the variable t
 
 # f ** k is refused when k times f's degree, or k times the bit length of its
-# largest integer, passes these: a literal cannot ask for unbounded work
+# largest integer, passes these, and a literal's + - * / step when its result's
+# degree would pass the first: a literal cannot ask for unbounded work
 MAX_POWER_DEGREE = 1000
 MAX_POWER_BITS = 1 << 16
 
@@ -211,6 +213,13 @@ def _over_product(num: Poly, ad: Poly, bd: Poly) -> Pair:
     return num, (tuple(re), (0,) * len(re), 1)
 
 
+def _f_const(c) -> Pair:
+    """The pair of the constant c: an int, Fraction or RationalComplex."""
+    if type(c) is int:   # canonical as it stands
+        return ((c,), (0,), 1) if c else ((), (), 1), _ONE
+    return _poly((c,)), _ONE
+
+
 def _f_add(a: Pair, b: Pair) -> Pair:
     (an, ad), (bn, bd) = a, b
     if ad == bd:
@@ -257,6 +266,8 @@ def _f_pow(a: Pair, k: int) -> Pair:
     For k >= 0 and a real den, den ** k is normal by Gauss's lemma, as in
     _over_product; an inverse or a complex den goes through _normal.
     """
+    if a == _T and 0 <= k <= MAX_POWER_DEGREE:   # t ** k directly as its monomial
+        return ((0,) * k + (1,), (0,) * (k + 1), 1), _ONE
     inverse = k < 0
     if inverse:
         if not a[0][0]:
@@ -278,6 +289,28 @@ def _f_pow(a: Pair, k: int) -> Pair:
     return _normal(num, den) if inverse or any(di) else _over(num, den)
 
 
+_STEPS = {"+": _f_add, "-": _f_sub, "*": _f_mul, "/": _f_div}
+
+
+def _f_step(op: str, a: Pair, b: Pair) -> Pair:
+    """a op b for op in + - * /, refused before any arithmetic past degree MAX_POWER_DEGREE.
+
+    A product adds the num degrees and the den degrees, a quotient crosses
+    them, and a sum keeps one shared den or adds two.  Only the element reader
+    steps through here: the library's own operations are unbounded.
+    """
+    (an, ad), (bn, bd) = a, b
+    na, da, nb, db = len(an[0]) - 1, len(ad[0]) - 1, len(bn[0]) - 1, len(bd[0]) - 1
+    if op in "*/":
+        num, den = (na + nb, da + db) if op == "*" else (na + db, da + nb)
+    else:
+        num, den = (max(na, nb), da) if ad == bd else (max(na + db, nb + da), da + db)
+    if max(num, den) > MAX_POWER_DEGREE:
+        raise DomainError(f"{op!r} would make degree {max(num, den)}, past the bound "
+                          f"of degree {MAX_POWER_DEGREE}")
+    return _STEPS[op](a, b)
+
+
 def _operator(op):
     """RationalFunction method applying op to the pairs of self and _as_rf(other)."""
     def method(self, other):
@@ -296,34 +329,23 @@ def _horner(cs: tuple[int, ...], p: int, r: int) -> int:
 
 
 def _p_eval_float(cs: tuple[float, ...], t):
-    """Horner's scheme for real coefficients at a float or a float array."""
+    """Horner's scheme for real coefficients at a float array."""
     acc = 0.0
     for c in reversed(cs):
         acc = acc * t + c
     return acc
 
 
-def _smith_div(a, b, c, e, *, upper: bool):
-    """(a + ib) / (c + ie) by Smith's scaling, in the branch chosen by upper = |c| >= |e|.
+def _smith(a, b, c, e):
+    """(a + ib) / (c + ie) for float arrays by Smith's scaling, the branch chosen per entry.
 
     This is the formula of CPython's complex division, written out so that
-    scalars and arrays round alike.
+    each entry rounds as a Python complex quotient does.
     """
-    if upper:
-        ratio = e / c
-        denom = c + e * ratio
-        return (a + b * ratio) / denom, (b - a * ratio) / denom
-    ratio = c / e
-    denom = c * ratio + e
-    return (a * ratio + b) / denom, (b * ratio - a) / denom
-
-
-def _smith(a, b, c, e):
-    """Smith's division of floats or float arrays, the branch chosen per entry."""
-    if np.ndim(c) == 0:
-        return _smith_div(a, b, c, e, upper=abs(c) >= abs(e))
-    return np.where(np.abs(c) >= np.abs(e), _smith_div(a, b, c, e, upper=True),
-                    _smith_div(a, b, c, e, upper=False))
+    r, s = e / c, c / e   # the ratios of the branches |c| >= |e| and |c| < |e|
+    m, n = c + e * r, c * s + e
+    return np.where(np.abs(c) >= np.abs(e), ((a + b * r) / m, (b - a * r) / m),
+                    ((a * s + b) / n, (b * s - a) / n))
 
 
 def _reversed_value(cs: tuple[tuple[float, ...], ...], t):
@@ -332,8 +354,7 @@ def _reversed_value(cs: tuple[tuple[float, ...], ...], t):
     cs holds the parts (n, d) for real coefficients, (Re n, Im n, Re d, Im d)
     otherwise.  n~ and d~ are the reversed polynomials, evaluated at 1/t, so
     no power of a large t is formed beyond t^(deg n - deg d) itself.  The
-    monomial is a Horner product, which rounds alike for a float and a float
-    array; complex parts are divided by Smith's formula.
+    monomial is a Horner product; complex parts are divided by Smith's formula.
     """
     u = 1 / t
     k = len(cs[0]) - len(cs[-1])
@@ -378,24 +399,6 @@ def _positive_root_count(g: list[int] | tuple[int, ...]) -> int:
     return _sign_changes(p[0] for p in seq) - _sign_changes(p[-1] for p in seq)
 
 
-class _once:
-    """A value computed from the instance on first access and stored in its __dict__,
-    which then shadows this descriptor; unlike ``functools.cached_property`` on
-    Python 3.11, it takes no lock."""
-
-    def __init__(self, compute):
-        self.compute = compute
-
-    def __set_name__(self, owner, name: str) -> None:
-        self.name = name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.compute(obj)
-        return value
-
-
 class RationalFunction:
     """Quotient of two polynomials with Gaussian-rational coefficients; immutable."""
 
@@ -413,13 +416,13 @@ class RationalFunction:
         raise AttributeError(f"RationalFunction is immutable; cannot set {name!r}")
 
     # read-only views: RationalComplex coefficients, ascending powers, trimmed
-    num = _once(lambda self: _coeffs(*self._num))
-    den = _once(lambda self: _coeffs(*self._den))
+    num = cached_property(lambda self: _coeffs(*self._num))
+    den = cached_property(lambda self: _coeffs(*self._den))
 
     # plain RationalFunctions, also when called on a subclass
     @staticmethod
     def constant(c) -> "RationalFunction":
-        return RationalFunction((c,), (1,))
+        return _rf(_f_const(c))
 
     @staticmethod
     def variable() -> "RationalFunction":
@@ -493,7 +496,7 @@ class RationalFunction:
                 im.append(b * s)
         return re, im, den
 
-    @_once
+    @cached_property
     def _float_coeffs(self) -> tuple[tuple[float, ...], ...]:
         """Rounded (Re num, Im num, Re den, Im den), or (Re num, Re den) if all real;
         made on the first float evaluation."""
@@ -514,28 +517,17 @@ class RationalFunction:
         return tuple(tuple(c / (d << s) for c in cs) for cs, d in parts)
 
     def evaluate_float(self, t: float) -> complex:
-        """Value at a float point: Horner on real and imaginary parts, one division.
-
-        Agrees bit for bit with :meth:`evaluate_array`.  Where the denominator
-        or the quotient is not finite at a finite t != 0, the value is taken
-        from the reversed polynomials at 1/t instead, for real and for complex
-        coefficients: an overflowed denominator does not make the value 0.
-        """
-        cs = self._float_coeffs
-        parts = [_p_eval_float(x, t) for x in cs]
-        c, e = (parts[1], 0.0) if len(cs) == 2 else parts[2:]
-        if c == 0 and e == 0:
-            raise EvaluationError(f"denominator vanishes at t={t}")
-        v = parts[0] / c if len(cs) == 2 else complex(*_smith(*parts))
-        finite = cmath.isfinite(v) and math.isfinite(c) and math.isfinite(e)
-        if not finite and t != 0 and math.isfinite(t):
-            v = complex(*_reversed_value(cs, t))
-        return complex(v)
+        """Value at a float point: :meth:`evaluate_array` at the one point t."""
+        return complex(self.evaluate_array(np.array([t], dtype=float))[0])
 
     def evaluate_array(self, t: np.ndarray) -> np.ndarray:
-        """Values at a float64 array of points as a complex128 array.
+        """Values at a float64 array of points as a complex128 array, warning-free.
 
-        The arithmetic of :meth:`evaluate_float`, elementwise and warning-free.
+        Horner on the real and imaginary parts of num and den, then one
+        division.  Where the denominator or the quotient is not finite at a
+        finite t != 0, the value is taken from the reversed polynomials at 1/t
+        instead, for real and for complex coefficients: an overflowed
+        denominator does not make the value 0.
         """
         with np.errstate(all="ignore"):
             parts = [_p_eval_float(cs, t) for cs in self._float_coeffs]

@@ -317,6 +317,25 @@ def test_a_flat_chain_is_read_at_any_length():
     assert chain == parse_rational_expression("t^996")._pair == _left_fold("t" + "*t" * 995)._pair
 
 
+def test_each_step_of_a_literal_is_bounded_in_degree():
+    refused = {"t^600*t^401": "'*' would make degree 1001",
+               "t^600/(1/t^401)": "'/' would make degree 1001",
+               "1/(1+t^600)-1/(2+t^401)": "'-' would make degree 1001",
+               "t^1000+1/(1+t)": "'+' would make degree 1001",
+               "t" + "*t" * 1000: "'*' would make degree 1001"}
+    for text, message in refused.items():
+        with pytest.raises(DomainError) as exc:
+            parse_rational_expression(text)
+        assert str(exc.value) == message + ", past the bound of degree 1000", text
+    # at the bound, and sums over one shared den however long
+    for text in ("t^1000/(1+t^1000)", "t" + "*t" * 999, "(1+t)^500*(1+t)^500",
+                 "1/(1+t^600)-1/(1+t^600)", "1/(1+t)" + "+1/(1+t)" * 2000):
+        parse_rational_expression(text)
+    # the library's own products of checked elements are not bounded
+    a = parse_element(HALF, ["t^1000@0"])
+    assert algebra.multiply(a, a).coefficient(0).degree_num == 2000
+
+
 def test_the_parsed_value_does_not_depend_on_the_callers_stack():
     texts = ("t" + "*t" * 900, "(" * 150 + "t" + ")" * 150)
 
@@ -412,10 +431,28 @@ def test_grid_sample_points_match_the_pointwise_formula():
 
 
 # The parser as it was before it computed on (num, den) pairs: one
-# RationalFunction per node, built by the class's own operators.
-_PER_NODE_ARITHMETIC = {ast.Add: operator.add, ast.Sub: operator.sub,
-                        ast.Mult: operator.mul, ast.Div: operator.truediv}
+# RationalFunction per node, built by the class's own operators, each binary
+# step refused by degree as the reader refuses it.
+_PER_NODE_ARITHMETIC = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/"}
+_STEP_OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 _PER_NODE_SIGNS = {ast.UAdd: lambda x: x, ast.USub: operator.neg}
+
+
+def _bounded_step(op: str, a: RationalFunction, b: RationalFunction) -> RationalFunction:
+    """a op b, refused when the degree of its num or den, read off a's and b's, passes the bound."""
+    na, da, nb, db = a.degree_num, a.degree_den, b.degree_num, b.degree_den
+    if op == "*":
+        degrees = na + nb, da + db
+    elif op == "/":
+        degrees = na + db, da + nb
+    elif a.den == b.den:
+        degrees = max(na, nb), da
+    else:
+        degrees = max(na + db, nb + da), da + db
+    if max(degrees) > ratfunc.MAX_POWER_DEGREE:
+        raise DomainError(f"'{op}' would make degree {max(degrees)}, past the bound of degree "
+                          f"{ratfunc.MAX_POWER_DEGREE}")
+    return _STEP_OPERATORS[op](a, b)
 
 
 def _per_node_exponent(node: ast.AST) -> int:
@@ -430,7 +467,8 @@ def _per_node(node: ast.AST) -> RationalFunction:
     if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
         return _per_node(node.left) ** _per_node_exponent(node.right)
     if isinstance(node, ast.BinOp) and type(node.op) in _PER_NODE_ARITHMETIC:
-        return _PER_NODE_ARITHMETIC[type(node.op)](_per_node(node.left), _per_node(node.right))
+        return _bounded_step(_PER_NODE_ARITHMETIC[type(node.op)], _per_node(node.left),
+                             _per_node(node.right))
     if isinstance(node, ast.UnaryOp) and type(node.op) in _PER_NODE_SIGNS:
         return _PER_NODE_SIGNS[type(node.op)](_per_node(node.operand))
     if isinstance(node, ast.Constant) and type(node.value) is int:
@@ -455,10 +493,9 @@ def _per_node_parse(text: str):
 
 def _left_fold(text: str) -> RationalFunction:
     """The value of a flat chain t OP t OP ... t over * and / (or + and -), without recursion."""
-    ops = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
     value = t = RationalFunction.variable()
     for op in re.findall(r"[-+*/]", text):
-        value = ops[op](value, t)
+        value = _bounded_step(op, value, t)
     return value
 
 
@@ -520,7 +557,10 @@ def test_parser_matches_the_per_node_evaluator():
         want = _per_node_parse(text)
         if want == (DomainError, "expression nests too deeply") and re.fullmatch(
                 r"t([*/]t)*|t([-+]t)*", text):
-            want = _left_fold(text)   # deeper than the tree walk's recursion, not nested
+            try:   # deeper than the tree walk's recursion, not nested
+                want = _left_fold(text)
+            except DomainError as exc:
+                want = DomainError, str(exc)
         if isinstance(want, RationalFunction):
             got = parse_rational_expression(text)
             assert got._pair == want._pair, text
@@ -535,7 +575,8 @@ def test_parser_matches_the_per_node_evaluator():
         else:
             assert str(exc.value) == want[1], text
         outcomes.add(want[1].split()[0])
-    assert outcomes >= {"value", "division", "negative", "power", "expression", "malformed"}
+    # "'*'": the 3000-operator chain, refused at its step to degree 1001
+    assert outcomes >= {"value", "division", "negative", "power", "expression", "malformed", "'*'"}
 
 
 def test_grid_sample_points_equal_the_sorted_set_of_grid_values():

@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import helpers
-from qcplane import algebra, cli, qnormal, qspace
+from qcplane import algebra, cli, qnormal, qspace, ratfunc
 from qcplane.errors import DomainError, EvaluationError
 from qcplane.qnormal import TruncationWindow
 from qcplane.ratfunc import RationalFunction
@@ -457,12 +457,31 @@ def test_repeated_main_calls_keep_their_own_arguments(capsys):
     assert [row["element"] for row in json.loads(out)["elements"]] == ["t@1"]
 
 
-def test_power_literal_beyond_the_degree_bound_exits_2_at_once(capsys):
+def test_power_literal_beyond_the_degree_bound_exits_2_at_once(capsys, monkeypatch):
     start = time.perf_counter()
     assert cli.main(["norm", "--element", "t^100000@0"]) == 2
     assert time.perf_counter() - start < 0.5
     captured = capsys.readouterr()
     assert captured.out == "" and "degree 1000" in captured.err
+    # products and sums whose steps pass the bound are refused before the step:
+    # no polynomial past degree 1000 is formed, where the unbounded reader took
+    # 1.5, 7.3 and 26 s on a 2-vCPU host.  Each first reads two powers of degree
+    # 999 or 1000, which took 0.2-0.6 s there, so their time is bounded loosely
+    formed, convolve = [], ratfunc._conv
+
+    def conv(out, x, y):   # records each product's degree
+        formed.append(len(out) - 1)
+        return convolve(out, x, y)
+
+    monkeypatch.setattr(ratfunc, "_conv", conv)
+    for literal in ("(1+t)^1000*(1+t)^1000@0", "(1+t)^1000*(1+t)^1000*(1+t)^1000@0",
+                    "1/(1+t)^999+1/(2+t)^999+1/(3+t)^999@0"):
+        start = time.perf_counter()
+        assert cli.main(["norm", "--element", literal]) == 2
+        assert time.perf_counter() - start < 2, literal
+        captured = capsys.readouterr()
+        assert captured.out == "" and "degree 1000" in captured.err, literal
+    assert 999 <= max(formed) <= 1000
 
 
 def test_float_simulate_refuses_a_zeta_whose_square_overflows(capsys):
