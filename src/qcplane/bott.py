@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import matrixops as mo
-from .algebra import (AlgebraElement, RationalCoefficient, add, adjoint, element,
+from .algebra import (AlgebraElement, RationalCoefficient, add, adjoint, cf_alpha, element,
                       element_residual, multiply, scale)
 from .errors import ConfigurationError, DomainError
 from .qnormal import TruncatedQNormal
@@ -161,14 +161,17 @@ def verify_projection_numeric(P: ProjectionCandidate, T: TruncatedQNormal) -> Nu
     return NumericProjectionReport(float(idem), float(sadj))
 
 
-def winding_diagnostic(P: ProjectionCandidate, T: TruncatedQNormal) -> float:
-    """Trace gap against the flat rank-one projection diag(1, 0).
+def index(P: ProjectionCandidate) -> int | None:
+    """The K0 pairing of P with the orbit trace, proved, or None when not proved.
 
-    Exploratory only: the value drifts toward the expected pairing as the
-    window grows but nothing here certifies it.  Reports carry it with an
-    explicit unverified marker.
+    With m = sign n and g, h the mode-0 coefficients of P_00, P_11: when h(t) + g(q**-m t)
+    is 1, the mode-0 coefficient of tr P - 1 is g(t) - g(q**-m t), whose sum along each
+    orbit q**Z x telescopes to m (g(0) - g(inf)); the kernel slot adds 0.
     """
-    Tf = T.as_float()
-    trace = sum(represent_band(P.entries[i][i], Tf).trace() for i in range(2))
-    # the flat projection diag(1, 0) has trace dim
-    return float((trace - Tf.dim).real)
+    m = P.sign * P.n
+    g, h = (P.entries[i][i].coefficient(0) for i in range(2))
+    if not (isinstance(g, RationalCoefficient) and isinstance(h, RationalCoefficient)
+            and g.degree_num <= g.degree_den and (h + cf_alpha(g, -m, P.q) - 1).is_zero):
+        return None
+    value = m * (g.value_at_zero - g.limit_at_infinity())
+    return int(value.re) if value == int(value.re) else None

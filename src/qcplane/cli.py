@@ -269,7 +269,7 @@ def cmd_simulate(cfg: RunConfig) -> dict:
         # gated and absolute defect per member; they differ only on a float model
         cov, cov_abs = {}, {}
         for name, f in family.items():
-            cov[name], cov_abs[name] = qnormal.verify_covariance(T, f, with_absolute=True)
+            cov[name], cov_abs[name] = qnormal.covariance_defects(T, f)
         pol = qnormal.polar_check(T)
         interiors = {"relation": rel.interior_defect, **cov,
                      "polar": pol.reconstruction_defect, "kernel": pol.kernel_defect}
@@ -312,6 +312,8 @@ def cmd_norm(cfg: RunConfig) -> dict:
     for lit in cfg.elements:
         a = algebra.parse_element(cfg.q, [lit])
         rep = represent.norm_estimate(a, sweep, mu)
+        if not all(map(math.isfinite, rep.estimates)):
+            raise EvaluationError("norm estimates leave float range")
         # no denominator has a root on [0, inf): only growth at infinity is unbounded
         rows.append({"element": lit, "windows": list(rep.window_sizes),
                      "estimates": list(rep.estimates), "converged": rep.converged,
@@ -333,17 +335,17 @@ def cmd_bott(cfg: RunConfig) -> dict:
     _require_deformed(cfg, "bott")
     rows = []
     mu = _measure(cfg)
-    T = qnormal.build(mu, None, cfg.window, exact=False)
     if cfg.exact_mode:
         m = cfg.sample_exponent_range
         points = algebra.grid_sample_points(mu.support(), -m, m)
+    else:
+        T = qnormal.build(mu, None, cfg.window, exact=False)
     for n in cfg.bott_n:
         for sign in cfg.bott_signs:
             P = bott.bott_projection(n, sign, cfg.q)
             if cfg.perturb:
                 P = bott.ProjectionCandidate(P.n, P.sign, P.q,
                                              bott.m2_scale(P.entries, 2))
-            winding = bott.winding_diagnostic(P, T)
             if cfg.exact_mode:
                 rep = bott.verify_projection_exact(P, points)
                 row = {"mode": "exact", "max_residue": format_rational(rep.max_residue),
@@ -356,7 +358,7 @@ def cmd_bott(cfg: RunConfig) -> dict:
                        "selfadjointness_defect": rep.selfadjointness_defect,
                        "passed": _passes(rep.max_defect, cfg.tolerance)}
             rows.append({"n": n, "sign": "+" if sign > 0 else "-", "q": format_rational(cfg.q),
-                         "winding_diagnostic": {"value": winding, "unverified": True}, **row})
+                         "index": bott.index(P), **row})
     return {
         "command": "bott",
         "provenance": _provenance("P P = P = P*", cfg.window, 2 * max(cfg.bott_n),

@@ -304,16 +304,6 @@ class Band:
                                                            else v[lo:hi])
         return out.reshape(n, n)
 
-    def trace(self):
-        if not self.exact:
-            return self._diags[0].sum(initial=0j) if 0 in self._diags else 0j
-        re, im, den = 0, 0, 1
-        if 0 in self._diags:
-            v = self._diags[0]
-            for a, b, c in zip(v.re.tolist(), v._imag().tolist(), v.den.tolist()):
-                re, im, den = re * c + a * den, im * c + b * den, den * c
-        return RationalComplex(Fraction(re, den), Fraction(im, den)) if im else Fraction(re, den)
-
     def norm(self, keep=None):
         """defect_norm of the operator compressed to the rows and columns in keep.
 

@@ -387,15 +387,15 @@ def shift(T: TruncatedQNormal, k: int) -> mo.Band:
     return T.u_band.power(k)
 
 
-def verify_covariance(T: TruncatedQNormal, f: CoefficientFunction,
-                      with_absolute: bool = False):
-    """Gated interior defect of u f(modulus) u* = f(q modulus), as in _defects.
-
-    with_absolute returns the pair (gated, absolute) from the same two sides.
-    """
+def covariance_defects(T: TruncatedQNormal, f: CoefficientFunction) -> tuple:
+    """(gated, absolute) interior defect of u f(modulus) u* = f(q modulus), as in _defects."""
     lhs = T.u_band @ spectral_band(T, f) @ T.u_band.adjoint()
-    (gated, absolute), = _defects(T, lhs, spectral_band(T, f, T.q), (T.interior_range(),))
-    return (gated, absolute) if with_absolute else gated
+    return _defects(T, lhs, spectral_band(T, f, T.q), (T.interior_range(),))[0]
+
+
+def verify_covariance(T: TruncatedQNormal, f: CoefficientFunction):
+    """Gated interior defect of u f(modulus) u* = f(q modulus)."""
+    return covariance_defects(T, f)[0]
 
 
 _AT_ORIGIN = IndicatorCoefficient(Interval.point(0))

@@ -514,7 +514,11 @@ class RationalFunction:
         # |c| / d below 2**1023, so Horner stays finite at |t| <= 1 and, on the
         # reversed polynomials, at |t| >= 1
         s = max(sum(map(abs, cs)).bit_length() - d.bit_length() for cs, d in parts) - 1022
-        return tuple(tuple(c / (d << s) for c in cs) for cs, d in parts)
+        scaled = tuple(tuple(c / (d << s) for c in cs) for cs, d in parts)
+        # past about 2**2100 a den of size 1 rounds to 0.0 under that 2**s
+        if not any(map(any, scaled[len(scaled) // 2:])):
+            raise EvaluationError("coefficients past float range: the denominator rounds to 0")
+        return scaled
 
     def evaluate_float(self, t: float) -> complex:
         """Value at a float point: :meth:`evaluate_array` at the one point t."""

@@ -9,6 +9,7 @@ import qcplane.matrixops as mo
 from qcplane import algebra, bott, cli, qnormal
 from qcplane.errors import ConfigurationError, DomainError
 from qcplane.qnormal import TruncationWindow
+from qcplane.qspace import Interval
 from qcplane.represent import represent
 
 SAMPLE_POINTS = [Fraction(0)] + [Fraction(2) ** k for k in range(-12, 13)]
@@ -131,20 +132,32 @@ def test_projection_numeric_window_guard():
 
 
 def test_winding_signs():
-    T = qnormal.build_from_generators("1/2", ["1"], TruncationWindow(-8, 8))
-    w = {sign: bott.winding_diagnostic(bott.bott_projection(1, sign, "1/2"), T)
-         for sign in (1, -1)}
-    assert {round(w[1]), round(w[-1])} == {1, -1}
-    assert abs(abs(w[1]) - 1) <= 1e-2
-    assert abs(abs(w[-1]) - 1) <= 1e-2
+    # the two signs of the n = 1 projection pair to +1 and -1, exactly
+    assert {sign: bott.index(bott.bott_projection(1, sign, "1/2")) for sign in (1, -1)} \
+        == {1: 1, -1: -1}
 
 
 def test_winding_flat_reference_is_zero():
-    T = qnormal.build_from_generators("1/2", ["1"], TruncationWindow(-6, 6))
     P = bott.bott_projection(1, 1, "1/2")
     z = algebra.zero_element(P.q)
     flat = dataclasses.replace(P, entries=((algebra.parse_element(P.q, ["1@0"]), z), (z, z)))
-    assert bott.winding_diagnostic(flat, T) == 0.0
+    assert bott.index(flat) == 0
+
+
+def test_the_index_is_sign_times_n():
+    # the orbit trace of tr P - 1 telescopes to sign n on every family member
+    for q in ("1/2", "3/7", "9/10"):
+        for n in (1, 2, 3):
+            for sign in (1, -1):
+                assert bott.index(bott.bott_projection(n, sign, q)) == sign * n, (q, n, sign)
+    P = bott.bott_projection(1, 1, "1/2")
+    z = algebra.zero_element(P.q)
+    # 2P, and P read at the wrong q or the wrong n, satisfy no identity; a leaf has none
+    leaf = algebra.element(P.q, {0: algebra.IndicatorCoefficient(Interval.open_closed(0, 1))})
+    for wrong in (dataclasses.replace(P, entries=bott.m2_scale(P.entries, 2)),
+                  dataclasses.replace(P, q=Fraction(1, 3)), dataclasses.replace(P, n=3),
+                  dataclasses.replace(P, entries=((leaf, z), (z, z)))):
+        assert bott.index(wrong) is None
 
 
 def test_projection_constructor_guards():
@@ -180,17 +193,6 @@ def test_projection_numeric_defects_match_dense_svd():
         want = np.linalg.norm(mo.compress(B @ B - B, idx), 2)
         rep = bott.verify_projection_numeric(cand, T)
         assert abs(rep.idempotency_defect - want) <= 1e-15 * max(1.0, want)
-
-
-def test_winding_diagnostic_is_the_block_trace_gap():
-    # only the diagonal entries are represented; the whole block band agrees
-    T = qnormal.build_from_generators("1/2", ["1", "3/4"], TruncationWindow(-10, 10),
-                                      zero_mass=1)
-    Tf = T.as_float()
-    for n, sign in ((1, 1), (2, -1), (3, 1)):
-        P = bott.bott_projection(n, sign, "1/2")
-        want = (bott._block_band(P.entries, Tf).trace() - Tf.dim).real
-        assert abs(bott.winding_diagnostic(P, T) - want) <= 1e-12
 
 
 def test_perturbed_control_defect_is_about_two(capsys):

@@ -159,7 +159,7 @@ def test_bott_numeric_defaults(capsys):
         assert row["mode"] == "numeric"
         assert row["max_residue"] <= 1e-12
         assert row["passed"] is True
-        assert row["winding_diagnostic"]["unverified"] is True
+        assert row["index"] == (1 if row["sign"] == "+" else -1) * row["n"]
 
 
 def test_bott_exact_mode(tmp_path, capsys):
@@ -358,9 +358,8 @@ def test_bott_wide_float_window_stays_finite(capsys):
     rows = json.loads(out)["projections"]
     for row in rows:
         assert math.isfinite(row["max_residue"]) and row["passed"] is True
-    winding = {(row["n"], row["sign"]): row["winding_diagnostic"]["value"] for row in rows}
-    assert abs(winding[3, "+"] - 3.0) <= 1e-9
-    assert abs(winding[3, "-"] + 3.0) <= 1e-9
+    index = {(row["n"], row["sign"]): row["index"] for row in rows}
+    assert index[3, "+"] == 3 and index[3, "-"] == -3
 
 
 def test_bott_wide_float_window_at_q_3_7_stays_finite(capsys):
@@ -372,9 +371,8 @@ def test_bott_wide_float_window_at_q_3_7_stays_finite(capsys):
     rows = json.loads(out)["projections"]
     for row in rows:
         assert math.isfinite(row["max_residue"]) and row["passed"] is True
-    winding = {(row["n"], row["sign"]): row["winding_diagnostic"]["value"] for row in rows}
-    assert abs(winding[3, "+"] - 3.0) <= 1e-9
-    assert abs(winding[3, "-"] + 3.0) <= 1e-9
+    index = {(row["n"], row["sign"]): row["index"] for row in rows}
+    assert index[3, "+"] == 3 and index[3, "-"] == -3
 
 
 def test_poles_on_half_line_rejected(capsys):
@@ -634,6 +632,22 @@ def test_float_bott_builds_no_exact_sample_grid(capsys, monkeypatch):
         assert row["points_checked"] == 52
 
 
+def test_exact_bott_builds_no_float_model(capsys, monkeypatch):
+    # the index is proved on the entries themselves: no window model is built or rounded
+    def refuse(*args, **kw):
+        raise AssertionError("bott --exact built a window model")
+
+    monkeypatch.setattr(qnormal, "build", refuse)
+    monkeypatch.setattr(qnormal.TruncatedQNormal, "as_float", refuse)
+    code, out = run(capsys, "bott", "--exact")
+    assert code == 0
+    indices = [row["index"] for row in json.loads(out)["projections"]]
+    assert indices == [1, -1, 2, -2, 3, -3] and all(type(k) is int for k in indices)
+    # so a window past float range, which no exact check reads, is no longer refused
+    code, _ = run(capsys, "bott", "--exact", "--window", "-1100", "1100")
+    assert code == 0
+
+
 @pytest.mark.parametrize("exact", [False, True])
 def test_simulate_builds_the_covariance_family_once_per_run(tmp_path, capsys, monkeypatch,
                                                             exact):
@@ -657,7 +671,7 @@ def test_simulate_builds_the_covariance_family_once_per_run(tmp_path, capsys, mo
 GOLDEN = Path(__file__).parent / "data"
 
 
-@pytest.mark.parametrize("name, argv, want_code", [
+GOLDEN_RUNS = [
     ("simulate_exact", ["simulate", "--exact"], 0),
     ("simulate_exact_q3_7_w40", ["simulate", "--exact", "--q", "3/7", "--window", "-40", "40"], 0),
     ("bott_exact", ["bott", "--exact"], 0),
@@ -665,14 +679,35 @@ GOLDEN = Path(__file__).parent / "data"
     ("norm", ["norm"], 0),
     ("limit_q1", ["limit", "--q", "1/1"], 0),
     ("simulate_q3_7_w150", ["simulate", "--q", "3/7", "--window", "-150", "150"], 0),
-])
+]
+
+
+@pytest.mark.parametrize("name, argv, want_code", GOLDEN_RUNS)
 def test_reports_match_the_recorded_golden_output(capsys, name, argv, want_code):
     # tests/data/golden_<name>.out is the byte-exact stdout of
     # `python -m qcplane.cli <argv>` recorded before the exact diagonal evaluator;
-    # simulate_q3_7_w150, the one float simulate report, before the one-pass Band.gap
+    # simulate_q3_7_w150, the one float simulate report, before the one-pass Band.gap;
+    # bott and bott_exact again when the exact index replaced the float winding
     code, out = run(capsys, *argv)
     assert code == want_code
     assert out.encode() == (GOLDEN / f"golden_{name}.out").read_bytes()
+
+
+def _not_strict_json(constant):
+    raise ValueError(f"{constant} is not strict JSON")
+
+
+def test_reports_are_strict_json_and_float_range_is_refused(capsys):
+    for _, argv, want_code in GOLDEN_RUNS:
+        code, out = run(capsys, *argv)
+        assert code == want_code
+        json.loads(out, parse_constant=_not_strict_json)
+    # an estimate past float range, and a constant whose scaled denominator rounds
+    # to 0.0, exit 2 instead of printing Infinity or "denominator vanishes"
+    for lit in ("2^2000@0", "9" * 400 + "/(1+t)@0", "9" * 4300 + "@0"):
+        assert cli.main(["norm", "--element", lit]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "float range" in captured.err, captured.err
 
 
 def test_report_writer_makes_the_bytes_of_json_dumps(tmp_path, capsys):

@@ -224,8 +224,6 @@ def test_band_trace_and_blocks():
         want = np.block([[b.dense() for b in row] for row in blocks])
         assert whole.dim == 10
         assert mo.max_entry_gap(whole.dense(), want) == 0
-        assert whole.trace() == np.trace(want)
-    assert mo.Band(4, True).trace() == 0
 
 
 def _int_padded_band(rng: random.Random, dim: int, offsets, complex_values: bool) -> mo.Band:
@@ -389,8 +387,7 @@ def test_exact_measures_of_int_padded_operators_are_fractions():
     zero = mo.Band(6, True, {0: np.zeros(6, dtype=object), 2: np.zeros(6, dtype=object)})
     Z = zero.dense()
     for got in (zero.norm(), zero.norm([1, 3]), mo.Band(6, True).norm(), mo.defect_norm(Z),
-                mo.defect_norm(Z[:0, :0]), mo.max_entry_gap(Z, Z), zero.trace(),
-                mo.Band(6, True).trace()):
+                mo.defect_norm(Z[:0, :0]), mo.max_entry_gap(Z, Z)):
         assert type(got) is Fraction and got == 0
     rng = random.Random(89)
     for complex_values in (False, True):
@@ -401,9 +398,7 @@ def test_exact_measures_of_int_padded_operators_are_fractions():
         want = max(exact_magnitude(x) for x in _oracle(A).flat)
         for got in (A.norm(), mo.defect_norm(A.dense()), mo.max_entry_gap(A.dense(), D.dense())):
             assert type(got) is Fraction and got == want
-    real = _int_padded_band(rng, 7, (0, 3), False)
-    assert type(real.trace()) is Fraction
-    assert real.trace() == sum(_oracle(real).diagonal())
+    _int_padded_band(rng, 7, (0, 3), False)   # the cut bands below follow this draw
     # bands cut from models: entries past 2**1000, or complex over a kernel slot
     for complex_values in (False, True):
         for A in _cut_bands(rng, complex_values):
@@ -416,8 +411,6 @@ def test_exact_measures_of_int_padded_operators_are_fractions():
                 assert type(got) is Fraction and got == want
             keep = [1, 2, 5]
             assert A.norm(keep) == max(exact_magnitude(x) for x in mo.compress(DA, keep).flat)
-            assert A.trace() == sum(DA.diagonal())
-            assert type(A.trace()) in (Fraction, RationalComplex)
     # negative control: one interior entry of zeta moved by 10**-30 gives the
     # relation defect of the dense oracle, not 0
     T = qnormal.build_from_generators("3/7", ["1", "5/7"], TruncationWindow(-6, 6), zero_mass=1,
